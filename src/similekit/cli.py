@@ -1,7 +1,8 @@
 """Command-line pipeline: harvest | build-corpus | train | generate | evaluate | embellish.
 
-Settings come from flags or an INI config file (sections named after the
-commands); flags win.  Validation problems are reported all at once, not
+Each command declares its settings once, in an option table: the flag
+`--name` is the key `name` in the command's INI config section, and flags
+win over the config file.  Validation problems are reported all at once, not
 first-only, with exit code 2.  Every run writes a manifest next to its
 primary output recording argv, config hash, input hashes, and seeds, with no
 timestamps, so re-running an identical invocation reproduces outputs byte for
@@ -17,9 +18,11 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .core import TriggerConfig, DEFAULT_TRIGGERS
+from .core import TriggerConfig, DEFAULT_TRIGGERS, read_jsonl, write_jsonl
 from .corpus import (
     BuildStats,
     build_parallel_corpus,
@@ -29,6 +32,7 @@ from .corpus import (
     write_pairs_tsv,
 )
 from .evaluation import (
+    CRITERIA,
     MetricReport,
     CharNgramEmbedder,
     OneHotEmbedder,
@@ -43,7 +47,6 @@ from .harvest import (
     harvest_literals,
     harvest_similes,
     load_comments,
-    read_literals_jsonl,
     read_similes_jsonl,
     sample_literals,
     split_corpus,
@@ -60,30 +63,16 @@ from .lm import (
     UniformScorer,
     fine_tune,
 )
-from .story import (
-    Story,
-    embellish,
-    generate_story,
-    read_stories_jsonl,
-    write_embellished_jsonl,
-)
+from .story import embellish, generate_story, read_stories_jsonl
 from .systems import (
     baseline_metaphor_mask,
     baseline_prefix_forced,
     baseline_retrieval,
     run_batch,
-    read_batch_jsonl,
     scope_generate,
     train_metaphor_mask,
 )
 from .tagging import DEFAULT_TAGGER
-
-SYSTEMS = ("scope", "prefix", "rtrvl", "meta_m")
-
-
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
 
 def _sha256_file(path: str) -> str:
     h = hashlib.sha256()
@@ -93,13 +82,12 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(primary_out: str, command: str, argv: list[str],
-                    inputs: list[str], seeds: dict, config_text: str,
-                    outputs: list[str]) -> str:
+def _write_manifest(s: Settings, primary_out: str, inputs: list[str], seeds: dict,
+                    outputs: list[str]) -> None:
     manifest = {
-        "command": command,
-        "argv": list(argv),
-        "config_sha256": _sha256_text(config_text),
+        "command": s.command,
+        "argv": list(s.argv),
+        "config_sha256": hashlib.sha256(s.config_text.encode("utf-8")).hexdigest(),
         "inputs": {p: _sha256_file(p) for p in sorted(set(inputs))},
         "seeds": seeds,
         "outputs": sorted(set(outputs)),
@@ -108,167 +96,225 @@ def _write_manifest(primary_out: str, command: str, argv: list[str],
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _parse_ratio(text: str):
+    """A float or an exact fraction such as 82697/87843, strictly between 0 and 1."""
     if "/" in text:
         num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return float(text)
+        ratio = Fraction(int(num), int(den))
+    else:
+        ratio = float(text)
+    if not 0 < ratio < 1:
+        raise ValueError(f"ratio must be strictly between 0 and 1: {text}")
+    return ratio
 
 
 def _parse_bool(text: str) -> bool:
-    low = str(text).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 
-class _Settings:
-    """Merges flags over a config-file section; collects every error."""
+def _parse_paths(value) -> list[str]:
+    """A flag gives the paths as a list; a config value separates them with commas."""
+    return value if isinstance(value, list) else [p.strip() for p in value.split(",")]
 
-    def __init__(self, args: argparse.Namespace, section: str):
-        self.args = args
-        self.section = section
+
+def _parse_triggers(text: str) -> TriggerConfig:
+    if not text:
+        return DEFAULT_TRIGGERS
+    return TriggerConfig(trigger_phrases=tuple(p.strip() for p in text.split(";") if p.strip()))
+
+
+@dataclass(frozen=True)
+class Option:
+    """One setting: the flag `--name` and the config key `name`.
+
+    cast turns a flag or config value into the setting; _parse_bool makes a
+    switch flag and _parse_paths a flag of one or more paths.  path marks
+    input paths that must exist.
+    """
+
+    name: str
+    cast: Callable = str
+    default: object = None
+    required: bool = False
+    choices: tuple = ()
+    path: bool = False
+    help: str | None = None
+
+
+@dataclass(frozen=True)
+class Command:
+    section: str
+    help: str
+    run: Callable
+    options: tuple
+
+
+class Settings(dict):
+    """One run's settings by option name: flags over the command's config section.
+
+    Every problem is collected in `errors` rather than stopping at the first.
+    A value that fails a check is kept as given; the errors end the run
+    before it is used.
+    """
+
+    def __init__(self, args: argparse.Namespace, argv: list[str]):
+        super().__init__()
+        command = COMMANDS[args.command]
+        self.command, self.argv, self.section = args.command, argv, command.section
         self.errors: list[str] = []
         self.config_text = ""
-        self.parser: configparser.ConfigParser | None = None
-        path = getattr(args, "config", None)
-        if path:
-            if not os.path.isfile(path):
-                self.errors.append(f"config file not found: {path}")
-            else:
-                with open(path, encoding="utf-8") as fh:
+        config: dict[str, str] = {}
+        if args.config:
+            try:
+                with open(args.config, encoding="utf-8") as fh:
                     self.config_text = fh.read()
                 parser = configparser.ConfigParser()
-                try:
-                    parser.read_string(self.config_text)
-                    self.parser = parser
-                except configparser.Error as exc:
-                    self.errors.append(f"config file {path}: {exc}")
+                parser.read_string(self.config_text)
+                if parser.has_section(self.section):
+                    config = dict(parser[self.section])
+            except (OSError, configparser.Error) as exc:
+                self.errors.append(f"config file {args.config}: {exc}")
+        for opt in command.options:
+            self[opt.name] = self._resolve(opt, getattr(args, opt.name), config)
+            if opt.required:
+                self.require(opt.name)
 
-    def get(self, name: str, required: bool = False, cast=str, default=None, attr=None):
-        value = getattr(self.args, attr or name, None)
-        if value is None and self.parser is not None and self.parser.has_option(self.section, name):
-            value = self.parser.get(self.section, name)
+    def _resolve(self, opt: Option, value, config: dict[str, str]):
         if value is None:
-            if required:
-                self.errors.append(f"[{self.section}] missing required setting '{name}'")
-            return default
-        if isinstance(value, str) and cast is not str:
-            try:
-                value = cast(value)
-            except (ValueError, ZeroDivisionError):
-                self.errors.append(f"[{self.section}] bad value for '{name}': {value!r}")
-                return default
+            value = config.get(opt.name)
+        if value is None:
+            return opt.default
+        try:
+            value = opt.cast(value)
+        except (ValueError, ZeroDivisionError):
+            self.error(f"bad value for '{opt.name}': {value!r}")
+            return value
+        if opt.choices and value not in opt.choices:
+            self.error(f"'{opt.name}' must be one of {', '.join(opt.choices)}, got {value!r}")
+        if opt.path:
+            for path in value if isinstance(value, list) else [value]:
+                if not os.path.exists(path):
+                    self.error(f"'{opt.name}' path does not exist: {path}")
         return value
 
-    def input_path(self, name: str, required: bool = False, attr=None):
-        value = self.get(name, required=required, attr=attr)
-        if value is not None and not os.path.exists(value):
-            self.errors.append(f"[{self.section}] '{name}' path does not exist: {value}")
-            return None
-        return value
+    def error(self, message: str) -> None:
+        self.errors.append(f"[{self.section}] {message}")
+
+    def require(self, name: str) -> None:
+        if self[name] is None:
+            self.error(f"missing required setting '{name}'")
 
     def fail_if_errors(self) -> bool:
-        if self.errors:
-            for err in self.errors:
-                print(f"error: {err}", file=sys.stderr)
-            return True
-        return False
+        for err in self.errors:
+            print(f"error: {err}", file=sys.stderr)
+        return bool(self.errors)
 
 
-def _triggers(settings: _Settings) -> TriggerConfig:
-    raw = settings.get("triggers")
-    if not raw:
-        return DEFAULT_TRIGGERS
-    phrases = tuple(p.strip() for p in raw.split(";") if p.strip())
-    return TriggerConfig(trigger_phrases=phrases)
+COMMANDS: dict[str, Command] = {}
+
+
+def _command(name: str, section: str, help: str, *options: Option):
+    """Register a command with its config section and option table."""
+    def register(run):
+        COMMANDS[name] = Command(section, help, run, options)
+        return run
+    return register
+
+
+_DECODING = (
+    Option("top-k", int, 5),
+    Option("temperature", float, 0.7),
+    Option("max-new-tokens", int, 32),
+)
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def cmd_harvest(args, argv) -> int:
-    s = _Settings(args, "harvest")
-    comments = s.input_path("comments")
-    similes_out = s.get("similes-out", attr="similes_out")
-    sentences = s.input_path("sentences")
-    literals_out = s.get("literals-out", attr="literals_out")
-    split = s.get("split", cast=_parse_ratio)
-    train_out = s.get("train-out", attr="train_out")
-    val_out = s.get("val-out", attr="val_out")
-    sample = s.get("sample", cast=int)
-    seed = s.get("seed", cast=int)
+@_command(
+    "harvest", "harvest", "extract similes from comment dumps, literals from crawls",
+    Option("comments", path=True),
+    Option("similes-out"),
+    Option("triggers", _parse_triggers, DEFAULT_TRIGGERS,
+           help="semicolon-separated trigger phrases"),
+    Option("split", _parse_ratio, help="train fraction, e.g. 0.9 or 82697/87843"),
+    Option("train-out"),
+    Option("val-out"),
+    Option("sentences", path=True),
+    Option("literals-out"),
+    Option("sample", int),
+    Option("seed", int),
+)
+def cmd_harvest(s: Settings) -> int:
+    comments, sentences, split, seed = s["comments"], s["sentences"], s["split"], s["seed"]
     if comments is None and sentences is None:
-        s.errors.append("[harvest] need --comments and/or --sentences")
-    if comments is not None and similes_out is None:
-        s.errors.append("[harvest] --comments requires --similes-out")
-    if sentences is not None and literals_out is None:
-        s.errors.append("[harvest] --sentences requires --literals-out")
-    if split is not None and not (train_out and val_out):
-        s.errors.append("[harvest] --split requires --train-out and --val-out")
-    if (split is not None or sample is not None) and seed is None:
-        s.errors.append("[harvest] missing required setting 'seed' (no wall-clock defaults)")
-    cfg = _triggers(s)
+        s.error("need --comments and/or --sentences")
+    if comments is not None and s["similes-out"] is None:
+        s.error("--comments requires --similes-out")
+    if sentences is not None and s["literals-out"] is None:
+        s.error("--sentences requires --literals-out")
+    if split is not None and not (s["train-out"] and s["val-out"]):
+        s.error("--split requires --train-out and --val-out")
+    if (split is not None or s["sample"] is not None) and seed is None:
+        s.error("missing required setting 'seed' (no wall-clock defaults)")
     if s.fail_if_errors():
         return 2
     stats = HarvestStats()
     inputs, outputs, seeds = [], [], {}
-    primary = None
     if comments is not None:
-        similes = harvest_similes(load_comments(comments, stats), cfg, stats)
-        write_similes_jsonl(similes, similes_out)
+        similes = harvest_similes(load_comments(comments, stats), s["triggers"], stats)
+        write_similes_jsonl(similes, s["similes-out"])
         inputs.append(comments)
-        outputs.append(similes_out)
-        primary = similes_out
+        outputs.append(s["similes-out"])
         print(f"harvested {len(similes)} similes "
               f"({stats.duplicates} duplicates, {stats.malformed} malformed records)")
         if split is not None:
             result = split_corpus(similes, split, seed)
-            write_similes_jsonl(result.train, train_out)
-            write_similes_jsonl(result.validation, val_out)
-            outputs += [train_out, val_out]
+            write_similes_jsonl(result.train, s["train-out"])
+            write_similes_jsonl(result.validation, s["val-out"])
+            outputs += [s["train-out"], s["val-out"]]
             seeds["split_seed"] = seed
             print(f"split {len(result.train)} train / {len(result.validation)} validation")
     if sentences is not None:
         with open(sentences, encoding="utf-8") as fh:
             lines = [line.strip() for line in fh if line.strip()]
         literals = harvest_literals(lines, DEFAULT_TAGGER, stats)
-        if sample is not None:
-            literals = sample_literals(literals, sample, seed)
+        if s["sample"] is not None:
+            literals = sample_literals(literals, s["sample"], seed)
             seeds["sample_seed"] = seed
-        write_literals_jsonl(literals, literals_out)
+        write_literals_jsonl(literals, s["literals-out"])
         inputs.append(sentences)
-        outputs.append(literals_out)
-        primary = primary or literals_out
+        outputs.append(s["literals-out"])
         print(f"kept {len(literals)} literals ({stats.rejected} rejected)")
-    _write_manifest(primary, "harvest", argv, inputs, seeds, s.config_text, outputs)
+    _write_manifest(s, outputs[0], inputs, seeds, outputs)
     return 0
 
 
-def cmd_build_corpus(args, argv) -> int:
-    s = _Settings(args, "corpus")
-    in_path = s.input_path("in", required=True, attr="in_path")
-    knowledge_path = s.input_path("knowledge", required=True)
-    scorer_kind = s.get("scorer", default="reference")
-    if scorer_kind not in ("reference", "uniform"):
-        s.errors.append(f"[corpus] scorer must be 'reference' or 'uniform', got {scorer_kind!r}")
-    scorer_train = s.input_path("scorer-train", attr="scorer_train")
-    vocab = s.get("uniform-vocab", cast=int, default=1000, attr="uniform_vocab")
-    k = s.get("k", cast=int, default=5)
-    out = s.get("out", required=True)
-    audit_out = s.get("audit-out", attr="audit_out")
+@_command(
+    "build-corpus", "corpus", "turn similes into (literal, simile) pairs",
+    Option("in", required=True, path=True),
+    Option("knowledge", required=True, path=True),
+    Option("scorer", default="reference", choices=("reference", "uniform")),
+    Option("scorer-train", path=True),
+    Option("uniform-vocab", int, 1000),
+    Option("k", int, 5),
+    Option("out", required=True),
+    Option("audit-out"),
+)
+def cmd_build_corpus(s: Settings) -> int:
     if s.fail_if_errors():
         return 2
-    similes = read_similes_jsonl(in_path)
-    backend = load_edge_table(knowledge_path)
-    if scorer_kind == "uniform":
-        scorer = UniformScorer(vocab)
+    similes = read_similes_jsonl(s["in"])
+    backend = load_edge_table(s["knowledge"])
+    scorer_train = s["scorer-train"]
+    if s["scorer"] == "uniform":
+        scorer = UniformScorer(s["uniform-vocab"])
     else:
         if scorer_train:
             with open(scorer_train, encoding="utf-8") as fh:
@@ -277,70 +323,74 @@ def cmd_build_corpus(args, argv) -> int:
             texts = [sim.raw_text for sim in similes]
         scorer = BigramScorer(texts)
     stats = BuildStats()
-    pairs = build_parallel_corpus(similes, backend, scorer, corrector=None, k=k, stats=stats)
-    write_pairs_tsv(pairs, out)
-    inputs = [in_path, knowledge_path] + ([scorer_train] if scorer_train else [])
-    outputs = [out]
-    if audit_out:
-        write_pairs_audit_jsonl(pairs, audit_out)
-        outputs.append(audit_out)
-    _write_manifest(out, "build-corpus", argv, inputs, {}, s.config_text, outputs)
+    pairs = build_parallel_corpus(similes, backend, scorer, corrector=None, k=s["k"], stats=stats)
+    write_pairs_tsv(pairs, s["out"])
+    inputs = [s["in"], s["knowledge"]] + ([scorer_train] if scorer_train else [])
+    outputs = [s["out"]]
+    if s["audit-out"]:
+        write_pairs_audit_jsonl(pairs, s["audit-out"])
+        outputs.append(s["audit-out"])
+    _write_manifest(s, s["out"], inputs, {}, outputs)
     print(f"built {stats.built} pairs "
           f"({stats.skipped_no_properties} skipped, {len(stats.failures)} failed)")
     return 0
 
 
-def cmd_train(args, argv) -> int:
-    s = _Settings(args, "train")
-    pairs_path = s.input_path("pairs", required=True)
-    model_out = s.get("model-out", required=True, attr="model_out")
-    seed = s.get("seed", required=True, cast=int)
-    epochs = s.get("epochs", cast=int, default=17)
-    budget = s.get("batch-token-budget", cast=int, default=1024, attr="batch_token_budget")
-    mask = s.get("mask", cast=_parse_bool, default=False)
+@_command(
+    "train", "train", "fine-tune the reference seq2seq model on pairs",
+    Option("pairs", required=True, path=True),
+    Option("model-out", required=True),
+    Option("seed", int, required=True),
+    Option("epochs", int, 17),
+    Option("batch-token-budget", int, 1024),
+    Option("mask", _parse_bool, False,
+           help="replace terminal modifiers with the mask token before training"),
+)
+def cmd_train(s: Settings) -> int:
     if s.fail_if_errors():
         return 2
-    pairs = read_pairs_tsv(pairs_path)
-    cfg = TrainConfig(seed=seed, epochs=epochs, batch_token_budget=budget)
+    pairs = read_pairs_tsv(s["pairs"])
+    cfg = TrainConfig(seed=s["seed"], epochs=s["epochs"],
+                      batch_token_budget=s["batch-token-budget"])
     backend = ReferenceSeq2SeqBackend()
-    if mask:
+    if s["mask"]:
         mask_stats: dict = {}
         model = train_metaphor_mask(pairs, cfg, backend, DEFAULT_TAGGER, mask_stats)
         print(f"masked training: {mask_stats.get('skipped', 0)} pairs skipped")
     else:
         model = fine_tune(pairs, cfg, backend)
-    model.save(model_out)
-    _write_manifest(model_out, "train", argv, [pairs_path], {"seed": seed},
-                    s.config_text, [model_out])
-    print(f"trained on {len(pairs)} pairs -> {model_out}")
+    model.save(s["model-out"])
+    _write_manifest(s, s["model-out"], [s["pairs"]], {"seed": s["seed"]}, [s["model-out"]])
+    print(f"trained on {len(pairs)} pairs -> {s['model-out']}")
     return 0
 
 
-def cmd_generate(args, argv) -> int:
-    s = _Settings(args, "generate")
-    literals_path = s.input_path("literals", required=True)
-    system = s.get("system", required=True)
-    if system is not None and system not in SYSTEMS:
-        s.errors.append(f"[generate] system must be one of {','.join(SYSTEMS)}, got {system!r}")
-    out = s.get("out", required=True)
-    seed = s.get("seed", required=True, cast=int)
-    top_k = s.get("top-k", cast=int, default=5, attr="top_k")
-    temperature = s.get("temperature", cast=float, default=0.7)
-    max_new = s.get("max-new-tokens", cast=int, default=32, attr="max_new_tokens")
-    model_dir = None
-    knowledge_path = synonyms_path = None
+@_command(
+    "generate", "generate", "run one generation system over a literal file",
+    Option("literals", required=True, path=True),
+    Option("system", required=True, choices=("scope", "prefix", "rtrvl", "meta_m")),
+    Option("model", path=True),
+    Option("knowledge", path=True),
+    Option("synonyms", path=True),
+    Option("seed", int, required=True),
+    *_DECODING,
+    Option("article-heuristic", _parse_bool, False),
+    Option("out", required=True),
+)
+def cmd_generate(s: Settings) -> int:
+    system = s["system"]
+    model_dir = knowledge_path = synonyms_path = None
     if system in ("scope", "prefix", "meta_m"):
-        model_dir = s.input_path("model", required=True)
+        s.require("model")
+        model_dir = s["model"]
     if system == "rtrvl":
-        knowledge_path = s.input_path("knowledge", required=True)
-        synonyms_path = s.input_path("synonyms")
-    heuristic = s.get("article-heuristic", cast=_parse_bool, default=False,
-                      attr="article_heuristic")
+        s.require("knowledge")
+        knowledge_path, synonyms_path = s["knowledge"], s["synonyms"]
     if s.fail_if_errors():
         return 2
-    literals = [rec["text"] for rec in read_literals_jsonl(literals_path)]
-    cfg = GenerationConfig(max_new_tokens=max_new, seed=seed, top_k=top_k,
-                           temperature=temperature)
+    literals = [rec["text"] for rec in read_jsonl(s["literals"])]
+    cfg = GenerationConfig(max_new_tokens=s["max-new-tokens"], seed=s["seed"],
+                           top_k=s["top-k"], temperature=s["temperature"])
     skipped = 0
 
     def guarded(fn):
@@ -366,69 +416,63 @@ def cmd_generate(args, argv) -> int:
         backend = load_edge_table(knowledge_path)
         synonyms = SynonymTable.load(synonyms_path) if synonyms_path else EMPTY_SYNONYMS
         fn = guarded(lambda lit: baseline_retrieval(lit, backend, synonyms, DEFAULT_TAGGER,
-                                                    use_article_heuristic=heuristic))
-    run_batch(literals, system, fn, seed, out)
-    inputs = [p for p in (literals_path, knowledge_path, synonyms_path) if p]
+                                                    use_article_heuristic=s["article-heuristic"]))
+    run_batch(literals, system, fn, s["seed"], s["out"])
+    inputs = [p for p in (s["literals"], knowledge_path, synonyms_path) if p]
     if model_dir:
         inputs.append(os.path.join(model_dir, "model.json"))
-    _write_manifest(out, "generate", argv, inputs, {"seed": seed}, s.config_text, [out])
+    _write_manifest(s, s["out"], inputs, {"seed": s["seed"]}, [s["out"]])
     note = f" ({skipped} inputs failed)" if skipped else ""
-    print(f"{system}: generated {len(literals)} outputs -> {out}{note}")
+    print(f"{system}: generated {len(literals)} outputs -> {s['out']}{note}")
     return 0
 
 
-def cmd_evaluate(args, argv) -> int:
-    s = _Settings(args, "evaluate")
-    scoresheet = s.input_path("scoresheet")
-    generated = getattr(args, "generated", None)
-    if generated is None:
-        raw = s.get("generated")
-        generated = [p.strip() for p in raw.split(",")] if raw else None
-    refs_path = s.input_path("refs")
+@_command(
+    "evaluate", "evaluate", "automatic metrics and score-sheet aggregation",
+    Option("generated", _parse_paths, path=True),
+    Option("refs", path=True),
+    Option("train-audit", path=True),
+    Option("embedder", default="chargram", choices=("onehot", "chargram")),
+    Option("smoothing", _parse_bool, False),
+    Option("scoresheet", path=True),
+    Option("pairwise", help="two system names, e.g. scope,meta_m"),
+    Option("criterion", choices=CRITERIA),
+    Option("report"),
+)
+def cmd_evaluate(s: Settings) -> int:
+    generated, scoresheet, pairwise = s["generated"], s["scoresheet"], s["pairwise"]
     if scoresheet is None and generated is None:
-        s.errors.append("[evaluate] need --generated batch files or --scoresheet")
-    if generated is not None:
-        if refs_path is None:
-            s.errors.append("[evaluate] --generated requires --refs")
-        for path in generated:
-            if not os.path.exists(path):
-                s.errors.append(f"[evaluate] generated batch does not exist: {path}")
-    train_audit = s.input_path("train-audit", attr="train_audit")
-    embedder_kind = s.get("embedder", default="chargram")
-    if embedder_kind not in ("onehot", "chargram"):
-        s.errors.append(f"[evaluate] embedder must be 'onehot' or 'chargram', got {embedder_kind!r}")
-    smoothing = s.get("smoothing", cast=_parse_bool, default=False)
-    report_path = s.get("report")
-    pairwise = s.get("pairwise")
-    criterion = s.get("criterion")
+        s.error("need --generated batch files or --scoresheet")
+    if generated is not None and s["refs"] is None:
+        s.error("--generated requires --refs")
     if pairwise is not None and scoresheet is None:
-        s.errors.append("[evaluate] --pairwise requires --scoresheet")
-    if pairwise is not None and criterion is None:
-        s.errors.append("[evaluate] --pairwise requires --criterion")
+        s.error("--pairwise requires --scoresheet")
+    if pairwise is not None and s["criterion"] is None:
+        s.error("--pairwise requires --criterion")
     if s.fail_if_errors():
         return 2
     payload: dict = {}
     inputs: list[str] = []
     if generated is not None:
-        refs_by_literal = read_refs_jsonl(refs_path)
+        refs_by_literal = read_refs_jsonl(s["refs"])
         train_pairs = None
-        if train_audit:
+        if s["train-audit"]:
             train_pairs = [(p.property_used, p.vehicle)
-                           for p in read_pairs_audit_jsonl(train_audit)]
-            inputs.append(train_audit)
-        embedder = OneHotEmbedder() if embedder_kind == "onehot" else CharNgramEmbedder()
+                           for p in read_pairs_audit_jsonl(s["train-audit"])]
+            inputs.append(s["train-audit"])
+        embedder = OneHotEmbedder() if s["embedder"] == "onehot" else CharNgramEmbedder()
         report = MetricReport()
         for path in generated:
-            records = read_batch_jsonl(path)
+            records = list(read_jsonl(path))
             if not records:
                 continue
             system = records[0].get("system", os.path.basename(path))
             report.systems[system] = evaluate_generation(
                 records, refs_by_literal, embedder, train_pairs=train_pairs,
-                tagger=DEFAULT_TAGGER, smoothing=smoothing,
+                tagger=DEFAULT_TAGGER, smoothing=s["smoothing"],
             )
             inputs.append(path)
-        inputs.append(refs_path)
+        inputs.append(s["refs"])
         payload["metrics"] = json.loads(report.to_json())
         print(report.format_table(), end="")
     if scoresheet is not None:
@@ -442,6 +486,7 @@ def cmd_evaluate(args, argv) -> int:
         for key, value in sorted(payload["mean_scores"].items()):
             print(f"{key}: {value:.2f}")
         if pairwise is not None:
+            criterion = s["criterion"]
             system_a, _, system_b = pairwise.partition(",")
             win, lose, tie = pairwise_compare(sheet, system_a.strip(), system_b.strip(), criterion)
             payload["pairwise"] = {
@@ -451,54 +496,54 @@ def cmd_evaluate(args, argv) -> int:
             }
             print(f"{system_a.strip()} vs {system_b.strip()} on {criterion}: "
                   f"win {win:.1f} / lose {lose:.1f} / tie {tie:.1f}")
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
+    if s["report"]:
+        with open(s["report"], "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        _write_manifest(report_path, "evaluate", argv, inputs, {}, s.config_text,
-                        [report_path])
+        _write_manifest(s, s["report"], inputs, {}, [s["report"]])
     return 0
 
 
-def cmd_embellish(args, argv) -> int:
-    s = _Settings(args, "story")
-    stories_path = s.input_path("stories")
-    titles_path = s.input_path("titles")
-    storyline_model_dir = s.input_path("storyline-model", attr="storyline_model")
-    story_model_dir = s.input_path("story-model", attr="story_model")
-    model_dir = s.input_path("model", required=True)
-    out = s.get("out", required=True)
-    seed = s.get("seed", required=True, cast=int)
-    top_k = s.get("top-k", cast=int, default=5, attr="top_k")
-    temperature = s.get("temperature", cast=float, default=0.7)
-    max_new = s.get("max-new-tokens", cast=int, default=32, attr="max_new_tokens")
-    if stories_path is None and titles_path is None:
-        s.errors.append("[story] need --stories or --titles")
-    if titles_path is not None and not (storyline_model_dir and story_model_dir):
-        s.errors.append("[story] --titles requires --storyline-model and --story-model")
+@_command(
+    "embellish", "story", "replace one literal sentence per story with a simile",
+    Option("stories", path=True),
+    Option("titles", path=True),
+    Option("storyline-model", path=True),
+    Option("story-model", path=True),
+    Option("model", required=True, path=True),
+    Option("seed", int, required=True),
+    *_DECODING,
+    Option("out", required=True),
+)
+def cmd_embellish(s: Settings) -> int:
+    titles_path, storyline_dir, story_dir = s["titles"], s["storyline-model"], s["story-model"]
+    if s["stories"] is None and titles_path is None:
+        s.error("need --stories or --titles")
+    if titles_path is not None and not (storyline_dir and story_dir):
+        s.error("--titles requires --storyline-model and --story-model")
     if s.fail_if_errors():
         return 2
-    cfg = GenerationConfig(max_new_tokens=max_new, seed=seed, top_k=top_k,
-                           temperature=temperature)
-    inputs = [os.path.join(model_dir, "model.json")]
-    if stories_path is not None:
-        stories = read_stories_jsonl(stories_path)
-        inputs.append(stories_path)
+    cfg = GenerationConfig(max_new_tokens=s["max-new-tokens"], seed=s["seed"],
+                           top_k=s["top-k"], temperature=s["temperature"])
+    inputs = [os.path.join(s["model"], "model.json")]
+    if s["stories"] is not None:
+        stories = read_stories_jsonl(s["stories"])
+        inputs.append(s["stories"])
     else:
-        storyline_model = TemplateNgramModel.load(storyline_model_dir)
-        story_model = TemplateNgramModel.load(story_model_dir)
+        storyline_model = TemplateNgramModel.load(storyline_dir)
+        story_model = TemplateNgramModel.load(story_dir)
         with open(titles_path, encoding="utf-8") as fh:
             titles = [line.strip() for line in fh if line.strip()]
         stories = [generate_story(t, storyline_model, story_model, cfg) for t in titles]
-        inputs += [titles_path, os.path.join(storyline_model_dir, "model.json"),
-                   os.path.join(story_model_dir, "model.json")]
-    model = TemplateNgramModel.load(model_dir)
+        inputs += [titles_path, os.path.join(storyline_dir, "model.json"),
+                   os.path.join(story_dir, "model.json")]
+    model = TemplateNgramModel.load(s["model"])
     generator = lambda sentence: scope_generate(sentence, model, cfg)
     records = []
     replaced_count = 0
     for index, story in enumerate(stories):
         story_seed = int.from_bytes(
-            hashlib.sha256(f"{seed}|{index}|{story.title}".encode()).digest()[:8], "big"
+            hashlib.sha256(f"{s['seed']}|{index}|{story.title}".encode()).digest()[:8], "big"
         )
         result = embellish(story, generator, DEFAULT_TAGGER, story_seed)
         replaced_index = None
@@ -516,9 +561,9 @@ def cmd_embellish(args, argv) -> int:
             "replaced_index": replaced_index,
             "original_sentence": original,
         })
-    write_embellished_jsonl(records, out)
-    _write_manifest(out, "embellish", argv, inputs, {"seed": seed}, s.config_text, [out])
-    print(f"embellished {replaced_count}/{len(stories)} stories -> {out}")
+    write_jsonl(records, s["out"])
+    _write_manifest(s, s["out"], inputs, {"seed": s["seed"]}, [s["out"]])
+    print(f"embellished {replaced_count}/{len(stories)} stories -> {s['out']}")
     return 0
 
 
@@ -527,100 +572,32 @@ def cmd_embellish(args, argv) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags come from the option tables; every value is cast later, by Settings."""
     parser = argparse.ArgumentParser(
         prog="similekit",
         description="Literal-simile parallel corpus construction, generation, and evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("harvest", help="extract similes from comment dumps, literals from crawls")
-    p.add_argument("--config")
-    p.add_argument("--comments")
-    p.add_argument("--similes-out")
-    p.add_argument("--triggers", help="semicolon-separated trigger phrases")
-    p.add_argument("--split", help="train fraction, e.g. 0.9 or 82697/87843")
-    p.add_argument("--train-out")
-    p.add_argument("--val-out")
-    p.add_argument("--sentences")
-    p.add_argument("--literals-out")
-    p.add_argument("--sample", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_harvest)
-
-    p = sub.add_parser("build-corpus", help="turn similes into (literal, simile) pairs")
-    p.add_argument("--config")
-    p.add_argument("--in", dest="in_path")
-    p.add_argument("--knowledge")
-    p.add_argument("--scorer", choices=("reference", "uniform"))
-    p.add_argument("--scorer-train")
-    p.add_argument("--uniform-vocab", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--out")
-    p.add_argument("--audit-out")
-    p.set_defaults(func=cmd_build_corpus)
-
-    p = sub.add_parser("train", help="fine-tune the reference seq2seq model on pairs")
-    p.add_argument("--config")
-    p.add_argument("--pairs")
-    p.add_argument("--model-out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-token-budget", type=int)
-    p.add_argument("--mask", action="store_const", const="true",
-                   help="replace terminal modifiers with the mask token before training")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("generate", help="run one generation system over a literal file")
-    p.add_argument("--config")
-    p.add_argument("--literals")
-    p.add_argument("--system", choices=SYSTEMS)
-    p.add_argument("--model")
-    p.add_argument("--knowledge")
-    p.add_argument("--synonyms")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--top-k", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--max-new-tokens", type=int)
-    p.add_argument("--article-heuristic", action="store_const", const="true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("evaluate", help="automatic metrics and score-sheet aggregation")
-    p.add_argument("--config")
-    p.add_argument("--generated", nargs="+")
-    p.add_argument("--refs")
-    p.add_argument("--train-audit")
-    p.add_argument("--embedder", choices=("onehot", "chargram"))
-    p.add_argument("--smoothing", action="store_const", const="true")
-    p.add_argument("--scoresheet")
-    p.add_argument("--pairwise", help="two system names, e.g. scope,meta_m")
-    p.add_argument("--criterion", choices=("C", "R1", "R2", "OQ"))
-    p.add_argument("--report")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("embellish", help="replace one literal sentence per story with a simile")
-    p.add_argument("--config")
-    p.add_argument("--stories")
-    p.add_argument("--titles")
-    p.add_argument("--storyline-model")
-    p.add_argument("--story-model")
-    p.add_argument("--model")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--top-k", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--max-new-tokens", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_embellish)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config")
+        for opt in command.options:
+            kwargs = {"dest": opt.name, "help": opt.help}
+            if opt.cast is _parse_bool:
+                kwargs.update(action="store_const", const="true")
+            elif opt.cast is _parse_paths:
+                kwargs["nargs"] = "+"
+            elif opt.choices:
+                kwargs["metavar"] = "{" + ",".join(opt.choices) + "}"
+            p.add_argument("--" + opt.name, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, argv)
+        return COMMANDS[args.command].run(Settings(args, argv))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,8 +10,9 @@ that token-level metrics and model vocabularies agree.
 from __future__ import annotations
 
 import functools
+import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Word tokens keep internal apostrophes ("Francis's" is one token); every
 # other non-space character is its own token.
@@ -23,19 +24,8 @@ NO_SPACE_BEFORE = frozenset(".,!?;:")
 EOS_TOKEN = "</s>"
 
 
-@dataclass(frozen=True)
-class Token:
-    text: str
-    start: int
-    end: int
-
-
 def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
-
-
-def token_spans(text: str) -> list[Token]:
-    return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
 
 
 def detokenize(tokens: list[str]) -> str:
@@ -177,16 +167,6 @@ def parse_simile(text: str, cfg: TriggerConfig = DEFAULT_TRIGGERS) -> SimileInst
     return None
 
 
-def with_source(instance: SimileInstance, source_id: str) -> SimileInstance:
-    return SimileInstance(
-        raw_text=instance.raw_text,
-        prefix=instance.prefix,
-        comparator=instance.comparator,
-        vehicle=instance.vehicle,
-        source_id=source_id,
-    )
-
-
 class NotModifierFinal(ValueError):
     """The sentence's last content token is not an adjective or adverb."""
 
@@ -215,17 +195,16 @@ def strip_terminal_modifier(text: str, tagger) -> StrippedLiteral:
     Raises NotModifierFinal otherwise (including sentences with no word
     tokens at all).
     """
-    spans = token_spans(text)
-    word_positions = [i for i, t in enumerate(spans) if re.match(r"\w", t.text)]
-    if not word_positions:
+    words = [m for m in _TOKEN_RE.finditer(text) if re.match(r"\w", m.group())]
+    if not words:
         raise NotModifierFinal(f"no content token in {text!r}")
-    last = spans[word_positions[-1]]
-    tag = tagger.tag(last.text)
+    last = words[-1]
+    tag = tagger.tag(last.group())
     if tag not in ("ADJ", "ADV"):
-        raise NotModifierFinal(f"final token {last.text!r} tagged {tag}, not ADJ/ADV")
-    prefix = text[: last.start].rstrip()
-    trailing = text[last.end :].strip()
-    return StrippedLiteral(prefix=prefix, property=last.text, trailing=trailing, pos_tag=tag)
+        raise NotModifierFinal(f"final token {last.group()!r} tagged {tag}, not ADJ/ADV")
+    prefix = text[: last.start()].rstrip()
+    trailing = text[last.end() :].strip()
+    return StrippedLiteral(prefix=prefix, property=last.group(), trailing=trailing, pos_tag=tag)
 
 
 def drop_dangling_comma(prefix: str) -> str:
@@ -259,3 +238,21 @@ def extract_generated_vehicle(
 
 def _fold(token: str, cfg: TriggerConfig) -> str:
     return token if cfg.case_sensitive else token.lower()
+
+
+# ---------------------------------------------------------------------------
+# JSONL: one JSON object per line, keys sorted, non-ASCII text kept as is.
+
+
+def write_jsonl(records, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def read_jsonl(path):
+    """Yield the record on each non-blank line, in file order."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                yield json.loads(line)

@@ -10,11 +10,17 @@ verbatim, so a comma before the comparator survives into the literal
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field, replace
 
-from .core import SimileInstance, TriggerConfig, parse_simile, terminal_punctuation
+from .core import (
+    SimileInstance,
+    TriggerConfig,
+    parse_simile,
+    read_jsonl,
+    terminal_punctuation,
+    write_jsonl,
+)
 from .knowledge import PropertyCandidate, properties_of
 from .lm import perplexity
 
@@ -170,32 +176,19 @@ def read_pairs_tsv(path) -> list[tuple[str, str]]:
 
 
 def write_pairs_audit_jsonl(pairs: list[ParallelPair], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            rec = {
-                "source": pair.source,
-                "target": pair.target,
-                "property_used": pair.property_used,
-                "vehicle": pair.vehicle,
-                "provenance": pair.provenance,
-            }
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl(({"source": pair.source, "target": pair.target,
+                  "property_used": pair.property_used, "vehicle": pair.vehicle,
+                  "provenance": pair.provenance} for pair in pairs), path)
 
 
 def read_pairs_audit_jsonl(path) -> list[ParallelPair]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out.append(
-                ParallelPair(
-                    source=rec["source"],
-                    target=rec["target"],
-                    property_used=rec["property_used"],
-                    vehicle=rec["vehicle"],
-                    provenance=rec.get("provenance", ""),
-                )
-            )
-    return out
+    return [
+        ParallelPair(
+            source=rec["source"],
+            target=rec["target"],
+            property_used=rec["property_used"],
+            vehicle=rec["vehicle"],
+            provenance=rec.get("provenance", ""),
+        )
+        for rec in read_jsonl(path)
+    ]

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from .core import (
     NotModifierFinal,
     extract_generated_vehicle,
+    read_jsonl,
     strip_terminal_modifier,
     tokenize,
 )
@@ -417,11 +418,4 @@ def evaluate_generation(
 
 def read_refs_jsonl(path) -> dict[str, list[str]]:
     """{literal, references: [...]} rows into a literal -> references map."""
-    out: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out[rec["literal"]] = [str(r) for r in rec["references"]]
-    return out
+    return {rec["literal"]: [str(r) for r in rec["references"]] for rec in read_jsonl(path)}

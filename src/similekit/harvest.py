@@ -14,7 +14,7 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     DEFAULT_TRIGGERS,
@@ -23,10 +23,11 @@ from .core import (
     SimileInstance,
     TriggerConfig,
     parse_simile,
+    read_jsonl,
     split_sentences,
     strip_terminal_modifier,
     tokenize,
-    with_source,
+    write_jsonl,
 )
 
 
@@ -111,7 +112,7 @@ def harvest_similes(
                     stats.duplicates += 1
                 continue
             seen.add(key)
-            out.append(with_source(inst, comment.id))
+            out.append(replace(inst, source_id=comment.id))
     return out
 
 
@@ -171,15 +172,8 @@ def split_corpus(similes: list, ratio, seed: int) -> CorpusSplit:
 
 
 def write_similes_jsonl(instances: list[SimileInstance], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            rec = {
-                "text": inst.raw_text,
-                "prefix": inst.prefix,
-                "vehicle": inst.vehicle,
-                "source_id": inst.source_id,
-            }
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl(({"text": inst.raw_text, "prefix": inst.prefix, "vehicle": inst.vehicle,
+                  "source_id": inst.source_id} for inst in instances), path)
 
 
 def read_similes_jsonl(path, cfg: TriggerConfig = DEFAULT_TRIGGERS) -> list[SimileInstance]:
@@ -192,21 +186,13 @@ def read_similes_jsonl(path, cfg: TriggerConfig = DEFAULT_TRIGGERS) -> list[Simi
             inst = parse_simile(rec["text"], cfg)
             if inst is None:
                 raise ValueError(f"{path}:{lineno}: text does not parse as a simile")
-            out.append(with_source(inst, rec.get("source_id", "")))
+            out.append(replace(inst, source_id=rec.get("source_id", "")))
     return out
 
 
 def write_literals_jsonl(literals: list[LiteralSentence], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for lit in literals:
-            rec = {"text": lit.raw_text, "property": lit.property}
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl(({"text": lit.raw_text, "property": lit.property} for lit in literals), path)
 
 
 def read_literals_jsonl(path) -> list[dict]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(json.loads(line))
-    return out
+    return list(read_jsonl(path))

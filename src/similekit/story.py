@@ -8,12 +8,17 @@ sentence, and generator misses or failures, pass through unchanged.
 
 from __future__ import annotations
 
-import json
 import random
 import warnings
 from dataclasses import dataclass
 
-from .core import NotModifierFinal, split_sentences, strip_terminal_modifier
+from .core import (
+    NotModifierFinal,
+    read_jsonl,
+    split_sentences,
+    strip_terminal_modifier,
+    write_jsonl,
+)
 from .lm import GenerationConfig, generate
 
 
@@ -89,35 +94,10 @@ def generate_story(title: str, storyline_model, story_model, cfg: GenerationConf
 
 
 def write_stories_jsonl(stories: list[Story], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for story in stories:
-            rec = {
-                "title": story.title,
-                "storyline": list(story.storyline),
-                "sentences": list(story.sentences),
-            }
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl(({"title": story.title, "storyline": list(story.storyline),
+                  "sentences": list(story.sentences)} for story in stories), path)
 
 
 def read_stories_jsonl(path) -> list[Story]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out.append(
-                Story(
-                    title=rec.get("title", ""),
-                    storyline=tuple(rec.get("storyline", [])),
-                    sentences=tuple(rec["sentences"]),
-                )
-            )
-    return out
-
-
-def write_embellished_jsonl(records: list[dict], path) -> None:
-    """Rows of story fields plus {replaced_index, original_sentence}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+    return [Story(rec.get("title", ""), rec.get("storyline", ()), rec["sentences"])
+            for rec in read_jsonl(path)]

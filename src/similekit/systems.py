@@ -12,12 +12,11 @@ meta_m: like scope but trained and queried with the terminal modifier replaced
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
-from .core import drop_dangling_comma, strip_terminal_modifier
+from .core import drop_dangling_comma, read_jsonl, strip_terminal_modifier, write_jsonl
 from .knowledge import vehicle_for_property
-from .lm import EmptyTrainingSet, GenerationConfig, TrainConfig, fine_tune, generate
+from .lm import EmptyTrainingSet, GenerationConfig, TrainConfig, _pair_texts, fine_tune, generate
 
 MASK_TOKEN = "<MASK>"
 
@@ -82,9 +81,7 @@ def train_metaphor_mask(pairs, cfg: TrainConfig, backend, tagger, stats: dict | 
     """Fine-tune on (masked source, simile target); unstrippable sources are skipped."""
     masked_pairs = []
     skipped = 0
-    for pair in pairs:
-        source = pair.source if hasattr(pair, "source") else pair[0]
-        target = pair.target if hasattr(pair, "target") else pair[1]
+    for source, target in map(_pair_texts, pairs):
         try:
             masked, _ = mask_terminal_modifier(source, tagger)
         except Exception:
@@ -122,16 +119,9 @@ def run_batch(literals: list[str], system: str, fn, seed: int, out_path=None) ->
             }
         )
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+        write_jsonl(records, out_path)
     return records
 
 
 def read_batch_jsonl(path) -> list[dict]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(json.loads(line))
-    return out
+    return list(read_jsonl(path))

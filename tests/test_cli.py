@@ -1,12 +1,14 @@
 """End-to-end command-line runs over a small on-disk world."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from similekit.cli import main
+from similekit.cli import COMMANDS, main
 from similekit.core import parse_simile
 from similekit.evaluation import ScoreSheet
 from similekit.harvest import read_literals_jsonl
@@ -154,6 +156,22 @@ class TestHarvest:
         err = capsys.readouterr().err
         assert err.count("error:") >= 3  # missing file, split outputs, seed
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_split_outside_unit_interval_exits_two(self, world, tmp_path, capsys, source):
+        outs = {name: tmp_path / f"{name}.jsonl" for name in ("similes", "train", "val")}
+        argv = ["harvest", "--comments", str(world["comments"]),
+                "--similes-out", str(outs["similes"]), "--train-out", str(outs["train"]),
+                "--val-out", str(outs["val"]), "--seed", "5"]
+        if source == "flag":
+            argv += ["--split", "1.5"]
+        else:
+            config = tmp_path / "run.ini"
+            config.write_text("[harvest]\nsplit = 1.5\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        assert "split" in capsys.readouterr().err
+        assert [p for p in tmp_path.iterdir() if p.suffix != ".ini"] == []
+
     def test_sampling_requires_seed(self, world, tmp_path, capsys):
         rc = main(["harvest", "--sentences", str(world["sentences"]),
                    "--literals-out", str(tmp_path / "l.jsonl"), "--sample", "3"])
@@ -174,6 +192,17 @@ class TestBuildCorpus:
         audit = read_jsonl(world["audit"])
         assert set(audit[0]) == {"source", "target", "property_used", "vehicle", "provenance"}
         assert all(rec["provenance"].startswith("c") for rec in audit)
+
+    def test_config_section_matches_flags(self, world, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[corpus]\nin = {world['train_similes']}\nknowledge = {world['edges']}\n"
+            f"out = {tmp_path / 'p.tsv'}\naudit-out = {tmp_path / 'a.jsonl'}\n",
+            encoding="utf-8",
+        )
+        assert main(["build-corpus", "--config", str(config)]) == 0
+        assert (tmp_path / "p.tsv").read_bytes() == world["pairs"].read_bytes()
+        assert (tmp_path / "a.jsonl").read_bytes() == world["audit"].read_bytes()
 
     def test_runtime_failure_exits_one(self, world, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -202,6 +231,25 @@ class TestTrain:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("error:") >= 3  # pairs, model-out, seed
+
+    def test_bad_typed_flags_reported_with_missing_settings(self, capsys):
+        rc = main(["train", "--seed", "abc", "--epochs", "x"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        for name in ("pairs", "model-out", "seed", "epochs"):
+            assert f"'{name}'" in err
+
+    def test_config_section_matches_flags(self, world, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[train]\npairs = {world['pairs']}\nmodel-out = {tmp_path / 'm'}\n"
+            "seed = 7\nmask = yes\n",
+            encoding="utf-8",
+        )
+        assert main(["train", "--config", str(config)]) == 0
+        for name in ("manifest.json", "model.json"):
+            assert (tmp_path / "m" / name).read_bytes() == \
+                (world["mask_model"] / name).read_bytes()
 
 
 class TestGenerate:
@@ -302,6 +350,17 @@ class TestEvaluate:
         manifest = load_manifest(report_path)
         assert manifest["command"] == "evaluate"
 
+    def test_generated_list_from_config_is_comma_separated(self, world, refs, tmp_path):
+        batches = [str(world["batches"][system]) for system in ("scope", "rtrvl")]
+        from_flags, from_config = tmp_path / "flags.json", tmp_path / "config.json"
+        assert main(["evaluate", "--generated", *batches, "--refs", str(refs),
+                     "--report", str(from_flags)]) == 0
+        config = tmp_path / "run.ini"
+        config.write_text(f"[evaluate]\ngenerated = {batches[0]}, {batches[1]}\n"
+                          f"refs = {refs}\nreport = {from_config}\n", encoding="utf-8")
+        assert main(["evaluate", "--config", str(config)]) == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
+
     def test_scoresheet_means_and_pairwise(self, tmp_path, capsys):
         sheet = ScoreSheet()
         for k in range(10):
@@ -316,6 +375,28 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "scope/OQ" in out
         assert "win 70.0 / lose 30.0 / tie 0.0" in out
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unknown_criterion_exits_two(self, tmp_path, capsys, source):
+        sheet = ScoreSheet()
+        sheet.add("i0", "scope", "r0", "OQ", 4)
+        sheet.add("i0", "meta_m", "r0", "OQ", 2)
+        csv_path = tmp_path / "scores.csv"
+        sheet.save_csv(csv_path)
+        report = tmp_path / "report.json"
+        argv = ["evaluate", "--scoresheet", str(csv_path), "--pairwise", "scope,meta_m",
+                "--report", str(report)]
+        if source == "flag":
+            argv += ["--criterion", "Q"]
+        else:
+            config = tmp_path / "run.ini"
+            config.write_text("[evaluate]\ncriterion = Q\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "criterion" in captured.err
+        assert captured.out == ""
+        assert not report.exists()
 
     def test_generated_requires_refs(self, world, capsys):
         rc = main(["evaluate", "--generated", str(world["batches"]["scope"])])
@@ -398,3 +479,18 @@ def test_module_entry_point_help():
     assert proc.returncode == 0
     for command in ("harvest", "build-corpus", "train", "generate", "evaluate", "embellish"):
         assert command in proc.stdout
+
+
+def test_readme_flags_are_declared():
+    """Every `similekit <command> --flag` in README code blocks is a declared option."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    seen = 0
+    for block in re.findall(r"```bash\n(.*?)```", readme, re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            for command, rest in re.findall(r"\bsimilekit (\S+)(.*?)(?=\bsimilekit |$)", line):
+                assert command in COMMANDS, command
+                declared = {opt.name for opt in COMMANDS[command].options} | {"config"}
+                for flag in re.findall(r"(?<!\S)--([\w-]+)", rest):
+                    assert flag in declared, f"similekit {command} --{flag}"
+                    seen += 1
+    assert seen > 30
