@@ -3,11 +3,12 @@
 Each command declares its settings once, in an option table: the flag
 `--name` is the key `name` in the command's INI config section, and flags
 win over the config file.  Validation problems are reported all at once, not
-first-only, with exit code 2.  Every run writes a manifest next to its
-primary output recording argv, config hash, input hashes, and seeds, with no
-timestamps, so re-running an identical invocation reproduces outputs byte for
-byte.  Seeds are mandatory wherever sampling happens; there are no
-wall-clock defaults.
+first-only, with exit code 2.  Every run writes a manifest next to its first
+output recording argv, config hash, the digest of every input path, seeds,
+and every output path, all taken from the option table, with no timestamps,
+so re-running an identical invocation reproduces outputs byte for byte.
+Seeds are mandatory wherever sampling happens; there are no wall-clock
+defaults.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
-import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import TriggerConfig, DEFAULT_TRIGGERS, read_jsonl, write_jsonl
+from .core import DEFAULT_TRIGGERS, TriggerConfig, read_jsonl, read_lines, write_json, write_jsonl
 from .corpus import (
     BuildStats,
     build_parallel_corpus,
@@ -82,20 +82,21 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(s: Settings, primary_out: str, inputs: list[str], seeds: dict,
-                    outputs: list[str]) -> None:
-    manifest = {
+def _hashed(path: str) -> str:
+    """The file an input path is hashed through: a model directory's model.json."""
+    return os.path.join(path, "model.json") if os.path.isdir(path) else path
+
+
+def _write_manifest(s: Settings, seeds: dict) -> None:
+    """Record the run's input and output options; the first output names the manifest."""
+    write_json({
         "command": s.command,
         "argv": list(s.argv),
         "config_sha256": hashlib.sha256(s.config_text.encode("utf-8")).hexdigest(),
-        "inputs": {p: _sha256_file(p) for p in sorted(set(inputs))},
+        "inputs": {p: _sha256_file(p) for p in sorted(set(s.inputs))},
         "seeds": seeds,
-        "outputs": sorted(set(outputs)),
-    }
-    path = primary_out.rstrip("/") + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        "outputs": sorted(set(s.outputs)),
+    }, s.outputs[0].rstrip("/") + ".manifest.json")
 
 
 def _parse_ratio(text: str):
@@ -134,7 +135,8 @@ class Option:
 
     cast turns a flag or config value into the setting; _parse_bool makes a
     switch flag and _parse_paths a flag of one or more paths.  path marks
-    input paths that must exist.
+    input paths, which must exist (a directory through its model.json), and
+    output marks output paths; the manifest records both.
     """
 
     name: str
@@ -143,6 +145,7 @@ class Option:
     required: bool = False
     choices: tuple = ()
     path: bool = False
+    output: bool = False
     help: str | None = None
 
 
@@ -159,15 +162,20 @@ class Settings(dict):
 
     Every problem is collected in `errors` rather than stopping at the first.
     A value that fails a check is kept as given; the errors end the run
-    before it is used.
+    before it is used.  `inputs` holds the file each given input path is
+    hashed through and `outputs` each given output path, in table order.
     """
 
-    def __init__(self, args: argparse.Namespace, argv: list[str]):
+    def __init__(self, args: argparse.Namespace, argv: list[str], unknown: list[str]):
         super().__init__()
         command = COMMANDS[args.command]
         self.command, self.argv, self.section = args.command, argv, command.section
         self.errors: list[str] = []
+        self.inputs: list[str] = []
+        self.outputs: list[str] = []
         self.config_text = ""
+        if unknown:
+            self.error(f"unrecognized arguments: {' '.join(unknown)}")
         config: dict[str, str] = {}
         if args.config:
             try:
@@ -175,8 +183,16 @@ class Settings(dict):
                     self.config_text = fh.read()
                 parser = configparser.ConfigParser()
                 parser.read_string(self.config_text)
+                sections = {c.section for c in COMMANDS.values()}
+                for name in parser.sections():
+                    if name not in sections:
+                        self.errors.append(f"config file {args.config}: unknown section [{name}]")
                 if parser.has_section(self.section):
                     config = dict(parser[self.section])
+                # [DEFAULT] keys reach every section and are not checked.
+                names = {opt.name for opt in command.options} | parser.defaults().keys()
+                for key in sorted(config.keys() - names):
+                    self.error(f"unknown config key '{key}'")
             except (OSError, configparser.Error) as exc:
                 self.errors.append(f"config file {args.config}: {exc}")
         for opt in command.options:
@@ -196,10 +212,13 @@ class Settings(dict):
             return value
         if opt.choices and value not in opt.choices:
             self.error(f"'{opt.name}' must be one of {', '.join(opt.choices)}, got {value!r}")
+        if opt.output:
+            self.outputs.append(value)
         if opt.path:
             for path in value if isinstance(value, list) else [value]:
-                if not os.path.exists(path):
-                    self.error(f"'{opt.name}' path does not exist: {path}")
+                self.inputs.append(_hashed(path))
+                if not os.path.exists(self.inputs[-1]):
+                    self.error(f"'{opt.name}' path does not exist: {self.inputs[-1]}")
         return value
 
     def error(self, message: str) -> None:
@@ -240,14 +259,14 @@ _DECODING = (
 @_command(
     "harvest", "harvest", "extract similes from comment dumps, literals from crawls",
     Option("comments", path=True),
-    Option("similes-out"),
+    Option("similes-out", output=True),
     Option("triggers", _parse_triggers, DEFAULT_TRIGGERS,
            help="semicolon-separated trigger phrases"),
     Option("split", _parse_ratio, help="train fraction, e.g. 0.9 or 82697/87843"),
-    Option("train-out"),
-    Option("val-out"),
+    Option("train-out", output=True),
+    Option("val-out", output=True),
     Option("sentences", path=True),
-    Option("literals-out"),
+    Option("literals-out", output=True),
     Option("sample", int),
     Option("seed", int),
 )
@@ -255,44 +274,40 @@ def cmd_harvest(s: Settings) -> int:
     comments, sentences, split, seed = s["comments"], s["sentences"], s["split"], s["seed"]
     if comments is None and sentences is None:
         s.error("need --comments and/or --sentences")
-    if comments is not None and s["similes-out"] is None:
-        s.error("--comments requires --similes-out")
-    if sentences is not None and s["literals-out"] is None:
-        s.error("--sentences requires --literals-out")
-    if split is not None and not (s["train-out"] and s["val-out"]):
-        s.error("--split requires --train-out and --val-out")
+    # Each output goes with the setting it is made from, so every output given is written.
+    for source, out in (("comments", "similes-out"), ("split", "train-out"),
+                        ("split", "val-out"), ("sentences", "literals-out")):
+        if s[out] is None and s[source] is not None:
+            s.error(f"--{source} requires --{out}")
+        if s[source] is None and s[out] is not None:
+            s.error(f"--{out} requires --{source}")
+    if split is not None and comments is None:
+        s.error("--split requires --comments")
     if (split is not None or s["sample"] is not None) and seed is None:
         s.error("missing required setting 'seed' (no wall-clock defaults)")
     if s.fail_if_errors():
         return 2
     stats = HarvestStats()
-    inputs, outputs, seeds = [], [], {}
+    seeds = {}
     if comments is not None:
         similes = harvest_similes(load_comments(comments, stats), s["triggers"], stats)
         write_similes_jsonl(similes, s["similes-out"])
-        inputs.append(comments)
-        outputs.append(s["similes-out"])
         print(f"harvested {len(similes)} similes "
               f"({stats.duplicates} duplicates, {stats.malformed} malformed records)")
         if split is not None:
             result = split_corpus(similes, split, seed)
             write_similes_jsonl(result.train, s["train-out"])
             write_similes_jsonl(result.validation, s["val-out"])
-            outputs += [s["train-out"], s["val-out"]]
             seeds["split_seed"] = seed
             print(f"split {len(result.train)} train / {len(result.validation)} validation")
     if sentences is not None:
-        with open(sentences, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
-        literals = harvest_literals(lines, DEFAULT_TAGGER, stats)
+        literals = harvest_literals(read_lines(sentences), DEFAULT_TAGGER, stats)
         if s["sample"] is not None:
             literals = sample_literals(literals, s["sample"], seed)
             seeds["sample_seed"] = seed
         write_literals_jsonl(literals, s["literals-out"])
-        inputs.append(sentences)
-        outputs.append(s["literals-out"])
         print(f"kept {len(literals)} literals ({stats.rejected} rejected)")
-    _write_manifest(s, outputs[0], inputs, seeds, outputs)
+    _write_manifest(s, seeds)
     return 0
 
 
@@ -304,33 +319,26 @@ def cmd_harvest(s: Settings) -> int:
     Option("scorer-train", path=True),
     Option("uniform-vocab", int, 1000),
     Option("k", int, 5),
-    Option("out", required=True),
-    Option("audit-out"),
+    Option("out", required=True, output=True),
+    Option("audit-out", output=True),
 )
 def cmd_build_corpus(s: Settings) -> int:
     if s.fail_if_errors():
         return 2
     similes = read_similes_jsonl(s["in"])
     backend = load_edge_table(s["knowledge"])
-    scorer_train = s["scorer-train"]
     if s["scorer"] == "uniform":
         scorer = UniformScorer(s["uniform-vocab"])
+    elif s["scorer-train"]:
+        scorer = BigramScorer(read_lines(s["scorer-train"]))
     else:
-        if scorer_train:
-            with open(scorer_train, encoding="utf-8") as fh:
-                texts = [line.strip() for line in fh if line.strip()]
-        else:
-            texts = [sim.raw_text for sim in similes]
-        scorer = BigramScorer(texts)
+        scorer = BigramScorer([sim.raw_text for sim in similes])
     stats = BuildStats()
     pairs = build_parallel_corpus(similes, backend, scorer, corrector=None, k=s["k"], stats=stats)
     write_pairs_tsv(pairs, s["out"])
-    inputs = [s["in"], s["knowledge"]] + ([scorer_train] if scorer_train else [])
-    outputs = [s["out"]]
-    if s["audit-out"]:
+    if s["audit-out"] is not None:
         write_pairs_audit_jsonl(pairs, s["audit-out"])
-        outputs.append(s["audit-out"])
-    _write_manifest(s, s["out"], inputs, {}, outputs)
+    _write_manifest(s, {})
     print(f"built {stats.built} pairs "
           f"({stats.skipped_no_properties} skipped, {len(stats.failures)} failed)")
     return 0
@@ -339,7 +347,7 @@ def cmd_build_corpus(s: Settings) -> int:
 @_command(
     "train", "train", "fine-tune the reference seq2seq model on pairs",
     Option("pairs", required=True, path=True),
-    Option("model-out", required=True),
+    Option("model-out", required=True, output=True),
     Option("seed", int, required=True),
     Option("epochs", int, 17),
     Option("batch-token-budget", int, 1024),
@@ -360,7 +368,7 @@ def cmd_train(s: Settings) -> int:
     else:
         model = fine_tune(pairs, cfg, backend)
     model.save(s["model-out"])
-    _write_manifest(s, s["model-out"], [s["pairs"]], {"seed": s["seed"]}, [s["model-out"]])
+    _write_manifest(s, {"seed": s["seed"]})
     print(f"trained on {len(pairs)} pairs -> {s['model-out']}")
     return 0
 
@@ -375,17 +383,14 @@ def cmd_train(s: Settings) -> int:
     Option("seed", int, required=True),
     *_DECODING,
     Option("article-heuristic", _parse_bool, False),
-    Option("out", required=True),
+    Option("out", required=True, output=True),
 )
 def cmd_generate(s: Settings) -> int:
     system = s["system"]
-    model_dir = knowledge_path = synonyms_path = None
     if system in ("scope", "prefix", "meta_m"):
         s.require("model")
-        model_dir = s["model"]
     if system == "rtrvl":
         s.require("knowledge")
-        knowledge_path, synonyms_path = s["knowledge"], s["synonyms"]
     if s.fail_if_errors():
         return 2
     literals = [rec["text"] for rec in read_jsonl(s["literals"])]
@@ -404,24 +409,21 @@ def cmd_generate(s: Settings) -> int:
         return run
 
     if system == "scope":
-        model = TemplateNgramModel.load(model_dir)
+        model = TemplateNgramModel.load(s["model"])
         fn = lambda lit: scope_generate(lit, model, cfg)
     elif system == "prefix":
-        model = TemplateNgramModel.load(model_dir)
+        model = TemplateNgramModel.load(s["model"])
         fn = guarded(lambda lit: baseline_prefix_forced(lit, model, cfg, DEFAULT_TAGGER))
     elif system == "meta_m":
-        model = TemplateNgramModel.load(model_dir)
+        model = TemplateNgramModel.load(s["model"])
         fn = guarded(lambda lit: baseline_metaphor_mask(lit, model, cfg, DEFAULT_TAGGER))
     else:
-        backend = load_edge_table(knowledge_path)
-        synonyms = SynonymTable.load(synonyms_path) if synonyms_path else EMPTY_SYNONYMS
+        backend = load_edge_table(s["knowledge"])
+        synonyms = SynonymTable.load(s["synonyms"]) if s["synonyms"] else EMPTY_SYNONYMS
         fn = guarded(lambda lit: baseline_retrieval(lit, backend, synonyms, DEFAULT_TAGGER,
                                                     use_article_heuristic=s["article-heuristic"]))
     run_batch(literals, system, fn, s["seed"], s["out"])
-    inputs = [p for p in (s["literals"], knowledge_path, synonyms_path) if p]
-    if model_dir:
-        inputs.append(os.path.join(model_dir, "model.json"))
-    _write_manifest(s, s["out"], inputs, {"seed": s["seed"]}, [s["out"]])
+    _write_manifest(s, {"seed": s["seed"]})
     note = f" ({skipped} inputs failed)" if skipped else ""
     print(f"{system}: generated {len(literals)} outputs -> {s['out']}{note}")
     return 0
@@ -437,7 +439,7 @@ def cmd_generate(s: Settings) -> int:
     Option("scoresheet", path=True),
     Option("pairwise", help="two system names, e.g. scope,meta_m"),
     Option("criterion", choices=CRITERIA),
-    Option("report"),
+    Option("report", output=True),
 )
 def cmd_evaluate(s: Settings) -> int:
     generated, scoresheet, pairwise = s["generated"], s["scoresheet"], s["pairwise"]
@@ -452,32 +454,28 @@ def cmd_evaluate(s: Settings) -> int:
     if s.fail_if_errors():
         return 2
     payload: dict = {}
-    inputs: list[str] = []
     if generated is not None:
         refs_by_literal = read_refs_jsonl(s["refs"])
         train_pairs = None
         if s["train-audit"]:
             train_pairs = [(p.property_used, p.vehicle)
                            for p in read_pairs_audit_jsonl(s["train-audit"])]
-            inputs.append(s["train-audit"])
         embedder = OneHotEmbedder() if s["embedder"] == "onehot" else CharNgramEmbedder()
         report = MetricReport()
         for path in generated:
             records = list(read_jsonl(path))
             if not records:
+                print(f"warning: {path} has no rows; not scored", file=sys.stderr)
                 continue
             system = records[0].get("system", os.path.basename(path))
             report.systems[system] = evaluate_generation(
                 records, refs_by_literal, embedder, train_pairs=train_pairs,
                 tagger=DEFAULT_TAGGER, smoothing=s["smoothing"],
             )
-            inputs.append(path)
-        inputs.append(s["refs"])
-        payload["metrics"] = json.loads(report.to_json())
+        payload["metrics"] = asdict(report)["systems"]
         print(report.format_table(), end="")
     if scoresheet is not None:
         sheet = ScoreSheet.load_csv(scoresheet)
-        inputs.append(scoresheet)
         means = mean_scores(sheet)
         payload["mean_scores"] = {
             f"{system}/{criterion_}": round(value, 4)
@@ -496,11 +494,9 @@ def cmd_evaluate(s: Settings) -> int:
             }
             print(f"{system_a.strip()} vs {system_b.strip()} on {criterion}: "
                   f"win {win:.1f} / lose {lose:.1f} / tie {tie:.1f}")
-    if s["report"]:
-        with open(s["report"], "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(s, s["report"], inputs, {}, [s["report"]])
+    if s["report"] is not None:
+        write_json(payload, s["report"])
+        _write_manifest(s, {})
     return 0
 
 
@@ -513,7 +509,7 @@ def cmd_evaluate(s: Settings) -> int:
     Option("model", required=True, path=True),
     Option("seed", int, required=True),
     *_DECODING,
-    Option("out", required=True),
+    Option("out", required=True, output=True),
 )
 def cmd_embellish(s: Settings) -> int:
     titles_path, storyline_dir, story_dir = s["titles"], s["storyline-model"], s["story-model"]
@@ -525,18 +521,13 @@ def cmd_embellish(s: Settings) -> int:
         return 2
     cfg = GenerationConfig(max_new_tokens=s["max-new-tokens"], seed=s["seed"],
                            top_k=s["top-k"], temperature=s["temperature"])
-    inputs = [os.path.join(s["model"], "model.json")]
     if s["stories"] is not None:
         stories = read_stories_jsonl(s["stories"])
-        inputs.append(s["stories"])
     else:
         storyline_model = TemplateNgramModel.load(storyline_dir)
         story_model = TemplateNgramModel.load(story_dir)
-        with open(titles_path, encoding="utf-8") as fh:
-            titles = [line.strip() for line in fh if line.strip()]
-        stories = [generate_story(t, storyline_model, story_model, cfg) for t in titles]
-        inputs += [titles_path, os.path.join(storyline_dir, "model.json"),
-                   os.path.join(story_dir, "model.json")]
+        stories = [generate_story(t, storyline_model, story_model, cfg)
+                   for t in read_lines(titles_path)]
     model = TemplateNgramModel.load(s["model"])
     generator = lambda sentence: scope_generate(sentence, model, cfg)
     records = []
@@ -562,7 +553,7 @@ def cmd_embellish(s: Settings) -> int:
             "original_sentence": original,
         })
     write_jsonl(records, s["out"])
-    _write_manifest(s, s["out"], inputs, {"seed": s["seed"]}, [s["out"]])
+    _write_manifest(s, {"seed": s["seed"]})
     print(f"embellished {replaced_count}/{len(stories)} stories -> {s['out']}")
     return 0
 
@@ -595,9 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
     try:
-        return COMMANDS[args.command].run(Settings(args, argv))
+        return COMMANDS[args.command].run(Settings(args, argv, unknown))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -67,30 +67,28 @@ class TriggerConfig:
     """Comparator trigger set.
 
     Only "like a" is on by default; "like an" is a configurable extension.
-    Phrases are matched with word boundaries, so "like a" does not fire
-    inside "like apples" or "unlike a".
+    Phrases are matched case-insensitively and with word boundaries, so
+    "like a" does not fire inside "like apples" or "unlike a".
     """
 
     trigger_phrases: tuple[str, ...] = ("like a",)
-    case_sensitive: bool = False
 
     def __post_init__(self):
         if not self.trigger_phrases:
             raise ValueError("trigger_phrases must be non-empty")
-        if not self.case_sensitive:
-            object.__setattr__(
-                self, "trigger_phrases", tuple(p.lower() for p in self.trigger_phrases)
-            )
+        object.__setattr__(
+            self, "trigger_phrases", tuple(p.lower() for p in self.trigger_phrases)
+        )
 
 
 DEFAULT_TRIGGERS = TriggerConfig()
 
 
 @functools.lru_cache(maxsize=64)
-def _trigger_pattern(phrase: str, case_sensitive: bool) -> re.Pattern:
+def _trigger_pattern(phrase: str) -> re.Pattern:
     words = [re.escape(w) for w in phrase.split()]
     pat = r"(?<!\w)" + r"\s+".join(words) + r"(?!\w)"
-    return re.compile(pat, 0 if case_sensitive else re.IGNORECASE)
+    return re.compile(pat, re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -112,12 +110,6 @@ class SimileInstance:
             raise ValueError("prefix + comparator + vehicle must equal raw_text")
         if not re.search(r"\w", self.vehicle):
             raise ValueError("vehicle must contain a word token")
-
-    def prefix_tokens(self) -> list[str]:
-        return tokenize(self.prefix)
-
-    def vehicle_tokens(self) -> list[str]:
-        return tokenize(self.vehicle)
 
     def vehicle_phrase(self) -> str:
         """Vehicle text with trailing sentence punctuation removed."""
@@ -145,7 +137,7 @@ def parse_simile(text: str, cfg: TriggerConfig = DEFAULT_TRIGGERS) -> SimileInst
     Returns None when no trigger occurs or the vehicle would be empty.
     """
     for phrase in cfg.trigger_phrases:
-        m = _trigger_pattern(phrase, cfg.case_sensitive).search(text)
+        m = _trigger_pattern(phrase).search(text)
         if m is None:
             continue
         start, end = m.start(), m.end()
@@ -229,19 +221,15 @@ def extract_generated_vehicle(
     rest = gen[i:]
     for phrase in cfg.trigger_phrases:
         ptoks = tokenize(phrase)
-        head = [_fold(t, cfg) for t in rest[: len(ptoks)]]
-        if head == [_fold(t, cfg) for t in ptoks]:
+        if [t.lower() for t in rest[: len(ptoks)]] == ptoks:
             rest = rest[len(ptoks) :]
             break
     return rest
 
 
-def _fold(token: str, cfg: TriggerConfig) -> str:
-    return token if cfg.case_sensitive else token.lower()
-
-
 # ---------------------------------------------------------------------------
-# JSONL: one JSON object per line, keys sorted, non-ASCII text kept as is.
+# Files: JSONL has one JSON object per line, keys sorted, non-ASCII text kept
+# as is; a JSON document has its keys sorted and ends in a newline.
 
 
 def write_jsonl(records, path) -> None:
@@ -256,3 +244,15 @@ def read_jsonl(path):
         for line in fh:
             if line.strip():
                 yield json.loads(line)
+
+
+def write_json(obj, path, indent=2) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
+
+
+def read_lines(path) -> list[str]:
+    """The stripped, non-blank lines of a text file, in file order."""
+    with open(path, encoding="utf-8") as fh:
+        return [line.strip() for line in fh if line.strip()]

@@ -16,7 +16,7 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .core import (
     NotModifierFinal,
@@ -327,18 +327,7 @@ class MetricReport:
     systems: dict[str, SystemMetrics] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            name: {
-                "bleu1": m.bleu1,
-                "bleu2": m.bleu2,
-                "embedding_f1": m.embedding_f1,
-                "novelty": m.novelty,
-                "scored": m.scored,
-                "blank": m.blank,
-            }
-            for name, m in self.systems.items()
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self)["systems"], indent=2, sort_keys=True) + "\n"
 
     def format_table(self) -> str:
         """BLEU and novelty scaled x100, embedding F1 raw, one system per row."""

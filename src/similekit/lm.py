@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .backends import BackendUnavailable, JsonSubprocessBackend
-from .core import EOS_TOKEN, append_token, tokenize
+from .core import EOS_TOKEN, append_token, tokenize, write_json
 
 
 class EmptyText(ValueError):
@@ -397,9 +397,7 @@ class TemplateNgramModel:
             "version": 1,
             "train_config": self.train_config,
         }
-        with open(os.path.join(model_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(manifest, os.path.join(model_dir, "manifest.json"))
         state = {
             "drop_words": self.drop_words,
             "cue_suffixes": self.cue_suffixes,
@@ -407,9 +405,7 @@ class TemplateNgramModel:
             "bigram": self.bigram,
             "unigram": self.unigram,
         }
-        with open(os.path.join(model_dir, "model.json"), "w", encoding="utf-8") as fh:
-            json.dump(state, fh, sort_keys=True)
-            fh.write("\n")
+        write_json(state, os.path.join(model_dir, "model.json"), indent=None)
 
     @classmethod
     def load(cls, model_dir: str) -> "TemplateNgramModel":

@@ -9,11 +9,6 @@ can be swapped in.
 from __future__ import annotations
 
 import re
-from typing import Protocol
-
-
-class Tagger(Protocol):
-    def tag(self, token: str) -> str: ...
 
 
 _ADJECTIVES = {

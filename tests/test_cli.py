@@ -1,5 +1,6 @@
 """End-to-end command-line runs over a small on-disk world."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -21,6 +22,16 @@ MANIFEST_KEYS = {"command", "argv", "config_sha256", "inputs", "seeds", "outputs
 def load_manifest(primary_out):
     path = str(primary_out) + ".manifest.json"
     return json.loads(open(path, encoding="utf-8").read())
+
+
+def assert_manifest_lists(primary_out, inputs, outputs):
+    """The manifest hashes exactly `inputs` and lists exactly `outputs`, which all exist."""
+    manifest = load_manifest(primary_out)
+    assert manifest["inputs"] == {
+        str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs
+    }
+    assert manifest["outputs"] == sorted(str(p) for p in outputs)
+    assert all(Path(p).exists() for p in manifest["outputs"])
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +183,34 @@ class TestHarvest:
         assert "split" in capsys.readouterr().err
         assert [p for p in tmp_path.iterdir() if p.suffix != ".ini"] == []
 
+    def test_manifest_lists_given_paths(self, world):
+        assert_manifest_lists(
+            world["similes"], [world["comments"], world["sentences"]],
+            [world["similes"], world["train_similes"], world["val_similes"], world["literals"]],
+        )
+
+    @pytest.mark.parametrize("given, missing", [
+        ("train-out", "split"), ("similes-out", "comments"),
+        ("literals-out", "sentences"), ("split", "comments"),
+    ])
+    def test_output_without_its_source_exits_two(self, world, tmp_path, capsys, given, missing):
+        """An output that the run would not write is an error, not a false manifest entry."""
+        comments = ["--comments", str(world["comments"]),
+                    "--similes-out", str(tmp_path / "s.jsonl")]
+        sentences = ["--sentences", str(world["sentences"]),
+                     "--literals-out", str(tmp_path / "l.jsonl")]
+        split = ["--split", "0.9", "--train-out", str(tmp_path / "t.jsonl"),
+                 "--val-out", str(tmp_path / "v.jsonl")]
+        argv = ["harvest", "--seed", "5"] + {
+            "train-out": comments + split[2:],
+            "similes-out": sentences + comments[2:],
+            "literals-out": comments + sentences[2:],
+            "split": sentences + split,
+        }[given]
+        assert main(argv) == 2
+        assert f"--{given} requires --{missing}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_sampling_requires_seed(self, world, tmp_path, capsys):
         rc = main(["harvest", "--sentences", str(world["sentences"]),
                    "--literals-out", str(tmp_path / "l.jsonl"), "--sample", "3"])
@@ -203,6 +242,20 @@ class TestBuildCorpus:
         assert main(["build-corpus", "--config", str(config)]) == 0
         assert (tmp_path / "p.tsv").read_bytes() == world["pairs"].read_bytes()
         assert (tmp_path / "a.jsonl").read_bytes() == world["audit"].read_bytes()
+
+    def test_manifest_lists_given_paths(self, world):
+        assert_manifest_lists(world["pairs"], [world["train_similes"], world["edges"]],
+                              [world["pairs"], world["audit"]])
+
+    def test_unknown_config_section_exits_two(self, world, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[build-corpus]\nk = 3\n", encoding="utf-8")
+        out = tmp_path / "p.tsv"
+        rc = main(["build-corpus", "--config", str(config), "--in", str(world["train_similes"]),
+                   "--knowledge", world["edges"], "--out", str(out)])
+        assert rc == 2
+        assert "unknown section [build-corpus]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_runtime_failure_exits_one(self, world, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -238,6 +291,16 @@ class TestTrain:
         err = capsys.readouterr().err
         for name in ("pairs", "model-out", "seed", "epochs"):
             assert f"'{name}'" in err
+
+    def test_unknown_flag_reported_with_other_errors(self, capsys):
+        rc = main(["train", "--bogus", "1", "--seed", "x"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        for name in ("--bogus", "pairs", "model-out", "seed"):
+            assert name in err
+
+    def test_manifest_lists_given_paths(self, world):
+        assert_manifest_lists(world["model"], [world["pairs"]], [world["model"]])
 
     def test_config_section_matches_flags(self, world, tmp_path):
         config = tmp_path / "run.ini"
@@ -294,6 +357,57 @@ class TestGenerate:
         first = out.read_bytes()
         assert main(args) == 0
         assert out.read_bytes() == first
+
+    def test_manifest_lists_given_paths(self, world):
+        for system, model in (("scope", "model"), ("prefix", "pretrain_model"),
+                              ("meta_m", "mask_model")):
+            batch = world["batches"][system]
+            assert_manifest_lists(batch, [world["literals"], world[model] / "model.json"], [batch])
+        batch = world["batches"]["rtrvl"]
+        assert_manifest_lists(batch, [world["literals"], world["edges"]], [batch])
+
+    def test_manifest_hashes_every_path_given(self, world, tmp_path):
+        synonyms = tmp_path / "synonyms.tsv"
+        synonyms.write_text("cold\tchilly\n", encoding="utf-8")
+        out = tmp_path / "b.jsonl"
+        rc = main(["generate", "--literals", str(world["literals"]), "--system", "scope",
+                   "--model", str(world["model"]), "--knowledge", world["edges"],
+                   "--synonyms", str(synonyms), "--seed", "13", "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == world["batches"]["scope"].read_bytes()
+        assert_manifest_lists(out, [world["literals"], world["model"] / "model.json",
+                                    world["edges"], synonyms], [out])
+
+    def test_model_dir_without_model_json_exits_two(self, world, tmp_path, capsys):
+        model_dir = tmp_path / "model"
+        model_dir.mkdir()
+        out = tmp_path / "b.jsonl"
+        rc = main(["generate", "--literals", str(world["literals"]), "--system", "scope",
+                   "--model", str(model_dir), "--seed", "13", "--out", str(out)])
+        assert rc == 2
+        assert str(model_dir / "model.json") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_config_key_exits_two(self, world, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[generate]\ntop_k = 1\n", encoding="utf-8")
+        out = tmp_path / "b.jsonl"
+        rc = main(["generate", "--config", str(config), "--literals", str(world["literals"]),
+                   "--system", "scope", "--model", str(world["model"]), "--seed", "13",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "unknown config key 'top_k'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_section_keys_are_not_checked(self, world, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text("[DEFAULT]\nroot = runs\n\n[generate]\nseed = 13\n",
+                          encoding="utf-8")
+        out = tmp_path / "b.jsonl"
+        rc = main(["generate", "--config", str(config), "--literals", str(world["literals"]),
+                   "--system", "scope", "--model", str(world["model"]), "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == world["batches"]["scope"].read_bytes()
 
     def test_validation_is_collected(self, capsys):
         rc = main(["generate", "--system", "scope"])
@@ -398,6 +512,22 @@ class TestEvaluate:
         assert captured.out == ""
         assert not report.exists()
 
+    def test_manifest_lists_given_paths(self, world, refs, tmp_path, capsys):
+        """An empty batch file is named on stderr and hashed, but not scored."""
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        scope = world["batches"]["scope"]
+        report, alone = tmp_path / "report.json", tmp_path / "alone.json"
+        rc = main(["evaluate", "--generated", str(empty), str(scope), "--refs", str(refs),
+                   "--train-audit", str(world["audit"]), "--report", str(report)])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert str(empty) in err and "no rows" in err
+        assert_manifest_lists(report, [empty, scope, refs, world["audit"]], [report])
+        assert main(["evaluate", "--generated", str(scope), "--refs", str(refs),
+                     "--train-audit", str(world["audit"]), "--report", str(alone)]) == 0
+        assert report.read_bytes() == alone.read_bytes()
+
     def test_generated_requires_refs(self, world, capsys):
         rc = main(["evaluate", "--generated", str(world["batches"]["scope"])])
         assert rc == 2
@@ -441,6 +571,12 @@ class TestEmbellish:
         assert main(args) == 0
         assert out.read_bytes() == first
 
+    def test_manifest_lists_given_paths(self, world, stories, tmp_path):
+        out = tmp_path / "embellished.jsonl"
+        assert main(["embellish", "--stories", str(stories), "--model", str(world["model"]),
+                     "--seed", "3", "--out", str(out)]) == 0
+        assert_manifest_lists(out, [stories, world["model"] / "model.json"], [out])
+
     def test_titles_need_models(self, world, tmp_path, capsys):
         titles = tmp_path / "titles.txt"
         titles.write_text("Flood\n", encoding="utf-8")
@@ -469,6 +605,9 @@ class TestEmbellish:
         records = read_jsonl(out)
         assert records[0]["title"] == "Flood"
         assert records[0]["sentences"]
+        assert_manifest_lists(out, [titles, storyline_dir / "model.json",
+                                    story_dir / "model.json", world["model"] / "model.json"],
+                              [out])
 
 
 def test_module_entry_point_help():
