@@ -177,7 +177,9 @@ class Settings(dict):
         if unknown:
             self.error(f"unrecognized arguments: {' '.join(unknown)}")
         config: dict[str, str] = {}
-        if args.config:
+        if args.config == []:
+            self.errors.append("argument --config: expected a value")
+        elif args.config:
             try:
                 with open(args.config, encoding="utf-8") as fh:
                     self.config_text = fh.read()
@@ -201,6 +203,9 @@ class Settings(dict):
                 self.require(opt.name)
 
     def _resolve(self, opt: Option, value, config: dict[str, str]):
+        if value == []:
+            self.error(f"argument --{opt.name}: expected a value")
+            return value
         if value is None:
             value = config.get(opt.name)
         if value is None:
@@ -260,8 +265,8 @@ _DECODING = (
     "harvest", "harvest", "extract similes from comment dumps, literals from crawls",
     Option("comments", path=True),
     Option("similes-out", output=True),
-    Option("triggers", _parse_triggers, DEFAULT_TRIGGERS,
-           help="semicolon-separated trigger phrases"),
+    Option("triggers", _parse_triggers,
+           help="semicolon-separated trigger phrases (default: like a)"),
     Option("split", _parse_ratio, help="train fraction, e.g. 0.9 or 82697/87843"),
     Option("train-out", output=True),
     Option("val-out", output=True),
@@ -281,8 +286,11 @@ def cmd_harvest(s: Settings) -> int:
             s.error(f"--{source} requires --{out}")
         if s[source] is None and s[out] is not None:
             s.error(f"--{out} requires --{source}")
-    if split is not None and comments is None:
-        s.error("--split requires --comments")
+    # A setting that applies to one input is an error without that input.
+    for source, setting in (("comments", "split"), ("comments", "triggers"),
+                            ("sentences", "sample")):
+        if s[setting] is not None and s[source] is None:
+            s.error(f"--{setting} requires --{source}")
     if (split is not None or s["sample"] is not None) and seed is None:
         s.error("missing required setting 'seed' (no wall-clock defaults)")
     if s.fail_if_errors():
@@ -290,7 +298,8 @@ def cmd_harvest(s: Settings) -> int:
     stats = HarvestStats()
     seeds = {}
     if comments is not None:
-        similes = harvest_similes(load_comments(comments, stats), s["triggers"], stats)
+        similes = harvest_similes(load_comments(comments, stats),
+                                 s["triggers"] or DEFAULT_TRIGGERS, stats)
         write_similes_jsonl(similes, s["similes-out"])
         print(f"harvested {len(similes)} similes "
               f"({stats.duplicates} duplicates, {stats.malformed} malformed records)")
@@ -563,7 +572,11 @@ def cmd_embellish(s: Settings) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Flags come from the option tables; every value is cast later, by Settings."""
+    """Flags come from the option tables; every value is cast later, by Settings.
+
+    A flag given without its value parses as [], so that Settings reports it
+    with every other error instead of argparse stopping at it.
+    """
     parser = argparse.ArgumentParser(
         prog="similekit",
         description="Literal-simile parallel corpus construction, generation, and evaluation.",
@@ -571,15 +584,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        p.add_argument("--config")
+        p.add_argument("--config", nargs="?", const=[])
         for opt in command.options:
             kwargs = {"dest": opt.name, "help": opt.help}
             if opt.cast is _parse_bool:
                 kwargs.update(action="store_const", const="true")
             elif opt.cast is _parse_paths:
-                kwargs["nargs"] = "+"
-            elif opt.choices:
-                kwargs["metavar"] = "{" + ",".join(opt.choices) + "}"
+                kwargs["nargs"] = "*"
+            else:
+                kwargs.update(nargs="?", const=[])
+                if opt.choices:
+                    kwargs["metavar"] = "{" + ",".join(opt.choices) + "}"
             p.add_argument("--" + opt.name, **kwargs)
     return parser
 

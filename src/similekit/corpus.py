@@ -85,12 +85,12 @@ def select_best_literal(candidates: list[LiteralCandidate], scorer) -> LiteralCa
     """Minimum-perplexity candidate; ties keep the earlier (higher-ranked) property."""
     if not candidates:
         raise ValueError("no candidates to select from")
-    best = None
+    best, best_ppl = None, None
     for cand in candidates:
-        scored = replace(cand, perplexity=perplexity(cand.text, scorer))
-        if best is None or scored.perplexity < best.perplexity:
-            best = scored
-    return best
+        ppl = perplexity(cand.text, scorer)
+        if best is None or ppl < best_ppl:
+            best, best_ppl = cand, ppl
+    return replace(best, perplexity=best_ppl)
 
 
 def correct_grammar(text: str, corrector=None) -> str:

@@ -279,6 +279,15 @@ def mean_scores(sheet: ScoreSheet) -> dict[tuple[str, str], float]:
     return {key: sum(v) / len(v) for key, v in buckets.items()}
 
 
+def _squared_differences(vals: list[int]) -> int:
+    """Sum of (a - b) ** 2 over all ordered pairs, in linear time.
+
+    The identity 2n * sum(v ** 2) - 2 * sum(v) ** 2 is exact on integer
+    scores, so the result equals the quadratic double loop bit for bit.
+    """
+    return 2 * len(vals) * sum(v * v for v in vals) - 2 * sum(vals) ** 2
+
+
 def krippendorff_alpha(sheet: ScoreSheet, criterion: str | None = None) -> float:
     """Interval-metric alpha over (item, system) units; 1.0 when variance is zero."""
     units: dict[tuple[str, str], list[int]] = {}
@@ -292,11 +301,10 @@ def krippendorff_alpha(sheet: ScoreSheet, criterion: str | None = None) -> float
     n = sum(len(vals) for vals in pairable)
     observed = 0.0
     for vals in pairable:
-        m = len(vals)
-        observed += sum((a - b) ** 2 for a in vals for b in vals) / (m - 1)
+        observed += _squared_differences(vals) / (len(vals) - 1)
     observed /= n
     flat = [v for vals in pairable for v in vals]
-    expected = sum((a - b) ** 2 for a in flat for b in flat) / (n * (n - 1))
+    expected = _squared_differences(flat) / (n * (n - 1))
     if expected == 0:
         return 1.0
     return 1.0 - observed / expected

@@ -19,12 +19,13 @@ and process boundaries never change an output.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 import os
 import random
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 
 from .backends import BackendUnavailable, JsonSubprocessBackend
@@ -81,11 +82,12 @@ class GenerationOutput:
 
 def perplexity(text: str, scorer) -> float:
     """exp of mean negative log-likelihood per token; lower = more fluent."""
-    if text is None or not tokenize(text):
+    tokens = tokenize(text) if text is not None else None
+    if not tokens:
         raise EmptyText("cannot score an empty text")
     if hasattr(scorer, "perplexity"):
         return float(scorer.perplexity(text))
-    logps = scorer.token_logprobs(tokenize(text))
+    logps = scorer.token_logprobs(tokens)
     return math.exp(-sum(logps) / len(logps))
 
 
@@ -100,6 +102,10 @@ class UniformScorer:
 
     def token_logprobs(self, tokens: list[str]) -> list[float]:
         return [self._logp] * len(tokens)
+
+
+# The bigram row of a context never seen in training; never written to.
+_NO_ROW: dict[str, int] = {}
 
 
 class BigramScorer:
@@ -121,8 +127,7 @@ class BigramScorer:
         self.alpha = alpha
         self.lam = interpolation
         self.unigram: Counter = Counter()
-        self.bigram: dict[str, Counter] = {}
-        self.context_total: Counter = Counter()
+        bigram: defaultdict[str, Counter] = defaultdict(Counter)
         trained = False
         for text in texts:
             tokens = tokenize(text)
@@ -132,26 +137,30 @@ class BigramScorer:
             prev = self.BOS
             for tok in tokens:
                 self.unigram[tok] += 1
-                self.bigram.setdefault(prev, Counter())[tok] += 1
-                self.context_total[prev] += 1
+                bigram[prev][tok] += 1
                 prev = tok
         if not trained:
             raise EmptyText("scorer needs at least one non-empty training text")
+        self.bigram: dict[str, Counter] = dict(bigram)
+        self.context_total = Counter({prev: row.total() for prev, row in bigram.items()})
         self.vocab = set(self.unigram) | {self.UNK}
         self.vocab_size = len(self.vocab)
         self.total = sum(self.unigram.values())
 
     def token_logprobs(self, tokens: list[str]) -> list[float]:
+        # The float expressions keep the operation order of the formula above
+        # (tests compare the log-probs bit for bit); only invariants computed
+        # by the same expression are hoisted out of the loop.
+        alpha_v = self.alpha * self.vocab_size
+        uni_den = self.total + alpha_v
         out = []
         prev = self.BOS
         for tok in tokens:
             t = tok if tok in self.vocab else self.UNK
-            num = self.bigram.get(prev, Counter()).get(t, 0) + self.alpha
-            den = self.context_total.get(prev, 0) + self.alpha * self.vocab_size
+            num = self.bigram.get(prev, _NO_ROW).get(t, 0) + self.alpha
+            den = self.context_total.get(prev, 0) + alpha_v
             p_bi = num / den
-            p_uni = (self.unigram.get(t, 0) + self.alpha) / (
-                self.total + self.alpha * self.vocab_size
-            )
+            p_uni = (self.unigram.get(t, 0) + self.alpha) / uni_den
             out.append(math.log(self.lam * p_bi + (1 - self.lam) * p_uni))
             prev = t
         return out
@@ -169,7 +178,8 @@ def _derive_rng(seed: int, source: str, forced_prefix: str | None) -> random.Ran
 
 
 def _sample(dist: dict[str, float], top_k: int, temperature: float, rng) -> str:
-    items = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+    # nsmallest equals sorted(...)[:top_k] without sorting the whole row.
+    items = heapq.nsmallest(top_k, dist.items(), key=lambda kv: (-kv[1], kv[0]))
     if len(items) == 1:
         return items[0][0]
     # Rescale by the max before exponentiating so tiny temperatures stay finite.

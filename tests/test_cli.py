@@ -211,6 +211,22 @@ class TestHarvest:
         assert f"--{given} requires --{missing}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("given, value, missing", [
+        ("sample", "3", "sentences"), ("triggers", "like a;like an", "comments"),
+    ], ids=["sample-sentences", "triggers-comments"])
+    def test_setting_without_its_input_exits_two(self, world, tmp_path, capsys,
+                                                 given, value, missing):
+        """A setting the run would ignore is an error, not a silent no-op."""
+        argv = ["harvest", "--seed", "1", f"--{given}", value] + {
+            "sentences": ["--comments", str(world["comments"]),
+                          "--similes-out", str(tmp_path / "s.jsonl")],
+            "comments": ["--sentences", str(world["sentences"]),
+                         "--literals-out", str(tmp_path / "l.jsonl")],
+        }[missing]
+        assert main(argv) == 2
+        assert f"--{given} requires --{missing}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_sampling_requires_seed(self, world, tmp_path, capsys):
         rc = main(["harvest", "--sentences", str(world["sentences"]),
                    "--literals-out", str(tmp_path / "l.jsonl"), "--sample", "3"])
@@ -297,6 +313,16 @@ class TestTrain:
         assert rc == 2
         err = capsys.readouterr().err
         for name in ("--bogus", "pairs", "model-out", "seed"):
+            assert name in err
+
+    @pytest.mark.parametrize("argv, names", [
+        (["--pairs", "x", "--seed"], ("--seed", "model-out")),
+        (["--seed", "7", "--config"], ("--config", "pairs", "model-out")),
+    ], ids=["seed", "config"])
+    def test_flag_without_value_reported_with_other_errors(self, capsys, argv, names):
+        assert main(["train"] + argv) == 2
+        err = capsys.readouterr().err
+        for name in names:
             assert name in err
 
     def test_manifest_lists_given_paths(self, world):
@@ -532,6 +558,12 @@ class TestEvaluate:
         rc = main(["evaluate", "--generated", str(world["batches"]["scope"])])
         assert rc == 2
         assert "refs" in capsys.readouterr().err
+
+    def test_paths_flag_without_value_exits_two(self, capsys):
+        assert main(["evaluate", "--generated", "--refs"]) == 2
+        err = capsys.readouterr().err
+        for name in ("--generated", "--refs"):
+            assert f"argument {name}: expected a value" in err
 
 
 class TestEmbellish:

@@ -219,6 +219,37 @@ class TestNovelty:
         assert novelty(gen, train) == pytest.approx(oracle_novelty(gen, train), abs=1e-12)
 
 
+def oracle_krippendorff_alpha(sheet, criterion=None):
+    """Interval alpha with expected disagreement as a double loop over all ratings."""
+    units = {}
+    for r in sheet.rows:
+        if criterion is not None and r.criterion != criterion:
+            continue
+        units.setdefault((r.item_id, r.system), []).append(r.score)
+    pairable = [vals for vals in units.values() if len(vals) >= 2]
+    if not pairable:
+        raise ValueError("alpha needs at least one unit with two ratings")
+    n = sum(len(vals) for vals in pairable)
+    observed = 0.0
+    for vals in pairable:
+        m = len(vals)
+        observed += sum((a - b) ** 2 for a in vals for b in vals) / (m - 1)
+    observed /= n
+    flat = [v for vals in pairable for v in vals]
+    expected = sum((a - b) ** 2 for a in flat for b in flat) / (n * (n - 1))
+    if expected == 0:
+        return 1.0
+    return 1.0 - observed / expected
+
+
+SCORE_ROWS = st.lists(
+    st.tuples(st.sampled_from(["i0", "i1", "i2", "i3", "i4"]), st.sampled_from(["A", "B"]),
+              st.sampled_from(["r0", "r1", "r2"]), st.sampled_from(["OQ", "C"]),
+              st.integers(1, 5)),
+    max_size=120,
+)
+
+
 class TestScoreSheets:
     def build_sheet(self, triples):
         sheet = ScoreSheet()
@@ -312,6 +343,20 @@ class TestScoreSheets:
         sheet.add("i0", "A", "r0", "OQ", 1)
         sheet.add("i0", "A", "r1", "OQ", 2)
         assert krippendorff_alpha(sheet) == pytest.approx(0.0)
+
+    @given(SCORE_ROWS, st.sampled_from([None, "OQ", "C"]))
+    @settings(max_examples=300, deadline=None)
+    def test_alpha_equals_quadratic_oracle(self, rows, criterion):
+        sheet = ScoreSheet()
+        for row in rows:
+            sheet.add(*row)
+        try:
+            expected = oracle_krippendorff_alpha(sheet, criterion)
+        except ValueError:
+            with pytest.raises(ValueError):
+                krippendorff_alpha(sheet, criterion)
+            return
+        assert krippendorff_alpha(sheet, criterion) == expected
 
     def test_alpha_needs_pairable_unit(self):
         sheet = ScoreSheet()

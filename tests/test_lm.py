@@ -2,12 +2,15 @@
 
 import json
 import math
+import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from similekit.backends import BackendUnavailable
+from similekit.core import tokenize
 from similekit.lm import (
     BigramScorer,
     EmptyText,
@@ -21,6 +24,7 @@ from similekit.lm import (
     TemplateNgramModel,
     TrainConfig,
     UniformScorer,
+    _sample,
     fine_tune,
     generate,
     perplexity,
@@ -87,6 +91,105 @@ class TestPerplexity:
     def test_uniform_scorer_validation(self):
         with pytest.raises(ValueError):
             UniformScorer(0)
+
+
+class OracleBigramScorer:
+    """The straightforward bigram scorer that BigramScorer must equal bit for bit."""
+
+    BOS = "<s>"
+    UNK = "<unk>"
+
+    def __init__(self, texts, alpha=0.1, interpolation=0.5):
+        self.alpha = alpha
+        self.lam = interpolation
+        self.unigram = Counter()
+        self.bigram = {}
+        self.context_total = Counter()
+        for text in texts:
+            prev = self.BOS
+            for tok in tokenize(text):
+                self.unigram[tok] += 1
+                self.bigram.setdefault(prev, Counter())[tok] += 1
+                self.context_total[prev] += 1
+                prev = tok
+        self.vocab = set(self.unigram) | {self.UNK}
+        self.vocab_size = len(self.vocab)
+        self.total = sum(self.unigram.values())
+
+    def token_logprobs(self, tokens):
+        out = []
+        prev = self.BOS
+        for tok in tokens:
+            t = tok if tok in self.vocab else self.UNK
+            num = self.bigram.get(prev, Counter()).get(t, 0) + self.alpha
+            den = self.context_total.get(prev, 0) + self.alpha * self.vocab_size
+            p_bi = num / den
+            p_uni = (self.unigram.get(t, 0) + self.alpha) / (
+                self.total + self.alpha * self.vocab_size
+            )
+            out.append(math.log(self.lam * p_bi + (1 - self.lam) * p_uni))
+            prev = t
+        return out
+
+
+def oracle_perplexity(text, scorer):
+    logps = scorer.token_logprobs(tokenize(text))
+    return math.exp(-sum(logps) / len(logps))
+
+
+def oracle_sample(dist, top_k, temperature, rng):
+    """Top-k sampling over the fully sorted distribution."""
+    items = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+    if len(items) == 1:
+        return items[0][0]
+    pmax = items[0][1]
+    weights = [(p / pmax) ** (1.0 / temperature) for _, p in items]
+    total = sum(weights)
+    r = rng.random() * total
+    acc = 0.0
+    for (tok, _), w in zip(items, weights):
+        acc += w
+        if r <= acc:
+            return tok
+    return items[-1][0]
+
+
+TRAIN_WORDS = ["a", "b", "the", "cat", "ran", "fast", ",", ".", "!"]
+# Query words add out-of-vocabulary tokens, including "<unk>" spelled out.
+QUERY_WORDS = TRAIN_WORDS + ["zebra", "quark", "<unk>", "<s>"]
+
+
+def texts_of(words, min_size):
+    return st.lists(st.lists(st.sampled_from(words), min_size=min_size, max_size=12)
+                    .map(" ".join), min_size=1, max_size=8)
+
+
+class TestKernelsEqualOracles:
+    @given(texts_of(TRAIN_WORDS, 0), texts_of(QUERY_WORDS, 1),
+           st.floats(0.001, 5.0), st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_bigram_scorer_is_bit_identical(self, train, queries, alpha, lam):
+        if not any(tokenize(t) for t in train):
+            train = train + ["a"]
+        scorer = BigramScorer(train, alpha=alpha, interpolation=lam)
+        oracle = OracleBigramScorer(train, alpha=alpha, interpolation=lam)
+        assert scorer.context_total == oracle.context_total
+        for text in queries:
+            tokens = tokenize(text)
+            assert scorer.token_logprobs(tokens) == oracle.token_logprobs(tokens)
+            assert perplexity(text, scorer) == oracle_perplexity(text, oracle)
+
+    @given(st.dictionaries(st.text("abcdefgh", min_size=1, max_size=3),
+                           st.sampled_from([0.05, 0.1, 0.1, 0.2, 0.25, 0.25, 0.5, 1e-9]),
+                           min_size=1, max_size=40),
+           st.integers(1, 12), st.sampled_from([1e-3, 0.3, 0.7, 1.0, 2.5]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_sample_picks_the_oracle_token(self, dist, top_k, temperature, seed):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert _sample(dist, top_k, temperature, rng) == \
+                oracle_sample(dist, top_k, temperature, oracle_rng)
 
 
 class TestGenerationConfig:
