@@ -2,9 +2,11 @@
 
 from .backends import BackendUnavailable
 from .core import (
+    COMPARATORS,
     DEFAULT_TRIGGERS,
     LiteralSentence,
     NotModifierFinal,
+    ParseError,
     SimileInstance,
     TriggerConfig,
     extract_generated_vehicle,
@@ -40,7 +42,7 @@ from .harvest import (
     harvest_similes,
     split_corpus,
 )
-from .knowledge import KnowledgeEdge, ParseError, PropertyCandidate, properties_of, vehicle_for_property
+from .knowledge import KnowledgeEdge, PropertyCandidate, properties_of, vehicle_for_property
 from .lm import (
     EmptyText,
     EmptyTrainingSet,

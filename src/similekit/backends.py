@@ -25,7 +25,9 @@ class JsonSubprocessBackend:
         self.command = list(command)
         self.timeout = timeout
 
-    def call(self, request: dict):
+    def call(self, request: dict, read=lambda reply: reply):
+        """Send one request and return read(reply).  A reply that is not JSON, or
+        that read rejects with KeyError, TypeError or ValueError, is BackendUnavailable."""
         try:
             proc = subprocess.run(
                 self.command,
@@ -42,8 +44,8 @@ class JsonSubprocessBackend:
                 f"{proc.stderr.strip()[:200]}"
             )
         try:
-            return json.loads(proc.stdout)
-        except json.JSONDecodeError as exc:
+            return read(json.loads(proc.stdout))
+        except (KeyError, TypeError, ValueError) as exc:
             raise BackendUnavailable(
-                f"backend {self.command[0]!r} returned invalid JSON: {exc}"
+                f"backend {self.command[0]!r} sent a bad reply ({exc!r}): {proc.stdout[:200]!r}"
             ) from exc

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import DEFAULT_TRIGGERS, TriggerConfig, read_jsonl, read_lines, write_json, write_jsonl
+from .core import DEFAULT_TRIGGERS, TriggerConfig, read_lines, read_records, write_json, write_jsonl
 from .corpus import (
     BuildStats,
     build_parallel_corpus,
@@ -68,6 +68,7 @@ from .systems import (
     baseline_metaphor_mask,
     baseline_prefix_forced,
     baseline_retrieval,
+    read_batch_jsonl,
     run_batch,
     scope_generate,
     train_metaphor_mask,
@@ -266,7 +267,7 @@ _DECODING = (
     Option("comments", path=True),
     Option("similes-out", output=True),
     Option("triggers", _parse_triggers,
-           help="semicolon-separated trigger phrases (default: like a)"),
+           help="semicolon-separated phrases from: like a; like an (default: like a)"),
     Option("split", _parse_ratio, help="train fraction, e.g. 0.9 or 82697/87843"),
     Option("train-out", output=True),
     Option("val-out", output=True),
@@ -402,7 +403,7 @@ def cmd_generate(s: Settings) -> int:
         s.require("knowledge")
     if s.fail_if_errors():
         return 2
-    literals = [rec["text"] for rec in read_jsonl(s["literals"])]
+    literals = list(read_records(s["literals"], lambda rec: rec["text"]))
     cfg = GenerationConfig(max_new_tokens=s["max-new-tokens"], seed=s["seed"],
                            top_k=s["top-k"], temperature=s["temperature"])
     skipped = 0
@@ -472,7 +473,7 @@ def cmd_evaluate(s: Settings) -> int:
         embedder = OneHotEmbedder() if s["embedder"] == "onehot" else CharNgramEmbedder()
         report = MetricReport()
         for path in generated:
-            records = list(read_jsonl(path))
+            records = read_batch_jsonl(path)
             if not records:
                 print(f"warning: {path} has no rows; not scored", file=sys.stderr)
                 continue

@@ -62,9 +62,12 @@ def terminal_punctuation(text: str) -> str:
     return m.group(1) if m else ""
 
 
+COMPARATORS = ("like a", "like an")
+
+
 @dataclass(frozen=True)
 class TriggerConfig:
-    """Comparator trigger set.
+    """Comparator trigger set: a non-empty subset of COMPARATORS.
 
     Only "like a" is on by default; "like an" is a configurable extension.
     Phrases are matched case-insensitively and with word boundaries, so
@@ -74,11 +77,10 @@ class TriggerConfig:
     trigger_phrases: tuple[str, ...] = ("like a",)
 
     def __post_init__(self):
-        if not self.trigger_phrases:
-            raise ValueError("trigger_phrases must be non-empty")
-        object.__setattr__(
-            self, "trigger_phrases", tuple(p.lower() for p in self.trigger_phrases)
-        )
+        phrases = tuple(" ".join(p.lower().split()) for p in self.trigger_phrases)
+        if not phrases or not set(phrases) <= set(COMPARATORS):
+            raise ValueError(f"{self.trigger_phrases} is not a non-empty subset of {COMPARATORS}")
+        object.__setattr__(self, "trigger_phrases", phrases)
 
 
 DEFAULT_TRIGGERS = TriggerConfig()
@@ -204,14 +206,12 @@ def drop_dangling_comma(prefix: str) -> str:
     return prefix.rstrip().rstrip(",").rstrip()
 
 
-def extract_generated_vehicle(
-    generated: str, reference: str, cfg: TriggerConfig = DEFAULT_TRIGGERS
-) -> list[str]:
+def extract_generated_vehicle(generated: str, reference: str) -> list[str]:
     """Tokens of `generated` after the longest common token prefix with `reference`.
 
-    A leading trigger remnant ("like a"/"like an" tokens) surviving the prefix
-    discard is dropped, so the result is the vehicle whether the reference was
-    the literal source or an explicit simile prefix.  May be empty.
+    A leading comparator remnant ("like a"/"like an" tokens) surviving the
+    prefix discard is dropped, so the result is the vehicle whether the
+    reference was the literal source or an explicit simile prefix.  May be empty.
     """
     gen = tokenize(generated)
     ref = tokenize(reference)
@@ -219,11 +219,10 @@ def extract_generated_vehicle(
     while i < len(gen) and i < len(ref) and gen[i] == ref[i]:
         i += 1
     rest = gen[i:]
-    for phrase in cfg.trigger_phrases:
+    for phrase in COMPARATORS:
         ptoks = tokenize(phrase)
         if [t.lower() for t in rest[: len(ptoks)]] == ptoks:
-            rest = rest[len(ptoks) :]
-            break
+            return rest[len(ptoks) :]
     return rest
 
 
@@ -238,12 +237,37 @@ def write_jsonl(records, path) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def read_jsonl(path):
-    """Yield the record on each non-blank line, in file order."""
+class ParseError(ValueError):
+    """A line of an input file that cannot be read; the message starts path:line:."""
+
+    def __init__(self, path, line_number: int, message: str):
+        super().__init__(f"{path}:{line_number}: {message}")
+        self.line_number = line_number
+
+
+def read_records(path, build, fields: int = 0):
+    """Yield build(record) for each non-blank line, in file order.
+
+    A record is the line's JSON value or, with `fields`, that many
+    tab-separated fields passed as arguments.  A KeyError, TypeError,
+    ValueError or AttributeError on a line becomes a ParseError at path:line.
+    """
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                if not fields:
+                    item = build(json.loads(line))
+                else:
+                    row = line.rstrip("\n").split("\t")
+                    if len(row) != fields:
+                        raise ValueError(f"expected {fields} tab-separated fields, got {len(row)}")
+                    item = build(*row)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+                raise ParseError(path, number, reason) from exc
+            yield item
 
 
 def write_json(obj, path, indent=2) -> None:

@@ -14,10 +14,11 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 from .core import (
+    COMPARATORS,
     SimileInstance,
     TriggerConfig,
     parse_simile,
-    read_jsonl,
+    read_records,
     terminal_punctuation,
     write_jsonl,
 )
@@ -33,9 +34,9 @@ class GrammarCorrectionWarning(UserWarning):
     """The corrector failed; the uncorrected text was used instead."""
 
 
-# Both trigger variants count when validating the source/target contract,
-# whatever the parse-time configuration was.
-_CONTRACT_TRIGGERS = TriggerConfig(trigger_phrases=("like a", "like an"))
+# Every comparator counts when validating the source/target contract, whatever
+# the parse-time configuration was.  Built once: each pair checks it twice.
+_CONTRACT_TRIGGERS = TriggerConfig(COMPARATORS)
 
 
 @dataclass(frozen=True)
@@ -163,16 +164,7 @@ def write_pairs_tsv(pairs: list[ParallelPair], path) -> None:
 
 
 def read_pairs_tsv(path) -> list[tuple[str, str]]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected source<TAB>target")
-            out.append((parts[0], parts[1]))
-    return out
+    return list(read_records(path, lambda source, target: (source, target), fields=2))
 
 
 def write_pairs_audit_jsonl(pairs: list[ParallelPair], path) -> None:
@@ -181,14 +173,11 @@ def write_pairs_audit_jsonl(pairs: list[ParallelPair], path) -> None:
                   "provenance": pair.provenance} for pair in pairs), path)
 
 
+def _pair_record(rec) -> ParallelPair:
+    return ParallelPair(source=rec["source"], target=rec["target"],
+                        property_used=rec["property_used"], vehicle=rec["vehicle"],
+                        provenance=rec.get("provenance", ""))
+
+
 def read_pairs_audit_jsonl(path) -> list[ParallelPair]:
-    return [
-        ParallelPair(
-            source=rec["source"],
-            target=rec["target"],
-            property_used=rec["property_used"],
-            vehicle=rec["vehicle"],
-            provenance=rec.get("provenance", ""),
-        )
-        for rec in read_jsonl(path)
-    ]
+    return list(read_records(path, _pair_record))

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from .core import (
     NotModifierFinal,
     extract_generated_vehicle,
-    read_jsonl,
+    read_records,
     strip_terminal_modifier,
     tokenize,
 )
@@ -415,4 +415,5 @@ def evaluate_generation(
 
 def read_refs_jsonl(path) -> dict[str, list[str]]:
     """{literal, references: [...]} rows into a literal -> references map."""
-    return {rec["literal"]: [str(r) for r in rec["references"]] for rec in read_jsonl(path)}
+    return dict(read_records(
+        path, lambda rec: (rec["literal"], [str(r) for r in rec["references"]])))

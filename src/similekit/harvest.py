@@ -23,7 +23,7 @@ from .core import (
     SimileInstance,
     TriggerConfig,
     parse_simile,
-    read_jsonl,
+    read_records,
     split_sentences,
     strip_terminal_modifier,
     tokenize,
@@ -70,15 +70,18 @@ def load_comments(path, stats: HarvestStats | None = None) -> list[RawComment]:
                 continue
             try:
                 rec = json.loads(line)
+                created = rec.get("created_utc", 0)
                 comments.append(
                     RawComment(
                         id=str(rec["id"]),
                         body=str(rec["body"]),
                         subreddit=str(rec.get("subreddit", "")),
-                        created_utc=int(rec.get("created_utc", 0)),
+                        # "1600000000.0" reads like the JSON number 1600000000.0.
+                        created_utc=int(float(created) if isinstance(created, str) else created),
                     )
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            # JSONDecodeError is a ValueError; a record that is not an object has no .get.
+            except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
                 if stats is not None:
                     stats.malformed += 1
     return comments
@@ -176,18 +179,23 @@ def write_similes_jsonl(instances: list[SimileInstance], path) -> None:
                   "source_id": inst.source_id} for inst in instances), path)
 
 
-def read_similes_jsonl(path, cfg: TriggerConfig = DEFAULT_TRIGGERS) -> list[SimileInstance]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            inst = parse_simile(rec["text"], cfg)
-            if inst is None:
-                raise ValueError(f"{path}:{lineno}: text does not parse as a simile")
-            out.append(replace(inst, source_id=rec.get("source_id", "")))
-    return out
+def _simile_record(rec) -> SimileInstance:
+    """Rebuild a simile from harvest's stored split; a text-only record is parsed."""
+    text = rec["text"]
+    if "prefix" not in rec:
+        inst = parse_simile(text)
+        if inst is None:
+            raise ValueError("text does not parse as a simile")
+        return replace(inst, source_id=rec.get("source_id", ""))
+    prefix, vehicle = rec["prefix"], rec["vehicle"]
+    inst = SimileInstance(text, prefix, text[len(prefix) : len(text) - len(vehicle)], vehicle,
+                          rec.get("source_id", ""))
+    TriggerConfig((inst.comparator,))  # rejects a comparator outside COMPARATORS
+    return inst
+
+
+def read_similes_jsonl(path) -> list[SimileInstance]:
+    return list(read_records(path, _simile_record))
 
 
 def write_literals_jsonl(literals: list[LiteralSentence], path) -> None:
@@ -195,4 +203,4 @@ def write_literals_jsonl(literals: list[LiteralSentence], path) -> None:
 
 
 def read_literals_jsonl(path) -> list[dict]:
-    return list(read_jsonl(path))
+    return list(read_records(path, dict))

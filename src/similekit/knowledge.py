@@ -9,9 +9,11 @@ test) or a remote adapter speaking the JSON contract
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .backends import BackendUnavailable, JsonSubprocessBackend
+from .core import ParseError, read_records  # ParseError stays importable from here
 
 
 @dataclass(frozen=True)
@@ -22,6 +24,8 @@ class PropertyCandidate:
     def __post_init__(self):
         if not self.text:
             raise ValueError("property text must be non-empty")
+        if not math.isfinite(self.score):
+            raise ValueError(f"property score must be finite, got {self.score}")
 
 
 @dataclass(frozen=True)
@@ -31,14 +35,10 @@ class KnowledgeEdge:
     weight: float
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise ValueError("edge weight must be positive")
-
-
-class ParseError(ValueError):
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
+        if not self.concept.strip() or not self.property.strip():
+            raise ValueError("empty concept or property")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"edge weight must be positive and finite, got {self.weight}")
 
 
 def _norm(text: str) -> str:
@@ -82,14 +82,14 @@ class RemoteKnowledgeBackend:
         self.backend = JsonSubprocessBackend(command)
 
     def properties_of(self, concept: str, k: int) -> list[PropertyCandidate]:
-        reply = self.backend.call(
-            {"concept": concept, "relation": "HasProperty", "k": k}
-        )
-        if not isinstance(reply, list):
-            raise BackendUnavailable("knowledge backend reply is not a list")
-        cands = [PropertyCandidate(text=str(r["text"]), score=float(r["score"])) for r in reply]
-        cands.sort(key=lambda c: (-c.score, c.text))
-        return cands[:k]
+        def read(reply) -> list[PropertyCandidate]:
+            if not isinstance(reply, list):
+                raise TypeError("reply is not a list")
+            cands = [PropertyCandidate(text=str(r["text"]), score=float(r["score"])) for r in reply]
+            cands.sort(key=lambda c: (-c.score, c.text))
+            return cands[:k]
+
+        return self.backend.call({"concept": concept, "relation": "HasProperty", "k": k}, read)
 
     def best_concept_for(self, prop: str) -> str | None:
         raise BackendUnavailable("remote backend does not support reverse lookup")
@@ -97,25 +97,15 @@ class RemoteKnowledgeBackend:
 
 def load_edge_table(path) -> EdgeTableBackend:
     """Load TSV rows concept<TAB>property<TAB>weight into an edge table."""
-    edges = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise ParseError(lineno, f"expected 3 tab-separated fields, got {len(parts)}")
-            concept, prop, weight_text = parts
-            try:
-                weight = float(weight_text)
-            except ValueError:
-                raise ParseError(lineno, f"bad weight {weight_text!r}") from None
-            if weight <= 0:
-                raise ParseError(lineno, f"weight must be positive, got {weight_text}")
-            if not concept.strip() or not prop.strip():
-                raise ParseError(lineno, "empty concept or property")
-            edges.append(KnowledgeEdge(concept=concept, property=prop, weight=weight))
-    return EdgeTableBackend(edges)
+    return EdgeTableBackend(read_records(
+        path, lambda concept, prop, weight: KnowledgeEdge(concept, prop, float(weight)), fields=3))
+
+
+def _synonym_row(word: str, syn: str) -> tuple[str, str]:
+    word, syn = _norm(word), _norm(syn)
+    if not word or not syn:
+        raise ValueError("empty word or synonym")
+    return word, syn
 
 
 class SynonymTable:
@@ -127,19 +117,10 @@ class SynonymTable:
     @classmethod
     def load(cls, path) -> "SynonymTable":
         mapping: dict[str, list[str]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 2:
-                    raise ParseError(lineno, f"expected 2 tab-separated fields, got {len(parts)}")
-                word, syn = _norm(parts[0]), _norm(parts[1])
-                if not word or not syn:
-                    raise ParseError(lineno, "empty word or synonym")
-                bucket = mapping.setdefault(word, [])
-                if syn not in bucket:
-                    bucket.append(syn)
+        for word, syn in read_records(path, _synonym_row, fields=2):
+            bucket = mapping.setdefault(word, [])
+            if syn not in bucket:
+                bucket.append(syn)
         return cls(mapping)
 
     def synonyms_of(self, word: str) -> list[str]:

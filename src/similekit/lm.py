@@ -446,11 +446,8 @@ class RemoteScorer:
         self.backend = JsonSubprocessBackend(command)
 
     def perplexity(self, text: str) -> float:
-        reply = self.backend.call({"op": "perplexity", "text": text})
-        try:
-            return float(reply["perplexity"])
-        except (TypeError, KeyError, ValueError) as exc:
-            raise BackendUnavailable(f"bad perplexity reply: {reply!r}") from exc
+        return self.backend.call({"op": "perplexity", "text": text},
+                                 lambda reply: float(reply["perplexity"]))
 
 
 class RemoteModel:
@@ -461,28 +458,22 @@ class RemoteModel:
         self.model_id = model_id
 
     def generate_text(self, source: str, cfg: GenerationConfig) -> GenerationOutput:
-        reply = self.backend.call(
+        return self.backend.call(
             {"op": "generate", "model_id": self.model_id, "source": source,
-             "config": asdict(cfg)}
+             "config": asdict(cfg)},
+            lambda reply: GenerationOutput(text=str(reply["text"]),
+                                           truncated=bool(reply.get("truncated", False))),
         )
-        try:
-            return GenerationOutput(text=str(reply["text"]), truncated=bool(reply.get("truncated", False)))
-        except (TypeError, KeyError) as exc:
-            raise BackendUnavailable(f"bad generate reply: {reply!r}") from exc
 
 
 class RemoteSeq2SeqBackend:
     """Trainer adapter: {op: "fine_tune", pairs, config} -> {model_id}."""
 
     def __init__(self, command: list[str]):
-        self.command = list(command)
         self.backend = JsonSubprocessBackend(command)
 
     def fine_tune(self, pairs: list[tuple[str, str]], cfg: TrainConfig) -> RemoteModel:
-        reply = self.backend.call(
-            {"op": "fine_tune", "pairs": [list(p) for p in pairs], "config": asdict(cfg)}
+        return self.backend.call(
+            {"op": "fine_tune", "pairs": [list(p) for p in pairs], "config": asdict(cfg)},
+            lambda reply: RemoteModel(self.backend.command, str(reply["model_id"])),
         )
-        try:
-            return RemoteModel(self.command, str(reply["model_id"]))
-        except (TypeError, KeyError) as exc:
-            raise BackendUnavailable(f"bad fine_tune reply: {reply!r}") from exc

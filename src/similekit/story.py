@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import (
     NotModifierFinal,
-    read_jsonl,
+    read_records,
     split_sentences,
     strip_terminal_modifier,
     write_jsonl,
@@ -99,5 +99,5 @@ def write_stories_jsonl(stories: list[Story], path) -> None:
 
 
 def read_stories_jsonl(path) -> list[Story]:
-    return [Story(rec.get("title", ""), rec.get("storyline", ()), rec["sentences"])
-            for rec in read_jsonl(path)]
+    return list(read_records(
+        path, lambda rec: Story(rec.get("title", ""), rec.get("storyline", ()), rec["sentences"])))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .core import drop_dangling_comma, read_jsonl, strip_terminal_modifier, write_jsonl
+from .core import drop_dangling_comma, read_records, strip_terminal_modifier, write_jsonl
 from .knowledge import vehicle_for_property
 from .lm import EmptyTrainingSet, GenerationConfig, TrainConfig, _pair_texts, fine_tune, generate
 
@@ -124,4 +124,4 @@ def run_batch(literals: list[str], system: str, fn, seed: int, out_path=None) ->
 
 
 def read_batch_jsonl(path) -> list[dict]:
-    return list(read_jsonl(path))
+    return list(read_records(path, dict))

@@ -227,6 +227,13 @@ class TestHarvest:
         assert f"--{given} requires --{missing}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_trigger_outside_comparators_exits_two(self, world, tmp_path, capsys):
+        rc = main(["harvest", "--comments", str(world["comments"]),
+                   "--similes-out", str(tmp_path / "s.jsonl"), "--triggers", "like a;as a"])
+        assert rc == 2
+        assert "bad value for 'triggers'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_sampling_requires_seed(self, world, tmp_path, capsys):
         rc = main(["harvest", "--sentences", str(world["sentences"]),
                    "--literals-out", str(tmp_path / "l.jsonl"), "--sample", "3"])
@@ -272,6 +279,25 @@ class TestBuildCorpus:
         assert rc == 2
         assert "unknown section [build-corpus]" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_reads_the_split_harvest_wrote(self, tmp_path):
+        """Similes harvested with "like an" go through build-corpus unparsed."""
+        bodies = ["The pie was like an oven.", "He was like an owl.", "She ran like a deer."]
+        comments = tmp_path / "comments.ndjson"
+        comments.write_text("".join(json.dumps({"id": f"c{i}", "body": body}) + "\n"
+                                    for i, body in enumerate(bodies)), encoding="utf-8")
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("oven\thot\t1.0\nowl\twise\t1.0\ndeer\tfast\t1.0\n", encoding="utf-8")
+        similes, pairs = tmp_path / "similes.jsonl", tmp_path / "pairs.tsv"
+        assert main(["harvest", "--comments", str(comments), "--similes-out", str(similes),
+                     "--triggers", "like a;like an"]) == 0
+        assert main(["build-corpus", "--in", str(similes), "--knowledge", str(edges),
+                     "--out", str(pairs)]) == 0
+        assert pairs.read_text(encoding="utf-8").splitlines() == [
+            "The pie was hot.\tThe pie was like an oven.",
+            "He was wise.\tHe was like an owl.",
+            "She ran fast.\tShe ran like a deer.",
+        ]
 
     def test_runtime_failure_exits_one(self, world, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -434,6 +460,21 @@ class TestGenerate:
                    "--system", "scope", "--model", str(world["model"]), "--out", str(out)])
         assert rc == 0
         assert out.read_bytes() == world["batches"]["scope"].read_bytes()
+
+    @pytest.mark.parametrize("bad_line, reason", [
+        ('{"property": "hot"}', "missing field 'text'"),
+        ("{not json", "Expecting property name enclosed in double quotes"),
+    ], ids=["missing-text", "not-json"])
+    def test_bad_literal_line_is_located(self, world, tmp_path, capsys, bad_line, reason):
+        literals = tmp_path / "literals.jsonl"
+        literals.write_text('{"text": "The city was beautiful"}\n\n' + bad_line + "\n",
+                            encoding="utf-8")
+        out = tmp_path / "batch.jsonl"
+        rc = main(["generate", "--literals", str(literals), "--system", "scope",
+                   "--model", str(world["model"]), "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {literals}:3: {reason}")
+        assert not out.exists()
 
     def test_validation_is_collected(self, capsys):
         rc = main(["generate", "--system", "scope"])

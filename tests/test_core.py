@@ -1,22 +1,31 @@
-"""Tokenizer, trigger parsing, modifier stripping, vehicle extraction."""
+"""Tokenizer, trigger parsing, modifier stripping, vehicle extraction, file reading."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+import similekit
+from similekit import knowledge
 from similekit.core import (
     DEFAULT_TRIGGERS,
     NotModifierFinal,
+    ParseError,
     SimileInstance,
     TriggerConfig,
     detokenize,
     drop_dangling_comma,
     extract_generated_vehicle,
     parse_simile,
+    read_records,
     split_sentences,
     strip_terminal_modifier,
     terminal_punctuation,
     tokenize,
 )
+from similekit.corpus import read_pairs_audit_jsonl, read_pairs_tsv
+from similekit.evaluation import read_refs_jsonl
+from similekit.harvest import read_literals_jsonl, read_similes_jsonl
+from similekit.story import read_stories_jsonl
+from similekit.systems import read_batch_jsonl
 from similekit.tagging import DEFAULT_TAGGER, DictTagger, LexiconTagger
 
 
@@ -83,6 +92,15 @@ class TestParseSimile:
         cfg = TriggerConfig(trigger_phrases=("like a", "like an"))
         inst = parse_simile("She was like an angel.", cfg)
         assert inst.vehicle == "angel."
+
+    @pytest.mark.parametrize("phrases", [("as a",), (), ("like a", "like the")])
+    def test_triggers_outside_comparators_rejected(self, phrases):
+        with pytest.raises(ValueError):
+            TriggerConfig(phrases)
+
+    def test_triggers_fold_case_and_whitespace(self):
+        cfg = TriggerConfig((" LIKE  An ", "like a"))
+        assert cfg.trigger_phrases == ("like an", "like a")
 
     def test_first_occurrence_wins(self):
         inst = parse_simile("He ran like a wolf like a storm.")
@@ -195,6 +213,10 @@ class TestExtractGeneratedVehicle:
         )
         assert out == ["moth", "to", "a", "flame"]
 
+    def test_like_an_remnant_dropped(self):
+        out = extract_generated_vehicle("The pie was like an oven.", "The pie was hot.")
+        assert out == ["oven", "."]
+
     def test_matches_oracle_modulo_remnant(self):
         gen = "The night was like a velvet curtain."
         ref = "The night was dark."
@@ -214,6 +236,55 @@ class TestExtractGeneratedVehicle:
         # oracle and the implementation must agree exactly.
         gen, ref = " ".join(gen_ws), " ".join(ref_ws)
         assert extract_generated_vehicle(gen, ref) == lcp_suffix_oracle(gen_ws, ref_ws)
+
+
+class TestReadRecords:
+    """Every input-file reader reports a bad line as path:line: reason."""
+
+    JSONL_READERS = {
+        "similes": (read_similes_jsonl, "text"),
+        "audit": (read_pairs_audit_jsonl, "source"),
+        "refs": (read_refs_jsonl, "literal"),
+        "stories": (read_stories_jsonl, "sentences"),
+        "literals": (read_literals_jsonl, None),
+        "batch": (read_batch_jsonl, None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(JSONL_READERS))
+    @pytest.mark.parametrize("bad_line", ["{not json", "[1, 2]"])
+    def test_undecodable_line_is_located(self, tmp_path, name, bad_line):
+        path = tmp_path / "in.jsonl"
+        path.write_text("\n" + bad_line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            self.JSONL_READERS[name][0](path)
+        assert exc.value.line_number == 2
+        assert str(exc.value).startswith(f"{path}:2: ")
+
+    @pytest.mark.parametrize("name", sorted(n for n, (_, f) in JSONL_READERS.items() if f))
+    def test_missing_field_is_named(self, tmp_path, name):
+        read, field = self.JSONL_READERS[name]
+        path = tmp_path / "in.jsonl"
+        path.write_text("{}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}:1: missing field '{field}'"
+
+    def test_tsv_field_count_is_located(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("a\tb\n\na\tb\tc\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_pairs_tsv(path)
+        assert str(exc.value) == f"{path}:3: expected 2 tab-separated fields, got 3"
+
+    def test_builder_gets_fields_as_arguments(self, tmp_path):
+        path = tmp_path / "rows.tsv"
+        path.write_text("a\tb\tc\n\nd\te\tf\n", encoding="utf-8")
+        assert list(read_records(path, lambda *row: row, fields=3)) == [
+            ("a", "b", "c"), ("d", "e", "f")]
+
+    def test_one_parse_error_class(self):
+        assert similekit.ParseError is knowledge.ParseError is ParseError
+        assert issubclass(ParseError, ValueError)
 
 
 class TestTagging:

@@ -1,6 +1,7 @@
 """Ingestion, dedup, literal filtering, and corpus splitting."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from similekit.harvest import (
     write_literals_jsonl,
     write_similes_jsonl,
 )
+from similekit.core import COMPARATORS, ParseError, TriggerConfig, parse_simile
 from similekit.tagging import DEFAULT_TAGGER
 
 
@@ -92,6 +94,18 @@ class TestLoadComments:
         comments = load_comments(path, stats)
         assert [c.id for c in comments] == ["1", "4"]
         assert stats.malformed == 3
+
+    def test_decimal_timestamp_strings_read_as_numbers(self, tmp_path):
+        path = tmp_path / "c.ndjson"
+        stamps = ["1600000000.0", 1600000000.5, " 42 ", "soon", "nan", "inf", float("inf")]
+        rows = [json.dumps({"id": str(i), "body": "b like a c.", "created_utc": ts})
+                for i, ts in enumerate(stamps)]
+        path.write_text("\n".join(rows + ["[1, 2]"]) + "\n", encoding="utf-8")
+        stats = HarvestStats()
+        comments = load_comments(path, stats)
+        assert [(c.id, c.created_utc) for c in comments] == [
+            ("0", 1600000000), ("1", 1600000000), ("2", 42)]
+        assert stats.malformed == 5
 
     def test_empty_body_rejected_at_type_level(self):
         with pytest.raises(ValueError):
@@ -194,6 +208,31 @@ class TestFileFormats:
         assert loaded == toy_world["similes"][:5]
         rec = json.loads(path.read_text().splitlines()[0])
         assert set(rec) == {"text", "prefix", "vehicle", "source_id"}
+
+    def test_similes_read_back_with_stored_split(self, tmp_path):
+        inst = parse_simile("The pie was like an oven.", TriggerConfig(COMPARATORS))
+        path = tmp_path / "similes.jsonl"
+        write_similes_jsonl([replace(inst, source_id="7")], path)
+        assert read_similes_jsonl(path) == [replace(inst, source_id="7")]
+
+    def test_text_only_record_parsed_with_default_triggers(self, tmp_path):
+        path = tmp_path / "similes.jsonl"
+        path.write_text(json.dumps({"text": "He ran like a deer."}) + "\n", encoding="utf-8")
+        assert read_similes_jsonl(path) == [parse_simile("He ran like a deer.")]
+
+    @pytest.mark.parametrize("rec", [
+        {"text": "He ran like a deer.", "prefix": "He ran", "vehicle": "dog."},
+        {"text": "He ran as a deer.", "prefix": "He ran", "vehicle": "deer."},
+        {"text": "She ran like a deer.", "prefix": "He ran", "vehicle": "deer."},
+    ], ids=["vehicle-mismatch", "comparator-not-known", "prefix-mismatch"])
+    def test_bad_stored_split_is_located(self, tmp_path, rec):
+        path = tmp_path / "similes.jsonl"
+        lines = [json.dumps({"text": "He ran like a deer."}), "", json.dumps(rec)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_similes_jsonl(path)
+        assert exc.value.line_number == 3
+        assert str(exc.value).startswith(f"{path}:3: ")
 
     def test_literals_round_trip(self, tmp_path):
         lits = harvest_literals(["The city was beautiful", "Love is rare."], DEFAULT_TAGGER)

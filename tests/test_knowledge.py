@@ -80,6 +80,13 @@ class TestEdgeTable:
         with pytest.raises(ValueError):
             KnowledgeEdge("rock", "hard", 0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_weight_and_score_rejected(self, value):
+        with pytest.raises(ValueError):
+            KnowledgeEdge("ox", "hungry", value)
+        with pytest.raises(ValueError):
+            PropertyCandidate("hungry", value)
+
 
 class TestLoadEdgeTable:
     def test_round_trip(self, tmp_path):
@@ -100,6 +107,8 @@ class TestLoadEdgeTable:
             ("sunset\tred\theavy", 2),
             ("sunset\tred\t-1.0", 2),
             ("\tred\t1.0", 2),
+            ("ox\thungry\tnan", 2),
+            ("ox\thungry\tinf", 2),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, tmp_path, bad_line, lineno):
@@ -108,6 +117,7 @@ class TestLoadEdgeTable:
         with pytest.raises(ParseError) as exc:
             load_edge_table(path)
         assert exc.value.line_number == lineno
+        assert str(exc.value).startswith(f"{path}:{lineno}: ")
 
 
 class TestReverseLookup:
@@ -205,6 +215,17 @@ class TestRemoteBackend:
     def test_garbage_output_raises(self, tmp_path):
         cmd = write_reply_script(tmp_path, "print('not json')\n")
         with pytest.raises(BackendUnavailable):
+            RemoteKnowledgeBackend(cmd).properties_of("sunset", 2)
+
+    @pytest.mark.parametrize("reply", [
+        [{"text": "red"}],
+        [{"text": "red", "score": "nan"}],
+        {},
+        {"text": "red", "score": 1.0},
+    ], ids=["missing-score", "nan-score", "empty-object", "object"])
+    def test_bad_reply_raises(self, tmp_path, reply):
+        cmd = write_reply_script(tmp_path, f"import json\nprint(json.dumps({reply!r}))\n")
+        with pytest.raises(BackendUnavailable, match="bad reply"):
             RemoteKnowledgeBackend(cmd).properties_of("sunset", 2)
 
     def test_missing_command_raises(self):

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import sys
 from collections import Counter
 
@@ -402,3 +403,15 @@ class TestRemoteAdapters:
         scorer = RemoteScorer(write_lm_script(tmp_path, "print('{}')"))
         with pytest.raises(BackendUnavailable):
             perplexity("text", scorer)
+
+    @pytest.mark.parametrize("call", ["fine_tune", "generate", "perplexity"])
+    def test_reply_without_its_field_names_the_command(self, tmp_path, call):
+        command = write_lm_script(tmp_path, "print('[\"wrong shape\"]')")
+        message = f"backend '{sys.executable}' sent a bad reply"
+        with pytest.raises(BackendUnavailable, match=re.escape(message)):
+            if call == "fine_tune":
+                RemoteSeq2SeqBackend(command).fine_tune([("a", "b")], TrainConfig(seed=0))
+            elif call == "generate":
+                RemoteModel(command, "m1").generate_text("hello", cfg())
+            else:
+                RemoteScorer(command).perplexity("hello")
