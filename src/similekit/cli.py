@@ -26,6 +26,7 @@ from .core import DEFAULT_TRIGGERS, TriggerConfig, read_lines, read_records, wri
 from .corpus import (
     BuildStats,
     build_parallel_corpus,
+    # Not called here: perfbench/tracer.py probes this name; tests/test_trace_targets.py checks it.
     read_pairs_audit_jsonl,
     read_pairs_tsv,
     write_pairs_audit_jsonl,
@@ -125,8 +126,6 @@ def _parse_paths(value) -> list[str]:
 
 
 def _parse_triggers(text: str) -> TriggerConfig:
-    if not text:
-        return DEFAULT_TRIGGERS
     return TriggerConfig(trigger_phrases=tuple(p.strip() for p in text.split(";") if p.strip()))
 
 
@@ -468,8 +467,9 @@ def cmd_evaluate(s: Settings) -> int:
         refs_by_literal = read_refs_jsonl(s["refs"])
         train_pairs = None
         if s["train-audit"]:
-            train_pairs = [(p.property_used, p.vehicle)
-                           for p in read_pairs_audit_jsonl(s["train-audit"])]
+            # Novelty reads two fields of each pair; the pairs are not rebuilt.
+            train_pairs = list(read_records(
+                s["train-audit"], lambda rec: (rec["property_used"], rec["vehicle"])))
         embedder = OneHotEmbedder() if s["embedder"] == "onehot" else CharNgramEmbedder()
         report = MetricReport()
         for path in generated:

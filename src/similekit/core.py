@@ -18,6 +18,9 @@ from dataclasses import dataclass
 # other non-space character is its own token.
 _TOKEN_RE = re.compile(r"\w+(?:'\w+)*|[^\w\s]")
 
+# A word character: a token is a word when it starts with one.
+WORD_CHAR = re.compile(r"\w")
+
 # Punctuation that attaches to the preceding token when text is rebuilt.
 NO_SPACE_BEFORE = frozenset(".,!?;:")
 
@@ -110,7 +113,7 @@ class SimileInstance:
     def __post_init__(self):
         if self.prefix + self.comparator + self.vehicle != self.raw_text:
             raise ValueError("prefix + comparator + vehicle must equal raw_text")
-        if not re.search(r"\w", self.vehicle):
+        if not WORD_CHAR.search(self.vehicle):
             raise ValueError("vehicle must contain a word token")
 
     def vehicle_phrase(self) -> str:
@@ -150,7 +153,7 @@ def parse_simile(text: str, cfg: TriggerConfig = DEFAULT_TRIGGERS) -> SimileInst
         while end < len(text) and text[end].isspace():
             end += 1
         vehicle = text[end:]
-        if not re.search(r"\w", vehicle):
+        if not WORD_CHAR.search(vehicle):
             return None
         return SimileInstance(
             raw_text=text,
@@ -189,7 +192,7 @@ def strip_terminal_modifier(text: str, tagger) -> StrippedLiteral:
     Raises NotModifierFinal otherwise (including sentences with no word
     tokens at all).
     """
-    words = [m for m in _TOKEN_RE.finditer(text) if re.match(r"\w", m.group())]
+    words = [m for m in _TOKEN_RE.finditer(text) if WORD_CHAR.match(m.group())]
     if not words:
         raise NotModifierFinal(f"no content token in {text!r}")
     last = words[-1]

@@ -414,6 +414,17 @@ def evaluate_generation(
 
 
 def read_refs_jsonl(path) -> dict[str, list[str]]:
-    """{literal, references: [...]} rows into a literal -> references map."""
-    return dict(read_records(
-        path, lambda rec: (rec["literal"], [str(r) for r in rec["references"]])))
+    """{literal, references: [...]} rows into a literal -> references map.
+
+    A literal given on two rows is an error at the second.
+    """
+    seen = set()
+
+    def row(rec):
+        literal = rec["literal"]
+        if literal in seen:
+            raise ValueError(f"repeated literal {literal!r}")
+        seen.add(literal)
+        return literal, [str(r) for r in rec["references"]]
+
+    return dict(read_records(path, row))

@@ -6,10 +6,11 @@ out of process, plus deterministic in-process reference implementations:
 * scorer: `token_logprobs(tokens) -> [logp, ...]` (or a direct `perplexity`
   method for remote scorers).  Reference: interpolated word-bigram model with
   add-alpha smoothing.
-* seq2seq model: `next_token_distribution(src_tokens, out_tokens) -> {token:
-  prob}`.  Reference: a template n-gram model that learns how many terminal
-  words a source drops and what suffixes replace them, conditioned on the
-  dropped cue word.
+* seq2seq model: `next_token_distribution(src_tokens, out_tokens) -> [(token,
+  prob), ...]`, ranked by falling probability, ties by token; decoding
+  samples from the first top_k.  Reference: a template n-gram model that
+  learns how many terminal words a source drops and what suffixes replace
+  them, conditioned on the dropped cue word.
 * trainer backend: `fine_tune(pairs, cfg) -> model`.
 
 Decoding is seeded per call from (seed, source, forced_prefix) so batch order
@@ -19,17 +20,15 @@ and process boundaries never change an output.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import math
 import os
 import random
-import re
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 
 from .backends import BackendUnavailable, JsonSubprocessBackend
-from .core import EOS_TOKEN, append_token, tokenize, write_json
+from .core import EOS_TOKEN, WORD_CHAR, append_token, tokenize, write_json
 
 
 class EmptyText(ValueError):
@@ -146,16 +145,28 @@ class BigramScorer:
         self.vocab = set(self.unigram) | {self.UNK}
         self.vocab_size = len(self.vocab)
         self.total = sum(self.unigram.values())
+        # The previous call's tokens and log-probs, never handed out.
+        self._last: tuple[list[str], list[float]] = ([], [])
 
     def token_logprobs(self, tokens: list[str]) -> list[float]:
+        # A token's log-prob depends only on it and the token before it, so
+        # the log-probs of the prefix shared with the previous call (the
+        # literal candidates of one simile differ only at the end) are reused.
         # The float expressions keep the operation order of the formula above
         # (tests compare the log-probs bit for bit); only invariants computed
         # by the same expression are hoisted out of the loop.
+        last_tokens, last_logps = self._last
+        shared = 0
+        limit = min(len(tokens), len(last_tokens))
+        while shared < limit and tokens[shared] == last_tokens[shared]:
+            shared += 1
+        out = last_logps[:shared]
+        prev = self.BOS
+        if shared:
+            prev = tokens[shared - 1] if tokens[shared - 1] in self.vocab else self.UNK
         alpha_v = self.alpha * self.vocab_size
         uni_den = self.total + alpha_v
-        out = []
-        prev = self.BOS
-        for tok in tokens:
+        for tok in tokens[shared:]:
             t = tok if tok in self.vocab else self.UNK
             num = self.bigram.get(prev, _NO_ROW).get(t, 0) + self.alpha
             den = self.context_total.get(prev, 0) + alpha_v
@@ -163,7 +174,8 @@ class BigramScorer:
             p_uni = (self.unigram.get(t, 0) + self.alpha) / uni_den
             out.append(math.log(self.lam * p_bi + (1 - self.lam) * p_uni))
             prev = t
-        return out
+        self._last = (list(tokens), out)
+        return list(out)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +189,9 @@ def _derive_rng(seed: int, source: str, forced_prefix: str | None) -> random.Ran
     return random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
 
 
-def _sample(dist: dict[str, float], top_k: int, temperature: float, rng) -> str:
-    # nsmallest equals sorted(...)[:top_k] without sorting the whole row.
-    items = heapq.nsmallest(top_k, dist.items(), key=lambda kv: (-kv[1], kv[0]))
+def _sample(ranked, top_k: int, temperature: float, rng) -> str:
+    """Sample from the first top_k of a ranked [(token, prob), ...] sequence."""
+    items = ranked[:top_k]
     if len(items) == 1:
         return items[0][0]
     # Rescale by the max before exponentiating so tiny temperatures stay finite.
@@ -217,11 +229,11 @@ def generate(source: str, cfg: GenerationConfig, model) -> GenerationOutput:
     rng = _derive_rng(cfg.seed, source, cfg.forced_prefix)
     truncated = True
     for _ in range(cfg.max_new_tokens):
-        dist = model.next_token_distribution(src_tokens, out_tokens)
-        if not dist:
+        ranked = model.next_token_distribution(src_tokens, out_tokens)
+        if not ranked:
             truncated = False
             break
-        token = _sample(dist, cfg.top_k, cfg.temperature, rng)
+        token = _sample(ranked, cfg.top_k, cfg.temperature, rng)
         if token == EOS_TOKEN:
             truncated = False
             break
@@ -260,7 +272,7 @@ class ReferenceSeq2SeqBackend:
 
 
 def _is_word(token: str) -> bool:
-    return re.match(r"\w", token) is not None
+    return WORD_CHAR.match(token) is not None
 
 
 def _last_word(tokens: list[str]) -> str:
@@ -270,32 +282,47 @@ def _last_word(tokens: list[str]) -> str:
     return ""
 
 
+def _rank(counts: dict[str, int]) -> tuple[tuple[str, float], ...]:
+    """(token, count / total) pairs by falling count, ties by token.
+
+    Distinct integer counts over one total give distinct quotients, so this
+    is also the order by falling probability.
+    """
+    total = sum(counts.values())
+    return tuple((tok, c / total)
+                 for tok, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+
+
 class _Trie:
-    """Counted token trie over target suffixes, walked by longest context match."""
+    """Counted token trie over target suffixes, walked by longest context match.
+
+    An entry is [count, children, ranked]: ranked is the children's _rank,
+    computed on first use.  The root is an entry whose count is unused.
+    """
 
     __slots__ = ("root",)
 
     def __init__(self, suffix_counts: dict[str, int]):
-        self.root: dict = {}
+        self.root: list = [0, {}, None]
         for joined, count in suffix_counts.items():
-            node = self.root
+            entry = self.root
             for tok in joined.split(" "):
-                entry = node.setdefault(tok, [0, {}])
+                entry = entry[1].setdefault(tok, [0, {}, None])
                 entry[0] += count
-                node = entry[1]
 
-    def next_counts(self, context: list[str]) -> dict[str, int] | None:
-        """Counts at the deepest node whose root path is a suffix of context."""
+    def next_ranked(self, context: list[str]) -> tuple | None:
+        """Ranked next tokens at the deepest node whose root path is a suffix of context."""
         for depth in range(len(context), -1, -1):
-            node = self.root
-            ok = True
+            entry = self.root
             for tok in context[len(context) - depth :]:
-                if tok not in node:
-                    ok = False
+                entry = entry[1].get(tok)
+                if entry is None:
                     break
-                node = node[tok][1]
-            if ok and node:
-                return {tok: entry[0] for tok, entry in node.items()}
+            else:
+                if entry[1]:
+                    if entry[2] is None:
+                        entry[2] = _rank({tok: child[0] for tok, child in entry[1].items()})
+                    return entry[2]
         return None
 
 
@@ -323,6 +350,11 @@ class TemplateNgramModel:
         self.train_config = train_config
         self._cue_tries = {cue: _Trie(counts) for cue, counts in cue_suffixes.items()}
         self._global_trie = _Trie(global_suffixes)
+        # The bigram (or unigram) row after a token, ranked on first use.
+        self._ranked_rows: dict[str, tuple] = {}
+        # The last source seen, its copy region and its cue's trie: decoding
+        # asks about one source on every step.
+        self._source: tuple = (None, [], None)
 
     BOS = "<s>"
 
@@ -374,29 +406,32 @@ class TemplateNgramModel:
             trim()
         return toks
 
-    def next_token_distribution(self, src_tokens: list[str], out_tokens: list[str]) -> dict[str, float]:
-        copy = self.copy_region(src_tokens)
+    def next_token_distribution(self, src_tokens: list[str], out_tokens: list[str]) -> tuple:
+        """Ranked (token, prob) pairs; each node's or row's tuple is built once and shared."""
+        source, copy, cue_trie = self._source
+        if src_tokens != source:
+            copy = self.copy_region(src_tokens)
+            cue_trie = self._cue_tries.get(_last_word(src_tokens))
+            self._source = (list(src_tokens), copy, cue_trie)
         n = len(out_tokens)
         if n < len(copy) and out_tokens == copy[:n]:
-            return {copy[n]: 1.0}
-        counts = None
+            return ((copy[n], 1.0),)
+        ranked = None
         if n >= len(copy) and out_tokens[: len(copy)] == copy:
             # Continuation region: walk the cue trie, then the global trie.
             context = out_tokens[len(copy) :]
-            cue = _last_word(src_tokens)
-            trie = self._cue_tries.get(cue)
-            if trie is not None:
-                counts = trie.next_counts(context)
-            if counts is None:
-                counts = self._global_trie.next_counts(context)
-        if counts is None:
+            if cue_trie is not None:
+                ranked = cue_trie.next_ranked(context)
+            if ranked is None:
+                ranked = self._global_trie.next_ranked(context)
+        if ranked is None:
             # Forced-prefix divergence or trie miss: sentence-level bigram.
             last = out_tokens[-1] if out_tokens else self.BOS
-            counts = self.bigram.get(last) or self.unigram
-        if not counts:
-            return {EOS_TOKEN: 1.0}
-        total = sum(counts.values())
-        return {tok: c / total for tok, c in counts.items()}
+            ranked = self._ranked_rows.get(last)
+            if ranked is None:
+                counts = self.bigram.get(last) or self.unigram
+                ranked = self._ranked_rows[last] = _rank(counts) if counts else ((EOS_TOKEN, 1.0),)
+        return ranked
 
     # Persistence: a directory with a manifest (config + seed) and the counts.
 

@@ -123,5 +123,12 @@ def run_batch(literals: list[str], system: str, fn, seed: int, out_path=None) ->
     return records
 
 
+def _batch_record(rec) -> dict:
+    row = dict(rec)
+    if "literal" not in row:
+        raise KeyError("literal")
+    return row
+
+
 def read_batch_jsonl(path) -> list[dict]:
-    return list(read_records(path, dict))
+    return list(read_records(path, _batch_record))

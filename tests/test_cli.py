@@ -234,6 +234,20 @@ class TestHarvest:
         assert "bad value for 'triggers'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_triggers_exit_two(self, world, tmp_path, capsys, source):
+        argv = ["harvest", "--comments", str(world["comments"]),
+                "--similes-out", str(tmp_path / "s.jsonl")]
+        if source == "flag":
+            argv += ["--triggers", ""]
+        else:
+            config = tmp_path / "run.ini"
+            config.write_text("[harvest]\ntriggers =\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        assert "bad value for 'triggers'" in capsys.readouterr().err
+        assert [p for p in tmp_path.iterdir() if p.suffix != ".ini"] == []
+
     def test_sampling_requires_seed(self, world, tmp_path, capsys):
         rc = main(["harvest", "--sentences", str(world["sentences"]),
                    "--literals-out", str(tmp_path / "l.jsonl"), "--sample", "3"])
@@ -594,6 +608,13 @@ class TestEvaluate:
         assert main(["evaluate", "--generated", str(scope), "--refs", str(refs),
                      "--train-audit", str(world["audit"]), "--report", str(alone)]) == 0
         assert report.read_bytes() == alone.read_bytes()
+
+    def test_batch_row_without_literal_is_located(self, refs, tmp_path, capsys):
+        batch = tmp_path / "b.jsonl"
+        batch.write_text('{"output": "It was like a glacier.", "system": "scope"}\n',
+                         encoding="utf-8")
+        assert main(["evaluate", "--generated", str(batch), "--refs", str(refs)]) == 1
+        assert capsys.readouterr().err == f"error: {batch}:1: missing field 'literal'\n"
 
     def test_generated_requires_refs(self, world, capsys):
         rc = main(["evaluate", "--generated", str(world["batches"]["scope"])])

@@ -247,7 +247,7 @@ class TestReadRecords:
         "refs": (read_refs_jsonl, "literal"),
         "stories": (read_stories_jsonl, "sentences"),
         "literals": (read_literals_jsonl, None),
-        "batch": (read_batch_jsonl, None),
+        "batch": (read_batch_jsonl, "literal"),
     }
 
     @pytest.mark.parametrize("name", sorted(JSONL_READERS))

@@ -27,6 +27,7 @@ from similekit.evaluation import (
     read_refs_jsonl,
     vehicle_bleu,
 )
+from similekit.core import ParseError
 from similekit.tagging import DEFAULT_TAGGER
 
 
@@ -443,3 +444,13 @@ class TestEvaluateGeneration:
             "\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8"
         )
         assert read_refs_jsonl(path) == self.REFS
+
+    def test_repeated_literal_is_an_error_at_its_line(self, tmp_path):
+        path = tmp_path / "refs.jsonl"
+        rows = [{"literal": "x", "references": ["one"]},
+                {"literal": "y", "references": ["two"]},
+                {"literal": "x", "references": ["other"]}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_refs_jsonl(path)
+        assert str(exc.value) == f"{path}:3: repeated literal 'x'"

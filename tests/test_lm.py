@@ -1,5 +1,6 @@
 """Scoring, seeded decoding, and the reference template n-gram trainer."""
 
+import heapq
 import json
 import math
 import random
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from similekit.backends import BackendUnavailable
-from similekit.core import tokenize
+from similekit.core import EOS_TOKEN, append_token, tokenize
 from similekit.lm import (
     BigramScorer,
     EmptyText,
@@ -25,6 +26,8 @@ from similekit.lm import (
     TemplateNgramModel,
     TrainConfig,
     UniformScorer,
+    _derive_rng,
+    _last_word,
     _sample,
     fine_tune,
     generate,
@@ -155,6 +158,100 @@ def oracle_sample(dist, top_k, temperature, rng):
     return items[-1][0]
 
 
+class OracleTrie:
+    """The previous suffix trie, returning the counts at the matched node."""
+
+    def __init__(self, suffix_counts):
+        self.root = {}
+        for joined, count in suffix_counts.items():
+            node = self.root
+            for tok in joined.split(" "):
+                entry = node.setdefault(tok, [0, {}])
+                entry[0] += count
+                node = entry[1]
+
+    def next_counts(self, context):
+        for depth in range(len(context), -1, -1):
+            node = self.root
+            ok = True
+            for tok in context[len(context) - depth :]:
+                if tok not in node:
+                    ok = False
+                    break
+                node = node[tok][1]
+            if ok and node:
+                return {tok: entry[0] for tok, entry in node.items()}
+        return None
+
+
+class OracleDecoder:
+    """The previous dict-returning next_token_distribution over a model's tables."""
+
+    def __init__(self, model):
+        self.model = model
+        self.cue_tries = {cue: OracleTrie(c) for cue, c in model.cue_suffixes.items()}
+        self.global_trie = OracleTrie(model.global_suffixes)
+
+    def next_token_distribution(self, src_tokens, out_tokens):
+        model = self.model
+        copy = model.copy_region(src_tokens)
+        n = len(out_tokens)
+        if n < len(copy) and out_tokens == copy[:n]:
+            return {copy[n]: 1.0}
+        counts = None
+        if n >= len(copy) and out_tokens[: len(copy)] == copy:
+            context = out_tokens[len(copy) :]
+            trie = self.cue_tries.get(_last_word(src_tokens))
+            if trie is not None:
+                counts = trie.next_counts(context)
+            if counts is None:
+                counts = self.global_trie.next_counts(context)
+        if counts is None:
+            last = out_tokens[-1] if out_tokens else model.BOS
+            counts = model.bigram.get(last) or model.unigram
+        if not counts:
+            return {EOS_TOKEN: 1.0}
+        total = sum(counts.values())
+        return {tok: c / total for tok, c in counts.items()}
+
+
+def heap_sample(dist, top_k, temperature, rng):
+    """The previous _sample: top k of a {token: prob} dict by heapq.nsmallest."""
+    items = heapq.nsmallest(top_k, dist.items(), key=lambda kv: (-kv[1], kv[0]))
+    if len(items) == 1:
+        return items[0][0]
+    pmax = items[0][1]
+    weights = [(p / pmax) ** (1.0 / temperature) for _, p in items]
+    total = sum(weights)
+    r = rng.random() * total
+    acc = 0.0
+    for (tok, _), w in zip(items, weights):
+        acc += w
+        if r <= acc:
+            return tok
+    return items[-1][0]
+
+
+def oracle_generate(source, cfg, decoder):
+    """The previous decode loop over OracleDecoder and heap_sample."""
+    src_tokens = tokenize(source)
+    if cfg.forced_prefix:
+        out_text, out_tokens = cfg.forced_prefix, tokenize(cfg.forced_prefix)
+    else:
+        out_text, out_tokens = "", []
+    rng = _derive_rng(cfg.seed, source, cfg.forced_prefix)
+    for _ in range(cfg.max_new_tokens):
+        dist = decoder.next_token_distribution(src_tokens, out_tokens)
+        if not dist:
+            return GenerationOutput(out_text, truncated=False)
+        token = heap_sample(dist, cfg.top_k, cfg.temperature, rng)
+        if token == EOS_TOKEN:
+            return GenerationOutput(out_text, truncated=False)
+        out_tokens.append(token)
+        out_text = append_token(out_text, token)
+    return GenerationOutput(out_text, truncated=True)
+
+
 TRAIN_WORDS = ["a", "b", "the", "cat", "ran", "fast", ",", ".", "!"]
 # Query words add out-of-vocabulary tokens, including "<unk>" spelled out.
 QUERY_WORDS = TRAIN_WORDS + ["zebra", "quark", "<unk>", "<s>"]
@@ -187,10 +284,78 @@ class TestKernelsEqualOracles:
            st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_sample_picks_the_oracle_token(self, dist, top_k, temperature, seed):
+        ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
         rng, oracle_rng = random.Random(seed), random.Random(seed)
         for _ in range(5):
-            assert _sample(dist, top_k, temperature, rng) == \
+            assert _sample(ranked, top_k, temperature, rng) == \
                 oracle_sample(dist, top_k, temperature, oracle_rng)
+
+    @given(texts_of(TRAIN_WORDS, 1), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_reuse_equals_scoring_from_the_start(self, train, data):
+        # Candidate families share a prefix and differ at the end, as the
+        # literal candidates of one simile do; calls interleave families, and
+        # both the returned lists and the token lists passed in are mutated.
+        scorer, oracle = BigramScorer(train), OracleBigramScorer(train)
+        word = st.sampled_from(QUERY_WORDS)
+        families = data.draw(st.lists(st.tuples(
+            st.lists(word, max_size=8),
+            st.lists(st.lists(word, min_size=1, max_size=3), min_size=1, max_size=5)),
+            min_size=1, max_size=4))
+        calls = [prefix + tail for prefix, tails in families for tail in tails]
+        for tokens in data.draw(st.permutations(calls)):
+            tokens = list(tokens)
+            expected = oracle.token_logprobs(tokens)
+            got = scorer.token_logprobs(tokens)
+            assert got == expected
+            got.append(0.0)
+            got[0] = 1.0
+            tokens[-1] = "mutated"
+            assert scorer.token_logprobs(tokens) == oracle.token_logprobs(tokens)
+
+
+SRC_WORDS = ["x", "y", "sky", "is", "was", "red", "cold", "very", ",", "."]
+TGT_WORDS = SRC_WORDS + ["like", "a", "rose", "fire", "sea"]
+
+
+@st.composite
+def template_models(draw):
+    """A trained model, or now and then one with empty tables."""
+    if draw(st.integers(0, 9)) == 0:
+        return TemplateNgramModel(draw(st.integers(0, 2)), {}, {}, {}, {}, {})
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        src = draw(st.lists(st.sampled_from(SRC_WORDS), min_size=1, max_size=7))
+        keep = draw(st.integers(0, len(src)))
+        tail = draw(st.lists(st.sampled_from(TGT_WORDS), max_size=5))
+        pairs.append((" ".join(src), " ".join(src[:keep] + tail)))
+    return TemplateNgramModel.train(pairs, TrainConfig(seed=0))
+
+
+decode_sources = st.lists(st.sampled_from(TGT_WORDS + ["zebra"]), min_size=1,
+                          max_size=7).map(" ".join)
+
+
+class TestDecodeEqualsOracle:
+    @given(template_models(), st.lists(decode_sources, min_size=1, max_size=4),
+           st.none() | decode_sources, st.integers(1, 8),
+           st.sampled_from([1e-3, 0.3, 0.7, 1.0, 2.5]), st.integers(0, 2**32 - 1),
+           st.integers(1, 20))
+    @settings(max_examples=300, deadline=None)
+    def test_generate_equals_oracle_decode(self, model, sources, forced, top_k,
+                                           temperature, seed, budget):
+        oracle = OracleDecoder(model)
+        c = cfg(max_new_tokens=budget, seed=seed, top_k=top_k, temperature=temperature,
+                forced_prefix=forced)
+        # Sources repeat and interleave, so state kept between calls is exercised.
+        for source in sources + sources[::-1]:
+            assert generate(source, c, model) == oracle_generate(source, c, oracle)
+
+    def test_toy_model_equals_oracle_decode(self, toy_model, toy_world):
+        oracle = OracleDecoder(toy_model)
+        for seed, text in enumerate(toy_world["holdout"]):
+            c = cfg(seed=seed, forced_prefix="The river was like a" if seed % 3 == 0 else None)
+            assert generate(text, c, toy_model) == oracle_generate(text, c, oracle)
 
 
 class TestGenerationConfig:
