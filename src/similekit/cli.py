@@ -22,7 +22,15 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import DEFAULT_TRIGGERS, TriggerConfig, read_lines, read_records, write_json, write_jsonl
+from .core import (
+    DEFAULT_TRIGGERS,
+    TriggerConfig,
+    derive_seed,
+    read_lines,
+    read_records,
+    write_json,
+    write_jsonl,
+)
 from .corpus import (
     BuildStats,
     build_parallel_corpus,
@@ -41,6 +49,7 @@ from .evaluation import (
     evaluate_generation,
     mean_scores,
     pairwise_compare,
+    normalize_pair,
     read_refs_jsonl,
 )
 from .harvest import (
@@ -136,7 +145,9 @@ class Option:
     cast turns a flag or config value into the setting; _parse_bool makes a
     switch flag and _parse_paths a flag of one or more paths.  path marks
     input paths, which must exist (a directory through its model.json), and
-    output marks output paths; the manifest records both.
+    output marks output paths; the manifest records both.  requires names the
+    options that must also be given when this one is.  An option with a
+    default, or a switch, is always set: it requires none and none requires it.
     """
 
     name: str
@@ -146,6 +157,7 @@ class Option:
     choices: tuple = ()
     path: bool = False
     output: bool = False
+    requires: tuple = ()
     help: str | None = None
 
 
@@ -201,6 +213,10 @@ class Settings(dict):
             self[opt.name] = self._resolve(opt, getattr(args, opt.name), config)
             if opt.required:
                 self.require(opt.name)
+        for opt in command.options:
+            for name in opt.requires:
+                if self[opt.name] is not None and self[name] is None:
+                    self.error(f"--{opt.name} requires --{name}")
 
     def _resolve(self, opt: Option, value, config: dict[str, str]):
         if value == []:
@@ -257,42 +273,35 @@ _DECODING = (
 )
 
 
+def _generation_config(s: Settings) -> GenerationConfig:
+    return GenerationConfig(max_new_tokens=s["max-new-tokens"], seed=s["seed"],
+                            top_k=s["top-k"], temperature=s["temperature"])
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
 
 @_command(
     "harvest", "harvest", "extract similes from comment dumps, literals from crawls",
-    Option("comments", path=True),
-    Option("similes-out", output=True),
-    Option("triggers", _parse_triggers,
+    # An output needs the setting it is made from; a setting for one input needs it.
+    Option("comments", path=True, requires=("similes-out",)),
+    Option("similes-out", output=True, requires=("comments",)),
+    Option("triggers", _parse_triggers, requires=("comments",),
            help="semicolon-separated phrases from: like a; like an (default: like a)"),
-    Option("split", _parse_ratio, help="train fraction, e.g. 0.9 or 82697/87843"),
-    Option("train-out", output=True),
-    Option("val-out", output=True),
-    Option("sentences", path=True),
-    Option("literals-out", output=True),
-    Option("sample", int),
+    Option("split", _parse_ratio, requires=("train-out", "val-out", "comments", "seed"),
+           help="train fraction, e.g. 0.9 or 82697/87843"),
+    Option("train-out", output=True, requires=("split",)),
+    Option("val-out", output=True, requires=("split",)),
+    Option("sentences", path=True, requires=("literals-out",)),
+    Option("literals-out", output=True, requires=("sentences",)),
+    Option("sample", int, requires=("sentences", "seed")),
     Option("seed", int),
 )
 def cmd_harvest(s: Settings) -> int:
     comments, sentences, split, seed = s["comments"], s["sentences"], s["split"], s["seed"]
     if comments is None and sentences is None:
         s.error("need --comments and/or --sentences")
-    # Each output goes with the setting it is made from, so every output given is written.
-    for source, out in (("comments", "similes-out"), ("split", "train-out"),
-                        ("split", "val-out"), ("sentences", "literals-out")):
-        if s[out] is None and s[source] is not None:
-            s.error(f"--{source} requires --{out}")
-        if s[source] is None and s[out] is not None:
-            s.error(f"--{out} requires --{source}")
-    # A setting that applies to one input is an error without that input.
-    for source, setting in (("comments", "split"), ("comments", "triggers"),
-                            ("sentences", "sample")):
-        if s[setting] is not None and s[source] is None:
-            s.error(f"--{setting} requires --{source}")
-    if (split is not None or s["sample"] is not None) and seed is None:
-        s.error("missing required setting 'seed' (no wall-clock defaults)")
     if s.fail_if_errors():
         return 2
     stats = HarvestStats()
@@ -403,8 +412,7 @@ def cmd_generate(s: Settings) -> int:
     if s.fail_if_errors():
         return 2
     literals = list(read_records(s["literals"], lambda rec: rec["text"]))
-    cfg = GenerationConfig(max_new_tokens=s["max-new-tokens"], seed=s["seed"],
-                           top_k=s["top-k"], temperature=s["temperature"])
+    cfg = _generation_config(s)
     skipped = 0
 
     def guarded(fn):
@@ -440,36 +448,31 @@ def cmd_generate(s: Settings) -> int:
 
 @_command(
     "evaluate", "evaluate", "automatic metrics and score-sheet aggregation",
-    Option("generated", _parse_paths, path=True),
-    Option("refs", path=True),
-    Option("train-audit", path=True),
+    Option("generated", _parse_paths, path=True, requires=("refs",)),
+    Option("refs", path=True, requires=("generated",)),
+    Option("train-audit", path=True, requires=("generated",)),
     Option("embedder", default="chargram", choices=("onehot", "chargram")),
     Option("smoothing", _parse_bool, False),
     Option("scoresheet", path=True),
-    Option("pairwise", help="two system names, e.g. scope,meta_m"),
-    Option("criterion", choices=CRITERIA),
+    Option("pairwise", requires=("scoresheet", "criterion"),
+           help="two system names, e.g. scope,meta_m"),
+    Option("criterion", choices=CRITERIA, requires=("pairwise",)),
     Option("report", output=True),
 )
 def cmd_evaluate(s: Settings) -> int:
     generated, scoresheet, pairwise = s["generated"], s["scoresheet"], s["pairwise"]
     if scoresheet is None and generated is None:
         s.error("need --generated batch files or --scoresheet")
-    if generated is not None and s["refs"] is None:
-        s.error("--generated requires --refs")
-    if pairwise is not None and scoresheet is None:
-        s.error("--pairwise requires --scoresheet")
-    if pairwise is not None and s["criterion"] is None:
-        s.error("--pairwise requires --criterion")
     if s.fail_if_errors():
         return 2
     payload: dict = {}
     if generated is not None:
         refs_by_literal = read_refs_jsonl(s["refs"])
-        train_pairs = None
+        train_seen = None
         if s["train-audit"]:
-            # Novelty reads two fields of each pair; the pairs are not rebuilt.
-            train_pairs = list(read_records(
-                s["train-audit"], lambda rec: (rec["property_used"], rec["vehicle"])))
+            # Novelty reads two fields of each pair, normalized once for every batch.
+            train_seen = set(read_records(s["train-audit"], lambda rec: normalize_pair(
+                (rec["property_used"], rec["vehicle"]))))
         embedder = OneHotEmbedder() if s["embedder"] == "onehot" else CharNgramEmbedder()
         report = MetricReport()
         for path in generated:
@@ -479,7 +482,7 @@ def cmd_evaluate(s: Settings) -> int:
                 continue
             system = records[0].get("system", os.path.basename(path))
             report.systems[system] = evaluate_generation(
-                records, refs_by_literal, embedder, train_pairs=train_pairs,
+                records, refs_by_literal, embedder, train_seen=train_seen,
                 tagger=DEFAULT_TAGGER, smoothing=s["smoothing"],
             )
         payload["metrics"] = asdict(report)["systems"]
@@ -513,9 +516,9 @@ def cmd_evaluate(s: Settings) -> int:
 @_command(
     "embellish", "story", "replace one literal sentence per story with a simile",
     Option("stories", path=True),
-    Option("titles", path=True),
-    Option("storyline-model", path=True),
-    Option("story-model", path=True),
+    Option("titles", path=True, requires=("storyline-model", "story-model")),
+    Option("storyline-model", path=True, requires=("titles",)),
+    Option("story-model", path=True, requires=("titles",)),
     Option("model", required=True, path=True),
     Option("seed", int, required=True),
     *_DECODING,
@@ -523,14 +526,11 @@ def cmd_evaluate(s: Settings) -> int:
 )
 def cmd_embellish(s: Settings) -> int:
     titles_path, storyline_dir, story_dir = s["titles"], s["storyline-model"], s["story-model"]
-    if s["stories"] is None and titles_path is None:
-        s.error("need --stories or --titles")
-    if titles_path is not None and not (storyline_dir and story_dir):
-        s.error("--titles requires --storyline-model and --story-model")
+    if (s["stories"] is None) == (titles_path is None):
+        s.error("need --stories or --titles, not both")
     if s.fail_if_errors():
         return 2
-    cfg = GenerationConfig(max_new_tokens=s["max-new-tokens"], seed=s["seed"],
-                           top_k=s["top-k"], temperature=s["temperature"])
+    cfg = _generation_config(s)
     if s["stories"] is not None:
         stories = read_stories_jsonl(s["stories"])
     else:
@@ -543,9 +543,7 @@ def cmd_embellish(s: Settings) -> int:
     records = []
     replaced_count = 0
     for index, story in enumerate(stories):
-        story_seed = int.from_bytes(
-            hashlib.sha256(f"{s['seed']}|{index}|{story.title}".encode()).digest()[:8], "big"
-        )
+        story_seed = derive_seed(s["seed"], index, story.title)
         result = embellish(story, generator, DEFAULT_TAGGER, story_seed)
         replaced_index = None
         original = None

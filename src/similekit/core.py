@@ -10,6 +10,7 @@ that token-level metrics and model vocabularies agree.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -29,6 +30,38 @@ EOS_TOKEN = "</s>"
 
 def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
+
+
+def is_word(token: str) -> bool:
+    return WORD_CHAR.match(token) is not None
+
+
+def rstrip_punct(tokens: list[str]) -> list[str]:
+    """The tokens up to and including the last word token."""
+    end = len(tokens)
+    while end and not is_word(tokens[end - 1]):
+        end -= 1
+    return tokens[:end]
+
+
+def common_prefix_len(a: list, b: list) -> int:
+    """Length of the longest common prefix of two sequences."""
+    limit = min(len(a), len(b))
+    i = 0
+    while i < limit and a[i] == b[i]:
+        i += 1
+    return i
+
+
+def fold(text: str) -> str:
+    """Lowercase, with each whitespace run made one space and the ends stripped."""
+    return " ".join(text.lower().split())
+
+
+def derive_seed(seed: int, *parts) -> int:
+    """A 64-bit seed hashed from a run seed and the item it is for, in any process."""
+    key = "|".join(str(part) for part in (seed, *parts)).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
 def detokenize(tokens: list[str]) -> str:
@@ -80,7 +113,7 @@ class TriggerConfig:
     trigger_phrases: tuple[str, ...] = ("like a",)
 
     def __post_init__(self):
-        phrases = tuple(" ".join(p.lower().split()) for p in self.trigger_phrases)
+        phrases = tuple(fold(p) for p in self.trigger_phrases)
         if not phrases or not set(phrases) <= set(COMPARATORS):
             raise ValueError(f"{self.trigger_phrases} is not a non-empty subset of {COMPARATORS}")
         object.__setattr__(self, "trigger_phrases", phrases)
@@ -192,7 +225,7 @@ def strip_terminal_modifier(text: str, tagger) -> StrippedLiteral:
     Raises NotModifierFinal otherwise (including sentences with no word
     tokens at all).
     """
-    words = [m for m in _TOKEN_RE.finditer(text) if WORD_CHAR.match(m.group())]
+    words = [m for m in _TOKEN_RE.finditer(text) if is_word(m.group())]
     if not words:
         raise NotModifierFinal(f"no content token in {text!r}")
     last = words[-1]
@@ -217,11 +250,7 @@ def extract_generated_vehicle(generated: str, reference: str) -> list[str]:
     reference was the literal source or an explicit simile prefix.  May be empty.
     """
     gen = tokenize(generated)
-    ref = tokenize(reference)
-    i = 0
-    while i < len(gen) and i < len(ref) and gen[i] == ref[i]:
-        i += 1
-    rest = gen[i:]
+    rest = gen[common_prefix_len(gen, tokenize(reference)):]
     for phrase in COMPARATORS:
         ptoks = tokenize(phrase)
         if [t.lower() for t in rest[: len(ptoks)]] == ptoks:

@@ -21,7 +21,9 @@ from dataclasses import asdict, dataclass, field
 from .core import (
     NotModifierFinal,
     extract_generated_vehicle,
+    is_word,
     read_records,
+    rstrip_punct,
     strip_terminal_modifier,
     tokenize,
 )
@@ -179,20 +181,18 @@ def embedding_f1(candidate: str, references: list[str], embedder) -> float:
 
 def normalize_pair(pair: tuple[str, str]) -> tuple[str, str]:
     """Lowercase, tokenize, drop trailing punctuation, single-space join."""
-    out = []
-    for part in pair:
-        tokens = tokenize(part.lower())
-        while tokens and not tokens[-1][0].isalnum() and tokens[-1][0] != "_":
-            tokens.pop()
-        out.append(" ".join(tokens))
-    return (out[0], out[1])
+    return tuple(" ".join(rstrip_punct(tokenize(part.lower()))) for part in pair)
 
 
 def novelty(generated: list[tuple[str, str]], training) -> float:
     """Fraction of generated (property, vehicle) pairs absent from training."""
+    return unseen_fraction(generated, {normalize_pair(p) for p in training})
+
+
+def unseen_fraction(generated: list[tuple[str, str]], seen) -> float:
+    """novelty against training pairs already normalized, e.g. shared by many batches."""
     if not generated:
         raise EmptyGenerated("no generated pairs")
-    seen = {normalize_pair(p) for p in training}
     absent = sum(1 for p in generated if normalize_pair(p) not in seen)
     return absent / len(generated)
 
@@ -357,7 +357,7 @@ def _literal_property(literal: str, tagger) -> str:
             return strip_terminal_modifier(literal, tagger).property
         except NotModifierFinal:
             pass
-    words = [t for t in tokenize(literal) if t[0].isalnum() or t[0] == "_"]
+    words = [t for t in tokenize(literal) if is_word(t)]
     return words[-1] if words else ""
 
 
@@ -365,7 +365,7 @@ def evaluate_generation(
     records: list[dict],
     refs_by_literal: dict[str, list[str]],
     embedder,
-    train_pairs=None,
+    train_seen=None,
     tagger=None,
     smoothing: bool = False,
 ) -> SystemMetrics:
@@ -374,8 +374,9 @@ def evaluate_generation(
     Vehicles are extracted by discarding each output's common token prefix
     with its literal; references get the same treatment.  Blank outputs stay
     in as empty candidates.  Novelty pairs the literal's terminal property
-    with the extracted vehicle, skipping blanks; it is None when train_pairs
-    is not supplied or nothing survived.
+    with the extracted vehicle, skipping blanks, and looks it up in
+    train_seen, the normalize_pair form of each training pair; it is None
+    when train_seen is not supplied or nothing survived.
     """
     missing = [rec["literal"] for rec in records if rec["literal"] not in refs_by_literal]
     if missing:
@@ -401,8 +402,8 @@ def evaluate_generation(
         else:
             blank += 1
     nov = None
-    if train_pairs is not None and generated_pairs:
-        nov = novelty(generated_pairs, train_pairs)
+    if train_seen is not None and generated_pairs:
+        nov = unseen_fraction(generated_pairs, train_seen)
     return SystemMetrics(
         bleu1=vehicle_bleu(candidates, reference_sets, n=1, smoothing=smoothing),
         bleu2=vehicle_bleu(candidates, reference_sets, n=2, smoothing=smoothing),

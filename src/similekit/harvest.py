@@ -19,14 +19,12 @@ from dataclasses import dataclass, replace
 from .core import (
     DEFAULT_TRIGGERS,
     LiteralSentence,
-    NotModifierFinal,
     SimileInstance,
     TriggerConfig,
     parse_simile,
     read_records,
     split_sentences,
     strip_terminal_modifier,
-    tokenize,
     write_jsonl,
 )
 
@@ -126,25 +124,13 @@ def harvest_literals(sentences, tagger, stats: HarvestStats | None = None) -> li
         text = sentence.strip()
         if not text:
             continue
-        tokens = {t.lower() for t in tokenize(text)}
-        if tokens & {"like", "as"}:
-            if stats is not None:
-                stats.rejected += 1
-            continue
         try:
             stripped = strip_terminal_modifier(text, tagger)
-        except NotModifierFinal:
+            out.append(LiteralSentence(raw_text=text, prefix=stripped.prefix,
+                                       property=stripped.property, pos_tag=stripped.pos_tag))
+        except ValueError:  # NotModifierFinal, or LiteralSentence refusing a comparator token
             if stats is not None:
                 stats.rejected += 1
-            continue
-        out.append(
-            LiteralSentence(
-                raw_text=text,
-                prefix=stripped.prefix,
-                property=stripped.property,
-                pos_tag=stripped.pos_tag,
-            )
-        )
     return out
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .backends import BackendUnavailable, JsonSubprocessBackend
-from .core import ParseError, read_records  # ParseError stays importable from here
+from .core import ParseError, fold, read_records  # ParseError stays importable from here
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,6 @@ class KnowledgeEdge:
             raise ValueError(f"edge weight must be positive and finite, got {self.weight}")
 
 
-def _norm(text: str) -> str:
-    return " ".join(text.lower().split())
-
-
 class EdgeTableBackend:
     """Immutable in-memory edge store indexed by concept and by property."""
 
@@ -52,7 +48,7 @@ class EdgeTableBackend:
         # Duplicate (concept, property) rows collapse to their max weight.
         best: dict[tuple[str, str], float] = {}
         for e in edges:
-            key = (_norm(e.concept), _norm(e.property))
+            key = (fold(e.concept), fold(e.property))
             if key not in best or e.weight > best[key]:
                 best[key] = e.weight
         self.by_concept: dict[str, list[PropertyCandidate]] = {}
@@ -68,10 +64,10 @@ class EdgeTableBackend:
             rows.sort(key=lambda r: (-r[0], r[1]))
 
     def properties_of(self, concept: str, k: int) -> list[PropertyCandidate]:
-        return self.by_concept.get(_norm(concept), [])[:k]
+        return self.by_concept.get(fold(concept), [])[:k]
 
     def best_concept_for(self, prop: str) -> str | None:
-        rows = self.by_property.get(_norm(prop))
+        rows = self.by_property.get(fold(prop))
         return rows[0][1] if rows else None
 
 
@@ -102,7 +98,7 @@ def load_edge_table(path) -> EdgeTableBackend:
 
 
 def _synonym_row(word: str, syn: str) -> tuple[str, str]:
-    word, syn = _norm(word), _norm(syn)
+    word, syn = fold(word), fold(syn)
     if not word or not syn:
         raise ValueError("empty word or synonym")
     return word, syn
@@ -112,7 +108,7 @@ class SynonymTable:
     """word<TAB>synonym rows; lookup returns synonyms in file order, deduped."""
 
     def __init__(self, mapping: dict[str, list[str]] | None = None):
-        self.mapping = {_norm(k): list(v) for k, v in (mapping or {}).items()}
+        self.mapping = {fold(k): list(v) for k, v in (mapping or {}).items()}
 
     @classmethod
     def load(cls, path) -> "SynonymTable":
@@ -124,7 +120,7 @@ class SynonymTable:
         return cls(mapping)
 
     def synonyms_of(self, word: str) -> list[str]:
-        return list(self.mapping.get(_norm(word), []))
+        return list(self.mapping.get(fold(word), []))
 
 
 EMPTY_SYNONYMS = SynonymTable()

@@ -19,7 +19,6 @@ and process boundaries never change an output.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -28,7 +27,16 @@ from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 
 from .backends import BackendUnavailable, JsonSubprocessBackend
-from .core import EOS_TOKEN, WORD_CHAR, append_token, tokenize, write_json
+from .core import (
+    EOS_TOKEN,
+    append_token,
+    common_prefix_len,
+    derive_seed,
+    is_word,
+    rstrip_punct,
+    tokenize,
+    write_json,
+)
 
 
 class EmptyText(ValueError):
@@ -156,10 +164,7 @@ class BigramScorer:
         # (tests compare the log-probs bit for bit); only invariants computed
         # by the same expression are hoisted out of the loop.
         last_tokens, last_logps = self._last
-        shared = 0
-        limit = min(len(tokens), len(last_tokens))
-        while shared < limit and tokens[shared] == last_tokens[shared]:
-            shared += 1
+        shared = common_prefix_len(tokens, last_tokens)
         out = last_logps[:shared]
         prev = self.BOS
         if shared:
@@ -183,10 +188,7 @@ class BigramScorer:
 
 
 def _derive_rng(seed: int, source: str, forced_prefix: str | None) -> random.Random:
-    # Hash-derived stream: the same (seed, input) pair samples identically no
-    # matter what was generated before it or which process runs it.
-    key = f"{seed}|{source}|{forced_prefix or ''}".encode("utf-8")
-    return random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
+    return random.Random(derive_seed(seed, source, forced_prefix or ""))
 
 
 def _sample(ranked, top_k: int, temperature: float, rng) -> str:
@@ -271,15 +273,9 @@ class ReferenceSeq2SeqBackend:
         return TemplateNgramModel.train(pairs, cfg)
 
 
-def _is_word(token: str) -> bool:
-    return WORD_CHAR.match(token) is not None
-
-
 def _last_word(tokens: list[str]) -> str:
-    for tok in reversed(tokens):
-        if _is_word(tok):
-            return tok.lower()
-    return ""
+    words = rstrip_punct(tokens)
+    return words[-1].lower() if words else ""
 
 
 def _rank(counts: dict[str, int]) -> tuple[tuple[str, float], ...]:
@@ -370,10 +366,8 @@ class TemplateNgramModel:
         for source, target in pairs:
             src = tokenize(source)
             tgt = tokenize(target)
-            common = 0
-            while common < len(src) and common < len(tgt) and src[common] == tgt[common]:
-                common += 1
-            dropped = sum(1 for tok in src[common:] if _is_word(tok))
+            common = common_prefix_len(src, tgt)
+            dropped = sum(1 for tok in src[common:] if is_word(tok))
             drop_counts[dropped] += 1
             suffix = " ".join(tgt[common:] + [EOS_TOKEN])
             cue = _last_word(src)
@@ -393,17 +387,9 @@ class TemplateNgramModel:
 
     def copy_region(self, src_tokens: list[str]) -> list[str]:
         """Source tokens minus trailing punctuation and drop_words final words."""
-        toks = list(src_tokens)
-
-        def trim():
-            while toks and not _is_word(toks[-1]):
-                toks.pop()
-
-        trim()
+        toks = rstrip_punct(list(src_tokens))
         for _ in range(self.drop_words):
-            if toks:
-                toks.pop()
-            trim()
+            toks = rstrip_punct(toks[:-1])
         return toks
 
     def next_token_distribution(self, src_tokens: list[str], out_tokens: list[str]) -> tuple:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from similekit.cli import COMMANDS, main
+from similekit.cli import COMMANDS, _parse_bool, _parse_ratio, _parse_triggers, main
 from similekit.core import parse_simile
 from similekit.evaluation import ScoreSheet
 from similekit.harvest import read_literals_jsonl
@@ -679,6 +679,17 @@ class TestEmbellish:
         assert rc == 2
         assert "storyline-model" in capsys.readouterr().err
 
+    def test_stories_and_titles_together_exit_two(self, world, stories, tmp_path, capsys):
+        titles = tmp_path / "titles.txt"
+        titles.write_text("Flood\n", encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        rc = main(["embellish", "--stories", str(stories), "--titles", str(titles),
+                   "--storyline-model", str(world["model"]), "--story-model", str(world["model"]),
+                   "--model", str(world["model"]), "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert "need --stories or --titles, not both" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_title_chain(self, world, tmp_path):
         storyline_dir = tmp_path / "storyline-model"
         story_dir = tmp_path / "story-model"
@@ -727,3 +738,40 @@ def test_readme_flags_are_declared():
                     assert flag in declared, f"similekit {command} --{flag}"
                     seen += 1
     assert seen > 30
+
+
+REQUIRES = [(name, opt.name, needed) for name, command in COMMANDS.items()
+            for opt in command.options for needed in opt.requires]
+
+
+@pytest.mark.parametrize("command, given, needed", REQUIRES,
+                         ids=[f"{c}-{g}-{n}" for c, g, n in REQUIRES])
+def test_requires_names_an_unset_option_of_the_command(command, given, needed):
+    """A typo in a requires tuple fails here, not at a user's run."""
+    options = {opt.name: opt for opt in COMMANDS[command].options}
+    assert given != needed and needed in options
+    for name in (given, needed):
+        assert options[name].default is None and options[name].cast is not _parse_bool, name
+
+
+@pytest.mark.parametrize("command, given, needed", REQUIRES,
+                         ids=[f"{c}-{g}-{n}" for c, g, n in REQUIRES])
+def test_option_without_what_it_requires_exits_two(command, given, needed, tmp_path, capsys):
+    """Each requires entry is enforced: nothing runs and nothing is written."""
+    opt = next(opt for opt in COMMANDS[command].options if opt.name == given)
+    inputs, outputs = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    outputs.mkdir()
+    if opt.output:
+        value = str(outputs / given)
+    elif opt.path:
+        value = inputs / given
+        value.write_text("x\n", encoding="utf-8")
+    elif opt.choices:
+        value = opt.choices[0]
+    else:
+        value = {int: "1", _parse_ratio: "0.5", _parse_triggers: "like a", str: "a,b"}[opt.cast]
+    assert main([command, f"--{given}", str(value)]) == 2
+    assert f"--{given} requires --{needed}" in capsys.readouterr().err
+    assert list(outputs.iterdir()) == []
+    assert [p.name for p in inputs.iterdir()] == ([given] if opt.path else [])

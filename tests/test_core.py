@@ -1,5 +1,8 @@
 """Tokenizer, trigger parsing, modifier stripping, vehicle extraction, file reading."""
 
+import hashlib
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,11 +14,16 @@ from similekit.core import (
     ParseError,
     SimileInstance,
     TriggerConfig,
+    common_prefix_len,
+    derive_seed,
     detokenize,
     drop_dangling_comma,
     extract_generated_vehicle,
+    fold,
+    is_word,
     parse_simile,
     read_records,
+    rstrip_punct,
     split_sentences,
     strip_terminal_modifier,
     terminal_punctuation,
@@ -236,6 +244,50 @@ class TestExtractGeneratedVehicle:
         # oracle and the implementation must agree exactly.
         gen, ref = " ".join(gen_ws), " ".join(ref_ws)
         assert extract_generated_vehicle(gen, ref) == lcp_suffix_oracle(gen_ws, ref_ws)
+
+
+def old_prefix_len(a, b):
+    """The common-prefix loop each caller used to spell out."""
+    i = 0
+    while i < len(a) and i < len(b) and a[i] == b[i]:
+        i += 1
+    return i
+
+
+class TestSharedRules:
+    """Each rule defined once in core equals the spellings it replaced."""
+
+    def test_is_word_equals_isalnum_or_underscore_on_every_code_point(self):
+        for code in range(sys.maxunicode + 1):
+            ch = chr(code)
+            assert is_word(ch) == (ch.isalnum() or ch == "_"), hex(code)
+
+    @given(st.lists(st.sampled_from(["a", "b", "_x", ".", "!", ",", "\u00e9t\u00e9", "--"]),
+                    max_size=8))
+    def test_rstrip_punct_equals_pop_loop(self, tokens):
+        popped = list(tokens)
+        while popped and not popped[-1][0].isalnum() and popped[-1][0] != "_":
+            popped.pop()
+        assert rstrip_punct(tokens) == popped
+
+    @given(st.lists(st.sampled_from("abc"), max_size=8),
+           st.lists(st.sampled_from("abc"), max_size=8))
+    def test_common_prefix_len_equals_loop(self, a, b):
+        assert common_prefix_len(a, b) == old_prefix_len(a, b)
+
+    @given(st.text(max_size=20))
+    def test_fold_equals_inline_fold(self, text):
+        assert fold(text) == " ".join(text.lower().split())
+
+    @given(st.integers(-2**70, 2**70), st.text(max_size=30), st.none() | st.text(max_size=10),
+           st.integers(0, 10**6))
+    def test_derive_seed_equals_both_old_formulas(self, seed, text, prefix, index):
+        decode = f"{seed}|{text}|{prefix or ''}".encode("utf-8")
+        assert derive_seed(seed, text, prefix or "") == int.from_bytes(
+            hashlib.sha256(decode).digest()[:8], "big")
+        story = f"{seed}|{index}|{text}".encode()
+        assert derive_seed(seed, index, text) == int.from_bytes(
+            hashlib.sha256(story).digest()[:8], "big")
 
 
 class TestReadRecords:

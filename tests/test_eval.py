@@ -25,8 +25,10 @@ from similekit.evaluation import (
     novelty,
     pairwise_compare,
     read_refs_jsonl,
+    unseen_fraction,
     vehicle_bleu,
 )
+from similekit.core import tokenize
 from similekit.core import ParseError
 from similekit.tagging import DEFAULT_TAGGER
 
@@ -188,6 +190,17 @@ def oracle_novelty(generated, training):
     return fresh / len(generated)
 
 
+def old_normalize_pair(pair):
+    """normalize_pair as a pop loop over each part's tokens."""
+    out = []
+    for part in pair:
+        tokens = tokenize(part.lower())
+        while tokens and not tokens[-1][0].isalnum() and tokens[-1][0] != "_":
+            tokens.pop()
+        out.append(" ".join(tokens))
+    return (out[0], out[1])
+
+
 class TestNovelty:
     def test_all_seen(self):
         train = [("rare", "unicorn"), ("fast", "deer")]
@@ -218,6 +231,23 @@ class TestNovelty:
         train = [make() for _ in range(rng.randint(0, 12))]
         gen = [make() for _ in range(rng.randint(1, 12))]
         assert novelty(gen, train) == pytest.approx(oracle_novelty(gen, train), abs=1e-12)
+
+    @given(st.tuples(st.text(max_size=12), st.text(max_size=12)))
+    def test_normalize_pair_equals_pop_loop(self, pair):
+        assert normalize_pair(pair) == old_normalize_pair(pair)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_training_normalized_once_equals_novelty(self, seed):
+        """evaluate normalizes the training pairs once and scores every batch against them."""
+        rng = random.Random(seed)
+        words = ["Rare", "rare.", "fast!", "deer", "Deer ,", "snail"]
+        make = lambda: (rng.choice(words), rng.choice(words))
+        train = [make() for _ in range(rng.randint(0, 12))]
+        seen = {normalize_pair(p) for p in train}
+        for _ in range(3):
+            gen = [make() for _ in range(rng.randint(1, 12))]
+            assert unseen_fraction(gen, seen) == novelty(gen, train) == oracle_novelty(gen, train)
 
 
 def oracle_krippendorff_alpha(sheet, criterion=None):
@@ -426,7 +456,8 @@ class TestEvaluateGeneration:
         )
         train = [("cold", "glacier")]
         metrics = evaluate_generation(
-            records, self.REFS, OneHotEmbedder(), train_pairs=train, tagger=DEFAULT_TAGGER
+            records, self.REFS, OneHotEmbedder(), train_seen={normalize_pair(p) for p in train},
+            tagger=DEFAULT_TAGGER,
         )
         assert metrics.novelty == pytest.approx(0.5)
 

@@ -128,6 +128,11 @@ class TestHarvestLiterals:
         assert [l.raw_text for l in out] == ["The city was beautiful"]
         assert stats.rejected == 2
 
+    def test_modifier_final_sentence_with_comparator_token_rejected(self):
+        stats = HarvestStats()
+        assert harvest_literals(["It ran like the wind, very fast."], DEFAULT_TAGGER, stats) == []
+        assert stats.rejected == 1
+
     def test_rejects_noun_final(self):
         stats = HarvestStats()
         assert harvest_literals(["He saw a dog"], DEFAULT_TAGGER, stats) == []
