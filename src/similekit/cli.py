@@ -24,6 +24,7 @@ from typing import Callable
 
 from .core import (
     DEFAULT_TRIGGERS,
+    NotModifierFinal,
     TriggerConfig,
     derive_seed,
     read_lines,
@@ -146,8 +147,8 @@ class Option:
     switch flag and _parse_paths a flag of one or more paths.  path marks
     input paths, which must exist (a directory through its model.json), and
     output marks output paths; the manifest records both.  requires names the
-    options that must also be given when this one is.  An option with a
-    default, or a switch, is always set: it requires none and none requires it.
+    options, none with a default, that must also be given when this one is
+    set to other than its default: a run without them would ignore it.
     """
 
     name: str
@@ -215,7 +216,7 @@ class Settings(dict):
                 self.require(opt.name)
         for opt in command.options:
             for name in opt.requires:
-                if self[opt.name] is not None and self[name] is None:
+                if self[opt.name] != opt.default and self[name] is None:
                     self.error(f"--{opt.name} requires --{name}")
 
     def _resolve(self, opt: Option, value, config: dict[str, str]):
@@ -267,9 +268,9 @@ def _command(name: str, section: str, help: str, *options: Option):
 
 
 _DECODING = (
-    Option("top-k", int, 5),
-    Option("temperature", float, 0.7),
-    Option("max-new-tokens", int, 32),
+    Option("top-k", int, 5, requires=("model",)),
+    Option("temperature", float, 0.7, requires=("model",)),
+    Option("max-new-tokens", int, 32, requires=("model",)),
 )
 
 
@@ -335,18 +336,19 @@ def cmd_harvest(s: Settings) -> int:
     Option("knowledge", required=True, path=True),
     Option("scorer", default="reference", choices=("reference", "uniform")),
     Option("scorer-train", path=True),
-    Option("uniform-vocab", int, 1000),
     Option("k", int, 5),
     Option("out", required=True, output=True),
     Option("audit-out", output=True),
 )
 def cmd_build_corpus(s: Settings) -> int:
+    if s["scorer"] == "uniform" and s["scorer-train"] is not None:
+        s.error("--scorer uniform does not read --scorer-train")
     if s.fail_if_errors():
         return 2
     similes = read_similes_jsonl(s["in"])
     backend = load_edge_table(s["knowledge"])
     if s["scorer"] == "uniform":
-        scorer = UniformScorer(s["uniform-vocab"])
+        scorer = UniformScorer(1000)  # every candidate ties, whatever V is
     elif s["scorer-train"]:
         scorer = BigramScorer(read_lines(s["scorer-train"]))
     else:
@@ -367,8 +369,6 @@ def cmd_build_corpus(s: Settings) -> int:
     Option("pairs", required=True, path=True),
     Option("model-out", required=True, output=True),
     Option("seed", int, required=True),
-    Option("epochs", int, 17),
-    Option("batch-token-budget", int, 1024),
     Option("mask", _parse_bool, False,
            help="replace terminal modifiers with the mask token before training"),
 )
@@ -376,8 +376,7 @@ def cmd_train(s: Settings) -> int:
     if s.fail_if_errors():
         return 2
     pairs = read_pairs_tsv(s["pairs"])
-    cfg = TrainConfig(seed=s["seed"], epochs=s["epochs"],
-                      batch_token_budget=s["batch-token-budget"])
+    cfg = TrainConfig(seed=s["seed"])
     backend = ReferenceSeq2SeqBackend()
     if s["mask"]:
         mask_stats: dict = {}
@@ -397,49 +396,46 @@ def cmd_train(s: Settings) -> int:
     Option("system", required=True, choices=("scope", "prefix", "rtrvl", "meta_m")),
     Option("model", path=True),
     Option("knowledge", path=True),
-    Option("synonyms", path=True),
+    Option("synonyms", path=True, requires=("knowledge",)),
     Option("seed", int, required=True),
     *_DECODING,
-    Option("article-heuristic", _parse_bool, False),
+    Option("article-heuristic", _parse_bool, False, requires=("knowledge",)),
     Option("out", required=True, output=True),
 )
 def cmd_generate(s: Settings) -> int:
     system = s["system"]
-    if system in ("scope", "prefix", "meta_m"):
-        s.require("model")
-    if system == "rtrvl":
-        s.require("knowledge")
+    # rtrvl reads the knowledge table and no model; the other systems the reverse.
+    reads, ignores = ("knowledge", "model") if system == "rtrvl" else ("model", "knowledge")
+    s.require(reads)
+    if system and s[ignores] is not None:
+        s.error(f"--system {system} does not read --{ignores}")
     if s.fail_if_errors():
         return 2
     literals = list(read_records(s["literals"], lambda rec: rec["text"]))
-    cfg = _generation_config(s)
-    skipped = 0
-
-    def guarded(fn):
-        def run(literal):
-            nonlocal skipped
-            try:
-                return fn(literal)
-            except Exception:
-                skipped += 1
-                return None
-        return run
-
-    if system == "scope":
-        model = TemplateNgramModel.load(s["model"])
-        fn = lambda lit: scope_generate(lit, model, cfg)
-    elif system == "prefix":
-        model = TemplateNgramModel.load(s["model"])
-        fn = guarded(lambda lit: baseline_prefix_forced(lit, model, cfg, DEFAULT_TAGGER))
-    elif system == "meta_m":
-        model = TemplateNgramModel.load(s["model"])
-        fn = guarded(lambda lit: baseline_metaphor_mask(lit, model, cfg, DEFAULT_TAGGER))
-    else:
+    if system == "rtrvl":
         backend = load_edge_table(s["knowledge"])
         synonyms = SynonymTable.load(s["synonyms"]) if s["synonyms"] else EMPTY_SYNONYMS
-        fn = guarded(lambda lit: baseline_retrieval(lit, backend, synonyms, DEFAULT_TAGGER,
-                                                    use_article_heuristic=s["article-heuristic"]))
-    run_batch(literals, system, fn, s["seed"], s["out"])
+        fn = lambda lit: baseline_retrieval(lit, backend, synonyms, DEFAULT_TAGGER,
+                                            use_article_heuristic=s["article-heuristic"])
+    else:
+        model, cfg = TemplateNgramModel.load(s["model"]), _generation_config(s)
+        fn = {
+            "scope": lambda lit: scope_generate(lit, model, cfg),
+            "prefix": lambda lit: baseline_prefix_forced(lit, model, cfg, DEFAULT_TAGGER),
+            "meta_m": lambda lit: baseline_metaphor_mask(lit, model, cfg, DEFAULT_TAGGER),
+        }[system]
+    skipped = 0
+
+    def guarded(literal):
+        """An input whose modifier cannot be stripped or masked gets no output."""
+        nonlocal skipped
+        try:
+            return fn(literal)
+        except NotModifierFinal:
+            skipped += 1
+            return None
+
+    run_batch(literals, system, guarded, s["seed"], s["out"])
     _write_manifest(s, {"seed": s["seed"]})
     note = f" ({skipped} inputs failed)" if skipped else ""
     print(f"{system}: generated {len(literals)} outputs -> {s['out']}{note}")
@@ -451,8 +447,9 @@ def cmd_generate(s: Settings) -> int:
     Option("generated", _parse_paths, path=True, requires=("refs",)),
     Option("refs", path=True, requires=("generated",)),
     Option("train-audit", path=True, requires=("generated",)),
-    Option("embedder", default="chargram", choices=("onehot", "chargram")),
-    Option("smoothing", _parse_bool, False),
+    Option("embedder", default="chargram", choices=("onehot", "chargram"),
+           requires=("generated",)),
+    Option("smoothing", _parse_bool, False, requires=("generated",)),
     Option("scoresheet", path=True),
     Option("pairwise", requires=("scoresheet", "criterion"),
            help="two system names, e.g. scope,meta_m"),
@@ -498,14 +495,11 @@ def cmd_evaluate(s: Settings) -> int:
             print(f"{key}: {value:.2f}")
         if pairwise is not None:
             criterion = s["criterion"]
-            system_a, _, system_b = pairwise.partition(",")
-            win, lose, tie = pairwise_compare(sheet, system_a.strip(), system_b.strip(), criterion)
-            payload["pairwise"] = {
-                "systems": [system_a.strip(), system_b.strip()],
-                "criterion": criterion,
-                "win": win, "lose": lose, "tie": tie,
-            }
-            print(f"{system_a.strip()} vs {system_b.strip()} on {criterion}: "
+            system_a, _, system_b = (name.strip() for name in pairwise.partition(","))
+            win, lose, tie = pairwise_compare(sheet, system_a, system_b, criterion)
+            payload["pairwise"] = {"systems": [system_a, system_b], "criterion": criterion,
+                                   "win": win, "lose": lose, "tie": tie}
+            print(f"{system_a} vs {system_b} on {criterion}: "
                   f"win {win:.1f} / lose {lose:.1f} / tie {tie:.1f}")
     if s["report"] is not None:
         write_json(payload, s["report"])
@@ -545,20 +539,15 @@ def cmd_embellish(s: Settings) -> int:
     for index, story in enumerate(stories):
         story_seed = derive_seed(s["seed"], index, story.title)
         result = embellish(story, generator, DEFAULT_TAGGER, story_seed)
-        replaced_index = None
-        original = None
-        for i, (old, new) in enumerate(zip(story.sentences, result.sentences)):
-            if old != new:
-                replaced_index = i
-                original = old
-                replaced_count += 1
-                break
+        replaced = next((i for i, (old, new) in enumerate(zip(story.sentences, result.sentences))
+                         if old != new), None)
+        replaced_count += replaced is not None
         records.append({
             "title": result.title,
             "storyline": list(result.storyline),
             "sentences": list(result.sentences),
-            "replaced_index": replaced_index,
-            "original_sentence": original,
+            "replaced_index": replaced,
+            "original_sentence": None if replaced is None else story.sentences[replaced],
         })
     write_jsonl(records, s["out"])
     _write_manifest(s, {"seed": s["seed"]})

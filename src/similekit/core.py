@@ -272,9 +272,15 @@ def write_jsonl(records, path) -> None:
 class ParseError(ValueError):
     """A line of an input file that cannot be read; the message starts path:line:."""
 
-    def __init__(self, path, line_number: int, message: str):
-        super().__init__(f"{path}:{line_number}: {message}")
+    def __init__(self, path, line_number: int, reason: str | Exception):
+        """reason is a message or the error the line raised; a KeyError names the field."""
+        missing = "missing field " if isinstance(reason, KeyError) else ""
+        super().__init__(f"{path}:{line_number}: {missing}{reason}")
         self.line_number = line_number
+
+
+# What a reader of one bad line raises; re-raised as ParseError(path, line, exc).
+LINE_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 
 def read_records(path, build, fields: int = 0):
@@ -296,9 +302,8 @@ def read_records(path, build, fields: int = 0):
                     if len(row) != fields:
                         raise ValueError(f"expected {fields} tab-separated fields, got {len(row)}")
                     item = build(*row)
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-                raise ParseError(path, number, reason) from exc
+            except LINE_ERRORS as exc:
+                raise ParseError(path, number, exc) from exc
             yield item
 
 

@@ -19,7 +19,9 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .core import (
+    LINE_ERRORS,
     NotModifierFinal,
+    ParseError,
     extract_generated_vehicle,
     is_word,
     read_records,
@@ -234,9 +236,13 @@ class ScoreSheet:
     def load_csv(cls, path) -> "ScoreSheet":
         sheet = cls()
         with open(path, encoding="utf-8", newline="") as fh:
-            for rec in csv.DictReader(fh):
-                sheet.add(rec["item_id"], rec["system"], rec["rater_id"],
-                          rec["criterion"], int(rec["score"]))
+            reader = csv.DictReader(fh)
+            for rec in reader:
+                try:
+                    sheet.add(rec["item_id"], rec["system"], rec["rater_id"],
+                              rec["criterion"], int(rec["score"]))
+                except LINE_ERRORS as exc:
+                    raise ParseError(path, reader.line_num, exc) from exc
         return sheet
 
 

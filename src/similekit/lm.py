@@ -4,7 +4,7 @@ Three capabilities, each behind a small protocol so neural backends can attach
 out of process, plus deterministic in-process reference implementations:
 
 * scorer: `token_logprobs(tokens) -> [logp, ...]` (or a direct `perplexity`
-  method for remote scorers).  Reference: interpolated word-bigram model with
+  method, as the uniform and remote scorers have).  Reference: interpolated word-bigram model with
   add-alpha smoothing.
 * seq2seq model: `next_token_distribution(src_tokens, out_tokens) -> [(token,
   prob), ...]`, ranked by falling probability, ties by token; decoding
@@ -99,16 +99,15 @@ def perplexity(text: str, scorer) -> float:
 
 
 class UniformScorer:
-    """Assigns every token probability 1/V; perplexity of any text is V."""
+    """Perplexity of any text is exactly V, so candidates tie at every length."""
 
     def __init__(self, vocab_size: int):
         if vocab_size < 1:
             raise ValueError("vocab_size must be >= 1")
         self.vocab_size = vocab_size
-        self._logp = -math.log(vocab_size)
 
-    def token_logprobs(self, tokens: list[str]) -> list[float]:
-        return [self._logp] * len(tokens)
+    def perplexity(self, text: str) -> float:
+        return float(self.vocab_size)
 
 
 # The bigram row of a context never seen in training; never written to.

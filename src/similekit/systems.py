@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .core import drop_dangling_comma, read_records, strip_terminal_modifier, write_jsonl
+from .core import (NotModifierFinal, drop_dangling_comma, read_records, strip_terminal_modifier,
+                   write_jsonl)
 from .knowledge import vehicle_for_property
 from .lm import EmptyTrainingSet, GenerationConfig, TrainConfig, _pair_texts, fine_tune, generate
 
@@ -84,7 +85,7 @@ def train_metaphor_mask(pairs, cfg: TrainConfig, backend, tagger, stats: dict | 
     for source, target in map(_pair_texts, pairs):
         try:
             masked, _ = mask_terminal_modifier(source, tagger)
-        except Exception:
+        except NotModifierFinal:
             skipped += 1
             continue
         masked_pairs.append((masked, target))

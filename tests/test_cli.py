@@ -321,6 +321,15 @@ class TestBuildCorpus:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_uniform_scorer_refuses_scorer_train(self, world, tmp_path, capsys):
+        out = tmp_path / "p.tsv"
+        rc = main(["build-corpus", "--in", str(world["train_similes"]),
+                   "--knowledge", world["edges"], "--scorer", "uniform",
+                   "--scorer-train", str(world["sentences"]), "--out", str(out)])
+        assert rc == 2
+        assert "--scorer uniform does not read --scorer-train" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_model_directory_layout(self, world):
@@ -341,11 +350,13 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.count("error:") >= 3  # pairs, model-out, seed
 
-    def test_bad_typed_flags_reported_with_missing_settings(self, capsys):
-        rc = main(["train", "--seed", "abc", "--epochs", "x"])
+    def test_bad_typed_flags_reported_with_missing_settings(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[train]\nmask = maybe\n", encoding="utf-8")
+        rc = main(["train", "--config", str(config), "--seed", "abc"])
         assert rc == 2
         err = capsys.readouterr().err
-        for name in ("pairs", "model-out", "seed", "epochs"):
+        for name in ("pairs", "model-out", "seed", "mask"):
             assert f"'{name}'" in err
 
     def test_unknown_flag_reported_with_other_errors(self, capsys):
@@ -433,16 +444,77 @@ class TestGenerate:
         assert_manifest_lists(batch, [world["literals"], world["edges"]], [batch])
 
     def test_manifest_hashes_every_path_given(self, world, tmp_path):
+        literals = tmp_path / "lits.jsonl"
+        literals.write_text('{"text": "The door was obscene."}\n', encoding="utf-8")
         synonyms = tmp_path / "synonyms.tsv"
-        synonyms.write_text("cold\tchilly\n", encoding="utf-8")
+        synonyms.write_text("obscene\tcold\n", encoding="utf-8")
+        out = tmp_path / "b.jsonl"
+        rc = main(["generate", "--literals", str(literals), "--system", "rtrvl",
+                   "--knowledge", world["edges"], "--synonyms", str(synonyms),
+                   "--seed", "13", "--out", str(out)])
+        assert rc == 0
+        # "obscene" misses the edge table; its synonym "cold" hits it.
+        assert read_jsonl(out)[0]["output"] == "The door was like a glacier."
+        assert_manifest_lists(out, [literals, world["edges"], synonyms], [out])
+
+    @pytest.mark.parametrize("extra", [["--knowledge"], ["--synonyms"],
+                                       ["--knowledge", "--synonyms"]],
+                             ids=["knowledge", "synonyms", "both"])
+    def test_scope_refuses_retrieval_inputs(self, world, tmp_path, capsys, extra):
+        synonyms = tmp_path / "synonyms.tsv"
+        synonyms.write_text("obscene\tcold\n", encoding="utf-8")
+        paths = {"--knowledge": world["edges"], "--synonyms": str(synonyms)}
         out = tmp_path / "b.jsonl"
         rc = main(["generate", "--literals", str(world["literals"]), "--system", "scope",
+                   "--model", str(world["model"]), "--seed", "13", "--out", str(out)]
+                  + [arg for flag in extra for arg in (flag, paths[flag])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        if "--knowledge" in extra:
+            assert "--system scope does not read --knowledge" in err
+        else:
+            assert "--synonyms requires --knowledge" in err
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
+
+    @pytest.mark.parametrize("system", ["scope", "prefix", "meta_m", "rtrvl"])
+    def test_each_system_refuses_the_others_input(self, world, tmp_path, capsys, system):
+        out = tmp_path / "b.jsonl"
+        rc = main(["generate", "--literals", str(world["literals"]), "--system", system,
                    "--model", str(world["model"]), "--knowledge", world["edges"],
-                   "--synonyms", str(synonyms), "--seed", "13", "--out", str(out)])
+                   "--seed", "13", "--out", str(out)])
+        assert rc == 2
+        ignored = "model" if system == "rtrvl" else "knowledge"
+        assert f"--system {system} does not read --{ignored}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("system, name", [
+        ("scope", "scope_generate"), ("prefix", "baseline_prefix_forced"),
+        ("meta_m", "baseline_metaphor_mask"), ("rtrvl", "baseline_retrieval")])
+    def test_system_failure_other_than_stripping_exits_one(self, world, tmp_path, capsys,
+                                                           monkeypatch, system, name):
+        def broken(*args, **kwargs):
+            raise RuntimeError("system crashed")
+
+        monkeypatch.setattr(f"similekit.cli.{name}", broken)
+        source = ["--knowledge", world["edges"]] if system == "rtrvl" else \
+            ["--model", str(world["model"])]
+        out = tmp_path / "b.jsonl"
+        rc = main(["generate", "--literals", str(world["literals"]), "--system", system,
+                   "--seed", "13", "--out", str(out)] + source)
+        assert rc == 1
+        assert capsys.readouterr().err == "error: system crashed\n"
+        assert not out.exists()
+
+    def test_unstrippable_literal_counted_as_failed(self, world, tmp_path, capsys):
+        literals = tmp_path / "lits.jsonl"
+        literals.write_text('{"text": "He saw a dog."}\n', encoding="utf-8")
+        out = tmp_path / "b.jsonl"
+        rc = main(["generate", "--literals", str(literals), "--system", "prefix",
+                   "--model", str(world["pretrain_model"]), "--seed", "13", "--out", str(out)])
         assert rc == 0
-        assert out.read_bytes() == world["batches"]["scope"].read_bytes()
-        assert_manifest_lists(out, [world["literals"], world["model"] / "model.json",
-                                    world["edges"], synonyms], [out])
+        assert "(1 inputs failed)" in capsys.readouterr().out
+        assert read_jsonl(out)[0]["output"] == ""
 
     def test_model_dir_without_model_json_exits_two(self, world, tmp_path, capsys):
         model_dir = tmp_path / "model"
@@ -616,6 +688,13 @@ class TestEvaluate:
         assert main(["evaluate", "--generated", str(batch), "--refs", str(refs)]) == 1
         assert capsys.readouterr().err == f"error: {batch}:1: missing field 'literal'\n"
 
+    def test_bad_scoresheet_row_is_located(self, tmp_path, capsys):
+        sheet = tmp_path / "scores.csv"
+        sheet.write_text("item_id,system,rater_id,criterion\ni0,A,r0,C\n", encoding="utf-8")
+        rc = main(["evaluate", "--scoresheet", str(sheet)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {sheet}:2: missing field 'score'\n"
+
     def test_generated_requires_refs(self, world, capsys):
         rc = main(["evaluate", "--generated", str(world["batches"]["scope"])])
         assert rc == 2
@@ -740,6 +819,24 @@ def test_readme_flags_are_declared():
     assert seen > 30
 
 
+@pytest.mark.parametrize("command, flag", [("build-corpus", "--uniform-vocab"),
+                                           ("train", "--epochs"),
+                                           ("train", "--batch-token-budget")])
+def test_removed_flags_are_unrecognized(command, flag, capsys):
+    """Flags that changed no output are gone; passing one is an error, not a no-op."""
+    assert main([command, flag, "3"]) == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+def test_declared_options_are_in_readme():
+    """Every option of every command's table is documented in README.md as --name."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"(?<![\w-])--([a-z][\w-]*)", readme))
+    missing = [f"{name} --{opt.name}" for name, command in COMMANDS.items()
+               for opt in command.options if opt.name not in documented]
+    assert missing == []
+
+
 REQUIRES = [(name, opt.name, needed) for name, command in COMMANDS.items()
             for opt in command.options for needed in opt.requires]
 
@@ -747,11 +844,13 @@ REQUIRES = [(name, opt.name, needed) for name, command in COMMANDS.items()
 @pytest.mark.parametrize("command, given, needed", REQUIRES,
                          ids=[f"{c}-{g}-{n}" for c, g, n in REQUIRES])
 def test_requires_names_an_unset_option_of_the_command(command, given, needed):
-    """A typo in a requires tuple fails here, not at a user's run."""
+    """A typo in a requires tuple fails here, not at a user's run.
+
+    The needed option has no default and is no switch, or it would always be given.
+    """
     options = {opt.name: opt for opt in COMMANDS[command].options}
     assert given != needed and needed in options
-    for name in (given, needed):
-        assert options[name].default is None and options[name].cast is not _parse_bool, name
+    assert options[needed].default is None and options[needed].cast is not _parse_bool
 
 
 @pytest.mark.parametrize("command, given, needed", REQUIRES,
@@ -768,10 +867,13 @@ def test_option_without_what_it_requires_exits_two(command, given, needed, tmp_p
         value = inputs / given
         value.write_text("x\n", encoding="utf-8")
     elif opt.choices:
-        value = opt.choices[0]
-    else:
-        value = {int: "1", _parse_ratio: "0.5", _parse_triggers: "like a", str: "a,b"}[opt.cast]
-    assert main([command, f"--{given}", str(value)]) == 2
+        value = next(choice for choice in opt.choices if choice != opt.default)
+    elif opt.cast is not _parse_bool:
+        value = {int: "1", float: "0.5", _parse_ratio: "0.5", _parse_triggers: "like a",
+                 str: "a,b"}[opt.cast]
+        assert opt.cast(value) != opt.default
+    argv = [command, f"--{given}"] + ([] if opt.cast is _parse_bool else [str(value)])
+    assert main(argv) == 2
     assert f"--{given} requires --{needed}" in capsys.readouterr().err
     assert list(outputs.iterdir()) == []
     assert [p.name for p in inputs.iterdir()] == ([given] if opt.path else [])

@@ -80,6 +80,17 @@ class TestSelectBestLiteral:
         cands = [LiteralCandidate("a b.", "first"), LiteralCandidate("c d.", "second")]
         assert select_best_literal(cands, UniformScorer(7)).property == "first"
 
+    def test_uniform_tie_keeps_top_ranked_property_at_any_length(self):
+        # 9 and 13 tokens: exp(-mean(-log 7)) would score these 6.999999999999999
+        # and 6.9999999999999964, and the lower-ranked property would win.
+        cands = [
+            LiteralCandidate("The old truck went down the road slow.", "slow"),
+            LiteralCandidate("The old truck went down the road very very slow and steady.",
+                             "very very slow and steady"),
+        ]
+        best = select_best_literal(cands, UniformScorer(7))
+        assert (best.property, best.perplexity) == ("slow", 7.0)
+
     def test_empty_candidates(self):
         with pytest.raises(ValueError):
             select_best_literal([], UniformScorer(2))

@@ -362,6 +362,24 @@ class TestScoreSheets:
         sheet.save_csv(path)
         assert ScoreSheet.load_csv(path).rows == sheet.rows
 
+    @pytest.mark.parametrize("rows, reason", [
+        ("item_id,system,rater_id,criterion\ni0,A,r0,C\n", "missing field 'score'"),
+        ("item_id,system,rater_id,criterion,score\ni0,A,r0,C,3\ni1,A,r0,C,x\n",
+         "invalid literal for int() with base 10: 'x'"),
+        ("item_id,system,rater_id,criterion,score\ni0,A,r0,C,9\n",
+         "score must be an integer in 1..5, got 9"),
+        ("item_id,system,rater_id,criterion,score\ni0,A,r0,Z,3\n",
+         "criterion must be one of ('C', 'R1', 'R2', 'OQ'), got 'Z'"),
+        ("item_id,system,rater_id,criterion,score\ni0,A,r0\n", "int() argument must be"),
+    ], ids=["missing-column", "bad-score", "score-out-of-range", "bad-criterion", "short-row"])
+    def test_bad_row_is_located(self, tmp_path, rows, reason):
+        path = tmp_path / "scores.csv"
+        path.write_text(rows, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            ScoreSheet.load_csv(path)
+        line = rows.count("\n")
+        assert str(exc.value).startswith(f"{path}:{line}: {reason}")
+
     def test_alpha_perfect_agreement(self):
         sheet = ScoreSheet()
         for item, score in (("i0", 1), ("i1", 2), ("i2", 3)):

@@ -48,7 +48,13 @@ class TestPerplexity:
     def test_uniform_scorer_equals_vocab_size(self, vocab):
         scorer = UniformScorer(vocab)
         for text in ("word", "a few more words", "punctuation , counts !"):
-            assert perplexity(text, scorer) == pytest.approx(vocab, abs=1e-9)
+            assert perplexity(text, scorer) == vocab
+
+    @pytest.mark.parametrize("vocab", [7, 1000])
+    def test_uniform_scorer_is_exact_at_every_length(self, vocab):
+        scorer = UniformScorer(vocab)
+        for n in range(1, 80):
+            assert perplexity(" ".join(["w"] * n), scorer) == vocab
 
     def test_empty_text_raises(self):
         scorer = UniformScorer(10)

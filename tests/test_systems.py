@@ -144,6 +144,16 @@ class TestMasking:
         assert stats["skipped"] == 1
         assert model.drop_words >= 1
 
+    def test_tagger_failure_propagates(self):
+        class BrokenTagger:
+            def tag(self, word):
+                raise RuntimeError("tagger crashed")
+
+        pairs = [("The sky was blue.", "The sky was like a sea.")]
+        with pytest.raises(RuntimeError, match="tagger crashed"):
+            train_metaphor_mask(pairs, TrainConfig(seed=0), ReferenceSeq2SeqBackend(),
+                                BrokenTagger())
+
     def test_train_raises_when_nothing_survives(self):
         pairs = [("He saw a dog.", "He ran like a deer.")]
         with pytest.raises(EmptyTrainingSet):
