@@ -32,15 +32,7 @@ from .core import (
     write_json,
     write_jsonl,
 )
-from .corpus import (
-    BuildStats,
-    build_parallel_corpus,
-    # Not called here: perfbench/tracer.py probes this name; tests/test_trace_targets.py checks it.
-    read_pairs_audit_jsonl,
-    read_pairs_tsv,
-    write_pairs_audit_jsonl,
-    write_pairs_tsv,
-)
+from .corpus import BuildStats, iter_parallel_corpus, read_pairs_tsv, write_pair_files
 from .evaluation import (
     CRITERIA,
     MetricReport,
@@ -57,8 +49,8 @@ from .harvest import (
     HarvestStats,
     harvest_literals,
     harvest_similes,
-    load_comments,
-    read_similes_jsonl,
+    iter_comments,
+    iter_similes_jsonl,
     sample_literals,
     split_corpus,
     write_literals_jsonl,
@@ -85,6 +77,17 @@ from .systems import (
     train_metaphor_mask,
 )
 from .tagging import DEFAULT_TAGGER
+
+# Not called here, since harvest and build-corpus stream: perfbench/tracer.py
+# probes these names, and tests/test_trace_targets.py checks that they resolve.
+from .corpus import (
+    build_parallel_corpus,
+    read_pairs_audit_jsonl,
+    write_pairs_audit_jsonl,
+    write_pairs_tsv,
+)
+from .harvest import load_comments
+
 
 def _sha256_file(path: str) -> str:
     h = hashlib.sha256()
@@ -121,6 +124,13 @@ def _parse_ratio(text: str):
     if not 0 < ratio < 1:
         raise ValueError(f"ratio must be strictly between 0 and 1: {text}")
     return ratio
+
+
+def _parse_positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be at least 1: {text}")
+    return value
 
 
 def _parse_bool(text: str) -> bool:
@@ -303,12 +313,14 @@ def cmd_harvest(s: Settings) -> int:
     comments, sentences, split, seed = s["comments"], s["sentences"], s["split"], s["seed"]
     if comments is None and sentences is None:
         s.error("need --comments and/or --sentences")
+    if seed is not None and split is None and s["sample"] is None:
+        s.error("--seed requires --split or --sample")
     if s.fail_if_errors():
         return 2
     stats = HarvestStats()
     seeds = {}
     if comments is not None:
-        similes = harvest_similes(load_comments(comments, stats),
+        similes = harvest_similes(iter_comments(comments, stats),
                                  s["triggers"] or DEFAULT_TRIGGERS, stats)
         write_similes_jsonl(similes, s["similes-out"])
         print(f"harvested {len(similes)} similes "
@@ -320,7 +332,8 @@ def cmd_harvest(s: Settings) -> int:
             seeds["split_seed"] = seed
             print(f"split {len(result.train)} train / {len(result.validation)} validation")
     if sentences is not None:
-        literals = harvest_literals(read_lines(sentences), DEFAULT_TAGGER, stats)
+        # A list, because perfbench/tracer.py counts the crawl lines with len().
+        literals = harvest_literals(list(read_lines(sentences)), DEFAULT_TAGGER, stats)
         if s["sample"] is not None:
             literals = sample_literals(literals, s["sample"], seed)
             seeds["sample_seed"] = seed
@@ -336,28 +349,31 @@ def cmd_harvest(s: Settings) -> int:
     Option("knowledge", required=True, path=True),
     Option("scorer", default="reference", choices=("reference", "uniform")),
     Option("scorer-train", path=True),
-    Option("k", int, 5),
+    Option("k", _parse_positive, 5),
     Option("out", required=True, output=True),
     Option("audit-out", output=True),
 )
 def cmd_build_corpus(s: Settings) -> int:
-    if s["scorer"] == "uniform" and s["scorer-train"] is not None:
-        s.error("--scorer uniform does not read --scorer-train")
+    """Stream --in: once to train the scorer when it learns from the similes, once to convert."""
+    if s["scorer"] == "uniform":
+        # Every candidate ties, so the top-ranked property wins whatever k or V is.
+        if s["scorer-train"] is not None:
+            s.error("--scorer uniform does not read --scorer-train")
+        if s["k"] != 5:
+            s.error("--scorer uniform does not read --k")
     if s.fail_if_errors():
         return 2
-    similes = read_similes_jsonl(s["in"])
-    backend = load_edge_table(s["knowledge"])
     if s["scorer"] == "uniform":
-        scorer = UniformScorer(1000)  # every candidate ties, whatever V is
+        scorer = UniformScorer(1000)
     elif s["scorer-train"]:
         scorer = BigramScorer(read_lines(s["scorer-train"]))
     else:
-        scorer = BigramScorer([sim.raw_text for sim in similes])
+        scorer = BigramScorer(sim.raw_text for sim in iter_similes_jsonl(s["in"]))
+    backend = load_edge_table(s["knowledge"])
     stats = BuildStats()
-    pairs = build_parallel_corpus(similes, backend, scorer, corrector=None, k=s["k"], stats=stats)
-    write_pairs_tsv(pairs, s["out"])
-    if s["audit-out"] is not None:
-        write_pairs_audit_jsonl(pairs, s["audit-out"])
+    pairs = iter_parallel_corpus(iter_similes_jsonl(s["in"]), backend, scorer, k=s["k"],
+                                 stats=stats)
+    write_pair_files(pairs, s["out"], s["audit-out"])
     _write_manifest(s, {})
     print(f"built {stats.built} pairs "
           f"({stats.skipped_no_properties} skipped, {len(stats.failures)} failed)")

@@ -9,9 +9,11 @@ that token-level metrics and model vocabularies agree.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass
 
@@ -129,7 +131,7 @@ def _trigger_pattern(phrase: str) -> re.Pattern:
     return re.compile(pat, re.IGNORECASE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimileInstance:
     """A parsed simile.  prefix + comparator + vehicle == raw_text, byte for byte.
 
@@ -260,13 +262,42 @@ def extract_generated_vehicle(generated: str, reference: str) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Files: JSONL has one JSON object per line, keys sorted, non-ASCII text kept
-# as is; a JSON document has its keys sorted and ends in a newline.
+# as is; a JSON document has its keys sorted and ends in a newline.  Every
+# output is written through atomic_open, so a run that fails part-way leaves
+# the previous file in place.
+
+
+@contextlib.contextmanager
+def atomic_open(path, newline=None):
+    """A text file for writing that replaces `path` only when the block completes.
+
+    The text goes to a temporary file next to `path`, moved into place with
+    os.replace; if the block raises, the temporary file is removed and
+    `path` is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_lines(lines, path) -> None:
+    """Write each string of `lines`, which end in their own newlines, as they come."""
+    with atomic_open(path) as fh:
+        fh.writelines(lines)
+
+
+def json_line(record) -> str:
+    return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
 
 
 def write_jsonl(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+    write_lines(map(json_line, records), path)
 
 
 class ParseError(ValueError):
@@ -308,12 +339,14 @@ def read_records(path, build, fields: int = 0):
 
 
 def write_json(obj, path, indent=2) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(obj, fh, indent=indent, sort_keys=True)
         fh.write("\n")
 
 
-def read_lines(path) -> list[str]:
-    """The stripped, non-blank lines of a text file, in file order."""
+def read_lines(path):
+    """Yield the stripped, non-blank lines of a text file, in file order."""
     with open(path, encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+        for line in fh:
+            if line.strip():
+                yield line.strip()

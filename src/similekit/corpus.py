@@ -10,6 +10,7 @@ verbatim, so a comma before the comparator survives into the literal
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -17,10 +18,13 @@ from .core import (
     COMPARATORS,
     SimileInstance,
     TriggerConfig,
+    atomic_open,
+    json_line,
     parse_simile,
     read_records,
     terminal_punctuation,
     write_jsonl,
+    write_lines,
 )
 from .knowledge import PropertyCandidate, properties_of
 from .lm import perplexity
@@ -109,20 +113,21 @@ def correct_grammar(text: str, corrector=None) -> str:
         return text
 
 
-def build_parallel_corpus(
-    similes: list[SimileInstance],
+def iter_parallel_corpus(
+    similes,
     knowledge_backend,
     scorer,
     corrector=None,
     k: int = 5,
     stats: BuildStats | None = None,
-) -> list[ParallelPair]:
-    """Convert similes to pairs; per-item failures are recorded, never fatal.
+):
+    """Yield one pair per convertible simile; per-item failures are recorded, never fatal.
 
     Similes whose vehicle yields no properties are skipped and counted.
-    Output order follows input order.
+    Output order follows input order, and each simile is read from
+    `similes` only when the pair before it has been taken, so a stream of
+    similes is converted holding one at a time.
     """
-    pairs = []
     for simile in similes:
         try:
             concept = simile.vehicle_phrase()
@@ -134,43 +139,73 @@ def build_parallel_corpus(
             candidates = make_literal_candidates(simile, props)
             best = select_best_literal(candidates, scorer)
             source = correct_grammar(best.text, corrector)
-            pairs.append(
-                ParallelPair(
-                    source=source,
-                    target=simile.raw_text,
-                    property_used=best.property,
-                    vehicle=concept,
-                    provenance=simile.source_id,
-                )
+            pair = ParallelPair(
+                source=source,
+                target=simile.raw_text,
+                property_used=best.property,
+                vehicle=concept,
+                provenance=simile.source_id,
             )
-            if stats is not None:
-                stats.built += 1
         except Exception as exc:
             if stats is not None:
                 stats.failures.append((simile.source_id or simile.raw_text, str(exc)))
-    return pairs
+            continue
+        if stats is not None:
+            stats.built += 1
+        yield pair
+
+
+def build_parallel_corpus(
+    similes: list[SimileInstance],
+    knowledge_backend,
+    scorer,
+    corrector=None,
+    k: int = 5,
+    stats: BuildStats | None = None,
+) -> list[ParallelPair]:
+    """All the pairs iter_parallel_corpus yields, as a list."""
+    return list(iter_parallel_corpus(similes, knowledge_backend, scorer, corrector, k, stats))
 
 
 # ---------------------------------------------------------------------------
 # File formats: TSV for the trainer, JSONL for the audit trail.
 
 
+def _tsv_line(pair: ParallelPair) -> str:
+    if "\t" in pair.source + pair.target or "\n" in pair.source + pair.target:
+        raise ValueError(f"pair text contains a tab or newline: {pair.source!r}")
+    return f"{pair.source}\t{pair.target}\n"
+
+
+def _audit_record(pair: ParallelPair) -> dict:
+    return {"source": pair.source, "target": pair.target, "property_used": pair.property_used,
+            "vehicle": pair.vehicle, "provenance": pair.provenance}
+
+
 def write_pairs_tsv(pairs: list[ParallelPair], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    write_lines(map(_tsv_line, pairs), path)
+
+
+def write_pairs_audit_jsonl(pairs: list[ParallelPair], path) -> None:
+    write_jsonl(map(_audit_record, pairs), path)
+
+
+def write_pair_files(pairs, tsv_path, audit_path=None) -> None:
+    """Write a stream of pairs to the TSV and, when given, the audit JSONL in one pass.
+
+    Each file is the bytes write_pairs_tsv and write_pairs_audit_jsonl would
+    write; if the stream raises, neither file is replaced.
+    """
+    with atomic_open(tsv_path) as tsv, \
+            (atomic_open(audit_path) if audit_path else contextlib.nullcontext()) as audit:
         for pair in pairs:
-            if "\t" in pair.source + pair.target or "\n" in pair.source + pair.target:
-                raise ValueError(f"pair text contains a tab or newline: {pair.source!r}")
-            fh.write(f"{pair.source}\t{pair.target}\n")
+            tsv.write(_tsv_line(pair))
+            if audit is not None:
+                audit.write(json_line(_audit_record(pair)))
 
 
 def read_pairs_tsv(path) -> list[tuple[str, str]]:
     return list(read_records(path, lambda source, target: (source, target), fields=2))
-
-
-def write_pairs_audit_jsonl(pairs: list[ParallelPair], path) -> None:
-    write_jsonl(({"source": pair.source, "target": pair.target,
-                  "property_used": pair.property_used, "vehicle": pair.vehicle,
-                  "provenance": pair.provenance} for pair in pairs), path)
 
 
 def _pair_record(rec) -> ParallelPair:

@@ -22,6 +22,7 @@ from .core import (
     LINE_ERRORS,
     NotModifierFinal,
     ParseError,
+    atomic_open,
     extract_generated_vehicle,
     is_word,
     read_records,
@@ -226,7 +227,7 @@ class ScoreSheet:
         self.rows.append(ScoreRow(str(item_id), str(system), str(rater_id), criterion, int(score)))
 
     def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["item_id", "system", "rater_id", "criterion", "score"])
             for r in self.rows:

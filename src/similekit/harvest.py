@@ -10,6 +10,8 @@ stricter contract: no comparator token at all and a modifier-final ending.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import random
@@ -59,9 +61,8 @@ class CorpusSplit:
     seed: int
 
 
-def load_comments(path, stats: HarvestStats | None = None) -> list[RawComment]:
-    """Read NDJSON comment records; malformed lines are counted and skipped."""
-    comments = []
+def iter_comments(path, stats: HarvestStats | None = None):
+    """Yield the NDJSON comment records in file order; malformed lines are counted and skipped."""
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
@@ -69,20 +70,23 @@ def load_comments(path, stats: HarvestStats | None = None) -> list[RawComment]:
             try:
                 rec = json.loads(line)
                 created = rec.get("created_utc", 0)
-                comments.append(
-                    RawComment(
-                        id=str(rec["id"]),
-                        body=str(rec["body"]),
-                        subreddit=str(rec.get("subreddit", "")),
-                        # "1600000000.0" reads like the JSON number 1600000000.0.
-                        created_utc=int(float(created) if isinstance(created, str) else created),
-                    )
+                comment = RawComment(
+                    id=str(rec["id"]),
+                    body=str(rec["body"]),
+                    subreddit=str(rec.get("subreddit", "")),
+                    # "1600000000.0" reads like the JSON number 1600000000.0.
+                    created_utc=int(float(created) if isinstance(created, str) else created),
                 )
             # JSONDecodeError is a ValueError; a record that is not an object has no .get.
             except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
                 if stats is not None:
                     stats.malformed += 1
-    return comments
+                continue
+            yield comment
+
+
+def load_comments(path, stats: HarvestStats | None = None) -> list[RawComment]:
+    return list(iter_comments(path, stats))
 
 
 def dedup_key(text: str) -> str:
@@ -96,25 +100,34 @@ def harvest_similes(
 ) -> list[SimileInstance]:
     """Extract deduplicated simile sentences from a stream of comments.
 
-    Output order is fixed by (created_utc, id) regardless of stream order, so
-    repeated harvests over the same records agree byte for byte.
+    Of the similes sharing a dedup key, the one that comes first by
+    (created_utc, id, arrival) is kept, arrival being the order of comments
+    in the stream and of sentences in a comment, and the kept similes are
+    returned in that order.  Output is thus fixed by (created_utc, id)
+    regardless of stream order, so repeated harvests over the same records
+    agree byte for byte.  Only the kept similes are held, never the comments.
     """
-    ordered = sorted(comments, key=lambda c: (c.created_utc, c.id))
-    seen: set[str] = set()
-    out: list[SimileInstance] = []
-    for comment in ordered:
+    # dedup key -> (created_utc, id, arrival number, simile)
+    kept: dict[str, tuple] = {}
+    arrival = itertools.count()
+    for comment in comments:
+        rank = (comment.created_utc, comment.id)
         for sentence in split_sentences(comment.body):
             inst = parse_simile(sentence, cfg)
             if inst is None:
                 continue
             key = dedup_key(inst.raw_text)
-            if key in seen:
+            held = kept.get(key)
+            if held is not None:
                 if stats is not None:
                     stats.duplicates += 1
-                continue
-            seen.add(key)
-            out.append(replace(inst, source_id=comment.id))
-    return out
+                if held[:2] <= rank:  # an earlier arrival wins a tie
+                    continue
+            kept[key] = (*rank, next(arrival), replace(inst, source_id=comment.id))
+    entries = list(kept.values())
+    del kept
+    entries.sort()
+    return [entry[3] for entry in entries]
 
 
 def harvest_literals(sentences, tagger, stats: HarvestStats | None = None) -> list[LiteralSentence]:
@@ -165,6 +178,12 @@ def write_similes_jsonl(instances: list[SimileInstance], path) -> None:
                   "source_id": inst.source_id} for inst in instances), path)
 
 
+@functools.lru_cache(maxsize=64)
+def _check_comparator(comparator: str) -> None:
+    """TriggerConfig rejects a comparator outside COMPARATORS; a file repeats a few of them."""
+    TriggerConfig((comparator,))
+
+
 def _simile_record(rec) -> SimileInstance:
     """Rebuild a simile from harvest's stored split; a text-only record is parsed."""
     text = rec["text"]
@@ -176,12 +195,17 @@ def _simile_record(rec) -> SimileInstance:
     prefix, vehicle = rec["prefix"], rec["vehicle"]
     inst = SimileInstance(text, prefix, text[len(prefix) : len(text) - len(vehicle)], vehicle,
                           rec.get("source_id", ""))
-    TriggerConfig((inst.comparator,))  # rejects a comparator outside COMPARATORS
+    _check_comparator(inst.comparator)
     return inst
 
 
+def iter_similes_jsonl(path):
+    """Yield the similes of a file harvest wrote, in file order."""
+    return read_records(path, _simile_record)
+
+
 def read_similes_jsonl(path) -> list[SimileInstance]:
-    return list(read_records(path, _simile_record))
+    return list(iter_similes_jsonl(path))
 
 
 def write_literals_jsonl(literals: list[LiteralSentence], path) -> None:

@@ -3,7 +3,9 @@
 A story is embellished at most once: among sentences whose final content token
 is an adjective or adverb, one is picked by seeded RNG and handed to any
 generator with the shared literal-in signature.  Stories with no qualifying
-sentence, and generator misses or failures, pass through unchanged.
+sentence, and generator misses, pass through unchanged; a generator that
+cannot strip the sentence's modifier is a warning, and any other generator
+error ends the run.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class Story:
 
 
 class EmbellishWarning(UserWarning):
-    """The generator failed; the story was returned unchanged."""
+    """The generator could not strip the sentence's modifier; the story was returned unchanged."""
 
 
 def _qualifies(sentence: str, tagger) -> bool:
@@ -58,14 +60,16 @@ def select_replaceable(story: Story, tagger, rng_seed: int) -> int | None:
 def embellish(story: Story, generator, tagger, seed: int) -> Story:
     """Replace the selected sentence with generator(sentence); unchanged on miss.
 
-    generator is any literal-in callable returning the simile or None.
+    generator is any literal-in callable returning the simile or None.  A
+    NotModifierFinal from it is a warning and leaves the story unchanged;
+    any other error propagates.
     """
     index = select_replaceable(story, tagger, seed)
     if index is None:
         return story
     try:
         simile = generator(story.sentences[index])
-    except Exception as exc:
+    except NotModifierFinal as exc:
         warnings.warn(f"generator failed ({exc}); story unchanged", EmbellishWarning,
                       stacklevel=2)
         return story

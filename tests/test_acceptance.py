@@ -164,8 +164,7 @@ def test_criterion_6_end_to_end_desk_run(capsys, tmp_path, toy_world):
 
         commands = [
             ["harvest", "--comments", str(comments), "--similes-out", str(similes_out),
-             "--sentences", str(sentences), "--literals-out", str(literals_out),
-             "--seed", "5"],
+             "--sentences", str(sentences), "--literals-out", str(literals_out)],
             ["build-corpus", "--in", str(similes_out), "--knowledge",
              toy_world["edges_path"], "--out", str(pairs_out)],
             ["train", "--pairs", str(pairs_out), "--model-out", str(model_dir),

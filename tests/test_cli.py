@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 from similekit.cli import COMMANDS, _parse_bool, _parse_ratio, _parse_triggers, main
-from similekit.core import parse_simile
+from similekit.core import parse_simile, read_lines
+from similekit.corpus import build_parallel_corpus, write_pairs_audit_jsonl, write_pairs_tsv
 from similekit.evaluation import ScoreSheet
-from similekit.harvest import read_literals_jsonl
-from similekit.lm import TemplateNgramModel, TrainConfig
+from similekit.harvest import read_literals_jsonl, read_similes_jsonl
+from similekit.knowledge import load_edge_table
+from similekit.lm import BigramScorer, TemplateNgramModel, TrainConfig, UniformScorer
 from similekit.story import Story, write_stories_jsonl
 
 MANIFEST_KEYS = {"command", "argv", "config_sha256", "inputs", "seeds", "outputs"}
@@ -152,7 +154,7 @@ class TestHarvest:
     def test_rerun_is_byte_identical(self, world, tmp_path):
         args = [
             "harvest", "--comments", str(world["comments"]),
-            "--similes-out", str(tmp_path / "s.jsonl"), "--seed", "5",
+            "--similes-out", str(tmp_path / "s.jsonl"),
         ]
         assert main(args) == 0
         first = (tmp_path / "s.jsonl").read_bytes()
@@ -160,6 +162,13 @@ class TestHarvest:
         assert main(args) == 0
         assert (tmp_path / "s.jsonl").read_bytes() == first
         assert (tmp_path / "s.jsonl.manifest.json").read_bytes() == first_manifest
+
+    def test_seed_without_split_or_sample_exits_two(self, world, tmp_path, capsys):
+        rc = main(["harvest", "--sentences", str(world["sentences"]),
+                   "--literals-out", str(tmp_path / "h.jsonl"), "--seed", "99"])
+        assert rc == 2
+        assert "--seed requires --split or --sample" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_validation_reports_every_error(self, tmp_path, capsys):
         rc = main(["harvest", "--split", "0.9", "--comments", str(tmp_path / "missing.ndjson")])
@@ -329,6 +338,58 @@ class TestBuildCorpus:
         assert rc == 2
         assert "--scorer uniform does not read --scorer-train" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("scorer", ["reference", "scorer-train", "uniform"])
+    def test_writes_what_the_library_writes(self, world, tmp_path, scorer):
+        """Streaming both files in one pass gives the bytes of the list-based API."""
+        similes = read_similes_jsonl(world["train_similes"])
+        flags = {"reference": [], "uniform": ["--scorer", "uniform"],
+                 "scorer-train": ["--scorer-train", str(world["sentences"])]}[scorer]
+        model = {"reference": lambda: BigramScorer([sim.raw_text for sim in similes]),
+                 "uniform": lambda: UniformScorer(1000),
+                 "scorer-train": lambda: BigramScorer(read_lines(world["sentences"]))}[scorer]
+        pairs = build_parallel_corpus(similes, load_edge_table(world["edges"]), model(), k=5)
+        write_pairs_tsv(pairs, tmp_path / "lib.tsv")
+        write_pairs_audit_jsonl(pairs, tmp_path / "lib.jsonl")
+        assert main(["build-corpus", "--in", str(world["train_similes"]),
+                     "--knowledge", world["edges"], "--out", str(tmp_path / "cli.tsv"),
+                     "--audit-out", str(tmp_path / "cli.jsonl")] + flags) == 0
+        assert (tmp_path / "cli.tsv").read_bytes() == (tmp_path / "lib.tsv").read_bytes()
+        assert (tmp_path / "cli.jsonl").read_bytes() == (tmp_path / "lib.jsonl").read_bytes()
+        if scorer == "reference":
+            assert (tmp_path / "cli.tsv").read_bytes() == world["pairs"].read_bytes()
+
+    @pytest.mark.parametrize("scorer", ["reference", "uniform"])
+    def test_bad_last_line_writes_nothing(self, world, tmp_path, capsys, scorer):
+        """The uniform scorer meets the bad line after output has started."""
+        similes = tmp_path / "in" / "similes.jsonl"
+        similes.parent.mkdir()
+        similes.write_bytes(world["train_similes"].read_bytes() + b'{"text": "no simile"}\n')
+        line = len(list(read_lines(similes)))
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["build-corpus", "--in", str(similes), "--knowledge", world["edges"],
+                   "--scorer", scorer, "--out", str(out / "pairs.tsv"),
+                   "--audit-out", str(out / "audit.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {similes}:{line}: ")
+        assert list(out.iterdir()) == []
+
+    def test_k_below_one_exits_two(self, world, tmp_path, capsys):
+        rc = main(["build-corpus", "--in", str(world["train_similes"]),
+                   "--knowledge", world["edges"], "--k", "0", "--out", str(tmp_path / "p.tsv")])
+        assert rc == 2
+        assert "bad value for 'k': '0'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_uniform_scorer_refuses_k(self, world, tmp_path, capsys):
+        argv = ["build-corpus", "--in", str(world["train_similes"]), "--knowledge",
+                world["edges"], "--scorer", "uniform", "--out", str(tmp_path / "p.tsv")]
+        assert main(argv + ["--k", "1"]) == 2
+        assert "--scorer uniform does not read --k" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert main(argv + ["--k", "5"]) == 0  # the default changes nothing
 
 
 class TestTrain:
@@ -749,6 +810,18 @@ class TestEmbellish:
         assert main(["embellish", "--stories", str(stories), "--model", str(world["model"]),
                      "--seed", "3", "--out", str(out)]) == 0
         assert_manifest_lists(out, [stories, world["model"] / "model.json"], [out])
+
+    def test_generator_crash_exits_one(self, world, stories, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("decoder crashed")
+
+        monkeypatch.setattr("similekit.cli.scope_generate", broken)
+        out = tmp_path / "embellished.jsonl"
+        rc = main(["embellish", "--stories", str(stories), "--model", str(world["model"]),
+                   "--seed", "3", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: decoder crashed\n"
+        assert not out.exists()
 
     def test_titles_need_models(self, world, tmp_path, capsys):
         titles = tmp_path / "titles.txt"

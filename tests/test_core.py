@@ -28,6 +28,9 @@ from similekit.core import (
     strip_terminal_modifier,
     terminal_punctuation,
     tokenize,
+    write_json,
+    write_jsonl,
+    write_lines,
 )
 from similekit.corpus import read_pairs_audit_jsonl, read_pairs_tsv
 from similekit.evaluation import read_refs_jsonl
@@ -68,6 +71,12 @@ class TestTokenizer:
     def test_split_sentences(self):
         assert split_sentences("One. Two! Three?") == ["One.", "Two!", "Three?"]
         assert split_sentences("line one\nline two.") == ["line one", "line two."]
+
+
+class TestSimileInstance:
+    def test_has_no_instance_dict(self):
+        """Harvest holds every kept simile; slots keep each one small."""
+        assert not hasattr(parse_simile("He ran like a deer."), "__dict__")
 
 
 class TestParseSimile:
@@ -337,6 +346,45 @@ class TestReadRecords:
     def test_one_parse_error_class(self):
         assert similekit.ParseError is knowledge.ParseError is ParseError
         assert issubclass(ParseError, ValueError)
+
+
+def records_then_crash():
+    yield {"i": 0}
+    yield {"i": 1}
+    raise RuntimeError("input went bad")
+
+
+class TestAtomicWrites:
+    """An output is replaced only when its writer completes; no temporary file stays."""
+
+    WRITERS = {
+        "jsonl": lambda path: write_jsonl(records_then_crash(), path),
+        "lines": lambda path: write_lines((f"{rec['i']}\n" for rec in records_then_crash()), path),
+        # json.dump writes the document in pieces, so the bad value comes after the first.
+        "json": lambda path: write_json({"a": 1, "b": object()}, path),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_failed_write_leaves_the_old_file(self, tmp_path, name):
+        path = tmp_path / "out"
+        path.write_bytes(b"previous run\n")
+        with pytest.raises((RuntimeError, TypeError)):
+            self.WRITERS[name](path)
+        assert path.read_bytes() == b"previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_failed_first_write_creates_nothing(self, tmp_path, name):
+        with pytest.raises((RuntimeError, TypeError)):
+            self.WRITERS[name](tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_completed_write_replaces_the_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        path.write_bytes(b"previous run\n")
+        write_jsonl([{"b": "é", "a": 1}], path)
+        assert path.read_bytes() == '{"a": 1, "b": "é"}\n'.encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 
 class TestTagging:

@@ -11,14 +11,16 @@ from similekit.corpus import (
     ParallelPair,
     build_parallel_corpus,
     correct_grammar,
+    iter_parallel_corpus,
     make_literal_candidates,
     read_pairs_audit_jsonl,
     read_pairs_tsv,
     select_best_literal,
+    write_pair_files,
     write_pairs_audit_jsonl,
     write_pairs_tsv,
 )
-from similekit.knowledge import PropertyCandidate
+from similekit.knowledge import PropertyCandidate, load_edge_table
 from similekit.lm import UniformScorer
 
 
@@ -200,6 +202,34 @@ class TestBuildParallelCorpus:
         again = build_parallel_corpus(toy_world["similes"][:40], backend, scorer)
         assert once == again
 
+    def test_stream_pulls_one_simile_per_pair(self, toy_world):
+        """A simile is read only once the pair before it has been taken."""
+        similes = toy_world["similes"][:20]
+        pulled = []
+
+        def stream():
+            for simile in similes:
+                pulled.append(simile)
+                yield simile
+
+        backend = load_edge_table(toy_world["edges_path"])
+        pairs = iter_parallel_corpus(stream(), backend, UniformScorer(10))
+        assert pulled == []
+        for taken, pair in enumerate(pairs, start=1):
+            assert len(pulled) == taken
+            assert pair.target == pulled[-1].raw_text
+        assert pulled == similes
+
+    def test_stream_counts_skips_before_the_next_pair(self, table2_backend, table2_scorer):
+        similes = iter([parse_simile("It hummed like a zamboni."),
+                        parse_simile("Love is like a unicorn."),
+                        parse_simile("It hummed like a zamboni.")])
+        stats = BuildStats()
+        pairs = iter_parallel_corpus(similes, table2_backend, table2_scorer, stats=stats)
+        assert next(pairs).target == "Love is like a unicorn."
+        assert (stats.built, stats.skipped_no_properties) == (1, 1)
+        assert next(similes).vehicle == "zamboni."
+
 
 class TestPairFiles:
     @pytest.fixture()
@@ -229,3 +259,36 @@ class TestPairFiles:
         path = tmp_path / "pairs.audit.jsonl"
         write_pairs_audit_jsonl(pairs, path)
         assert read_pairs_audit_jsonl(path) == pairs
+
+    @pytest.mark.parametrize("audit", [True, False])
+    def test_one_pass_writer_writes_what_the_two_writers_write(self, tmp_path, pairs, audit):
+        write_pairs_tsv(pairs, tmp_path / "a.tsv")
+        write_pairs_audit_jsonl(pairs, tmp_path / "a.jsonl")
+        write_pair_files(iter(pairs), tmp_path / "b.tsv", tmp_path / "b.jsonl" if audit else None)
+        assert (tmp_path / "b.tsv").read_bytes() == (tmp_path / "a.tsv").read_bytes()
+        assert (tmp_path / "b.jsonl").exists() == audit
+        if audit:
+            assert (tmp_path / "b.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
+
+    def test_failed_stream_replaces_neither_file(self, tmp_path, pairs):
+        def crashing():
+            yield from pairs
+            raise RuntimeError("input went bad")
+
+        tsv, audit = tmp_path / "pairs.tsv", tmp_path / "pairs.audit.jsonl"
+        tsv.write_bytes(b"old tsv\n")
+        audit.write_bytes(b"old audit\n")
+        for write in (lambda: write_pair_files(crashing(), tsv, audit),
+                      lambda: write_pairs_tsv(crashing(), tsv),
+                      lambda: write_pairs_audit_jsonl(crashing(), audit)):
+            with pytest.raises(RuntimeError):
+                write()
+            assert (tsv.read_bytes(), audit.read_bytes()) == (b"old tsv\n", b"old audit\n")
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.audit.jsonl",
+                                                                  "pairs.tsv"]
+
+    def test_tab_in_a_later_pair_writes_nothing(self, tmp_path, pairs):
+        bad = ParallelPair("a\tb fast.", "a b like a c.", "fast", "c")
+        with pytest.raises(ValueError):
+            write_pair_files(pairs + [bad], tmp_path / "pairs.tsv", tmp_path / "a.jsonl")
+        assert list(tmp_path.iterdir()) == []

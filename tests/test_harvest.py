@@ -15,6 +15,7 @@ from similekit.harvest import (
     dedup_key,
     harvest_literals,
     harvest_similes,
+    iter_comments,
     load_comments,
     read_literals_jsonl,
     read_similes_jsonl,
@@ -23,7 +24,14 @@ from similekit.harvest import (
     write_literals_jsonl,
     write_similes_jsonl,
 )
-from similekit.core import COMPARATORS, ParseError, TriggerConfig, parse_simile
+from similekit.core import (
+    COMPARATORS,
+    DEFAULT_TRIGGERS,
+    ParseError,
+    TriggerConfig,
+    parse_simile,
+    split_sentences,
+)
 from similekit.tagging import DEFAULT_TAGGER
 
 
@@ -31,7 +39,49 @@ def comment(i, body, ts=0):
     return RawComment(id=str(i), body=body, subreddit="test", created_utc=ts)
 
 
+def oracle_harvest_similes(comments, cfg=DEFAULT_TRIGGERS, stats=None):
+    """The previous harvest_similes: sort every comment, the first simile of a key wins."""
+    ordered = sorted(comments, key=lambda c: (c.created_utc, c.id))
+    seen = set()
+    out = []
+    for comment in ordered:
+        for sentence in split_sentences(comment.body):
+            inst = parse_simile(sentence, cfg)
+            if inst is None:
+                continue
+            key = dedup_key(inst.raw_text)
+            if key in seen:
+                if stats is not None:
+                    stats.duplicates += 1
+                continue
+            seen.add(key)
+            out.append(replace(inst, source_id=comment.id))
+    return out
+
+
+# Sentences that share a dedup key but differ in text, so the wrong winner shows.
+SENTENCES = [
+    "He ran like a deer.", "he ran, like a deer!", "HE RAN LIKE A DEER?",
+    "She sang like a bird.", "She sang like a bird!", "It was like an owl.",
+    "it was like an OWL.", "Nothing here.", "The sea was like a mirror.",
+]
+comments_strategy = st.lists(st.builds(
+    RawComment,
+    id=st.sampled_from(["a", "b", "c"]),
+    body=st.lists(st.sampled_from(SENTENCES), min_size=1, max_size=4).map("\n".join),
+    created_utc=st.integers(0, 2),
+), max_size=12)
+
+
 class TestHarvestSimiles:
+    @given(comments_strategy, st.sampled_from([DEFAULT_TRIGGERS, TriggerConfig(COMPARATORS)]))
+    @settings(max_examples=300, deadline=None)
+    def test_streaming_equals_sort_then_first_wins(self, comments, cfg):
+        stats, oracle_stats = HarvestStats(), HarvestStats()
+        out = harvest_similes(iter(comments), cfg, stats)
+        assert out == oracle_harvest_similes(comments, cfg, oracle_stats)  # source_id too
+        assert stats.duplicates == oracle_stats.duplicates
+
     def test_pronoun_topic_retained(self):
         out = harvest_similes([comment(1, "I feel like a fool")])
         assert len(out) == 1
@@ -106,6 +156,19 @@ class TestLoadComments:
         assert [(c.id, c.created_utc) for c in comments] == [
             ("0", 1600000000), ("1", 1600000000), ("2", 42)]
         assert stats.malformed == 5
+
+    def test_iter_comments_streams_what_load_comments_lists(self, tmp_path):
+        path = tmp_path / "c.ndjson"
+        rows = [json.dumps({"id": str(i), "body": f"b{i} like a c.", "created_utc": i})
+                for i in range(3)]
+        path.write_text("\n".join(rows[:2] + ["{bad"] + rows[2:]) + "\n", encoding="utf-8")
+        stats = HarvestStats()
+        stream = iter_comments(path, stats)
+        assert next(stream).id == "0"
+        assert stats.malformed == 0
+        assert [c.id for c in stream] == ["1", "2"]
+        assert stats.malformed == 1
+        assert load_comments(path) == list(iter_comments(path))
 
     def test_empty_body_rejected_at_type_level(self):
         with pytest.raises(ValueError):

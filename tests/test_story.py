@@ -2,6 +2,7 @@
 
 import pytest
 
+from similekit.core import NotModifierFinal
 from similekit.story import (
     EmbellishWarning,
     Story,
@@ -67,12 +68,19 @@ class TestEmbellish:
         assert embellish(STORY, lambda lit: None, DEFAULT_TAGGER, seed=0) is STORY
 
     def test_unchanged_with_warning_on_generator_failure(self):
+        def unstrippable(literal):
+            raise NotModifierFinal("final token tagged NOUN")
+
+        with pytest.warns(EmbellishWarning):
+            out = embellish(STORY, unstrippable, DEFAULT_TAGGER, seed=0)
+        assert out is STORY
+
+    def test_other_generator_error_propagates(self):
         def broken(literal):
             raise RuntimeError("model offline")
 
-        with pytest.warns(EmbellishWarning):
-            out = embellish(STORY, broken, DEFAULT_TAGGER, seed=0)
-        assert out is STORY
+        with pytest.raises(RuntimeError, match="model offline"):
+            embellish(STORY, broken, DEFAULT_TAGGER, seed=0)
 
     def test_deterministic_for_seed(self):
         story = Story(
