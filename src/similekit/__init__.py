@@ -37,6 +37,7 @@ from .evaluation import (
 from .harvest import (
     CorpusSplit,
     EmptyCorpus,
+    HarvestedSimile,
     RawComment,
     harvest_literals,
     harvest_similes,

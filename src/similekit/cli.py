@@ -32,7 +32,7 @@ from .core import (
     write_json,
     write_jsonl,
 )
-from .corpus import BuildStats, iter_parallel_corpus, read_pairs_tsv, write_pair_files
+from .corpus import BuildStats, iter_parallel_corpus, write_pair_files
 from .evaluation import (
     CRITERIA,
     MetricReport,
@@ -391,18 +391,26 @@ def cmd_build_corpus(s: Settings) -> int:
 def cmd_train(s: Settings) -> int:
     if s.fail_if_errors():
         return 2
-    pairs = read_pairs_tsv(s["pairs"])
+    read = 0
+
+    def pair(source, target):
+        nonlocal read
+        read += 1
+        return source, target
+
+    # The trainer reads the pairs as they stream from the file; only its counts are held.
+    pairs = read_records(s["pairs"], pair, fields=2)
     cfg = TrainConfig(seed=s["seed"])
     backend = ReferenceSeq2SeqBackend()
     if s["mask"]:
         mask_stats: dict = {}
         model = train_metaphor_mask(pairs, cfg, backend, DEFAULT_TAGGER, mask_stats)
-        print(f"masked training: {mask_stats.get('skipped', 0)} pairs skipped")
+        print(f"masked training: {mask_stats['skipped']} pairs skipped")
     else:
         model = fine_tune(pairs, cfg, backend)
     model.save(s["model-out"])
     _write_manifest(s, {"seed": s["seed"]})
-    print(f"trained on {len(pairs)} pairs -> {s['model-out']}")
+    print(f"trained on {read} pairs -> {s['model-out']}")
     return 0
 
 

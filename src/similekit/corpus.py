@@ -121,9 +121,13 @@ def iter_parallel_corpus(
     k: int = 5,
     stats: BuildStats | None = None,
 ):
-    """Yield one pair per convertible simile; per-item failures are recorded, never fatal.
+    """Yield one pair per convertible simile; a simile that fails with a ValueError is recorded.
 
-    Similes whose vehicle yields no properties are skipped and counted.
+    Similes whose vehicle yields no properties are skipped and counted.  A
+    ValueError on one simile (an empty candidate text, or a pair that breaks
+    the source/target contract) is recorded in stats.failures and the
+    simile is dropped; any other error, such as BackendUnavailable from a
+    remote scorer or knowledge table, propagates and ends the build.
     Output order follows input order, and each simile is read from
     `similes` only when the pair before it has been taken, so a stream of
     similes is converted holding one at a time.
@@ -146,7 +150,7 @@ def iter_parallel_corpus(
                 vehicle=concept,
                 provenance=simile.source_id,
             )
-        except Exception as exc:
+        except ValueError as exc:
             if stats is not None:
                 stats.failures.append((simile.source_id or simile.raw_text, str(exc)))
             continue

@@ -17,6 +17,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_TRIGGERS,
@@ -93,11 +94,39 @@ def dedup_key(text: str) -> str:
     return " ".join(re.sub(r"[^\w\s]", " ", text.lower()).split())
 
 
+class HarvestedSimile(NamedTuple):
+    """A kept simile as harvest holds it: its rank, its text and the split offsets.
+
+    Rows sort by (created_utc, source_id, arrival).  `prefix`, `vehicle`,
+    `raw_text` and `source_id` are what write_similes_jsonl reads, so rows
+    are written as they are; instance() rebuilds the SimileInstance.
+    """
+
+    created_utc: int
+    source_id: str
+    arrival: int
+    raw_text: str
+    prefix_end: int
+    vehicle_start: int
+
+    @property
+    def prefix(self) -> str:
+        return self.raw_text[: self.prefix_end]
+
+    @property
+    def vehicle(self) -> str:
+        return self.raw_text[self.vehicle_start :]
+
+    def instance(self) -> SimileInstance:
+        comparator = self.raw_text[self.prefix_end : self.vehicle_start]
+        return SimileInstance(self.raw_text, self.prefix, comparator, self.vehicle, self.source_id)
+
+
 def harvest_similes(
     comments,
     cfg: TriggerConfig = DEFAULT_TRIGGERS,
     stats: HarvestStats | None = None,
-) -> list[SimileInstance]:
+) -> list[HarvestedSimile]:
     """Extract deduplicated simile sentences from a stream of comments.
 
     Of the similes sharing a dedup key, the one that comes first by
@@ -105,10 +134,10 @@ def harvest_similes(
     in the stream and of sentences in a comment, and the kept similes are
     returned in that order.  Output is thus fixed by (created_utc, id)
     regardless of stream order, so repeated harvests over the same records
-    agree byte for byte.  Only the kept similes are held, never the comments.
+    agree byte for byte.  Only one compact row per kept simile is held,
+    never the comments; `[row.instance() for row in rows]` gives the similes.
     """
-    # dedup key -> (created_utc, id, arrival number, simile)
-    kept: dict[str, tuple] = {}
+    kept: dict[str, HarvestedSimile] = {}
     arrival = itertools.count()
     for comment in comments:
         rank = (comment.created_utc, comment.id)
@@ -116,18 +145,19 @@ def harvest_similes(
             inst = parse_simile(sentence, cfg)
             if inst is None:
                 continue
-            key = dedup_key(inst.raw_text)
+            key = dedup_key(sentence)
             held = kept.get(key)
             if held is not None:
                 if stats is not None:
                     stats.duplicates += 1
                 if held[:2] <= rank:  # an earlier arrival wins a tie
                     continue
-            kept[key] = (*rank, next(arrival), replace(inst, source_id=comment.id))
-    entries = list(kept.values())
+            kept[key] = HarvestedSimile(*rank, next(arrival), sentence, len(inst.prefix),
+                                        len(sentence) - len(inst.vehicle))
+    rows = list(kept.values())
     del kept
-    entries.sort()
-    return [entry[3] for entry in entries]
+    rows.sort()
+    return rows
 
 
 def harvest_literals(sentences, tagger, stats: HarvestStats | None = None) -> list[LiteralSentence]:
@@ -173,7 +203,8 @@ def split_corpus(similes: list, ratio, seed: int) -> CorpusSplit:
 # File formats
 
 
-def write_similes_jsonl(instances: list[SimileInstance], path) -> None:
+def write_similes_jsonl(instances, path) -> None:
+    """Write SimileInstances or HarvestedSimile rows, one JSON record each."""
     write_jsonl(({"text": inst.raw_text, "prefix": inst.prefix, "vehicle": inst.vehicle,
                   "source_id": inst.source_id} for inst in instances), path)
 

@@ -11,7 +11,8 @@ out of process, plus deterministic in-process reference implementations:
   samples from the first top_k.  Reference: a template n-gram model that
   learns how many terminal words a source drops and what suffixes replace
   them, conditioned on the dropped cue word.
-* trainer backend: `fine_tune(pairs, cfg) -> model`.
+* trainer backend: `fine_tune(pairs, cfg) -> model`, where pairs is an
+  iterator of (source, target) tuples, read once.
 
 Decoding is seeded per call from (seed, source, forced_prefix) so batch order
 and process boundaries never change an output.
@@ -19,6 +20,7 @@ and process boundaries never change an output.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -257,18 +259,21 @@ def _pair_texts(pair) -> tuple[str, str]:
 def fine_tune(pairs, cfg: TrainConfig, backend):
     """Train a seq2seq model on (source, target) pairs via the given backend.
 
-    Accepts ParallelPair-shaped objects or plain 2-tuples.
+    Accepts any iterable of ParallelPair-shaped objects or plain 2-tuples,
+    and hands the backend an iterator that reads `pairs` as it goes, so a
+    stream of pairs is never held as a list here.
     """
-    pair_list = [_pair_texts(p) for p in pairs]
-    if not pair_list:
+    texts = map(_pair_texts, pairs)
+    first = next(texts, None)
+    if first is None:
         raise EmptyTrainingSet("no training pairs")
-    return backend.fine_tune(pair_list, cfg)
+    return backend.fine_tune(itertools.chain((first,), texts), cfg)
 
 
 class ReferenceSeq2SeqBackend:
     """In-process trainer producing TemplateNgramModel instances."""
 
-    def fine_tune(self, pairs: list[tuple[str, str]], cfg: TrainConfig):
+    def fine_tune(self, pairs, cfg: TrainConfig):
         return TemplateNgramModel.train(pairs, cfg)
 
 
@@ -343,8 +348,10 @@ class TemplateNgramModel:
         self.bigram = bigram
         self.unigram = unigram
         self.train_config = train_config
-        self._cue_tries = {cue: _Trie(counts) for cue, counts in cue_suffixes.items()}
-        self._global_trie = _Trie(global_suffixes)
+        # Tries are built on first lookup, so training and saving build none
+        # and decoding builds only the cues its sources end in.
+        self._cue_tries: dict[str, _Trie] = {}
+        self._global_trie: _Trie | None = None
         # The bigram (or unigram) row after a token, ranked on first use.
         self._ranked_rows: dict[str, tuple] = {}
         # The last source seen, its copy region and its cue's trie: decoding
@@ -354,9 +361,8 @@ class TemplateNgramModel:
     BOS = "<s>"
 
     @classmethod
-    def train(cls, pairs: list[tuple[str, str]], cfg: TrainConfig) -> "TemplateNgramModel":
-        if not pairs:
-            raise EmptyTrainingSet("no training pairs")
+    def train(cls, pairs, cfg: TrainConfig) -> "TemplateNgramModel":
+        """Count an iterable of (source, target) pairs, reading each pair once."""
         drop_counts: Counter = Counter()
         cue_suffixes: dict[str, dict[str, int]] = {}
         global_suffixes: dict[str, int] = {}
@@ -379,6 +385,8 @@ class TemplateNgramModel:
                 row[tok] = row.get(tok, 0) + 1
                 unigram[tok] = unigram.get(tok, 0) + 1
                 prev = tok
+        if not drop_counts:
+            raise EmptyTrainingSet("no training pairs")
         # Mode of the per-pair drop counts; ties go to the smaller count.
         best = max(drop_counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
         return cls(best, cue_suffixes, global_suffixes, bigram, unigram,
@@ -396,7 +404,10 @@ class TemplateNgramModel:
         source, copy, cue_trie = self._source
         if src_tokens != source:
             copy = self.copy_region(src_tokens)
-            cue_trie = self._cue_tries.get(_last_word(src_tokens))
+            cue = _last_word(src_tokens)
+            cue_trie = self._cue_tries.get(cue)
+            if cue_trie is None and cue in self.cue_suffixes:
+                cue_trie = self._cue_tries[cue] = _Trie(self.cue_suffixes[cue])
             self._source = (list(src_tokens), copy, cue_trie)
         n = len(out_tokens)
         if n < len(copy) and out_tokens == copy[:n]:
@@ -408,6 +419,8 @@ class TemplateNgramModel:
             if cue_trie is not None:
                 ranked = cue_trie.next_ranked(context)
             if ranked is None:
+                if self._global_trie is None:
+                    self._global_trie = _Trie(self.global_suffixes)
                 ranked = self._global_trie.next_ranked(context)
         if ranked is None:
             # Forced-prefix divergence or trie miss: sentence-level bigram.
@@ -421,13 +434,9 @@ class TemplateNgramModel:
     # Persistence: a directory with a manifest (config + seed) and the counts.
 
     def save(self, model_dir: str) -> None:
+        """Write model.json, then manifest.json: a failed save leaves no new
+        manifest beside an old or missing model.json."""
         os.makedirs(model_dir, exist_ok=True)
-        manifest = {
-            "type": "template-ngram",
-            "version": 1,
-            "train_config": self.train_config,
-        }
-        write_json(manifest, os.path.join(model_dir, "manifest.json"))
         state = {
             "drop_words": self.drop_words,
             "cue_suffixes": self.cue_suffixes,
@@ -436,6 +445,12 @@ class TemplateNgramModel:
             "unigram": self.unigram,
         }
         write_json(state, os.path.join(model_dir, "model.json"), indent=None)
+        manifest = {
+            "type": "template-ngram",
+            "version": 1,
+            "train_config": self.train_config,
+        }
+        write_json(manifest, os.path.join(model_dir, "manifest.json"))
 
     @classmethod
     def load(cls, model_dir: str) -> "TemplateNgramModel":
@@ -492,7 +507,8 @@ class RemoteSeq2SeqBackend:
     def __init__(self, command: list[str]):
         self.backend = JsonSubprocessBackend(command)
 
-    def fine_tune(self, pairs: list[tuple[str, str]], cfg: TrainConfig) -> RemoteModel:
+    def fine_tune(self, pairs, cfg: TrainConfig) -> RemoteModel:
+        """Send every (source, target) pair of the iterable in one request."""
         return self.backend.call(
             {"op": "fine_tune", "pairs": [list(p) for p in pairs], "config": asdict(cfg)},
             lambda reply: RemoteModel(self.backend.command, str(reply["model_id"])),

@@ -79,21 +79,27 @@ def unmask(masked: str, token: str) -> str:
 
 
 def train_metaphor_mask(pairs, cfg: TrainConfig, backend, tagger, stats: dict | None = None):
-    """Fine-tune on (masked source, simile target); unstrippable sources are skipped."""
-    masked_pairs = []
-    skipped = 0
-    for source, target in map(_pair_texts, pairs):
-        try:
-            masked, _ = mask_terminal_modifier(source, tagger)
-        except NotModifierFinal:
-            skipped += 1
-            continue
-        masked_pairs.append((masked, target))
-    if stats is not None:
-        stats["skipped"] = skipped
-    if not masked_pairs:
-        raise EmptyTrainingSet("no sources survive terminal-modifier masking")
-    return fine_tune(masked_pairs, cfg, backend)
+    """Fine-tune on (masked source, simile target); unstrippable sources are skipped.
+
+    Each source is masked as the trainer reads it, so a stream of pairs is
+    never held as a list; stats["skipped"] is the count once training is done.
+    """
+    counts = {} if stats is None else stats
+    counts["skipped"] = 0
+
+    def masked_pairs():
+        for source, target in map(_pair_texts, pairs):
+            try:
+                masked, _ = mask_terminal_modifier(source, tagger)
+            except NotModifierFinal:
+                counts["skipped"] += 1
+                continue
+            yield masked, target
+
+    try:
+        return fine_tune(masked_pairs(), cfg, backend)
+    except EmptyTrainingSet:
+        raise EmptyTrainingSet("no sources survive terminal-modifier masking") from None
 
 
 def baseline_metaphor_mask(literal: str, model, cfg: GenerationConfig, tagger) -> str:

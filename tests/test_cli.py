@@ -9,11 +9,19 @@ from pathlib import Path
 
 import pytest
 
+from similekit.backends import BackendUnavailable
 from similekit.cli import COMMANDS, _parse_bool, _parse_ratio, _parse_triggers, main
 from similekit.core import parse_simile, read_lines
 from similekit.corpus import build_parallel_corpus, write_pairs_audit_jsonl, write_pairs_tsv
 from similekit.evaluation import ScoreSheet
-from similekit.harvest import read_literals_jsonl, read_similes_jsonl
+from similekit.harvest import (
+    harvest_similes,
+    iter_comments,
+    read_literals_jsonl,
+    read_similes_jsonl,
+    split_corpus,
+    write_similes_jsonl,
+)
 from similekit.knowledge import load_edge_table
 from similekit.lm import BigramScorer, TemplateNgramModel, TrainConfig, UniformScorer
 from similekit.story import Story, write_stories_jsonl
@@ -162,6 +170,16 @@ class TestHarvest:
         assert main(args) == 0
         assert (tmp_path / "s.jsonl").read_bytes() == first
         assert (tmp_path / "s.jsonl.manifest.json").read_bytes() == first_manifest
+
+    def test_split_writes_what_the_library_writes(self, world, tmp_path):
+        """Written from compact rows, the three files equal the rebuilt instances' files."""
+        instances = [row.instance()
+                     for row in harvest_similes(iter_comments(world["comments"]))]
+        split = split_corpus(instances, 0.9, 5)
+        for name, similes in (("similes", instances), ("train_similes", split.train),
+                              ("val_similes", split.validation)):
+            write_similes_jsonl(similes, tmp_path / name)
+            assert (tmp_path / name).read_bytes() == world[name].read_bytes()
 
     def test_seed_without_split_or_sample_exits_two(self, world, tmp_path, capsys):
         rc = main(["harvest", "--sentences", str(world["sentences"]),
@@ -376,6 +394,19 @@ class TestBuildCorpus:
         assert capsys.readouterr().err.startswith(f"error: {similes}:{line}: ")
         assert list(out.iterdir()) == []
 
+    def test_backend_error_exits_one_and_writes_nothing(self, world, tmp_path, capsys,
+                                                        monkeypatch):
+        def unreachable(concept, k, backend):
+            raise BackendUnavailable("knowledge backend down")
+
+        monkeypatch.setattr("similekit.corpus.properties_of", unreachable)
+        rc = main(["build-corpus", "--in", str(world["train_similes"]),
+                   "--knowledge", world["edges"], "--out", str(tmp_path / "pairs.tsv"),
+                   "--audit-out", str(tmp_path / "audit.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: knowledge backend down\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_k_below_one_exits_two(self, world, tmp_path, capsys):
         rc = main(["build-corpus", "--in", str(world["train_similes"]),
                    "--knowledge", world["edges"], "--k", "0", "--out", str(tmp_path / "p.tsv")])
@@ -439,6 +470,29 @@ class TestTrain:
 
     def test_manifest_lists_given_paths(self, world):
         assert_manifest_lists(world["model"], [world["pairs"]], [world["model"]])
+
+    @pytest.mark.parametrize("extra", [[], ["--mask"]], ids=["plain", "mask"])
+    def test_bad_last_line_writes_nothing(self, world, tmp_path, capsys, extra):
+        """The pairs stream into the trainer, so the bad line is met after training began."""
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_bytes(world["pairs"].read_bytes() + b"one field only\n")
+        line = len(list(read_lines(pairs)))
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["train", "--pairs", str(pairs), "--model-out", str(out / "model"),
+                   "--seed", "7"] + extra)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {pairs}:{line}: ")
+        assert list(out.iterdir()) == []
+
+    def test_reports_pairs_read_and_skipped(self, world, tmp_path, capsys):
+        pairs = len(list(read_lines(world["pairs"])))
+        rc = main(["train", "--pairs", str(world["pairs"]), "--model-out",
+                   str(tmp_path / "model"), "--seed", "7", "--mask"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "masked training: 0 pairs skipped\n"
+            f"trained on {pairs} pairs -> {tmp_path / 'model'}\n")
 
     def test_config_section_matches_flags(self, world, tmp_path):
         config = tmp_path / "run.ini"

@@ -172,17 +172,28 @@ class TestBuildParallelCorpus:
         assert len(pairs) == 1
         assert stats.skipped_no_properties == 1
 
-    def test_scorer_failure_recorded_not_fatal(self, table2_backend):
+    def test_scorer_error_propagates(self, table2_backend):
         class Explodes:
             def token_logprobs(self, tokens):
                 raise RuntimeError("scorer down")
 
         similes = [parse_simile("Love is like a unicorn.")]
         stats = BuildStats()
-        pairs = build_parallel_corpus(similes, table2_backend, Explodes(), stats=stats)
-        assert pairs == []
-        assert len(stats.failures) == 1
-        assert "scorer down" in stats.failures[0][1]
+        with pytest.raises(RuntimeError, match="scorer down"):
+            build_parallel_corpus(similes, table2_backend, Explodes(), stats=stats)
+        assert stats.failures == []
+
+    def test_value_error_recorded_not_fatal(self, table2_rows, table2_backend, table2_scorer):
+        """A corrector that adds a comparator breaks the pair contract on one simile."""
+        similes = [parse_simile(row["simile"]) for row in table2_rows]
+        stats = BuildStats()
+        pairs = build_parallel_corpus(
+            similes, table2_backend, table2_scorer, stats=stats,
+            corrector=lambda text: text + " Like a rock." if text.startswith("Love") else text)
+        assert [p.target for p in pairs] == [row["simile"] for row in table2_rows[1:]]
+        assert stats.failures == [(table2_rows[0]["simile"],
+                                   "source must not contain a trigger phrase")]
+        assert stats.built == 2
 
     def test_toy_corpus_is_complete_and_comparator_free(self, toy_pairs, toy_world):
         assert len(toy_pairs) == len(toy_world["similes"]) == 200

@@ -78,9 +78,22 @@ class TestHarvestSimiles:
     @settings(max_examples=300, deadline=None)
     def test_streaming_equals_sort_then_first_wins(self, comments, cfg):
         stats, oracle_stats = HarvestStats(), HarvestStats()
-        out = harvest_similes(iter(comments), cfg, stats)
-        assert out == oracle_harvest_similes(comments, cfg, oracle_stats)  # source_id too
+        instances = [row.instance() for row in harvest_similes(iter(comments), cfg, stats)]
+        assert instances == oracle_harvest_similes(comments, cfg, oracle_stats)  # source_id too
         assert stats.duplicates == oracle_stats.duplicates
+
+    def test_rows_write_the_bytes_of_their_instances(self, tmp_path):
+        rows = harvest_similes([comment(1, "Ok, he ran like a deer! Then she sang like an owl."),
+                                comment(2, "It was, like a, dream like a storm.", ts=1)],
+                               TriggerConfig(COMPARATORS))
+        assert [(r.raw_text, r.prefix, r.vehicle) for r in rows] == [
+            ("Ok, he ran like a deer!", "Ok, he ran", "deer!"),
+            ("Then she sang like an owl.", "Then she sang", "owl."),
+            ("It was, like a, dream like a storm.", "It was,", ", dream like a storm.")]
+        write_similes_jsonl(rows, tmp_path / "rows.jsonl")
+        write_similes_jsonl([r.instance() for r in rows], tmp_path / "instances.jsonl")
+        assert (tmp_path / "rows.jsonl").read_bytes() == \
+            (tmp_path / "instances.jsonl").read_bytes()
 
     def test_pronoun_topic_retained(self):
         out = harvest_similes([comment(1, "I feel like a fool")])

@@ -6,7 +6,9 @@ import math
 import random
 import re
 import sys
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -459,12 +461,73 @@ class TestGenerate:
         assert first == again
 
 
+def model_state(model):
+    return (model.drop_words, model.cue_suffixes, model.global_suffixes, model.bigram,
+            model.unigram, model.train_config)
+
+
+def saved_bytes(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        model.save(tmp)
+        return {name: (Path(tmp) / name).read_bytes() for name in ("manifest.json", "model.json")}
+
+
+WORDS = ["the", "sky", "was", "blue", "hard", "rock", "ran", "fast", ",", ".", "!"]
+texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(" ".join)
+pair_lists = st.lists(st.tuples(texts, texts.map(lambda t: t + " like a sea .")),
+                      min_size=1, max_size=12)
+
+
 class TestTemplateNgramModel:
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
             TemplateNgramModel.train([], TrainConfig(seed=0))
         with pytest.raises(EmptyTrainingSet):
             fine_tune([], TrainConfig(seed=0), BACKEND)
+
+    @pytest.mark.parametrize("backend", [BACKEND, RemoteSeq2SeqBackend(["no-such-worker"])],
+                             ids=["reference", "remote"])
+    def test_empty_iterator_is_an_empty_training_set(self, backend):
+        with pytest.raises(EmptyTrainingSet):
+            TemplateNgramModel.train(iter([]), TrainConfig(seed=0))
+        with pytest.raises(EmptyTrainingSet):
+            fine_tune((pair for pair in []), TrainConfig(seed=0), backend)
+
+    @given(pair_lists, st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_training_on_an_iterator_equals_training_on_a_list(self, pairs, seed):
+        cfg = TrainConfig(seed=seed)
+        from_list = TemplateNgramModel.train(pairs, cfg)
+        streamed = fine_tune((pair for pair in pairs), cfg, BACKEND)
+        assert model_state(streamed) == model_state(from_list)
+        assert saved_bytes(streamed) == saved_bytes(from_list)
+
+    def test_training_and_saving_build_no_trie(self, tmp_path, toy_pairs, toy_world):
+        model = fine_tune(iter(toy_pairs), TrainConfig(seed=11), BACKEND)
+        model.save(tmp_path)
+        assert model._cue_tries == {} and model._global_trie is None
+        generate(toy_world["holdout"][0], cfg(seed=7), model)
+        assert len(model._cue_tries) == 1
+
+    def test_failed_model_write_leaves_no_new_manifest(self, tmp_path, monkeypatch, toy_model):
+        import similekit.lm as lm
+
+        old = tmp_path / "old"
+        TemplateNgramModel.train([("a b c.", "a b like a d.")], TrainConfig(seed=1)).save(old)
+        before = {p.name: p.read_bytes() for p in old.iterdir()}
+        write_json = lm.write_json
+
+        def fail_on_model(obj, path, indent=2):
+            if str(path).endswith("model.json"):
+                raise OSError("disk full")
+            write_json(obj, path, indent)
+
+        monkeypatch.setattr(lm, "write_json", fail_on_model)
+        for model_dir in (old, tmp_path / "new"):
+            with pytest.raises(OSError, match="disk full"):
+                toy_model.save(model_dir)
+        assert {p.name: p.read_bytes() for p in old.iterdir()} == before
+        assert list((tmp_path / "new").iterdir()) == []
 
     def test_learns_drop_count_mode(self):
         pairs = [

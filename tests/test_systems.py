@@ -1,6 +1,7 @@
 """The four generators: free decode, forced prefix, retrieval, mask-and-decode."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from similekit.core import NotModifierFinal, parse_simile
 from similekit.knowledge import EMPTY_SYNONYMS, EdgeTableBackend, KnowledgeEdge, SynonymTable
@@ -8,6 +9,7 @@ from similekit.lm import (
     EmptyTrainingSet,
     GenerationConfig,
     ReferenceSeq2SeqBackend,
+    TemplateNgramModel,
     TrainConfig,
 )
 from similekit.systems import (
@@ -30,6 +32,29 @@ def cfg(**kw):
     base = dict(max_new_tokens=50, seed=0, top_k=5, temperature=0.7)
     base.update(kw)
     return GenerationConfig(**base)
+
+
+def oracle_train_metaphor_mask(pairs, cfg, tagger, stats):
+    """The list-based masking trainer: mask every source, then train on the list."""
+    masked_pairs = []
+    stats["skipped"] = 0
+    for source, target in pairs:
+        try:
+            masked, _ = mask_terminal_modifier(source, tagger)
+        except NotModifierFinal:
+            stats["skipped"] += 1
+            continue
+        masked_pairs.append((masked, target))
+    if not masked_pairs:
+        raise EmptyTrainingSet("no sources survive terminal-modifier masking")
+    return TemplateNgramModel.train(masked_pairs, cfg)
+
+
+sources = st.builds("{} {} {}{}".format, st.sampled_from(["The sky", "He", "A rock"]),
+                    st.sampled_from(["was", "ran", "saw"]),
+                    st.sampled_from(["blue", "quickly", "a dog", "hard", "the tree"]),
+                    st.sampled_from([".", "!", ""]))
+TARGETS = ["The sky was like a sea.", "He ran like a deer!", "A rock was like a wall."]
 
 
 class TestScope:
@@ -159,6 +184,38 @@ class TestMasking:
         with pytest.raises(EmptyTrainingSet):
             train_metaphor_mask(pairs, TrainConfig(seed=0), ReferenceSeq2SeqBackend(),
                                 DEFAULT_TAGGER)
+
+    @pytest.mark.parametrize("make", [list, lambda pairs: (pair for pair in pairs)],
+                             ids=["list", "generator"])
+    @pytest.mark.parametrize("pairs", [
+        [],
+        [("He saw a dog.", "He ran like a deer."), ("A tree.", "A tree like a tower.")],
+    ], ids=["empty", "all-unmaskable"])
+    def test_nothing_to_train_on_names_the_masking(self, make, pairs):
+        stats = {}
+        with pytest.raises(EmptyTrainingSet, match="no sources survive terminal-modifier masking"):
+            train_metaphor_mask(make(pairs), TrainConfig(seed=0), ReferenceSeq2SeqBackend(),
+                                DEFAULT_TAGGER, stats)
+        assert stats == {"skipped": len(pairs)}
+
+    @given(st.lists(st.tuples(sources, st.sampled_from(TARGETS)), min_size=1, max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_streamed_masking_equals_the_list_oracle(self, pairs):
+        stats, oracle_stats = {}, {}
+        try:
+            expected = oracle_train_metaphor_mask(pairs, TrainConfig(seed=3), DEFAULT_TAGGER,
+                                                  oracle_stats)
+        except EmptyTrainingSet:
+            expected = None
+        try:
+            model = train_metaphor_mask((pair for pair in pairs), TrainConfig(seed=3),
+                                        ReferenceSeq2SeqBackend(), DEFAULT_TAGGER, stats)
+        except EmptyTrainingSet:
+            model = None
+        assert stats == oracle_stats
+        assert (model is None) == (expected is None)
+        if model is not None:
+            assert vars(model) == vars(expected)
 
     def test_masked_decode_produces_similes(self, toy_pairs, toy_world):
         model = train_metaphor_mask(
