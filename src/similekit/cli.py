@@ -29,6 +29,7 @@ from .core import (
     derive_seed,
     read_lines,
     read_records,
+    text_of,
     write_json,
     write_jsonl,
 )
@@ -51,6 +52,7 @@ from .harvest import (
     harvest_similes,
     iter_comments,
     iter_similes_jsonl,
+    read_literals_jsonl,
     sample_literals,
     split_corpus,
     write_literals_jsonl,
@@ -284,9 +286,16 @@ _DECODING = (
 )
 
 
-def _generation_config(s: Settings) -> GenerationConfig:
-    return GenerationConfig(max_new_tokens=s["max-new-tokens"], seed=s["seed"],
-                            top_k=s["top-k"], temperature=s["temperature"])
+def _generation_config(s: Settings) -> GenerationConfig | None:
+    """The decoding settings; a value GenerationConfig refuses is one more collected error."""
+    try:
+        return GenerationConfig(max_new_tokens=s["max-new-tokens"], seed=s["seed"],
+                                top_k=s["top-k"], temperature=s["temperature"])
+    except TypeError:  # a value that failed its cast, already collected
+        pass
+    except ValueError as exc:
+        s.error(str(exc))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +315,7 @@ def _generation_config(s: Settings) -> GenerationConfig:
     Option("val-out", output=True, requires=("split",)),
     Option("sentences", path=True, requires=("literals-out",)),
     Option("literals-out", output=True, requires=("sentences",)),
-    Option("sample", int, requires=("sentences", "seed")),
+    Option("sample", _parse_positive, requires=("sentences", "seed")),
     Option("seed", int),
 )
 def cmd_harvest(s: Settings) -> int:
@@ -319,16 +328,17 @@ def cmd_harvest(s: Settings) -> int:
         return 2
     stats = HarvestStats()
     seeds = {}
+    files = []  # (writer, rows, path): nothing is written until every output is computed
     if comments is not None:
         similes = harvest_similes(iter_comments(comments, stats),
                                  s["triggers"] or DEFAULT_TRIGGERS, stats)
-        write_similes_jsonl(similes, s["similes-out"])
+        files.append((write_similes_jsonl, similes, s["similes-out"]))
         print(f"harvested {len(similes)} similes "
               f"({stats.duplicates} duplicates, {stats.malformed} malformed records)")
         if split is not None:
             result = split_corpus(similes, split, seed)
-            write_similes_jsonl(result.train, s["train-out"])
-            write_similes_jsonl(result.validation, s["val-out"])
+            files += [(write_similes_jsonl, result.train, s["train-out"]),
+                      (write_similes_jsonl, result.validation, s["val-out"])]
             seeds["split_seed"] = seed
             print(f"split {len(result.train)} train / {len(result.validation)} validation")
     if sentences is not None:
@@ -337,8 +347,10 @@ def cmd_harvest(s: Settings) -> int:
         if s["sample"] is not None:
             literals = sample_literals(literals, s["sample"], seed)
             seeds["sample_seed"] = seed
-        write_literals_jsonl(literals, s["literals-out"])
+        files.append((write_literals_jsonl, literals, s["literals-out"]))
         print(f"kept {len(literals)} literals ({stats.rejected} rejected)")
+    for write, rows, path in files:
+        write(rows, path)
     _write_manifest(s, seeds)
     return 0
 
@@ -354,7 +366,7 @@ def cmd_harvest(s: Settings) -> int:
     Option("audit-out", output=True),
 )
 def cmd_build_corpus(s: Settings) -> int:
-    """Stream --in: once to train the scorer when it learns from the similes, once to convert."""
+    """Stream --in: its texts when the scorer learns from them, then each simile to convert."""
     if s["scorer"] == "uniform":
         # Every candidate ties, so the top-ranked property wins whatever k or V is.
         if s["scorer-train"] is not None:
@@ -368,7 +380,7 @@ def cmd_build_corpus(s: Settings) -> int:
     elif s["scorer-train"]:
         scorer = BigramScorer(read_lines(s["scorer-train"]))
     else:
-        scorer = BigramScorer(sim.raw_text for sim in iter_similes_jsonl(s["in"]))
+        scorer = BigramScorer(read_records(s["in"], text_of))
     backend = load_edge_table(s["knowledge"])
     stats = BuildStats()
     pairs = iter_parallel_corpus(iter_similes_jsonl(s["in"]), backend, scorer, k=s["k"],
@@ -433,16 +445,17 @@ def cmd_generate(s: Settings) -> int:
     s.require(reads)
     if system and s[ignores] is not None:
         s.error(f"--system {system} does not read --{ignores}")
+    cfg = _generation_config(s)
     if s.fail_if_errors():
         return 2
-    literals = list(read_records(s["literals"], lambda rec: rec["text"]))
+    literals = [rec["text"] for rec in read_literals_jsonl(s["literals"])]
     if system == "rtrvl":
         backend = load_edge_table(s["knowledge"])
         synonyms = SynonymTable.load(s["synonyms"]) if s["synonyms"] else EMPTY_SYNONYMS
         fn = lambda lit: baseline_retrieval(lit, backend, synonyms, DEFAULT_TAGGER,
                                             use_article_heuristic=s["article-heuristic"])
     else:
-        model, cfg = TemplateNgramModel.load(s["model"]), _generation_config(s)
+        model = TemplateNgramModel.load(s["model"])
         fn = {
             "scope": lambda lit: scope_generate(lit, model, cfg),
             "prefix": lambda lit: baseline_prefix_forced(lit, model, cfg, DEFAULT_TAGGER),
@@ -546,9 +559,9 @@ def cmd_embellish(s: Settings) -> int:
     titles_path, storyline_dir, story_dir = s["titles"], s["storyline-model"], s["story-model"]
     if (s["stories"] is None) == (titles_path is None):
         s.error("need --stories or --titles, not both")
+    cfg = _generation_config(s)
     if s.fail_if_errors():
         return 2
-    cfg = _generation_config(s)
     if s["stories"] is not None:
         stories = read_stories_jsonl(s["stories"])
     else:

@@ -68,10 +68,7 @@ def derive_seed(seed: int, *parts) -> int:
 
 def detokenize(tokens: list[str]) -> str:
     """Space-join tokens, attaching sentence punctuation to the left."""
-    out = ""
-    for tok in tokens:
-        out = append_token(out, tok)
-    return out
+    return functools.reduce(append_token, tokens, "")
 
 
 def append_token(text: str, token: str) -> str:
@@ -103,6 +100,11 @@ def terminal_punctuation(text: str) -> str:
 COMPARATORS = ("like a", "like an")
 
 
+def is_comparator(phrase: str) -> bool:
+    """Whether a phrase is one of COMPARATORS, compared folded."""
+    return fold(phrase) in COMPARATORS
+
+
 @dataclass(frozen=True)
 class TriggerConfig:
     """Comparator trigger set: a non-empty subset of COMPARATORS.
@@ -115,10 +117,9 @@ class TriggerConfig:
     trigger_phrases: tuple[str, ...] = ("like a",)
 
     def __post_init__(self):
-        phrases = tuple(fold(p) for p in self.trigger_phrases)
-        if not phrases or not set(phrases) <= set(COMPARATORS):
+        if not self.trigger_phrases or not all(map(is_comparator, self.trigger_phrases)):
             raise ValueError(f"{self.trigger_phrases} is not a non-empty subset of {COMPARATORS}")
-        object.__setattr__(self, "trigger_phrases", phrases)
+        object.__setattr__(self, "trigger_phrases", tuple(map(fold, self.trigger_phrases)))
 
 
 DEFAULT_TRIGGERS = TriggerConfig()
@@ -311,15 +312,17 @@ class ParseError(ValueError):
 
 
 # What a reader of one bad line raises; re-raised as ParseError(path, line, exc).
-LINE_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+# OverflowError is int() of an infinite float, such as the JSON number 1e400.
+LINE_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
-def read_records(path, build, fields: int = 0):
+def read_records(path, build, fields: int = 0, on_error=None):
     """Yield build(record) for each non-blank line, in file order.
 
     A record is the line's JSON value or, with `fields`, that many
-    tab-separated fields passed as arguments.  A KeyError, TypeError,
-    ValueError or AttributeError on a line becomes a ParseError at path:line.
+    tab-separated fields passed as arguments.  One of LINE_ERRORS on a line
+    becomes a ParseError at path:line, which is raised or, given on_error,
+    passed to on_error(error) and the line skipped.
     """
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
@@ -334,8 +337,19 @@ def read_records(path, build, fields: int = 0):
                         raise ValueError(f"expected {fields} tab-separated fields, got {len(row)}")
                     item = build(*row)
             except LINE_ERRORS as exc:
-                raise ParseError(path, number, exc) from exc
+                if on_error is None:
+                    raise ParseError(path, number, exc) from exc
+                on_error(ParseError(path, number, exc))
+                continue
             yield item
+
+
+def text_of(record) -> str:
+    """A record's `text` field, which must be a string."""
+    text = record["text"]
+    if not isinstance(text, str):
+        raise TypeError(f"'text' is {type(text).__name__}, not a string")
+    return text
 
 
 def write_json(obj, path, indent=2) -> None:

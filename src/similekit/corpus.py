@@ -79,11 +79,8 @@ def make_literal_candidates(
     if not properties:
         raise NoProperties(f"no properties for vehicle of {simile.raw_text!r}")
     punct = terminal_punctuation(simile.raw_text)
-    out = []
-    for prop in properties:
-        text = (simile.prefix + " " + prop.text).strip() + punct
-        out.append(LiteralCandidate(text=text, property=prop.text))
-    return out
+    return [LiteralCandidate(text=(simile.prefix + " " + prop.text).strip() + punct,
+                             property=prop.text) for prop in properties]
 
 
 def select_best_literal(candidates: list[LiteralCandidate], scorer) -> LiteralCandidate:

@@ -93,9 +93,7 @@ def vehicle_bleu(
                 continue
             max_ref: Counter = Counter()
             for ref in refs:
-                for gram, count in _ngrams(ref, i).items():
-                    if count > max_ref[gram]:
-                        max_ref[gram] = count
+                max_ref |= _ngrams(ref, i)  # the largest count of each n-gram
             matches[i - 1] += sum(
                 min(count, max_ref[gram]) for gram, count in cand_counts.items()
             )
@@ -265,16 +263,10 @@ def pairwise_compare(
         raise MissingItem(set(means_a) ^ set(means_b))
     if not means_a:
         raise ValueError(f"no items scored on criterion {criterion!r}")
-    wins = loses = ties = 0
-    for item, mean_a in means_a.items():
-        mean_b = means_b[item]
-        if mean_a > mean_b:
-            wins += 1
-        elif mean_a < mean_b:
-            loses += 1
-        else:
-            ties += 1
+    wins = sum(mean_a > means_b[item] for item, mean_a in means_a.items())
+    loses = sum(mean_a < means_b[item] for item, mean_a in means_a.items())
     total = len(means_a)
+    ties = total - wins - loses
     return (100.0 * wins / total, 100.0 * loses / total, 100.0 * ties / total)
 
 
@@ -306,10 +298,7 @@ def krippendorff_alpha(sheet: ScoreSheet, criterion: str | None = None) -> float
     if not pairable:
         raise ValueError("alpha needs at least one unit with two ratings")
     n = sum(len(vals) for vals in pairable)
-    observed = 0.0
-    for vals in pairable:
-        observed += _squared_differences(vals) / (len(vals) - 1)
-    observed /= n
+    observed = sum(_squared_differences(vals) / (len(vals) - 1) for vals in pairable) / n
     flat = [v for vals in pairable for v in vals]
     expected = _squared_differences(flat) / (n * (n - 1))
     if expected == 0:

@@ -10,9 +10,7 @@ stricter contract: no comparator token at all and a modifier-final ending.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import json
 import math
 import random
 import re
@@ -20,14 +18,17 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .core import (
+    COMPARATORS,
     DEFAULT_TRIGGERS,
     LiteralSentence,
     SimileInstance,
     TriggerConfig,
+    is_comparator,
     parse_simile,
     read_records,
     split_sentences,
     strip_terminal_modifier,
+    text_of,
     write_jsonl,
 )
 
@@ -62,28 +63,26 @@ class CorpusSplit:
     seed: int
 
 
+def _comment_record(rec) -> RawComment:
+    created = rec.get("created_utc", 0)  # a record that is not an object has no .get
+    return RawComment(
+        id=str(rec["id"]),
+        body=str(rec["body"]),
+        subreddit=str(rec.get("subreddit", "")),
+        # "1600000000.0" reads like the JSON number 1600000000.0.
+        created_utc=int(float(created) if isinstance(created, str) else created),
+    )
+
+
 def iter_comments(path, stats: HarvestStats | None = None):
     """Yield the NDJSON comment records in file order; malformed lines are counted and skipped."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                created = rec.get("created_utc", 0)
-                comment = RawComment(
-                    id=str(rec["id"]),
-                    body=str(rec["body"]),
-                    subreddit=str(rec.get("subreddit", "")),
-                    # "1600000000.0" reads like the JSON number 1600000000.0.
-                    created_utc=int(float(created) if isinstance(created, str) else created),
-                )
-            # JSONDecodeError is a ValueError; a record that is not an object has no .get.
-            except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
-                if stats is not None:
-                    stats.malformed += 1
-                continue
-            yield comment
+    if stats is None:
+        stats = HarvestStats()
+
+    def malformed(error) -> None:
+        stats.malformed += 1
+
+    return read_records(path, _comment_record, on_error=malformed)
 
 
 def load_comments(path, stats: HarvestStats | None = None) -> list[RawComment]:
@@ -209,15 +208,9 @@ def write_similes_jsonl(instances, path) -> None:
                   "source_id": inst.source_id} for inst in instances), path)
 
 
-@functools.lru_cache(maxsize=64)
-def _check_comparator(comparator: str) -> None:
-    """TriggerConfig rejects a comparator outside COMPARATORS; a file repeats a few of them."""
-    TriggerConfig((comparator,))
-
-
 def _simile_record(rec) -> SimileInstance:
     """Rebuild a simile from harvest's stored split; a text-only record is parsed."""
-    text = rec["text"]
+    text = text_of(rec)
     if "prefix" not in rec:
         inst = parse_simile(text)
         if inst is None:
@@ -226,7 +219,8 @@ def _simile_record(rec) -> SimileInstance:
     prefix, vehicle = rec["prefix"], rec["vehicle"]
     inst = SimileInstance(text, prefix, text[len(prefix) : len(text) - len(vehicle)], vehicle,
                           rec.get("source_id", ""))
-    _check_comparator(inst.comparator)
+    if not is_comparator(inst.comparator):
+        raise ValueError(f"comparator {inst.comparator!r} is not one of {COMPARATORS}")
     return inst
 
 
@@ -243,5 +237,11 @@ def write_literals_jsonl(literals: list[LiteralSentence], path) -> None:
     write_jsonl(({"text": lit.raw_text, "property": lit.property} for lit in literals), path)
 
 
+def _literal_record(rec) -> dict:
+    text_of(rec)  # a literal is generated from its text
+    return rec
+
+
 def read_literals_jsonl(path) -> list[dict]:
-    return list(read_records(path, dict))
+    """The literal records of a file, each with a string `text`."""
+    return list(read_records(path, _literal_record))

@@ -140,11 +140,8 @@ def vehicle_for_property(prop: str, backend, synonym_backend=EMPTY_SYNONYMS) -> 
     """Concept of the max-weight edge for a property, trying synonyms on miss."""
     if not prop or not prop.strip():
         raise ValueError("property must be non-empty")
-    hit = backend.best_concept_for(prop)
-    if hit is not None:
-        return hit
-    for syn in synonym_backend.synonyms_of(prop):
-        hit = backend.best_concept_for(syn)
+    for name in (prop, *synonym_backend.synonyms_of(prop)):
+        hit = backend.best_concept_for(name)
         if hit is not None:
             return hit
     return None

@@ -62,8 +62,8 @@ class GenerationConfig:
             raise ValueError("max_new_tokens must be >= 1")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if not 0 < self.temperature < math.inf:  # NaN fails both comparisons
+            raise ValueError("temperature must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -223,12 +223,8 @@ def generate(source: str, cfg: GenerationConfig, model) -> GenerationOutput:
             raise BackendUnavailable("backend violated the forced-prefix contract")
         return out
     src_tokens = tokenize(source)
-    if cfg.forced_prefix:
-        out_text = cfg.forced_prefix
-        out_tokens = tokenize(cfg.forced_prefix)
-    else:
-        out_text = ""
-        out_tokens = []
+    out_text = cfg.forced_prefix or ""
+    out_tokens = tokenize(out_text)
     rng = _derive_rng(cfg.seed, source, cfg.forced_prefix)
     truncated = True
     for _ in range(cfg.max_new_tokens):
@@ -359,6 +355,8 @@ class TemplateNgramModel:
         self._source: tuple = (None, [], None)
 
     BOS = "<s>"
+    # What model.json holds: the constructor's arguments but the train config.
+    STATE = ("drop_words", "cue_suffixes", "global_suffixes", "bigram", "unigram")
 
     @classmethod
     def train(cls, pairs, cfg: TrainConfig) -> "TemplateNgramModel":
@@ -437,13 +435,7 @@ class TemplateNgramModel:
         """Write model.json, then manifest.json: a failed save leaves no new
         manifest beside an old or missing model.json."""
         os.makedirs(model_dir, exist_ok=True)
-        state = {
-            "drop_words": self.drop_words,
-            "cue_suffixes": self.cue_suffixes,
-            "global_suffixes": self.global_suffixes,
-            "bigram": self.bigram,
-            "unigram": self.unigram,
-        }
+        state = {name: getattr(self, name) for name in self.STATE}
         write_json(state, os.path.join(model_dir, "model.json"), indent=None)
         manifest = {
             "type": "template-ngram",
@@ -460,14 +452,8 @@ class TemplateNgramModel:
             raise ValueError(f"not a template-ngram model dir: {model_dir}")
         with open(os.path.join(model_dir, "model.json"), encoding="utf-8") as fh:
             state = json.load(fh)
-        return cls(
-            drop_words=state["drop_words"],
-            cue_suffixes=state["cue_suffixes"],
-            global_suffixes=state["global_suffixes"],
-            bigram=state["bigram"],
-            unigram=state["unigram"],
-            train_config=manifest.get("train_config", {}),
-        )
+        return cls(**{name: state[name] for name in cls.STATE},
+                   train_config=manifest.get("train_config", {}))
 
 
 # ---------------------------------------------------------------------------

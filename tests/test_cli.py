@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 
 from similekit.backends import BackendUnavailable
-from similekit.cli import COMMANDS, _parse_bool, _parse_ratio, _parse_triggers, main
+from similekit.cli import (
+    COMMANDS,
+    _parse_bool,
+    _parse_positive,
+    _parse_ratio,
+    _parse_triggers,
+    main,
+)
 from similekit.core import parse_simile, read_lines
 from similekit.corpus import build_parallel_corpus, write_pairs_audit_jsonl, write_pairs_tsv
 from similekit.evaluation import ScoreSheet
@@ -137,6 +144,31 @@ def read_jsonl(path):
     return [json.loads(line) for line in open(path, encoding="utf-8") if line.strip()]
 
 
+def test_summary_lines(tmp_path, capsys):
+    """The harvest and build-corpus lines, whole, on a dump with known counts."""
+    lines = [
+        json.dumps({"id": "1", "body": "The wall was like a rock.", "created_utc": 1}),
+        json.dumps({"id": "2", "body": "The wall was like a rock!", "created_utc": 2}),
+        json.dumps({"id": "3", "body": "It moved like a ghost. It moved like a ghost."}),
+        json.dumps({"id": "4", "body": "He sang like an angel like a bird."}),
+        "{bad",
+        json.dumps({"id": "5"}),
+        '{"id": "6", "body": "b like a c.", "created_utc": 1e400}',
+        "",
+        json.dumps({"id": "7", "body": "Nothing here."}),
+    ]
+    comments, similes = tmp_path / "c.ndjson", tmp_path / "s.jsonl"
+    comments.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["harvest", "--comments", str(comments), "--similes-out", str(similes)]) == 0
+    assert capsys.readouterr().out == "harvested 3 similes (2 duplicates, 3 malformed records)\n"
+    # rock has a property, ghost has none, and bird's literal keeps "like an".
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("rock\thard\t1.0\nbird\tfree\t1.0\n", encoding="utf-8")
+    assert main(["build-corpus", "--in", str(similes), "--knowledge", str(edges),
+                 "--out", str(tmp_path / "p.tsv")]) == 0
+    assert capsys.readouterr().out == "built 1 pairs (1 skipped, 1 failed)\n"
+
+
 class TestHarvest:
     def test_outputs_and_counts(self, world, toy_world):
         similes = read_jsonl(world["similes"])
@@ -180,6 +212,29 @@ class TestHarvest:
                               ("val_similes", split.validation)):
             write_similes_jsonl(similes, tmp_path / name)
             assert (tmp_path / name).read_bytes() == world[name].read_bytes()
+
+    def test_failed_run_keeps_previous_outputs(self, tmp_path, capsys):
+        """Nothing is written before the split, so a dump with no simile replaces nothing."""
+        comments = tmp_path / "c.ndjson"
+        comments.write_text(json.dumps({"id": "1", "body": "Nothing here."}) + "\n",
+                            encoding="utf-8")
+        similes = tmp_path / "s.jsonl"
+        similes.write_bytes(b"old\n")
+        rc = main(["harvest", "--comments", str(comments), "--similes-out", str(similes),
+                   "--split", "0.9", "--train-out", str(tmp_path / "tr.jsonl"),
+                   "--val-out", str(tmp_path / "va.jsonl"), "--seed", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no similes to split\n"
+        assert similes.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ndjson", "s.jsonl"]
+
+    @pytest.mark.parametrize("sample", ["0", "-1"])
+    def test_sample_below_one_exits_two(self, world, tmp_path, capsys, sample):
+        rc = main(["harvest", "--sentences", str(world["sentences"]), "--literals-out",
+                   str(tmp_path / "h.jsonl"), "--sample", sample, "--seed", "1"])
+        assert rc == 2
+        assert f"bad value for 'sample': '{sample}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_without_split_or_sample_exits_two(self, world, tmp_path, capsys):
         rc = main(["harvest", "--sentences", str(world["sentences"]),
@@ -392,6 +447,29 @@ class TestBuildCorpus:
                    "--audit-out", str(out / "audit.jsonl")])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {similes}:{line}: ")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("scorer", ["reference", "scorer-train", "uniform"])
+    @pytest.mark.parametrize("bad_line, reason", [
+        ('{"text": 7}', "'text' is int, not a string"),
+        ('{"text": "He ran as a deer.", "prefix": "He ran", "vehicle": "deer."}',
+         "comparator ' as a ' is not one of ('like a', 'like an')"),
+    ], ids=["int-text", "bad-comparator"])
+    def test_bad_last_line_is_located(self, world, tmp_path, capsys, scorer, bad_line, reason):
+        """The scorer pass reads only `text`; the conversion pass checks the whole record."""
+        similes = tmp_path / "in" / "similes.jsonl"
+        similes.parent.mkdir()
+        similes.write_bytes(world["train_similes"].read_bytes() + bad_line.encode() + b"\n")
+        line = len(list(read_lines(similes)))
+        flags = {"reference": [], "uniform": ["--scorer", "uniform"],
+                 "scorer-train": ["--scorer-train", str(world["sentences"])]}[scorer]
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["build-corpus", "--in", str(similes), "--knowledge", world["edges"],
+                   "--out", str(out / "pairs.tsv"), "--audit-out", str(out / "audit.jsonl")]
+                  + flags)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {similes}:{line}: {reason}\n"
         assert list(out.iterdir()) == []
 
     def test_backend_error_exits_one_and_writes_nothing(self, world, tmp_path, capsys,
@@ -996,11 +1074,38 @@ def test_option_without_what_it_requires_exits_two(command, given, needed, tmp_p
     elif opt.choices:
         value = next(choice for choice in opt.choices if choice != opt.default)
     elif opt.cast is not _parse_bool:
-        value = {int: "1", float: "0.5", _parse_ratio: "0.5", _parse_triggers: "like a",
-                 str: "a,b"}[opt.cast]
+        value = {int: "1", _parse_positive: "1", float: "0.5", _parse_ratio: "0.5",
+                 _parse_triggers: "like a", str: "a,b"}[opt.cast]
         assert opt.cast(value) != opt.default
     argv = [command, f"--{given}"] + ([] if opt.cast is _parse_bool else [str(value)])
     assert main(argv) == 2
     assert f"--{given} requires --{needed}" in capsys.readouterr().err
     assert list(outputs.iterdir()) == []
     assert [p.name for p in inputs.iterdir()] == ([given] if opt.path else [])
+
+
+@pytest.mark.parametrize("command", ["generate", "embellish"])
+@pytest.mark.parametrize("flag, value, reason", [
+    ("top-k", "0", "top_k must be >= 1"),
+    ("max-new-tokens", "0", "max_new_tokens must be >= 1"),
+    ("temperature", "0", "temperature must be finite and > 0"),
+    ("temperature", "-1", "temperature must be finite and > 0"),
+    ("temperature", "nan", "temperature must be finite and > 0"),
+    ("temperature", "inf", "temperature must be finite and > 0"),
+])
+def test_bad_decoding_setting_is_collected(world, tmp_path, capsys, command, flag, value,
+                                           reason):
+    """GenerationConfig's refusal is reported with the other errors: exit 2, nothing written."""
+    stories = tmp_path / "stories.jsonl"
+    write_stories_jsonl([Story("Winter", (), ("The road felt slow.",))], stories)
+    inputs = {"generate": ["--literals", str(world["literals"]), "--system", "scope"],
+              "embellish": ["--stories", str(stories)]}[command]
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main([command, *inputs, "--model", str(world["model"]), f"--{flag}", value,
+               "--out", str(out / "batch.jsonl")])
+    assert rc == 2
+    section = {"generate": "generate", "embellish": "story"}[command]
+    assert capsys.readouterr().err == (f"error: [{section}] missing required setting 'seed'\n"
+                                       f"error: [{section}] {reason}\n")
+    assert list(out.iterdir()) == []

@@ -20,6 +20,7 @@ from similekit.core import (
     drop_dangling_comma,
     extract_generated_vehicle,
     fold,
+    is_comparator,
     is_word,
     parse_simile,
     read_records,
@@ -27,6 +28,7 @@ from similekit.core import (
     split_sentences,
     strip_terminal_modifier,
     terminal_punctuation,
+    text_of,
     tokenize,
     write_json,
     write_jsonl,
@@ -307,7 +309,7 @@ class TestReadRecords:
         "audit": (read_pairs_audit_jsonl, "source"),
         "refs": (read_refs_jsonl, "literal"),
         "stories": (read_stories_jsonl, "sentences"),
-        "literals": (read_literals_jsonl, None),
+        "literals": (read_literals_jsonl, "text"),
         "batch": (read_batch_jsonl, "literal"),
     }
 
@@ -342,6 +344,46 @@ class TestReadRecords:
         path.write_text("a\tb\tc\n\nd\te\tf\n", encoding="utf-8")
         assert list(read_records(path, lambda *row: row, fields=3)) == [
             ("a", "b", "c"), ("d", "e", "f")]
+
+    def test_on_error_gets_each_bad_line_and_skips_it(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_text('{"x": 1}\n{bad\n\n{"y": 2}\n{"x": 1e400}\n{"x": 3}\n',
+                        encoding="utf-8")
+        errors = []
+        assert list(read_records(path, lambda rec: int(rec["x"]), on_error=errors.append)) == [
+            1, 3]
+        assert [(type(e), e.line_number) for e in errors] == [(ParseError, 2), (ParseError, 4),
+                                                               (ParseError, 5)]
+        assert str(errors[1]) == f"{path}:4: missing field 'x'"
+
+    def test_overflow_is_located(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_text('{"x": 1e400}\n', encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            list(read_records(path, lambda rec: int(rec["x"])))
+        assert str(exc.value).startswith(f"{path}:1: cannot convert float infinity")
+
+    @pytest.mark.parametrize("rec, error", [
+        ({"text": 3}, "'text' is int, not a string"),
+        ({"text": None}, "'text' is NoneType, not a string"),
+        ({}, "'text'"),
+    ])
+    def test_text_of_requires_a_string(self, rec, error):
+        with pytest.raises((KeyError, TypeError)) as exc:
+            text_of(rec)
+        assert str(exc.value) == error
+        assert text_of({"text": "a like a b"}) == "a like a b"
+
+    @pytest.mark.parametrize("phrase", [" like a ", "Like\tA", "like an", "LIKE  AN"])
+    def test_is_comparator_folds(self, phrase):
+        assert is_comparator(phrase)
+        assert TriggerConfig((phrase,)).trigger_phrases == (fold(phrase),)
+
+    @pytest.mark.parametrize("phrase", ["as a", "like", "like a a", ""])
+    def test_is_comparator_refuses_other_phrases(self, phrase):
+        assert not is_comparator(phrase)
+        with pytest.raises(ValueError):
+            TriggerConfig((phrase,))
 
     def test_one_parse_error_class(self):
         assert similekit.ParseError is knowledge.ParseError is ParseError

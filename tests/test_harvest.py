@@ -1,7 +1,9 @@
 """Ingestion, dedup, literal filtering, and corpus splitting."""
 
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -142,6 +144,53 @@ class TestHarvestSimiles:
         assert out[0].source_id == "42"
 
 
+def oracle_iter_comments(path, stats=None):
+    """The comment reader's own file loop, as it was before it read through read_records."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                created = rec.get("created_utc", 0)
+                comment = RawComment(
+                    id=str(rec["id"]),
+                    body=str(rec["body"]),
+                    subreddit=str(rec.get("subreddit", "")),
+                    created_utc=int(float(created) if isinstance(created, str) else created),
+                )
+            except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
+                if stats is not None:
+                    stats.malformed += 1
+                continue
+            yield comment
+
+
+def comment_line(fields: dict) -> str:
+    """A JSON object line whose values are given as JSON text, so 1e400 stays as written."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields.items()) + "}"
+
+
+json_text = st.text(max_size=12).map(json.dumps)
+created_texts = st.one_of(
+    st.integers(-10**12, 10**12).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+    st.sampled_from(['"1600000000.0"', '" 42 "', '"soon"', '"nan"', '"inf"', '"-inf"',
+                     "1e400", "-1e400", "NaN", "Infinity", "null", "[1]", "true"]),
+)
+record_lines = st.fixed_dictionaries({}, optional={
+    "id": st.one_of(json_text, st.integers().map(str)),
+    "body": st.one_of(json_text, st.just('""'), st.just("7")),
+    "subreddit": json_text,
+    "created_utc": created_texts,
+}).map(comment_line)
+dump_lines = st.one_of(
+    record_lines,
+    st.sampled_from(["{not json", "[1, 2]", '"a string"', "42", "null", "", "   ",
+                     '{"id": "1"}', '{"body": "b like a c."}']),
+)
+
+
 class TestLoadComments:
     def test_malformed_counted_skipped(self, tmp_path):
         path = tmp_path / "c.ndjson"
@@ -182,6 +231,17 @@ class TestLoadComments:
         assert [c.id for c in stream] == ["1", "2"]
         assert stats.malformed == 1
         assert load_comments(path) == list(iter_comments(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(dump_lines, max_size=12))
+    def test_iter_comments_equals_the_old_loop(self, lines):
+        """Through read_records, the same comments are kept and the same lines counted."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.ndjson"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            got, want = HarvestStats(), HarvestStats()
+            assert list(iter_comments(path, got)) == list(oracle_iter_comments(path, want))
+            assert got.malformed == want.malformed
 
     def test_empty_body_rejected_at_type_level(self):
         with pytest.raises(ValueError):
@@ -314,6 +374,18 @@ class TestFileFormats:
             read_similes_jsonl(path)
         assert exc.value.line_number == 3
         assert str(exc.value).startswith(f"{path}:3: ")
+
+    @pytest.mark.parametrize("rec, reason", [
+        ({"property": "hot"}, "missing field 'text'"),
+        ({"text": 3, "property": "hot"}, "'text' is int, not a string"),
+    ], ids=["missing-text", "int-text"])
+    def test_literal_without_text_is_located(self, tmp_path, rec, reason):
+        path = tmp_path / "lits.jsonl"
+        path.write_text(json.dumps({"text": "Love is rare."}) + "\n" + json.dumps(rec) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_literals_jsonl(path)
+        assert str(exc.value) == f"{path}:2: {reason}"
 
     def test_literals_round_trip(self, tmp_path):
         lits = harvest_literals(["The city was beautiful", "Love is rare."], DEFAULT_TAGGER)

@@ -375,6 +375,11 @@ class TestGenerationConfig:
         with pytest.raises(ValueError):
             cfg(temperature=0.0)
 
+    @pytest.mark.parametrize("temperature", [-1.0, float("nan"), float("inf"), float("-inf")])
+    def test_temperature_must_be_finite_and_positive(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            cfg(temperature=temperature)
+
     def test_train_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(seed=1, epochs=0)
