@@ -220,7 +220,7 @@ class Settings(dict):
                 names = {opt.name for opt in command.options} | parser.defaults().keys()
                 for key in sorted(config.keys() - names):
                     self.error(f"unknown config key '{key}'")
-            except (OSError, configparser.Error) as exc:
+            except (OSError, UnicodeDecodeError, configparser.Error) as exc:
                 self.errors.append(f"config file {args.config}: {exc}")
         for opt in command.options:
             self[opt.name] = self._resolve(opt, getattr(args, opt.name), config)
@@ -287,12 +287,14 @@ _DECODING = (
 
 
 def _generation_config(s: Settings) -> GenerationConfig | None:
-    """The decoding settings; a value GenerationConfig refuses is one more collected error."""
+    """The decoding settings; GenerationConfig's refusals are one more collected error.
+
+    A value that failed its cast (an error already) is checked as its default.
+    """
+    value = {o.name: s[o.name] if isinstance(s[o.name], o.cast) else o.default for o in _DECODING}
     try:
-        return GenerationConfig(max_new_tokens=s["max-new-tokens"], seed=s["seed"],
-                                top_k=s["top-k"], temperature=s["temperature"])
-    except TypeError:  # a value that failed its cast, already collected
-        pass
+        return GenerationConfig(max_new_tokens=value["max-new-tokens"], seed=s["seed"],
+                                top_k=value["top-k"], temperature=value["temperature"])
     except ValueError as exc:
         s.error(str(exc))
     return None

@@ -66,11 +66,6 @@ def derive_seed(seed: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
-def detokenize(tokens: list[str]) -> str:
-    """Space-join tokens, attaching sentence punctuation to the left."""
-    return functools.reduce(append_token, tokens, "")
-
-
 def append_token(text: str, token: str) -> str:
     """Extend a partially built sentence by one token with standard spacing."""
     if not text:
@@ -164,7 +159,6 @@ class LiteralSentence:
     raw_text: str
     prefix: str
     property: str
-    pos_tag: str
 
     def __post_init__(self):
         low = {t.lower() for t in tokenize(self.raw_text)}
@@ -209,17 +203,12 @@ class StrippedLiteral:
     """Result of removing a sentence's terminal modifier.
 
     prefix keeps the original text verbatim up to the modifier (including any
-    comma); trailing holds the punctuation after the modifier so the sentence
-    can be reassembled as prefix + " " + property + trailing.
+    comma); trailing holds the punctuation after the modifier.
     """
 
     prefix: str
     property: str
     trailing: str
-    pos_tag: str = ""
-
-    def reassemble(self) -> str:
-        return self.prefix + " " + self.property + self.trailing
 
 
 def strip_terminal_modifier(text: str, tagger) -> StrippedLiteral:
@@ -237,7 +226,7 @@ def strip_terminal_modifier(text: str, tagger) -> StrippedLiteral:
         raise NotModifierFinal(f"final token {last.group()!r} tagged {tag}, not ADJ/ADV")
     prefix = text[: last.start()].rstrip()
     trailing = text[last.end() :].strip()
-    return StrippedLiteral(prefix=prefix, property=last.group(), trailing=trailing, pos_tag=tag)
+    return StrippedLiteral(prefix=prefix, property=last.group(), trailing=trailing)
 
 
 def drop_dangling_comma(prefix: str) -> str:
@@ -316,6 +305,18 @@ class ParseError(ValueError):
 LINE_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
+# A byte that is not UTF-8, as an input file opened with errors="surrogateescape"
+# reads it, so that decoding never stops the file and each line is checked alone.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
+def _check_utf8(line: str) -> None:
+    """Refuse a line that held a byte that is not UTF-8; json.loads would accept its escape."""
+    bad = None if line.isascii() else _NOT_UTF8.search(line)
+    if bad:
+        raise ValueError(f"byte {ord(bad.group()) - 0xDC00:#04x} is not UTF-8")
+
+
 def read_records(path, build, fields: int = 0, on_error=None):
     """Yield build(record) for each non-blank line, in file order.
 
@@ -324,11 +325,12 @@ def read_records(path, build, fields: int = 0, on_error=None):
     becomes a ParseError at path:line, which is raised or, given on_error,
     passed to on_error(error) and the line skipped.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                _check_utf8(line)
                 if not fields:
                     item = build(json.loads(line))
                 else:
@@ -358,9 +360,17 @@ def write_json(obj, path, indent=2) -> None:
         fh.write("\n")
 
 
+def utf8_lines(path, newline=None):
+    """Yield each line of a text file as read; a line not UTF-8 is a ParseError at path:line."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        for number, line in enumerate(fh, start=1):
+            try:
+                _check_utf8(line)
+            except ValueError as exc:
+                raise ParseError(path, number, exc) from exc
+            yield line
+
+
 def read_lines(path):
-    """Yield the stripped, non-blank lines of a text file, in file order."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield line.strip()
+    """Yield the stripped, non-blank lines of a UTF-8 text file, in file order."""
+    return (line.strip() for line in utf8_lines(path) if line.strip())

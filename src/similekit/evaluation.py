@@ -13,10 +13,9 @@ counts strict wins.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .core import (
     LINE_ERRORS,
@@ -29,6 +28,7 @@ from .core import (
     rstrip_punct,
     strip_terminal_modifier,
     tokenize,
+    utf8_lines,
 )
 
 CRITERIA = ("C", "R1", "R2", "OQ")
@@ -124,18 +124,13 @@ class OneHotEmbedder:
 
 
 class CharNgramEmbedder:
-    """Sparse character n-gram counts; related word forms get nonzero cosine."""
-
-    def __init__(self, n: int = 2):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.n = n
+    """Sparse character bigram counts of #token#; related word forms get nonzero cosine."""
 
     def embed(self, token: str) -> dict[str, float]:
         padded = f"#{token.lower()}#"
         vec: dict[str, float] = {}
-        for i in range(max(1, len(padded) - self.n + 1)):
-            gram = padded[i : i + self.n]
+        for i in range(len(padded) - 1):
+            gram = padded[i : i + 2]
             vec[gram] = vec.get(gram, 0.0) + 1.0
         return vec
 
@@ -234,14 +229,13 @@ class ScoreSheet:
     @classmethod
     def load_csv(cls, path) -> "ScoreSheet":
         sheet = cls()
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for rec in reader:
-                try:
-                    sheet.add(rec["item_id"], rec["system"], rec["rater_id"],
-                              rec["criterion"], int(rec["score"]))
-                except LINE_ERRORS as exc:
-                    raise ParseError(path, reader.line_num, exc) from exc
+        reader = csv.DictReader(utf8_lines(path, newline=""))
+        for rec in reader:
+            try:
+                sheet.add(rec["item_id"], rec["system"], rec["rater_id"],
+                          rec["criterion"], int(rec["score"]))
+            except LINE_ERRORS as exc:
+                raise ParseError(path, reader.line_num, exc) from exc
         return sheet
 
 
@@ -329,9 +323,6 @@ class SystemMetrics:
 @dataclass
 class MetricReport:
     systems: dict[str, SystemMetrics] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self)["systems"], indent=2, sort_keys=True) + "\n"
 
     def format_table(self) -> str:
         """BLEU and novelty scaled x100, embedding F1 raw, one system per row."""

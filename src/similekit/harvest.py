@@ -60,7 +60,6 @@ class EmptyCorpus(ValueError):
 class CorpusSplit:
     train: list
     validation: list
-    seed: int
 
 
 def _comment_record(rec) -> RawComment:
@@ -169,7 +168,7 @@ def harvest_literals(sentences, tagger, stats: HarvestStats | None = None) -> li
         try:
             stripped = strip_terminal_modifier(text, tagger)
             out.append(LiteralSentence(raw_text=text, prefix=stripped.prefix,
-                                       property=stripped.property, pos_tag=stripped.pos_tag))
+                                       property=stripped.property))
         except ValueError:  # NotModifierFinal, or LiteralSentence refusing a comparator token
             if stats is not None:
                 stats.rejected += 1
@@ -195,7 +194,7 @@ def split_corpus(similes: list, ratio, seed: int) -> CorpusSplit:
     order = list(similes)
     random.Random(seed).shuffle(order)
     train_n = math.ceil(ratio * len(order))
-    return CorpusSplit(train=order[:train_n], validation=order[train_n:], seed=seed)
+    return CorpusSplit(train=order[:train_n], validation=order[train_n:])
 
 
 # ---------------------------------------------------------------------------

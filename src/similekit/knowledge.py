@@ -2,9 +2,10 @@
 
 Corpus construction asks vehicle -> top-k HasProperty properties; the
 retrieval baseline asks property -> best vehicle, with a synonym fallback.
-Backends are interchangeable: a static weighted edge table (used by every
-test) or a remote adapter speaking the JSON contract
-{concept, relation: "HasProperty", k} -> [{text, score}, ...].
+Backends are interchangeable for the forward lookup: a static weighted edge
+table (used by every test) or a remote adapter speaking the JSON contract
+{concept, relation: "HasProperty", k} -> [{text, score}, ...].  The reverse
+lookup, best_concept_for, needs the edge table; the remote adapter has none.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .backends import BackendUnavailable, JsonSubprocessBackend
-from .core import ParseError, fold, read_records  # ParseError stays importable from here
+from .core import fold, read_records
 
 
 @dataclass(frozen=True)
@@ -52,27 +53,25 @@ class EdgeTableBackend:
             if key not in best or e.weight > best[key]:
                 best[key] = e.weight
         self.by_concept: dict[str, list[PropertyCandidate]] = {}
-        self.by_property: dict[str, list[tuple[float, str]]] = {}
+        # Per property, the max-weight edge as (-weight, concept); a tie goes to the least concept.
+        self.by_property: dict[str, tuple[float, str]] = {}
         for (concept, prop), weight in best.items():
-            self.by_concept.setdefault(concept, []).append(
-                PropertyCandidate(text=prop, score=weight)
-            )
-            self.by_property.setdefault(prop, []).append((weight, concept))
+            self.by_concept.setdefault(concept, []).append(PropertyCandidate(prop, weight))
+            row = (-weight, concept)
+            self.by_property[prop] = min(row, self.by_property.get(prop, row))
         for cands in self.by_concept.values():
             cands.sort(key=lambda c: (-c.score, c.text))
-        for rows in self.by_property.values():
-            rows.sort(key=lambda r: (-r[0], r[1]))
 
     def properties_of(self, concept: str, k: int) -> list[PropertyCandidate]:
         return self.by_concept.get(fold(concept), [])[:k]
 
     def best_concept_for(self, prop: str) -> str | None:
-        rows = self.by_property.get(fold(prop))
-        return rows[0][1] if rows else None
+        row = self.by_property.get(fold(prop))
+        return row[1] if row else None
 
 
 class RemoteKnowledgeBackend:
-    """Adapter for an out-of-process HasProperty model."""
+    """Adapter for an out-of-process HasProperty model; forward lookup only."""
 
     def __init__(self, command: list[str]):
         self.backend = JsonSubprocessBackend(command)
@@ -86,9 +85,6 @@ class RemoteKnowledgeBackend:
             return cands[:k]
 
         return self.backend.call({"concept": concept, "relation": "HasProperty", "k": k}, read)
-
-    def best_concept_for(self, prop: str) -> str | None:
-        raise BackendUnavailable("remote backend does not support reverse lookup")
 
 
 def load_edge_table(path) -> EdgeTableBackend:

@@ -58,12 +58,13 @@ class GenerationConfig:
     forced_prefix: str | None = None
 
     def __post_init__(self):
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if not 0 < self.temperature < math.inf:  # NaN fails both comparisons
-            raise ValueError("temperature must be finite and > 0")
+        refused = [reason for bad, reason in (  # every refused field, in one ValueError
+            (self.max_new_tokens < 1, "max_new_tokens must be >= 1"),
+            (self.top_k < 1, "top_k must be >= 1"),
+            (not 0 < self.temperature < math.inf, "temperature must be finite and > 0"),  # NaN too
+        ) if bad]
+        if refused:
+            raise ValueError("; ".join(refused))
 
 
 @dataclass(frozen=True)

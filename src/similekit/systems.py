@@ -64,18 +64,13 @@ def baseline_retrieval(
     return f"{prefix} like {article} {vehicle}{stripped.trailing}"
 
 
-def mask_terminal_modifier(text: str, tagger) -> tuple[str, str]:
-    """Replace the terminal modifier with the mask token; returns (masked, removed).
+def mask_terminal_modifier(text: str, tagger) -> str:
+    """The text with its terminal modifier replaced by the mask token.
 
     Reassembly normalizes inter-token whitespace to single spaces.
     """
     stripped = strip_terminal_modifier(text, tagger)
-    masked = stripped.prefix + " " + MASK_TOKEN + stripped.trailing
-    return masked, stripped.property
-
-
-def unmask(masked: str, token: str) -> str:
-    return masked.replace(MASK_TOKEN, token, 1)
+    return stripped.prefix + " " + MASK_TOKEN + stripped.trailing
 
 
 def train_metaphor_mask(pairs, cfg: TrainConfig, backend, tagger, stats: dict | None = None):
@@ -90,7 +85,7 @@ def train_metaphor_mask(pairs, cfg: TrainConfig, backend, tagger, stats: dict | 
     def masked_pairs():
         for source, target in map(_pair_texts, pairs):
             try:
-                masked, _ = mask_terminal_modifier(source, tagger)
+                masked = mask_terminal_modifier(source, tagger)
             except NotModifierFinal:
                 counts["skipped"] += 1
                 continue
@@ -104,8 +99,7 @@ def train_metaphor_mask(pairs, cfg: TrainConfig, backend, tagger, stats: dict | 
 
 def baseline_metaphor_mask(literal: str, model, cfg: GenerationConfig, tagger) -> str:
     """Mask the literal's terminal modifier, then decode as scope does."""
-    masked, _ = mask_terminal_modifier(literal, tagger)
-    return generate(masked, cfg, model).text
+    return generate(mask_terminal_modifier(literal, tagger), cfg, model).text
 
 
 def run_batch(literals: list[str], system: str, fn, seed: int, out_path=None) -> list[dict]:

@@ -1,9 +1,9 @@
-"""Pluggable part-of-speech tagging.
+"""Pluggable adjective/adverb tagging.
 
 The pipeline only ever needs one decision: is a given token an adjective or
-an adverb?  The default tagger is a lexicon plus suffix heuristics, which
-keeps ingestion dependency-free; anything with a `tag(token) -> str` method
-can be swapped in.
+an adverb?  Anything with a `tag(token) -> str` method can be swapped in;
+only the tags ADJ and ADV are read, and any other tag means "not a modifier".
+The default tagger is a lexicon plus suffix heuristics, dependency-free.
 """
 
 from __future__ import annotations
@@ -56,59 +56,25 @@ _ADJ_SUFFIXES = (
     "ful", "ous", "ive", "able", "ible", "al", "ic", "ish", "less",
 )
 
-_CLOSED = {
-    "DET": {"a", "an", "the", "this", "that", "these", "those", "some", "any",
-            "each", "every", "no", "his", "her", "its", "my", "our", "their",
-            "your"},
-    "PRON": {"i", "you", "he", "she", "it", "we", "they", "me", "him", "them",
-             "us", "who", "what", "which", "someone", "something"},
-    "ADP": {"about", "above", "across", "after", "against", "around", "at",
-            "before", "behind", "below", "beneath", "beside", "between", "by",
-            "down", "during", "for", "from", "in", "inside", "into", "near",
-            "of", "off", "on", "onto", "out", "over", "through", "to",
-            "toward", "under", "up", "upon", "with", "without"},
-    "CONJ": {"and", "because", "but", "if", "or", "nor", "so", "while",
-             "although", "though", "unless", "until", "when", "where"},
-    "VERB": {"am", "are", "be", "became", "become", "been", "being", "came",
-             "come", "could", "did", "do", "does", "felt", "go", "goes",
-             "got", "had", "has", "have", "is", "looked", "made", "make",
-             "may", "might", "must", "ran", "run", "said", "saw", "say",
-             "see", "seem", "seemed", "should", "sounded", "was", "were",
-             "will", "would"},
-}
-
 
 class LexiconTagger:
-    """Lexicon lookup with suffix fallbacks; unknown words default to NOUN.
+    """Lexicon lookup with suffix fallbacks: ADJ, ADV, or X for any other token.
 
     Accuracy matters only at sentence-final positions, where the pipeline
-    asks whether the token is a modifier; a conservative NOUN default means
-    unknown words are never stripped or masked by mistake.
+    asks whether the token is a modifier; an X default means unknown words
+    are never stripped or masked by mistake.
     """
 
-    def __init__(self, extra_adjectives=(), extra_adverbs=()):
-        self.adjectives = _ADJECTIVES | {w.lower() for w in extra_adjectives}
-        self.adverbs = _ADVERBS | {w.lower() for w in extra_adverbs}
-
     def tag(self, token: str) -> str:
-        if not token or not re.search(r"\w", token):
-            return "PUNCT"
         low = token.lower()
-        if low in self.adjectives or low in _LY_ADJECTIVES:
+        if low in _ADJECTIVES or low in _LY_ADJECTIVES:
             return "ADJ"
-        if low in self.adverbs:
-            return "ADV"
-        for pos, words in _CLOSED.items():
-            if low in words:
-                return pos
-        if low.isdigit():
-            return "NUM"
-        if low.endswith("ly") and len(low) > 3:
+        if low in _ADVERBS or (low.endswith("ly") and len(low) > 3):
             return "ADV"
         for suf in _ADJ_SUFFIXES:
             if low.endswith(suf) and len(low) > len(suf) + 2:
                 return "ADJ"
-        return "NOUN"
+        return "X"
 
 
 class DictTagger:

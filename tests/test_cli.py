@@ -169,6 +169,30 @@ def test_summary_lines(tmp_path, capsys):
     assert capsys.readouterr().out == "built 1 pairs (1 skipped, 1 failed)\n"
 
 
+def test_byte_not_utf8_is_a_malformed_comment(tmp_path, capsys):
+    """A dump line that is not UTF-8 is counted like any unreadable line; the others are kept."""
+    comments, similes = tmp_path / "c.ndjson", tmp_path / "s.jsonl"
+    comments.write_bytes(b'{"id": "1", "body": "The wall was like a rock."}\n'
+                         b'{"id": "2", "body": "The sea was like a mirror \xff."}\n'
+                         b'{"id": "3", "body": "It moved like a ghost."}\n')
+    assert main(["harvest", "--comments", str(comments), "--similes-out", str(similes)]) == 0
+    assert capsys.readouterr().out == "harvested 2 similes (0 duplicates, 1 malformed records)\n"
+    assert [rec["source_id"] for rec in read_jsonl(similes)] == ["1", "3"]
+
+
+def test_config_file_not_utf8_is_a_collected_error(world, tmp_path, capsys):
+    config = tmp_path / "c.ini"
+    config.write_bytes(b"[train]\nseed = 1 \xff\n")
+    rc = main(["train", "--config", str(config), "--pairs", str(world["pairs"])])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: config file {config}: 'utf-8' codec can't decode byte 0xff in position 17: "
+        "invalid start byte\n"
+        "error: [train] missing required setting 'model-out'\n"
+        "error: [train] missing required setting 'seed'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
+
+
 class TestHarvest:
     def test_outputs_and_counts(self, world, toy_world):
         similes = read_jsonl(world["similes"])
@@ -1108,4 +1132,31 @@ def test_bad_decoding_setting_is_collected(world, tmp_path, capsys, command, fla
     section = {"generate": "generate", "embellish": "story"}[command]
     assert capsys.readouterr().err == (f"error: [{section}] missing required setting 'seed'\n"
                                        f"error: [{section}] {reason}\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["generate", "embellish"])
+@pytest.mark.parametrize("settings, errors", [
+    ({"top-k": "0", "temperature": "nan"},
+     ["top_k must be >= 1; temperature must be finite and > 0"]),
+    ({"max-new-tokens": "0", "top-k": "0", "temperature": "inf"},
+     ["max_new_tokens must be >= 1; top_k must be >= 1; temperature must be finite and > 0"]),
+    # A value that fails its cast does not hide the other refused field.
+    ({"top-k": "x", "temperature": "-1"},
+     ["bad value for 'top-k': 'x'", "temperature must be finite and > 0"]),
+])
+def test_every_refused_decoding_setting_is_reported(world, tmp_path, capsys, command, settings,
+                                                    errors):
+    stories = tmp_path / "stories.jsonl"
+    write_stories_jsonl([Story("Winter", (), ("The road felt slow.",))], stories)
+    inputs = {"generate": ["--literals", str(world["literals"]), "--system", "scope"],
+              "embellish": ["--stories", str(stories)]}[command]
+    out = tmp_path / "out"
+    out.mkdir()
+    flags = [arg for flag, value in settings.items() for arg in (f"--{flag}", value)]
+    rc = main([command, *inputs, "--model", str(world["model"]), "--seed", "1", *flags,
+               "--out", str(out / "batch.jsonl")])
+    assert rc == 2
+    section = {"generate": "generate", "embellish": "story"}[command]
+    assert capsys.readouterr().err == "".join(f"error: [{section}] {e}\n" for e in errors)
     assert list(out.iterdir()) == []

@@ -1,5 +1,6 @@
 """Tokenizer, trigger parsing, modifier stripping, vehicle extraction, file reading."""
 
+import functools
 import hashlib
 import sys
 
@@ -14,15 +15,16 @@ from similekit.core import (
     ParseError,
     SimileInstance,
     TriggerConfig,
+    append_token,
     common_prefix_len,
     derive_seed,
-    detokenize,
     drop_dangling_comma,
     extract_generated_vehicle,
     fold,
     is_comparator,
     is_word,
     parse_simile,
+    read_lines,
     read_records,
     rstrip_punct,
     split_sentences,
@@ -37,6 +39,7 @@ from similekit.core import (
 from similekit.corpus import read_pairs_audit_jsonl, read_pairs_tsv
 from similekit.evaluation import read_refs_jsonl
 from similekit.harvest import read_literals_jsonl, read_similes_jsonl
+from similekit.knowledge import SynonymTable, load_edge_table
 from similekit.story import read_stories_jsonl
 from similekit.systems import read_batch_jsonl
 from similekit.tagging import DEFAULT_TAGGER, DictTagger, LexiconTagger
@@ -54,12 +57,12 @@ class TestTokenizer:
     def test_internal_apostrophe_kept(self):
         assert tokenize("Sir Francis's voice") == ["Sir", "Francis's", "voice"]
 
-    def test_detokenize_attaches_punctuation(self):
-        assert detokenize(["Hello", ",", "world", "!"]) == "Hello, world!"
+    def test_append_token_attaches_punctuation(self):
+        assert functools.reduce(append_token, ["Hello", ",", "world", "!"], "") == "Hello, world!"
 
     def test_empty(self):
         assert tokenize("") == []
-        assert detokenize([]) == ""
+        assert append_token("", "!") == "!"
 
     @given(word_lists)
     def test_word_round_trip(self, ws):
@@ -171,7 +174,7 @@ class TestStripTerminalModifier:
     def test_trailing_punctuation_reattachable(self):
         s = strip_terminal_modifier("Love is rare.", DEFAULT_TAGGER)
         assert (s.prefix, s.property, s.trailing) == ("Love is", "rare", ".")
-        assert s.reassemble() == "Love is rare."
+        assert s.prefix + " " + s.property + s.trailing == "Love is rare."
 
     def test_clause_final_comma_stays_in_prefix(self):
         s = strip_terminal_modifier(
@@ -191,7 +194,7 @@ class TestStripTerminalModifier:
     def test_adverb_final(self):
         s = strip_terminal_modifier("I start to prowl across the room warily", DEFAULT_TAGGER)
         assert s.property == "warily"
-        assert s.pos_tag == "ADV"
+        assert DEFAULT_TAGGER.tag(s.property) == "ADV"
 
     @given(st.lists(words, min_size=1, max_size=6))
     def test_prefix_nonempty_for_two_content_tokens(self, ws):
@@ -332,6 +335,38 @@ class TestReadRecords:
             read(path)
         assert str(exc.value) == f"{path}:1: missing field '{field}'"
 
+    UTF8_READERS = {
+        **{name: read for name, (read, _) in JSONL_READERS.items()},
+        "pairs-tsv": read_pairs_tsv,
+        "edges": load_edge_table,
+        "synonyms": SynonymTable.load,
+        "lines": lambda path: list(read_lines(path)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UTF8_READERS))
+    @pytest.mark.parametrize("byte", [b"\xff", b"\xe9", b"\xed\xb2\x80"],
+                             ids=["invalid", "latin-1", "encoded-surrogate"])
+    def test_byte_not_utf8_is_located(self, tmp_path, name, byte):
+        path = tmp_path / "in"
+        path.write_bytes(b"\n" + b'{"text": "caf' + byte + b'"}\tb\n')
+        with pytest.raises(ParseError) as exc:
+            self.UTF8_READERS[name](path)
+        assert str(exc.value) == f"{path}:2: byte {byte[0]:#04x} is not UTF-8"
+
+    def test_on_error_gets_a_line_not_utf8(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(b'{"x": 1}\n{"x": "\xff"}\n{"x": "\xc3\xa9"}\n')
+        errors = []
+        assert list(read_records(path, lambda rec: rec["x"], on_error=errors.append)) == [1, "é"]
+        assert [str(e) for e in errors] == [f"{path}:2: byte 0xff is not UTF-8"]
+
+    def test_text_mode_newlines(self, tmp_path):
+        path = tmp_path / "rows.tsv"
+        path.write_bytes(b"a\tb\r\nc\td\re\tf\n")
+        assert list(read_records(path, lambda *row: row, fields=2)) == [
+            ("a", "b"), ("c", "d"), ("e", "f")]
+        assert list(read_lines(path)) == ["a\tb", "c\td", "e\tf"]
+
     def test_tsv_field_count_is_located(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("a\tb\n\na\tb\tc\n", encoding="utf-8")
@@ -386,7 +421,8 @@ class TestReadRecords:
             TriggerConfig((phrase,))
 
     def test_one_parse_error_class(self):
-        assert similekit.ParseError is knowledge.ParseError is ParseError
+        assert similekit.ParseError is ParseError
+        assert not hasattr(knowledge, "ParseError")
         assert issubclass(ParseError, ValueError)
 
 
@@ -434,9 +470,8 @@ class TestTagging:
         t = LexiconTagger()
         assert t.tag("beautiful") == "ADJ"
         assert t.tag("warily") == "ADV"
-        assert t.tag("dog") == "NOUN"
-        assert t.tag("was") == "VERB"
-        assert t.tag(",") == "PUNCT"
+        for other in ("dog", "was", ",", "3", ""):
+            assert t.tag(other) == "X"
 
     def test_ly_exception_words_are_adjectives(self):
         t = LexiconTagger()
@@ -452,8 +487,12 @@ class TestTagging:
         assert LexiconTagger().tag("Beautiful") == "ADJ"
 
     def test_extra_words(self):
-        t = LexiconTagger(extra_adjectives=["zorblike"])
-        assert t.tag("zorblike") == "ADJ"
+        # The lexicon takes no extra words; a tagger of one's own supplies them.
+        with pytest.raises(TypeError):
+            LexiconTagger(extra_adjectives=["zorblike"])
+        assert LexiconTagger().tag("zorblike") == "X"
+        s = strip_terminal_modifier("It was zorblike.", DictTagger({"zorblike": "ADJ"}))
+        assert (s.prefix, s.property, s.trailing) == ("It was", "zorblike", ".")
 
     def test_dict_tagger(self):
         t = DictTagger({"x": "ADJ"}, default="VERB")

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -380,6 +381,26 @@ class TestScoreSheets:
         line = rows.count("\n")
         assert str(exc.value).startswith(f"{path}:{line}: {reason}")
 
+    @pytest.mark.parametrize("rows, line", [
+        (b"item_id,system,rater_id,criterion,score\ni0,A,r0,C,3\ni\xff,A,r0,C,3\n", 3),
+        (b"item_id,system,rater_id,criterion,score,n\xffte\ni0,A,r0,C,3,x\n", 1),
+        (b'item_id,system,rater_id,criterion,score\n"i0\nis\xff",A,r0,C,3\n', 3),
+    ], ids=["row", "header", "quoted-newline"])
+    def test_byte_not_utf8_is_located(self, tmp_path, rows, line):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(rows)
+        with pytest.raises(ParseError) as exc:
+            ScoreSheet.load_csv(path)
+        assert str(exc.value) == f"{path}:{line}: byte 0xff is not UTF-8"
+
+    def test_quoted_newline_round_trips(self, tmp_path):
+        sheet = ScoreSheet()
+        sheet.add("i0\r\nsecond line", "A", "r0", "C", 3)
+        sheet.add("i1", "A", "r0", "C", 4)
+        path = tmp_path / "scores.csv"
+        sheet.save_csv(path)
+        assert ScoreSheet.load_csv(path).rows == sheet.rows
+
     def test_alpha_perfect_agreement(self):
         sheet = ScoreSheet()
         for item, score in (("i0", 1), ("i1", 2), ("i2", 3)):
@@ -424,7 +445,8 @@ class TestReports:
         report = MetricReport(
             {"scope": SystemMetrics(0.5, 0.25, 0.75, 0.9, scored=10, blank=1)}
         )
-        payload = json.loads(report.to_json())
+        # The CLI's --report serializes a report this way.
+        payload = json.loads(json.dumps(asdict(report)["systems"]))
         assert payload["scope"]["bleu1"] == 0.5
         assert payload["scope"]["blank"] == 1
 

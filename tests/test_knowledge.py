@@ -3,13 +3,14 @@
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from similekit.backends import BackendUnavailable, JsonSubprocessBackend
+from similekit.core import ParseError
 from similekit.knowledge import (
     EMPTY_SYNONYMS,
     EdgeTableBackend,
     KnowledgeEdge,
-    ParseError,
     PropertyCandidate,
     RemoteKnowledgeBackend,
     SynonymTable,
@@ -162,6 +163,20 @@ class TestReverseLookup:
         with pytest.raises(ValueError):
             vehicle_for_property("  ", EdgeTableBackend([]))
 
+    @given(st.lists(st.builds(KnowledgeEdge, st.sampled_from(["rose", "Rose", "oven", "owl", "sun"]),
+                              st.sampled_from(["hot", "HOT", "wise", "red"]),
+                              st.sampled_from([0.5, 1.0, 2.0, 1e300])), max_size=12))
+    def test_best_concept_is_the_head_of_the_sorted_rows(self, edges):
+        """The table keeps one row per property: the head of the full sorted list."""
+        best: dict[tuple[str, str], float] = {}  # each (concept, property) at its max weight
+        for e in edges:
+            key = (e.concept.lower(), e.property.lower())
+            best[key] = max(best.get(key, e.weight), e.weight)
+        backend = EdgeTableBackend(edges)
+        for prop in ("hot", "wise", "red", "cold"):
+            rows = sorted((-weight, concept) for (concept, p), weight in best.items() if p == prop)
+            assert backend.best_concept_for(prop) == (rows[0][1] if rows else None)
+
 
 class TestSynonymTable:
     def test_load_keeps_file_order_dedupes(self, tmp_path):
@@ -235,5 +250,6 @@ class TestRemoteBackend:
 
     def test_no_reverse_lookup(self, tmp_path):
         cmd = write_reply_script(tmp_path, "print('[]')\n")
-        with pytest.raises(BackendUnavailable):
-            RemoteKnowledgeBackend(cmd).best_concept_for("beautiful")
+        assert not hasattr(RemoteKnowledgeBackend(cmd), "best_concept_for")
+        with pytest.raises(AttributeError):
+            vehicle_for_property("beautiful", RemoteKnowledgeBackend(cmd))
