@@ -27,6 +27,10 @@ from .core import (
     write_lines,
 )
 from .knowledge import PropertyCandidate, properties_of
+from .lm import perplexities
+
+# Bound for perfbench/tracer.py, which probes similekit.corpus:perplexity;
+# candidates are scored through perplexities, one call per simile.
 from .lm import perplexity
 
 
@@ -84,15 +88,13 @@ def make_literal_candidates(
 
 
 def select_best_literal(candidates: list[LiteralCandidate], scorer) -> LiteralCandidate:
-    """Minimum-perplexity candidate; ties keep the earlier (higher-ranked) property."""
+    """Minimum-perplexity candidate, all scored in one call; ties keep the
+    earlier (higher-ranked) property."""
     if not candidates:
         raise ValueError("no candidates to select from")
-    best, best_ppl = None, None
-    for cand in candidates:
-        ppl = perplexity(cand.text, scorer)
-        if best is None or ppl < best_ppl:
-            best, best_ppl = cand, ppl
-    return replace(best, perplexity=best_ppl)
+    ppls = perplexities([cand.text for cand in candidates], scorer)
+    best = min(range(len(candidates)), key=ppls.__getitem__)
+    return replace(candidates[best], perplexity=ppls[best])
 
 
 def correct_grammar(text: str, corrector=None) -> str:

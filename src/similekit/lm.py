@@ -3,8 +3,10 @@
 Three capabilities, each behind a small protocol so neural backends can attach
 out of process, plus deterministic in-process reference implementations:
 
-* scorer: `token_logprobs(tokens) -> [logp, ...]` (or a direct `perplexity`
-  method, as the uniform and remote scorers have).  Reference: interpolated word-bigram model with
+* scorer: `perplexities(texts) -> [ppl, ...]`, one call for a batch such as
+  the literal candidates of one simile.  A scorer with only
+  `perplexity(text)` or `token_logprobs(tokens) -> [logp, ...]` is called
+  once per text instead.  Reference: interpolated word-bigram model with
   add-alpha smoothing.
 * seq2seq model: `next_token_distribution(src_tokens, out_tokens) -> [(token,
   prob), ...]`, ranked by falling probability, ties by token; decoding
@@ -90,14 +92,31 @@ class GenerationOutput:
 # Perplexity
 
 
-def perplexity(text: str, scorer) -> float:
-    """exp of mean negative log-likelihood per token; lower = more fluent."""
-    tokens = tokenize(text) if text is not None else None
-    if not tokens:
+def perplexities(texts, scorer) -> list[float]:
+    """Perplexity of each text, in order: exp of mean negative log-likelihood
+    per token; lower = more fluent.
+
+    EmptyText is raised before anything is scored if a text has no tokens
+    (tokenize finds a token at every character that is not whitespace).  A
+    scorer with `perplexities` scores the batch in one call; one with only
+    `perplexity` or `token_logprobs` is called once per text.
+    """
+    texts = list(texts)
+    if any(not text or text.isspace() for text in texts):
         raise EmptyText("cannot score an empty text")
+    if hasattr(scorer, "perplexities"):
+        return [float(ppl) for ppl in scorer.perplexities(texts)]
     if hasattr(scorer, "perplexity"):
-        return float(scorer.perplexity(text))
-    logps = scorer.token_logprobs(tokens)
+        return [float(scorer.perplexity(text)) for text in texts]
+    return [_perplexity_of(scorer.token_logprobs(tokenize(text))) for text in texts]
+
+
+def perplexity(text: str, scorer) -> float:
+    """The perplexity of one text; see perplexities."""
+    return perplexities([text], scorer)[0]
+
+
+def _perplexity_of(logps: list[float]) -> float:
     return math.exp(-sum(logps) / len(logps))
 
 
@@ -109,8 +128,8 @@ class UniformScorer:
             raise ValueError("vocab_size must be >= 1")
         self.vocab_size = vocab_size
 
-    def perplexity(self, text: str) -> float:
-        return float(self.vocab_size)
+    def perplexities(self, texts: list[str]) -> list[float]:
+        return [float(self.vocab_size)] * len(texts)
 
 
 # The bigram row of a context never seen in training; never written to.
@@ -155,19 +174,33 @@ class BigramScorer:
         self.vocab = set(self.unigram) | {self.UNK}
         self.vocab_size = len(self.vocab)
         self.total = sum(self.unigram.values())
-        # The previous call's tokens and log-probs, never handed out.
-        self._last: tuple[list[str], list[float]] = ([], [])
+
+    def perplexities(self, texts: list[str]) -> list[float]:
+        """Each text is tokenized once.  A token's log-prob depends only on it
+        and the token before it, so the log-probs of the prefix a text shares
+        with the text before it (the literal candidates of one simile differ
+        only at the end) are reused within the call."""
+        out, tokens, logps = [], [], []
+        for text in texts:
+            before, tokens = tokens, tokenize(text)
+            if not tokens:
+                raise EmptyText("cannot score an empty text")
+            logps = self._logprobs(tokens, before, logps)
+            out.append(_perplexity_of(logps))
+        return out
 
     def token_logprobs(self, tokens: list[str]) -> list[float]:
-        # A token's log-prob depends only on it and the token before it, so
-        # the log-probs of the prefix shared with the previous call (the
-        # literal candidates of one simile differ only at the end) are reused.
-        # The float expressions keep the operation order of the formula above
-        # (tests compare the log-probs bit for bit); only invariants computed
-        # by the same expression are hoisted out of the loop.
-        last_tokens, last_logps = self._last
-        shared = common_prefix_len(tokens, last_tokens)
-        out = last_logps[:shared]
+        return self._logprobs(tokens, [], [])
+
+    def _logprobs(self, tokens: list[str], before: list[str],
+                  before_logps: list[float]) -> list[float]:
+        """Log-probs of tokens; those of the prefix shared with `before` are
+        copied from before_logps.  The float expressions keep the operation
+        order of the formula above (tests compare the log-probs bit for bit);
+        only invariants computed by the same expression are hoisted out of
+        the loop."""
+        shared = common_prefix_len(tokens, before)
+        out = before_logps[:shared]
         prev = self.BOS
         if shared:
             prev = tokens[shared - 1] if tokens[shared - 1] in self.vocab else self.UNK
@@ -181,8 +214,7 @@ class BigramScorer:
             p_uni = (self.unigram.get(t, 0) + self.alpha) / uni_den
             out.append(math.log(self.lam * p_bi + (1 - self.lam) * p_uni))
             prev = t
-        self._last = (list(tokens), out)
-        return list(out)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +479,28 @@ class TemplateNgramModel:
 
     @classmethod
     def load(cls, model_dir: str) -> "TemplateNgramModel":
-        with open(os.path.join(model_dir, "manifest.json"), encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if manifest.get("type") != "template-ngram":
+        """A saved model; a damaged manifest.json or model.json is a ValueError naming it."""
+        manifest = _read_json_object(os.path.join(model_dir, "manifest.json"), ("type",))
+        if manifest["type"] != "template-ngram":
             raise ValueError(f"not a template-ngram model dir: {model_dir}")
-        with open(os.path.join(model_dir, "model.json"), encoding="utf-8") as fh:
-            state = json.load(fh)
+        state = _read_json_object(os.path.join(model_dir, "model.json"), cls.STATE)
         return cls(**{name: state[name] for name in cls.STATE},
                    train_config=manifest.get("train_config", {}))
+
+
+def _read_json_object(path: str, keys) -> dict:
+    """The JSON object in a UTF-8 file, holding every key; otherwise a ValueError "path: reason"."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as exc:  # a byte that is not UTF-8, or bad JSON
+        raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"{path}: missing field {missing[0]!r}")
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +508,18 @@ class TemplateNgramModel:
 
 
 class RemoteScorer:
-    """Scorer adapter: {op: "perplexity", text} -> {perplexity}."""
+    """Scorer adapter: {op: "perplexity", text} -> {perplexity}, one request per text."""
 
     def __init__(self, command: list[str]):
         self.backend = JsonSubprocessBackend(command)
 
+    def perplexities(self, texts: list[str]) -> list[float]:
+        """The requests of a batch run side by side; see JsonSubprocessBackend.call_many."""
+        return self.backend.call_many([{"op": "perplexity", "text": text} for text in texts],
+                                      lambda reply: float(reply["perplexity"]))
+
     def perplexity(self, text: str) -> float:
-        return self.backend.call({"op": "perplexity", "text": text},
-                                 lambda reply: float(reply["perplexity"]))
+        return self.perplexities([text])[0]
 
 
 class RemoteModel:

@@ -1160,3 +1160,25 @@ def test_every_refused_decoding_setting_is_reported(world, tmp_path, capsys, com
     section = {"generate": "generate", "embellish": "story"}[command]
     assert capsys.readouterr().err == "".join(f"error: [{section}] {e}\n" for e in errors)
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["generate", "embellish"])
+def test_damaged_model_is_named(tmp_path, capsys, command):
+    """A byte that is not UTF-8 appended to a one-pair model.json: exit 1, the file named."""
+    pairs, model = tmp_path / "pairs.tsv", tmp_path / "model"
+    pairs.write_text("The sky was very blue.\tThe sky was like a sapphire.\n", encoding="utf-8")
+    assert main(["train", "--pairs", str(pairs), "--model-out", str(model), "--seed", "1"]) == 0
+    with open(model / "model.json", "ab") as fh:
+        fh.write(b"\xff")
+    literals, stories = tmp_path / "literals.jsonl", tmp_path / "stories.jsonl"
+    literals.write_text('{"text": "The sea was very calm."}\n', encoding="utf-8")
+    write_stories_jsonl([Story("Winter", (), ("The road felt slow.",))], stories)
+    inputs = {"generate": ["--literals", str(literals), "--system", "scope"],
+              "embellish": ["--stories", str(stories)]}[command]
+    capsys.readouterr()
+    rc = main([command, *inputs, "--model", str(model), "--seed", "1",
+               "--out", str(tmp_path / "out.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {model / 'model.json'}: 'utf-8' codec can't decode byte 0xff in position ")
+    assert not (tmp_path / "out.jsonl").exists()

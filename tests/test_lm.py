@@ -5,10 +5,12 @@ import json
 import math
 import random
 import re
+import subprocess
 import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +35,7 @@ from similekit.lm import (
     _sample,
     fine_tune,
     generate,
+    perplexities,
     perplexity,
 )
 
@@ -322,6 +325,72 @@ class TestKernelsEqualOracles:
             assert scorer.token_logprobs(tokens) == oracle.token_logprobs(tokens)
 
 
+@st.composite
+def candidate_families(draw):
+    """Texts in families that share a prefix and differ at the end, as the
+    literal candidates of one simile do."""
+    word = st.sampled_from(QUERY_WORDS)
+    families = draw(st.lists(st.tuples(
+        st.lists(word, max_size=8),
+        st.lists(st.lists(word, min_size=1, max_size=3), min_size=1, max_size=5)),
+        min_size=1, max_size=4))
+    return [" ".join(prefix + tail) for prefix, tails in families for tail in tails]
+
+
+class PerplexityOnly:
+    """A scorer with only `perplexity`, answering as the oracle."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def perplexity(self, text):
+        return oracle_perplexity(text, self.oracle)
+
+
+class TestBatchScoring:
+    @given(texts_of(TRAIN_WORDS, 1), candidate_families())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_equals_the_oracle_bit_for_bit(self, train, texts):
+        oracle = OracleBigramScorer(train)
+        expected = [oracle_perplexity(text, oracle) for text in texts]
+        assert perplexities(texts, BigramScorer(train)) == expected
+        assert BigramScorer(train).perplexities(texts) == expected
+
+    @given(texts_of(TRAIN_WORDS, 1), candidate_families(), candidate_families())
+    @settings(max_examples=200, deadline=None)
+    def test_a_batch_leaves_no_state_behind(self, train, first, second):
+        scorer = BigramScorer(train)
+        perplexities(first, scorer)
+        assert perplexities(second, scorer) == perplexities(second, BigramScorer(train))
+        tokens = tokenize(second[0])
+        assert scorer.token_logprobs(tokens) == OracleBigramScorer(train).token_logprobs(tokens)
+
+    @given(texts_of(TRAIN_WORDS, 1), candidate_families())
+    @settings(max_examples=100, deadline=None)
+    def test_adapter_equals_per_text_scoring(self, train, texts):
+        oracle = OracleBigramScorer(train)
+        expected = [oracle_perplexity(text, oracle) for text in texts]
+        assert perplexities(texts, oracle) == expected  # only token_logprobs
+        assert perplexities(texts, PerplexityOnly(oracle)) == expected
+        assert [perplexity(text, oracle) for text in texts] == expected
+
+    @given(candidate_families(), st.data(), st.sampled_from(["", " ", "\t\n", None]))
+    @settings(max_examples=50, deadline=None)
+    def test_empty_candidate_raises_before_any_request(self, texts, data, empty):
+        texts.insert(data.draw(st.integers(0, len(texts))), empty)
+        scorer = RemoteScorer([sys.executable, "-c", "pass"])
+        with mock.patch.object(subprocess, "Popen", side_effect=AssertionError("request sent")):
+            with pytest.raises(EmptyText):
+                perplexities(texts, scorer)
+
+    def test_uniform_batch_is_constant(self):
+        assert perplexities(["a b", "c", "d e f"], UniformScorer(7)) == [7.0, 7.0, 7.0]
+
+    def test_remote_batch_is_one_request_per_text(self, tmp_path):
+        scorer = RemoteScorer(write_lm_script(tmp_path, ECHO_SERVER))
+        assert perplexities(["a", "b c", "d"], scorer) == [42.0, 42.0, 42.0]
+
+
 SRC_WORDS = ["x", "y", "sky", "is", "was", "red", "cold", "very", ",", "."]
 TGT_WORDS = SRC_WORDS + ["like", "a", "rose", "fire", "sea"]
 
@@ -593,6 +662,22 @@ class TestTemplateNgramModel:
         (tmp_path / "manifest.json").write_text(json.dumps({"type": "other"}))
         with pytest.raises(ValueError):
             TemplateNgramModel.load(tmp_path)
+
+    @pytest.mark.parametrize("name", ["model.json", "manifest.json"])
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda data: data + b"\xff", "'utf-8' codec can't decode byte 0xff"),
+        (lambda data: data[:-5], "Expecting"),
+        (lambda data: b"[]", "not a JSON object"),
+        (lambda data: b"{}", "missing field"),
+    ])
+    def test_damaged_model_file_is_named(self, tmp_path, name, damage, reason):
+        model_dir = tmp_path / "model"
+        fine_tune([("The sky was blue.", "The sky was like a sea.")], TrainConfig(seed=1),
+                  BACKEND).save(model_dir)
+        path = model_dir / name
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(reason)):
+            TemplateNgramModel.load(model_dir)
 
     def test_toy_model_generates_similes_from_held_out_literals(self, toy_model, toy_world):
         text = toy_world["holdout"][0]
