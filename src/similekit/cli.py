@@ -16,13 +16,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import importlib
 import os
 import sys
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .core import (
+    CRITERIA,
     DEFAULT_TRIGGERS,
     NotModifierFinal,
     TriggerConfig,
@@ -33,62 +34,45 @@ from .core import (
     write_json,
     write_jsonl,
 )
-from .corpus import BuildStats, iter_parallel_corpus, write_pair_files
-from .evaluation import (
-    CRITERIA,
-    MetricReport,
-    CharNgramEmbedder,
-    OneHotEmbedder,
-    ScoreSheet,
-    evaluate_generation,
-    mean_scores,
-    pairwise_compare,
-    normalize_pair,
-    read_refs_jsonl,
-)
-from .harvest import (
-    HarvestStats,
-    harvest_literals,
-    harvest_similes,
-    iter_comments,
-    iter_similes_jsonl,
-    read_literals_jsonl,
-    sample_literals,
-    split_corpus,
-    write_literals_jsonl,
-    write_similes_jsonl,
-)
-from .knowledge import SynonymTable, EMPTY_SYNONYMS, load_edge_table
-from .lm import (
-    BigramScorer,
-    GenerationConfig,
-    ReferenceSeq2SeqBackend,
-    TemplateNgramModel,
-    TrainConfig,
-    UniformScorer,
-    fine_tune,
-)
-from .story import embellish, generate_story, read_stories_jsonl
-from .systems import (
-    baseline_metaphor_mask,
-    baseline_prefix_forced,
-    baseline_retrieval,
-    read_batch_jsonl,
-    run_batch,
-    scope_generate,
-    train_metaphor_mask,
-)
-from .tagging import DEFAULT_TAGGER
 
-# Not called here, since harvest and build-corpus stream: perfbench/tracer.py
-# probes these names, and tests/test_trace_targets.py checks that they resolve.
-from .corpus import (
-    build_parallel_corpus,
-    read_pairs_audit_jsonl,
-    write_pairs_audit_jsonl,
-    write_pairs_tsv,
-)
-from .harvest import load_comments
+# The library names the commands call, by module: each command binds those of the
+# modules it runs (_load), so a process imports no other.  perfbench/tracer.py patches
+# them here (`similekit.cli:name`); it alone reads load_comments, build_parallel_corpus,
+# read_pairs_audit_jsonl, write_pairs_tsv and write_pairs_audit_jsonl (the CLI streams).
+_NAMES = {
+    "corpus": ("BuildStats", "iter_parallel_corpus", "write_pair_files", "build_parallel_corpus",
+               "read_pairs_audit_jsonl", "write_pairs_audit_jsonl", "write_pairs_tsv"),
+    "evaluation": ("CharNgramEmbedder", "MetricReport", "OneHotEmbedder", "ScoreSheet",
+                   "evaluate_generation", "mean_scores", "normalize_pair", "pairwise_compare",
+                   "read_refs_jsonl"),
+    "harvest": ("HarvestStats", "harvest_literals", "harvest_similes", "iter_comments",
+                "iter_similes_jsonl", "load_comments", "read_literals_jsonl", "sample_literals",
+                "split_corpus", "write_literals_jsonl", "write_similes_jsonl"),
+    "knowledge": ("EMPTY_SYNONYMS", "SynonymTable", "load_edge_table"),
+    "lm": ("BigramScorer", "GenerationConfig", "ReferenceSeq2SeqBackend", "TemplateNgramModel",
+           "TrainConfig", "UniformScorer", "fine_tune"),
+    "story": ("embellish", "generate_story", "read_stories_jsonl"),
+    "systems": ("baseline_metaphor_mask", "baseline_prefix_forced", "baseline_retrieval",
+                "read_batch_jsonl", "run_batch", "scope_generate", "train_metaphor_mask"),
+    "tagging": ("DEFAULT_TAGGER",),
+}
+
+
+def _load(*modules: str) -> None:
+    """Bind the names of similekit modules here; a name already bound (a probe) stays."""
+    for module in modules:
+        found = importlib.import_module("." + module, __package__)
+        for name in _NAMES[module]:
+            globals().setdefault(name, getattr(found, name))
+
+
+def __getattr__(name: str):
+    """`similekit.cli.<name>` for a name no command has loaded yet (PEP 562)."""
+    for module, names in _NAMES.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _sha256_file(path: str) -> str:
@@ -119,6 +103,7 @@ def _write_manifest(s: Settings, seeds: dict) -> None:
 def _parse_ratio(text: str):
     """A float or an exact fraction such as 82697/87843, strictly between 0 and 1."""
     if "/" in text:
+        from fractions import Fraction
         num, den = text.split("/", 1)
         ratio = Fraction(int(num), int(den))
     else:
@@ -145,6 +130,14 @@ def _parse_bool(text: str) -> bool:
 def _parse_paths(value) -> list[str]:
     """A flag gives the paths as a list; a config value separates them with commas."""
     return value if isinstance(value, list) else [p.strip() for p in value.split(",")]
+
+
+def _parse_pair(text: str) -> tuple[str, str]:
+    """Two distinct, non-empty names separated by a comma."""
+    names = tuple(name.strip() for name in text.split(","))
+    if len(names) != 2 or not all(names) or names[0] == names[1]:
+        raise ValueError(f"need two distinct names: {text!r}")
+    return names
 
 
 def _parse_triggers(text: str) -> TriggerConfig:
@@ -321,6 +314,7 @@ def _generation_config(s: Settings) -> GenerationConfig | None:
     Option("seed", int),
 )
 def cmd_harvest(s: Settings) -> int:
+    _load("harvest", "tagging")
     comments, sentences, split, seed = s["comments"], s["sentences"], s["split"], s["seed"]
     if comments is None and sentences is None:
         s.error("need --comments and/or --sentences")
@@ -369,6 +363,7 @@ def cmd_harvest(s: Settings) -> int:
 )
 def cmd_build_corpus(s: Settings) -> int:
     """Stream --in: its texts when the scorer learns from them, then each simile to convert."""
+    _load("corpus", "harvest", "knowledge", "lm")
     if s["scorer"] == "uniform":
         # Every candidate ties, so the top-ranked property wins whatever k or V is.
         if s["scorer-train"] is not None:
@@ -403,6 +398,7 @@ def cmd_build_corpus(s: Settings) -> int:
            help="replace terminal modifiers with the mask token before training"),
 )
 def cmd_train(s: Settings) -> int:
+    _load("lm", "systems", "tagging")
     if s.fail_if_errors():
         return 2
     read = 0
@@ -441,6 +437,7 @@ def cmd_train(s: Settings) -> int:
     Option("out", required=True, output=True),
 )
 def cmd_generate(s: Settings) -> int:
+    _load("harvest", "knowledge", "lm", "systems", "tagging")
     system = s["system"]
     # rtrvl reads the knowledge table and no model; the other systems the reverse.
     reads, ignores = ("knowledge", "model") if system == "rtrvl" else ("model", "knowledge")
@@ -490,12 +487,13 @@ def cmd_generate(s: Settings) -> int:
            requires=("generated",)),
     Option("smoothing", _parse_bool, False, requires=("generated",)),
     Option("scoresheet", path=True),
-    Option("pairwise", requires=("scoresheet", "criterion"),
-           help="two system names, e.g. scope,meta_m"),
+    Option("pairwise", _parse_pair, requires=("scoresheet", "criterion"),
+           help="two distinct system names, e.g. scope,meta_m"),
     Option("criterion", choices=CRITERIA, requires=("pairwise",)),
     Option("report", output=True),
 )
 def cmd_evaluate(s: Settings) -> int:
+    _load("evaluation")
     generated, scoresheet, pairwise = s["generated"], s["scoresheet"], s["pairwise"]
     if scoresheet is None and generated is None:
         s.error("need --generated batch files or --scoresheet")
@@ -503,6 +501,7 @@ def cmd_evaluate(s: Settings) -> int:
         return 2
     payload: dict = {}
     if generated is not None:
+        _load("systems", "tagging")
         refs_by_literal = read_refs_jsonl(s["refs"])
         train_seen = None
         if s["train-audit"]:
@@ -534,7 +533,7 @@ def cmd_evaluate(s: Settings) -> int:
             print(f"{key}: {value:.2f}")
         if pairwise is not None:
             criterion = s["criterion"]
-            system_a, _, system_b = (name.strip() for name in pairwise.partition(","))
+            system_a, system_b = pairwise
             win, lose, tie = pairwise_compare(sheet, system_a, system_b, criterion)
             payload["pairwise"] = {"systems": [system_a, system_b], "criterion": criterion,
                                    "win": win, "lose": lose, "tie": tie}
@@ -558,6 +557,7 @@ def cmd_evaluate(s: Settings) -> int:
     Option("out", required=True, output=True),
 )
 def cmd_embellish(s: Settings) -> int:
+    _load("lm", "story", "systems", "tagging")
     titles_path, storyline_dir, story_dir = s["titles"], s["storyline-model"], s["story-model"]
     if (s["stories"] is None) == (titles_path is None):
         s.error("need --stories or --titles, not both")

@@ -94,6 +94,10 @@ def terminal_punctuation(text: str) -> str:
 
 COMPARATORS = ("like a", "like an")
 
+# The human-evaluation criteria a score sheet rates (see evaluation); defined
+# here so that the command line's option table names them without importing it.
+CRITERIA = ("C", "R1", "R2", "OQ")
+
 
 def is_comparator(phrase: str) -> bool:
     """Whether a phrase is one of COMPARATORS, compared folded."""

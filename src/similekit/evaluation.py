@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import (
+    CRITERIA,
     LINE_ERRORS,
     NotModifierFinal,
     ParseError,
@@ -30,8 +31,6 @@ from .core import (
     tokenize,
     utf8_lines,
 )
-
-CRITERIA = ("C", "R1", "R2", "OQ")
 
 
 class LengthMismatch(ValueError):
@@ -197,8 +196,14 @@ def unseen_fraction(generated: list[tuple[str, str]], seen) -> float:
 # Human score sheets
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScoreRow:
+    """One rating, checked when made.
+
+    Not frozen: a frozen dataclass sets each field through object.__setattr__,
+    which took longer than reading the file for a sheet of thousands of ratings.
+    """
+
     item_id: str
     system: str
     rater_id: str
@@ -228,12 +233,19 @@ class ScoreSheet:
 
     @classmethod
     def load_csv(cls, path) -> "ScoreSheet":
+        """Columns by header name, as csv.DictReader finds them: blank rows are
+        skipped, and a short row's missing fields read as None."""
         sheet = cls()
-        reader = csv.DictReader(utf8_lines(path, newline=""))
-        for rec in reader:
+        reader = csv.reader(utf8_lines(path, newline=""))
+        header = next(reader, [])
+        column = {name: i for i, name in enumerate(header)}
+        for row in reader:
+            if not row:
+                continue
             try:
-                sheet.add(rec["item_id"], rec["system"], rec["rater_id"],
-                          rec["criterion"], int(rec["score"]))
+                row += [None] * (len(header) - len(row))
+                sheet.add(row[column["item_id"]], row[column["system"]], row[column["rater_id"]],
+                          row[column["criterion"]], row[column["score"]])
             except LINE_ERRORS as exc:
                 raise ParseError(path, reader.line_num, exc) from exc
         return sheet
@@ -253,10 +265,13 @@ def pairwise_compare(
     """(win%, lose%, tie%) for A vs B: per-item rater means, strict comparison."""
     means_a = _item_means(sheet, system_a, criterion)
     means_b = _item_means(sheet, system_b, criterion)
+    if not means_a and not means_b:
+        raise ValueError(f"no items scored on criterion {criterion!r}")
+    for system, means in ((system_a, means_a), (system_b, means_b)):
+        if not means:
+            raise ValueError(f"system {system!r} has no scores on criterion {criterion!r}")
     if set(means_a) != set(means_b):
         raise MissingItem(set(means_a) ^ set(means_b))
-    if not means_a:
-        raise ValueError(f"no items scored on criterion {criterion!r}")
     wins = sum(mean_a > means_b[item] for item, mean_a in means_a.items())
     loses = sum(mean_a < means_b[item] for item, mean_a in means_a.items())
     total = len(means_a)

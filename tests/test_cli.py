@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from similekit.backends import BackendUnavailable
 from similekit.cli import (
     COMMANDS,
     _parse_bool,
+    _parse_pair,
     _parse_positive,
     _parse_ratio,
     _parse_triggers,
@@ -142,6 +144,34 @@ def world(tmp_path_factory, toy_world):
 
 def read_jsonl(path):
     return [json.loads(line) for line in open(path, encoding="utf-8") if line.strip()]
+
+
+@pytest.fixture()
+def refs(world, tmp_path):
+    path = tmp_path / "refs.jsonl"
+    rows = []
+    for rec in read_literals_jsonl(world["literals"]):
+        stem = rec["text"][:-1].rsplit(" ", 1)[0]
+        rows.append({"literal": rec["text"],
+                     "references": [f"{stem} like a glacier."]})
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.fixture()
+def stories(tmp_path):
+    path = tmp_path / "stories.jsonl"
+    items = [
+        Story("Flood", ("river",), (
+            "The rain began at dusk.",
+            "By midnight the river seemed wild.",
+            "Nobody slept.",
+        )),
+        Story("Quiet", (), ("He saw a dog.", "They walked home.")),
+        Story("Winter", (), ("The road felt slow.",)),
+    ]
+    write_stories_jsonl(items, path)
+    return path
 
 
 def test_summary_lines(tmp_path, capsys):
@@ -803,17 +833,6 @@ class TestGenerate:
 
 
 class TestEvaluate:
-    @pytest.fixture()
-    def refs(self, world, tmp_path):
-        path = tmp_path / "refs.jsonl"
-        rows = []
-        for rec in read_literals_jsonl(world["literals"]):
-            stem = rec["text"][:-1].rsplit(" ", 1)[0]
-            rows.append({"literal": rec["text"],
-                         "references": [f"{stem} like a glacier."]})
-        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-        return path
-
     def test_metrics_report(self, world, refs, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         rc = main([
@@ -859,6 +878,31 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "scope/OQ" in out
         assert "win 70.0 / lose 30.0 / tie 0.0" in out
+
+    @pytest.mark.parametrize("pairwise", ["scope", "scope,meta_m,rtrvl", " ,meta_m", "scope,",
+                                          "scope,scope", "scope, scope "])
+    def test_pairwise_needs_two_distinct_names(self, tmp_path, capsys, pairwise):
+        """Anything else is a settings error, reported with the others: nothing runs."""
+        csv_path, report = tmp_path / "scores.csv", tmp_path / "report.json"
+        csv_path.write_text("item_id,system,rater_id,criterion,score\ni0,scope,r0,OQ,4\n",
+                            encoding="utf-8")
+        assert main(["evaluate", "--scoresheet", str(csv_path), "--pairwise", pairwise,
+                     "--criterion", "Q", "--report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: [evaluate] bad value for 'pairwise': {pairwise!r}\n"
+                                "error: [evaluate] 'criterion' must be one of C, R1, R2, OQ, "
+                                "got 'Q'\n")
+        assert captured.out == ""
+        assert not report.exists()
+
+    def test_pairwise_system_the_sheet_never_scores_is_named(self, tmp_path, capsys):
+        csv_path = tmp_path / "scores.csv"
+        csv_path.write_text("item_id,system,rater_id,criterion,score\ni0,scope,r0,OQ,4\n",
+                            encoding="utf-8")
+        assert main(["evaluate", "--scoresheet", str(csv_path), "--pairwise", "scope,rtrvl",
+                     "--criterion", "OQ"]) == 1
+        assert capsys.readouterr().err == (
+            "error: system 'rtrvl' has no scores on criterion 'OQ'\n")
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_unknown_criterion_exits_two(self, tmp_path, capsys, source):
@@ -925,21 +969,6 @@ class TestEvaluate:
 
 
 class TestEmbellish:
-    @pytest.fixture()
-    def stories(self, tmp_path):
-        path = tmp_path / "stories.jsonl"
-        items = [
-            Story("Flood", ("river",), (
-                "The rain began at dusk.",
-                "By midnight the river seemed wild.",
-                "Nobody slept.",
-            )),
-            Story("Quiet", (), ("He saw a dog.", "They walked home.")),
-            Story("Winter", (), ("The road felt slow.",)),
-        ]
-        write_stories_jsonl(items, path)
-        return path
-
     def test_single_replacement_and_passthrough(self, world, stories, tmp_path):
         out = tmp_path / "embellished.jsonl"
         rc = main(["embellish", "--stories", str(stories), "--model", str(world["model"]),
@@ -1033,6 +1062,72 @@ def test_module_entry_point_help():
         assert command in proc.stdout
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# One run of each command path: argv from the world w, the inputs x and an output directory o.
+FRESH_RUNS = {
+    "harvest-comments": lambda w, x, o: ["harvest", "--comments", w["comments"],
+                                         "--similes-out", o / "similes.jsonl"],
+    "harvest-sentences": lambda w, x, o: ["harvest", "--sentences", w["sentences"],
+                                          "--literals-out", o / "literals.jsonl"],
+    "build-corpus-reference": lambda w, x, o: ["build-corpus", "--in", w["train_similes"],
+                                               "--knowledge", w["edges"], "--out", o / "p.tsv"],
+    "build-corpus-uniform": lambda w, x, o: ["build-corpus", "--in", w["train_similes"],
+                                             "--knowledge", w["edges"], "--scorer", "uniform",
+                                             "--out", o / "p.tsv"],
+    "train": lambda w, x, o: ["train", "--pairs", w["pairs"], "--model-out", o / "m",
+                              "--seed", "1"],
+    "train-mask": lambda w, x, o: ["train", "--pairs", w["pairs"], "--model-out", o / "m",
+                                   "--seed", "1", "--mask"],
+    **{f"generate-{system}": lambda w, x, o, system=system, model=model: [
+        "generate", "--literals", w["literals"], "--system", system, "--model", w[model],
+        "--seed", "1", "--out", o / "b.jsonl"]
+       for system, model in (("scope", "model"), ("prefix", "pretrain_model"),
+                             ("meta_m", "mask_model"))},
+    "generate-rtrvl": lambda w, x, o: ["generate", "--literals", w["literals"], "--system",
+                                       "rtrvl", "--knowledge", w["edges"], "--synonyms",
+                                       x["synonyms"], "--seed", "1", "--out", o / "b.jsonl"],
+    "evaluate-generated": lambda w, x, o: ["evaluate", "--generated", w["batches"]["scope"],
+                                           "--refs", x["refs"], "--train-audit", w["audit"],
+                                           "--report", o / "r.json"],
+    "evaluate-scoresheet": lambda w, x, o: ["evaluate", "--scoresheet", x["scoresheet"],
+                                            "--pairwise", "scope,meta_m", "--criterion", "OQ",
+                                            "--report", o / "r.json"],
+    "embellish-stories": lambda w, x, o: ["embellish", "--stories", x["stories"], "--model",
+                                          w["model"], "--seed", "3", "--out", o / "e.jsonl"],
+    "embellish-titles": lambda w, x, o: ["embellish", "--titles", x["titles"],
+                                         "--storyline-model", w["model"], "--story-model",
+                                         w["model"], "--model", w["model"], "--seed", "3",
+                                         "--out", o / "e.jsonl"],
+}
+
+
+@pytest.mark.parametrize("run", FRESH_RUNS)
+def test_command_path_runs_in_a_fresh_interpreter(run, world, refs, stories, tmp_path):
+    """`python -m similekit.cli` binds every name the path calls.
+
+    The in-process tests share one cli module whose names earlier commands
+    already loaded, so only a new interpreter shows a name a command does not load.
+    """
+    synonyms, scoresheet, titles = (tmp_path / "syn.tsv", tmp_path / "scores.csv",
+                                    tmp_path / "titles.txt")
+    synonyms.write_text("cold\tchilly\n", encoding="utf-8")
+    titles.write_text("Flood\n", encoding="utf-8")
+    sheet = ScoreSheet()
+    for k, (a, b) in enumerate([(4, 2), (2, 4), (3, 3)]):
+        sheet.add(f"i{k}", "scope", "r0", "OQ", a)
+        sheet.add(f"i{k}", "meta_m", "r0", "OQ", b)
+    sheet.save_csv(scoresheet)
+    inputs = {"synonyms": synonyms, "scoresheet": scoresheet, "titles": titles,
+              "refs": refs, "stories": stories}
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [str(arg) for arg in FRESH_RUNS[run](world, inputs, out)]
+    proc = subprocess.run([sys.executable, "-m", "similekit.cli", *argv], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_readme_flags_are_declared():
     """Every `similekit <command> --flag` in README code blocks is a declared option."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -1099,7 +1194,7 @@ def test_option_without_what_it_requires_exits_two(command, given, needed, tmp_p
         value = next(choice for choice in opt.choices if choice != opt.default)
     elif opt.cast is not _parse_bool:
         value = {int: "1", _parse_positive: "1", float: "0.5", _parse_ratio: "0.5",
-                 _parse_triggers: "like a", str: "a,b"}[opt.cast]
+                 _parse_triggers: "like a", _parse_pair: "a,b"}[opt.cast]
         assert opt.cast(value) != opt.default
     argv = [command, f"--{given}"] + ([] if opt.cast is _parse_bool else [str(value)])
     assert main(argv) == 2

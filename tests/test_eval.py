@@ -1,5 +1,6 @@
 """Metrics: vehicle BLEU, embedding F1, novelty, and score-sheet aggregation."""
 
+import csv
 import json
 import math
 import random
@@ -274,6 +275,33 @@ def oracle_krippendorff_alpha(sheet, criterion=None):
     return 1.0 - observed / expected
 
 
+def oracle_load_csv(path):
+    """The csv.DictReader reading: fields by header name, a short row's missing ones None."""
+    sheet = ScoreSheet()
+    with open(path, encoding="utf-8", newline="") as fh:
+        for rec in csv.DictReader(fh):
+            sheet.add(rec["item_id"], rec["system"], rec["rater_id"], rec["criterion"],
+                      int(rec["score"]))
+    return sheet.rows
+
+
+# Each column's values, mostly valid; a sheet may lack a column or have an extra one.
+SHEET_VALUES = {"item_id": ["i0", "i1"], "system": ["A", "B"], "rater_id": ["r0", "r1"],
+                "criterion": ["OQ", "C"] * 4 + ["Z"], "score": ["1", "5"] * 4 + ["6", "x"],
+                "note": ["", "n"]}
+
+
+@st.composite
+def sheet_texts(draw):
+    """A score sheet's text: some rows short or blank, the columns in any order."""
+    header = draw(st.permutations(list(SHEET_VALUES)))[:draw(st.sampled_from([5, 6, 6, 6]))]
+    lines = [header]
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(st.sampled_from(SHEET_VALUES[name])) for name in header]
+        lines.append(row[:len(row) - draw(st.sampled_from([0] * 8 + [1, 3, 6]))])
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
 SCORE_ROWS = st.lists(
     st.tuples(st.sampled_from(["i0", "i1", "i2", "i3", "i4"]), st.sampled_from(["A", "B"]),
               st.sampled_from(["r0", "r1", "r2"]), st.sampled_from(["OQ", "C"]),
@@ -334,6 +362,14 @@ class TestScoreSheets:
             pairwise_compare(sheet, "A", "B", "OQ")
         assert exc.value.items == ["i2"]
 
+    def test_system_the_sheet_never_scores_is_named(self):
+        sheet = self.build_sheet([("i0", (3,), (4,))])
+        sheet.add("i0", "C", "r0", "R1", 3)  # scored, but not on OQ
+        for system_a, system_b, unscored in (("A", "C", "C"), ("C", "B", "C"), ("A", "D", "D")):
+            with pytest.raises(ValueError) as exc:
+                pairwise_compare(sheet, system_a, system_b, "OQ")
+            assert str(exc.value) == f"system {unscored!r} has no scores on criterion 'OQ'"
+
     def test_empty_criterion(self):
         sheet = self.build_sheet([("i0", (3,), (4,))])
         with pytest.raises(ValueError):
@@ -362,6 +398,27 @@ class TestScoreSheets:
         path = tmp_path / "scores.csv"
         sheet.save_csv(path)
         assert ScoreSheet.load_csv(path).rows == sheet.rows
+
+    def test_columns_are_found_by_header_name(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("score,note,criterion,rater_id,system,item_id\n4,x,OQ,r0,A,i0\n\n"
+                        "2,,C,r1,B,i1\n", encoding="utf-8")
+        assert ScoreSheet.load_csv(path).rows == [ScoreRow("i0", "A", "r0", "OQ", 4),
+                                                  ScoreRow("i1", "B", "r1", "C", 2)]
+
+    @given(sheet_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_load_csv_reads_what_dictreader_reads(self, tmp_path_factory, text):
+        """Same rows, or an error where the DictReader reading raises one."""
+        path = tmp_path_factory.mktemp("sheet") / "scores.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            expected = oracle_load_csv(path)
+        except (KeyError, TypeError, ValueError):
+            with pytest.raises(ParseError):
+                ScoreSheet.load_csv(path)
+            return
+        assert ScoreSheet.load_csv(path).rows == expected
 
     @pytest.mark.parametrize("rows, reason", [
         ("item_id,system,rater_id,criterion\ni0,A,r0,C\n", "missing field 'score'"),

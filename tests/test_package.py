@@ -1,6 +1,7 @@
 """The package exports its names lazily: a module is imported on first use."""
 
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +14,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 OTHERS = ["cli", "corpus", "evaluation", "harvest", "story", "systems", "tagging"]
 
 
-def loaded_after(statement: str) -> list[str]:
-    """The similekit modules a fresh interpreter holds after running statement."""
+def loaded_after(statement: str, prefix: str = "similekit") -> list[str]:
+    """The modules named prefix* a fresh interpreter holds after running statement."""
     code = (f"import sys\n{statement}\n"
-            "print(' '.join(sorted(m for m in sys.modules if m.startswith('similekit'))))")
+            f"print(' '.join(sorted(m for m in sys.modules if m.startswith({prefix!r}))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={"PYTHONPATH": str(SRC)})
-    return out.stdout.split()
+                         check=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    return out.stdout.splitlines()[-1].split()
 
 
 def test_importing_lm_loads_only_what_lm_imports():
@@ -35,6 +36,19 @@ def test_importing_the_package_loads_no_module():
 def test_a_name_loads_its_module():
     assert loaded_after("from similekit import EmptyText") == [
         "similekit", "similekit.backends", "similekit.core", "similekit.lm"]
+
+
+def test_a_scoresheet_run_loads_only_evaluation(tmp_path):
+    """The command line imports only the modules a command runs: here no model or backend."""
+    sheet = tmp_path / "scores.csv"
+    sheet.write_text("item_id,system,rater_id,criterion,score\ni0,A,r0,OQ,4\ni0,B,r0,OQ,2\n",
+                     encoding="utf-8")
+    run = ("from similekit.cli import main\n"
+           f"assert main(['evaluate', '--scoresheet', {str(sheet)!r}, '--pairwise', 'A,B', "
+           "'--criterion', 'OQ']) == 0")
+    assert loaded_after(run) == [
+        "similekit", "similekit.cli", "similekit.core", "similekit.evaluation"]
+    assert loaded_after(run, prefix="subprocess") == []
 
 
 @pytest.mark.parametrize("name", similekit.__all__)
