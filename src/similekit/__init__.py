@@ -41,6 +41,7 @@ _EXPORTS = {
         "mean_scores",
         "novelty",
         "pairwise_compare",
+        "read_batch_jsonl",
         "vehicle_bleu",
     ),
     "harvest": (

@@ -4,7 +4,7 @@ Heavy models (commonsense knowledge, neural scorers and generators) attach
 over a subprocess boundary speaking JSON: every request starts one process
 of the backend's command, writes the JSON request to its stdin and reads one
 JSON reply from its stdout.  `call_many` runs the requests of a batch side by
-side, at most os.cpu_count() processes at once, and returns the replies in
+side, at most core.usable_cpus() processes at once, and returns the replies in
 request order.  If a request fails, the error raised is the first failure in
 request order, and every process still running is killed and reaped.  `call`
 is the one-request case.  The core pipeline never links a backend directly;
@@ -19,6 +19,8 @@ import os
 import selectors
 import subprocess
 import time
+
+from .core import usable_cpus
 
 
 class BackendUnavailable(RuntimeError):
@@ -109,7 +111,7 @@ class JsonSubprocessBackend:
     def call_many(self, requests: list[dict], read=lambda reply: reply) -> list:
         """Send each request to its own process and return [read(reply), ...] in request order.
 
-        At most os.cpu_count() processes run at once, each for at most
+        At most usable_cpus() processes run at once, each for at most
         `timeout` seconds.  A process that cannot start, times out or exits
         non-zero, a reply that is not JSON, and one that read rejects with
         KeyError, TypeError or ValueError are BackendUnavailable; the first
@@ -120,12 +122,12 @@ class JsonSubprocessBackend:
         replies: list = [None] * len(payloads)
         failures: dict[int, BackendUnavailable] = {}
         running: dict[int, _Exchange] = {}
-        started = 0
+        started, slots = 0, usable_cpus()
         with selectors.DefaultSelector() as selector:
             try:
                 while True:
                     while (not failures and started < len(payloads)
-                           and len(running) < (os.cpu_count() or 1)):
+                           and len(running) < slots):
                         try:
                             running[started] = _Exchange(self.command, payloads[started],
                                                          self.timeout, selector)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import importlib
 import os
@@ -28,6 +29,7 @@ from .core import (
     NotModifierFinal,
     TriggerConfig,
     derive_seed,
+    fan_out,
     read_lines,
     read_records,
     text_of,
@@ -38,22 +40,23 @@ from .core import (
 # The library names the commands call, by module: each command binds those of the
 # modules it runs (_load), so a process imports no other.  perfbench/tracer.py patches
 # them here (`similekit.cli:name`); it alone reads load_comments, build_parallel_corpus,
-# read_pairs_audit_jsonl, write_pairs_tsv and write_pairs_audit_jsonl (the CLI streams).
+# read_pairs_audit_jsonl, write_pairs_tsv, write_pairs_audit_jsonl and fine_tune.
 _NAMES = {
-    "corpus": ("BuildStats", "iter_parallel_corpus", "write_pair_files", "build_parallel_corpus",
-               "read_pairs_audit_jsonl", "write_pairs_audit_jsonl", "write_pairs_tsv"),
+    "corpus": ("BuildStats", "format_pairs", "iter_parallel_corpus", "write_pair_files",
+               "build_parallel_corpus", "read_pairs_audit_jsonl", "write_pairs_audit_jsonl",
+               "write_pairs_tsv"),
     "evaluation": ("CharNgramEmbedder", "MetricReport", "OneHotEmbedder", "ScoreSheet",
                    "evaluate_generation", "mean_scores", "normalize_pair", "pairwise_compare",
-                   "read_refs_jsonl"),
+                   "read_batch_jsonl", "read_refs_jsonl"),
     "harvest": ("HarvestStats", "harvest_literals", "harvest_similes", "iter_comments",
-                "iter_similes_jsonl", "load_comments", "read_literals_jsonl", "sample_literals",
+                "load_comments", "read_literals_jsonl", "sample_literals", "simile_record",
                 "split_corpus", "write_literals_jsonl", "write_similes_jsonl"),
     "knowledge": ("EMPTY_SYNONYMS", "SynonymTable", "load_edge_table"),
-    "lm": ("BigramScorer", "GenerationConfig", "ReferenceSeq2SeqBackend", "TemplateNgramModel",
-           "TrainConfig", "UniformScorer", "fine_tune"),
+    "lm": ("BigramScorer", "EmptyTrainingSet", "GenerationConfig", "TemplateCounts",
+           "TemplateNgramModel", "TrainConfig", "UniformScorer", "fine_tune"),
     "story": ("embellish", "generate_story", "read_stories_jsonl"),
-    "systems": ("baseline_metaphor_mask", "baseline_prefix_forced", "baseline_retrieval",
-                "read_batch_jsonl", "run_batch", "scope_generate", "train_metaphor_mask"),
+    "systems": ("NOTHING_MASKED", "baseline_metaphor_mask", "baseline_prefix_forced",
+                "baseline_retrieval", "masked_pairs", "run_batch", "scope_generate"),
     "tagging": ("DEFAULT_TAGGER",),
 }
 
@@ -362,7 +365,8 @@ def cmd_harvest(s: Settings) -> int:
     Option("audit-out", output=True),
 )
 def cmd_build_corpus(s: Settings) -> int:
-    """Stream --in: its texts when the scorer learns from them, then each simile to convert."""
+    """Stream --in: its texts when the scorer learns from them, then its runs of similes,
+    each converted in a worker process (core.fan_out) and written in file order."""
     _load("corpus", "harvest", "knowledge", "lm")
     if s["scorer"] == "uniform":
         # Every candidate ties, so the top-ranked property wins whatever k or V is.
@@ -379,10 +383,23 @@ def cmd_build_corpus(s: Settings) -> int:
     else:
         scorer = BigramScorer(read_records(s["in"], text_of))
     backend = load_edge_table(s["knowledge"])
+    audit = s["audit-out"] is not None
+
+    def convert(similes):
+        """A run's TSV text, audit text and counts."""
+        run_stats = BuildStats()
+        pairs = iter_parallel_corpus(similes, backend, scorer, k=s["k"], stats=run_stats)
+        return format_pairs(pairs, audit), run_stats
+
     stats = BuildStats()
-    pairs = iter_parallel_corpus(iter_similes_jsonl(s["in"]), backend, scorer, k=s["k"],
-                                 stats=stats)
-    write_pair_files(pairs, s["out"], s["audit-out"])
+
+    def texts(runs):
+        for text, run_stats in runs:
+            stats.add(run_stats)
+            yield text
+
+    with contextlib.closing(fan_out(s["in"], simile_record, convert)) as runs:
+        write_pair_files(texts(runs), s["out"], s["audit-out"])
     _write_manifest(s, {})
     print(f"built {stats.built} pairs "
           f"({stats.skipped_no_properties} skipped, {len(stats.failures)} failed)")
@@ -398,26 +415,34 @@ def cmd_build_corpus(s: Settings) -> int:
            help="replace terminal modifiers with the mask token before training"),
 )
 def cmd_train(s: Settings) -> int:
+    """Count the runs of --pairs in worker processes (core.fan_out), then add the counts up."""
     _load("lm", "systems", "tagging")
     if s.fail_if_errors():
         return 2
-    read = 0
+    mask = s["mask"]
 
-    def pair(source, target):
-        nonlocal read
-        read += 1
-        return source, target
+    def count(records):
+        """A run's template counts, its number of pairs and the sources the mask skipped."""
+        pairs, stats = list(records), {"skipped": 0}
+        counts = TemplateCounts().count(masked_pairs(pairs, DEFAULT_TAGGER, stats) if mask
+                                        else pairs)
+        return counts, len(pairs), stats["skipped"]
 
-    # The trainer reads the pairs as they stream from the file; only its counts are held.
-    pairs = read_records(s["pairs"], pair, fields=2)
-    cfg = TrainConfig(seed=s["seed"])
-    backend = ReferenceSeq2SeqBackend()
-    if s["mask"]:
-        mask_stats: dict = {}
-        model = train_metaphor_mask(pairs, cfg, backend, DEFAULT_TAGGER, mask_stats)
-        print(f"masked training: {mask_stats['skipped']} pairs skipped")
-    else:
-        model = fine_tune(pairs, cfg, backend)
+    counts, read, skipped = TemplateCounts(), 0, 0
+    runs = fan_out(s["pairs"], lambda source, target: (source, target), count, fields=2)
+    with contextlib.closing(runs):
+        for run_counts, run_read, run_skipped in runs:
+            counts.add(run_counts)
+            read += run_read
+            skipped += run_skipped
+    try:
+        model = TemplateNgramModel.from_counts(counts, TrainConfig(seed=s["seed"]))
+    except EmptyTrainingSet:
+        if not mask:
+            raise
+        raise EmptyTrainingSet(NOTHING_MASKED) from None
+    if mask:
+        print(f"masked training: {skipped} pairs skipped")
     model.save(s["model-out"])
     _write_manifest(s, {"seed": s["seed"]})
     print(f"trained on {read} pairs -> {s['model-out']}")
@@ -501,7 +526,7 @@ def cmd_evaluate(s: Settings) -> int:
         return 2
     payload: dict = {}
     if generated is not None:
-        _load("systems", "tagging")
+        _load("tagging")
         refs_by_literal = read_refs_jsonl(s["refs"])
         train_seen = None
         if s["train-audit"]:

@@ -10,8 +10,10 @@ that token-level metrics and model vocabularies agree.
 from __future__ import annotations
 
 import contextlib
+import copyreg
 import functools
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -286,8 +288,12 @@ def write_lines(lines, path) -> None:
         fh.writelines(lines)
 
 
+# json.dumps(record, ensure_ascii=False, sort_keys=True), without an encoder per call.
+_JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def json_line(record) -> str:
-    return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+    return _JSON_ENCODER.encode(record) + "\n"
 
 
 def write_jsonl(records, path) -> None:
@@ -302,6 +308,10 @@ class ParseError(ValueError):
         missing = "missing field " if isinstance(reason, KeyError) else ""
         super().__init__(f"{path}:{line_number}: {missing}{reason}")
         self.line_number = line_number
+
+    def __reduce__(self):
+        """Rebuilt from its message, so that a worker process can send it to its parent."""
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 # What a reader of one bad line raises; re-raised as ParseError(path, line, exc).
@@ -321,6 +331,34 @@ def _check_utf8(line: str) -> None:
         raise ValueError(f"byte {ord(bad.group()) - 0xDC00:#04x} is not UTF-8")
 
 
+def _numbered_lines(path):
+    """(line number, line) for each non-blank line of a UTF-8 file, in file order."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                yield number, line
+
+
+def _records(path, numbered_lines, build, fields: int = 0, on_error=None):
+    """build(record) for each (number, line) of path; see read_records."""
+    for number, line in numbered_lines:
+        try:
+            _check_utf8(line)
+            if not fields:
+                item = build(json.loads(line))
+            else:
+                row = line.rstrip("\n").split("\t")
+                if len(row) != fields:
+                    raise ValueError(f"expected {fields} tab-separated fields, got {len(row)}")
+                item = build(*row)
+        except LINE_ERRORS as exc:
+            if on_error is None:
+                raise ParseError(path, number, exc) from exc
+            on_error(ParseError(path, number, exc))
+            continue
+        yield item
+
+
 def read_records(path, build, fields: int = 0, on_error=None):
     """Yield build(record) for each non-blank line, in file order.
 
@@ -329,25 +367,125 @@ def read_records(path, build, fields: int = 0, on_error=None):
     becomes a ParseError at path:line, which is raised or, given on_error,
     passed to on_error(error) and the line skipped.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    return _records(path, _numbered_lines(path), build, fields, on_error)
+
+
+# ---------------------------------------------------------------------------
+# Fan-out: a record file split into runs that forked worker processes handle.
+
+# Records per run.  A worker holds one run's records and result at a time, and
+# the parent one run's result, so a longer run raises the peak memory (runs of
+# 2,048 similes added 2 MB to a build of 8,000); the workers finish their last
+# runs up to one run's time apart.
+RUN_LENGTH = 512
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(len(os.sched_getaffinity(0)), 1)
+    return os.cpu_count() or 1
+
+
+def _runs(path):
+    """The (number, line) pairs of path's non-blank lines, RUN_LENGTH at a time."""
+    lines = _numbered_lines(path)
+    while run := list(itertools.islice(lines, RUN_LENGTH)):
+        yield run
+
+
+def fan_out(path, build, work, fields: int = 0):
+    """Yield work(records) for each run of RUN_LENGTH records of path, in file order.
+
+    records iterates build(record) over the run's lines as read_records does,
+    so a bad line is a ParseError at path:line.  Given more than one run and
+    more than one usable CPU, the runs are dealt in turn to forked worker
+    processes, one per usable CPU up to the number of runs, which share the
+    caller's state copy-on-write: fork once that state is built, in a
+    process with no other thread.  Each worker reads the file, decodes only
+    its own runs and sends each result back pickled.  The first error in
+    file order is raised here as the worker raised it, after the results of
+    the runs before it; every worker is killed and reaped when the
+    generator ends, however it ends, so close it when it is not exhausted.
+    """
+    workers = usable_cpus() if hasattr(os, "fork") else 1
+    if workers > 1:  # no more workers than runs
+        workers = sum(1 for _ in itertools.islice(_runs(path), workers))
+    if workers < 2:
+        for run in _runs(path):
+            yield work(_records(path, run, build, fields))
+        return
+    import pickle  # only a process that forks loads these
+    import signal
+
+    readers, pids = [], []
+    try:
+        for index in range(workers):
+            read_end, write_end = os.pipe()
+            readers.append(open(read_end, "rb"))
             try:
-                _check_utf8(line)
-                if not fields:
-                    item = build(json.loads(line))
-                else:
-                    row = line.rstrip("\n").split("\t")
-                    if len(row) != fields:
-                        raise ValueError(f"expected {fields} tab-separated fields, got {len(row)}")
-                    item = build(*row)
-            except LINE_ERRORS as exc:
-                if on_error is None:
-                    raise ParseError(path, number, exc) from exc
-                on_error(ParseError(path, number, exc))
-                continue
-            yield item
+                pid = os.fork()
+            except OSError:
+                os.close(write_end)
+                raise
+            if pid == 0:
+                for reader in readers:
+                    reader.close()
+                _serve(path, build, work, fields, index, workers, write_end)
+            os.close(write_end)
+            pids.append(pid)
+        for index in itertools.count():
+            try:
+                kind, value = pickle.load(readers[index % workers])
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(f"{path}: worker process {pids[index % workers]} "
+                                        f"ended before sending run {index + 1}") from None
+            if kind == "error":
+                raise value
+            if kind == "end":
+                return
+            yield value
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _serve(path, build, work, fields, index, workers, fd) -> None:
+    """A worker's life: run every workers-th run from index, send each result, exit."""
+    code = 1
+    try:
+        with open(fd, "wb") as out:
+            for number, run in enumerate(_runs(path)):
+                if number % workers != index:
+                    continue
+                try:
+                    _send(out, ("run", work(_records(path, run, build, fields))))
+                except Exception as exc:  # raised in the parent, in file order
+                    _send(out, ("error", exc))
+                    break
+            else:
+                _send(out, ("end", None))
+        code = 0
+    finally:
+        # No atexit handler runs and no buffer inherited from the parent is flushed twice.
+        os._exit(code)
+
+
+def _send(out, message) -> None:
+    """Write (kind, value) pickled; a value that cannot be pickled is sent as a RuntimeError."""
+    import pickle
+
+    try:
+        data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:  # pickle raises several types for an object it cannot pickle
+        error = message[1] if message[0] == "error" else exc
+        data = pickle.dumps(("error", RuntimeError(f"{type(error).__name__}: {error}")))
+    out.write(data)
+    out.flush()
 
 
 def text_of(record) -> str:

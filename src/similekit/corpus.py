@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .core import (
     COMPARATORS,
@@ -23,6 +23,7 @@ from .core import (
     parse_simile,
     read_records,
     terminal_punctuation,
+    tokenize,
     write_jsonl,
     write_lines,
 )
@@ -75,26 +76,30 @@ class BuildStats:
     skipped_no_properties: int = 0
     failures: list = field(default_factory=list)
 
+    def add(self, other: BuildStats) -> None:
+        """Count the similes of `other`, read after these."""
+        self.built += other.built
+        self.skipped_no_properties += other.skipped_no_properties
+        self.failures += other.failures
 
-def make_literal_candidates(
-    simile: SimileInstance, properties: list[PropertyCandidate]
-) -> list[LiteralCandidate]:
-    """One candidate per property: prefix + property + original terminal punctuation."""
+
+def select_best_literal(simile: SimileInstance,
+                        properties: list[PropertyCandidate], scorer) -> LiteralCandidate:
+    """The literal candidate the scorer finds most fluent (minimum perplexity,
+    ties keep the earlier, higher-ranked property).
+
+    A candidate is prefix + property + the simile's terminal punctuation.
+    All are scored in one call.  A token holds no whitespace, so a
+    candidate's tokens are the prefix's, tokenized once, and its tail's.
+    """
     if not properties:
         raise NoProperties(f"no properties for vehicle of {simile.raw_text!r}")
     punct = terminal_punctuation(simile.raw_text)
-    return [LiteralCandidate(text=(simile.prefix + " " + prop.text).strip() + punct,
-                             property=prop.text) for prop in properties]
-
-
-def select_best_literal(candidates: list[LiteralCandidate], scorer) -> LiteralCandidate:
-    """Minimum-perplexity candidate, all scored in one call; ties keep the
-    earlier (higher-ranked) property."""
-    if not candidates:
-        raise ValueError("no candidates to select from")
-    ppls = perplexities([cand.text for cand in candidates], scorer)
-    best = min(range(len(candidates)), key=ppls.__getitem__)
-    return replace(candidates[best], perplexity=ppls[best])
+    head = tokenize(simile.prefix)
+    texts = [(simile.prefix + " " + prop.text).strip() + punct for prop in properties]
+    ppls = perplexities(texts, scorer, [head + tokenize(prop.text + punct) for prop in properties])
+    best = min(range(len(texts)), key=ppls.__getitem__)
+    return LiteralCandidate(texts[best], properties[best].text, ppls[best])
 
 
 def correct_grammar(text: str, corrector=None) -> str:
@@ -139,8 +144,7 @@ def iter_parallel_corpus(
                 if stats is not None:
                     stats.skipped_no_properties += 1
                 continue
-            candidates = make_literal_candidates(simile, props)
-            best = select_best_literal(candidates, scorer)
+            best = select_best_literal(simile, props, scorer)
             source = correct_grammar(best.text, corrector)
             pair = ParallelPair(
                 source=source,
@@ -193,18 +197,28 @@ def write_pairs_audit_jsonl(pairs: list[ParallelPair], path) -> None:
     write_jsonl(map(_audit_record, pairs), path)
 
 
-def write_pair_files(pairs, tsv_path, audit_path=None) -> None:
-    """Write a stream of pairs to the TSV and, when given, the audit JSONL in one pass.
+def format_pairs(pairs, audit: bool = True) -> tuple[str, str]:
+    """The TSV text of pairs and, with audit, their audit JSONL text ("" without), in one pass.
 
-    Each file is the bytes write_pairs_tsv and write_pairs_audit_jsonl would
-    write; if the stream raises, neither file is replaced.
+    Each text is the bytes write_pairs_tsv or write_pairs_audit_jsonl writes.
     """
+    tsv, jsonl = [], []
+    for pair in pairs:
+        tsv.append(_tsv_line(pair))
+        if audit:
+            jsonl.append(json_line(_audit_record(pair)))
+    return "".join(tsv), "".join(jsonl)
+
+
+def write_pair_files(texts, tsv_path, audit_path=None) -> None:
+    """Write each (TSV text, audit text) of a stream, in order, to the TSV and,
+    when given, the audit JSONL; if the stream raises, neither file is replaced."""
     with atomic_open(tsv_path) as tsv, \
             (atomic_open(audit_path) if audit_path else contextlib.nullcontext()) as audit:
-        for pair in pairs:
-            tsv.write(_tsv_line(pair))
+        for tsv_text, audit_text in texts:
+            tsv.write(tsv_text)
             if audit is not None:
-                audit.write(json_line(_audit_record(pair)))
+                audit.write(audit_text)
 
 
 def read_pairs_tsv(path) -> list[tuple[str, str]]:

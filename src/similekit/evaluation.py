@@ -234,7 +234,7 @@ class ScoreSheet:
     @classmethod
     def load_csv(cls, path) -> "ScoreSheet":
         """Columns by header name, as csv.DictReader finds them: blank rows are
-        skipped, and a short row's missing fields read as None."""
+        skipped, and a row shorter than the header is a ParseError."""
         sheet = cls()
         reader = csv.reader(utf8_lines(path, newline=""))
         header = next(reader, [])
@@ -243,7 +243,8 @@ class ScoreSheet:
             if not row:
                 continue
             try:
-                row += [None] * (len(header) - len(row))
+                if len(row) < len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
                 sheet.add(row[column["item_id"]], row[column["system"]], row[column["rater_id"]],
                           row[column["criterion"]], row[column["score"]])
             except LINE_ERRORS as exc:
@@ -431,3 +432,15 @@ def read_refs_jsonl(path) -> dict[str, list[str]]:
         return literal, [str(r) for r in rec["references"]]
 
     return dict(read_records(path, row))
+
+
+def _batch_record(rec) -> dict:
+    row = dict(rec)
+    if "literal" not in row:
+        raise KeyError("literal")
+    return row
+
+
+def read_batch_jsonl(path) -> list[dict]:
+    """The rows of a batch file `generate` wrote, each with a `literal`."""
+    return list(read_records(path, _batch_record))

@@ -207,7 +207,7 @@ def write_similes_jsonl(instances, path) -> None:
                   "source_id": inst.source_id} for inst in instances), path)
 
 
-def _simile_record(rec) -> SimileInstance:
+def simile_record(rec) -> SimileInstance:
     """Rebuild a simile from harvest's stored split; a text-only record is parsed."""
     text = text_of(rec)
     if "prefix" not in rec:
@@ -223,13 +223,9 @@ def _simile_record(rec) -> SimileInstance:
     return inst
 
 
-def iter_similes_jsonl(path):
-    """Yield the similes of a file harvest wrote, in file order."""
-    return read_records(path, _simile_record)
-
-
 def read_similes_jsonl(path) -> list[SimileInstance]:
-    return list(iter_similes_jsonl(path))
+    """The similes of a file harvest wrote, in file order."""
+    return list(read_records(path, simile_record))
 
 
 def write_literals_jsonl(literals: list[LiteralSentence], path) -> None:

@@ -6,8 +6,9 @@ out of process, plus deterministic in-process reference implementations:
 * scorer: `perplexities(texts) -> [ppl, ...]`, one call for a batch such as
   the literal candidates of one simile.  A scorer with only
   `perplexity(text)` or `token_logprobs(tokens) -> [logp, ...]` is called
-  once per text instead.  Reference: interpolated word-bigram model with
-  add-alpha smoothing.
+  once per text instead; one with `token_perplexities(token_lists)` is also
+  handed the tokens a caller already has.  Reference: interpolated
+  word-bigram model with add-alpha smoothing.
 * seq2seq model: `next_token_distribution(src_tokens, out_tokens) -> [(token,
   prob), ...]`, ranked by falling probability, ties by token; decoding
   samples from the first top_k.  Reference: a template n-gram model that
@@ -92,23 +93,29 @@ class GenerationOutput:
 # Perplexity
 
 
-def perplexities(texts, scorer) -> list[float]:
+def perplexities(texts, scorer, tokens=None) -> list[float]:
     """Perplexity of each text, in order: exp of mean negative log-likelihood
     per token; lower = more fluent.
 
     EmptyText is raised before anything is scored if a text has no tokens
     (tokenize finds a token at every character that is not whitespace).  A
     scorer with `perplexities` scores the batch in one call; one with only
-    `perplexity` or `token_logprobs` is called once per text.
+    `perplexity` or `token_logprobs` is called once per text.  `tokens`, when
+    given, holds tokenize(text) for each text: a scorer with
+    `token_perplexities`, or with only `token_logprobs`, is handed them
+    instead of tokenizing each text again.
     """
     texts = list(texts)
     if any(not text or text.isspace() for text in texts):
         raise EmptyText("cannot score an empty text")
+    if tokens is not None and hasattr(scorer, "token_perplexities"):
+        return scorer.token_perplexities(tokens)
     if hasattr(scorer, "perplexities"):
         return [float(ppl) for ppl in scorer.perplexities(texts)]
     if hasattr(scorer, "perplexity"):
         return [float(scorer.perplexity(text)) for text in texts]
-    return [_perplexity_of(scorer.token_logprobs(tokenize(text))) for text in texts]
+    return [_perplexity_of(scorer.token_logprobs(toks))
+            for toks in (map(tokenize, texts) if tokens is None else tokens)]
 
 
 def perplexity(text: str, scorer) -> float:
@@ -176,13 +183,17 @@ class BigramScorer:
         self.total = sum(self.unigram.values())
 
     def perplexities(self, texts: list[str]) -> list[float]:
-        """Each text is tokenized once.  A token's log-prob depends only on it
-        and the token before it, so the log-probs of the prefix a text shares
-        with the text before it (the literal candidates of one simile differ
-        only at the end) are reused within the call."""
+        """Each text is tokenized once; see token_perplexities."""
+        return self.token_perplexities(map(tokenize, texts))
+
+    def token_perplexities(self, token_lists) -> list[float]:
+        """The perplexity of each token list.  A token's log-prob depends only
+        on it and the token before it, so the log-probs of the prefix a list
+        shares with the list before it (the literal candidates of one simile
+        differ only at the end) are reused within the call."""
         out, tokens, logps = [], [], []
-        for text in texts:
-            before, tokens = tokens, tokenize(text)
+        for next_tokens in token_lists:
+            before, tokens = tokens, next_tokens
             if not tokens:
                 raise EmptyText("cannot score an empty text")
             logps = self._logprobs(tokens, before, logps)
@@ -197,22 +208,24 @@ class BigramScorer:
         """Log-probs of tokens; those of the prefix shared with `before` are
         copied from before_logps.  The float expressions keep the operation
         order of the formula above (tests compare the log-probs bit for bit);
-        only invariants computed by the same expression are hoisted out of
-        the loop."""
+        only invariants computed by the same expression, and the lookups,
+        are hoisted out of the loop."""
         shared = common_prefix_len(tokens, before)
         out = before_logps[:shared]
+        vocab, unk, alpha, lam = self.vocab, self.UNK, self.alpha, self.lam
         prev = self.BOS
         if shared:
-            prev = tokens[shared - 1] if tokens[shared - 1] in self.vocab else self.UNK
-        alpha_v = self.alpha * self.vocab_size
+            prev = tokens[shared - 1] if tokens[shared - 1] in vocab else unk
+        alpha_v = alpha * self.vocab_size
         uni_den = self.total + alpha_v
+        rest = 1 - lam
+        row_of, context_total, unigram = self.bigram.get, self.context_total.get, self.unigram.get
+        log, append = math.log, out.append
         for tok in tokens[shared:]:
-            t = tok if tok in self.vocab else self.UNK
-            num = self.bigram.get(prev, _NO_ROW).get(t, 0) + self.alpha
-            den = self.context_total.get(prev, 0) + alpha_v
-            p_bi = num / den
-            p_uni = (self.unigram.get(t, 0) + self.alpha) / uni_den
-            out.append(math.log(self.lam * p_bi + (1 - self.lam) * p_uni))
+            t = tok if tok in vocab else unk
+            p_bi = (row_of(prev, _NO_ROW).get(t, 0) + alpha) / (context_total(prev, 0) + alpha_v)
+            p_uni = (unigram(t, 0) + alpha) / uni_den
+            append(log(lam * p_bi + rest * p_uni))
             prev = t
         return out
 
@@ -355,6 +368,61 @@ class _Trie:
         return None
 
 
+class TemplateCounts:
+    """The integer counts TemplateNgramModel is built from.
+
+    Per (source, target) pair: the source words the target drops, the target
+    suffix after the common token prefix (by the source's last word, the cue,
+    and over all cues), and the target's token bigrams and unigrams.  Counts
+    add up, so runs of pairs counted apart and added give the counts of all.
+    """
+
+    def __init__(self):
+        self.drops: dict[int, int] = {}
+        self.cue_suffixes: dict[str, dict[str, int]] = {}
+        self.global_suffixes: dict[str, int] = {}
+        self.bigram: dict[str, dict[str, int]] = {}
+        self.unigram: dict[str, int] = {}
+
+    def count(self, pairs) -> "TemplateCounts":
+        """Add the counts of an iterable of (source, target) pairs, reading each once."""
+        drops, cue_suffixes, global_suffixes = self.drops, self.cue_suffixes, self.global_suffixes
+        bigram, unigram = self.bigram, self.unigram
+        for source, target in pairs:
+            src = tokenize(source)
+            tgt = tokenize(target)
+            common = common_prefix_len(src, tgt)
+            dropped = sum(1 for tok in src[common:] if is_word(tok))
+            drops[dropped] = drops.get(dropped, 0) + 1
+            suffix = " ".join(tgt[common:] + [EOS_TOKEN])
+            bucket = cue_suffixes.setdefault(_last_word(src), {})
+            bucket[suffix] = bucket.get(suffix, 0) + 1
+            global_suffixes[suffix] = global_suffixes.get(suffix, 0) + 1
+            prev = TemplateNgramModel.BOS
+            for tok in tgt + [EOS_TOKEN]:
+                row = bigram.setdefault(prev, {})
+                row[tok] = row.get(tok, 0) + 1
+                unigram[tok] = unigram.get(tok, 0) + 1
+                prev = tok
+        return self
+
+    def add(self, other: "TemplateCounts") -> None:
+        """Add another's counts; `other` is not used afterwards, so its rows may be taken."""
+        for table, rows in ((self.cue_suffixes, other.cue_suffixes), (self.bigram, other.bigram)):
+            for key, row in rows.items():
+                mine = table.setdefault(key, row)
+                if mine is not row:
+                    _add_counts(mine, row)
+        for table, counts in ((self.drops, other.drops), (self.global_suffixes,
+                              other.global_suffixes), (self.unigram, other.unigram)):
+            _add_counts(table, counts)
+
+
+def _add_counts(total: dict, counts: dict) -> None:
+    for key, n in counts.items():
+        total[key] = total.get(key, 0) + n
+
+
 class TemplateNgramModel:
     """Count-based conditional generator for (source, target) sentence pairs.
 
@@ -394,34 +462,17 @@ class TemplateNgramModel:
     @classmethod
     def train(cls, pairs, cfg: TrainConfig) -> "TemplateNgramModel":
         """Count an iterable of (source, target) pairs, reading each pair once."""
-        drop_counts: Counter = Counter()
-        cue_suffixes: dict[str, dict[str, int]] = {}
-        global_suffixes: dict[str, int] = {}
-        bigram: dict[str, dict[str, int]] = {}
-        unigram: dict[str, int] = {}
-        for source, target in pairs:
-            src = tokenize(source)
-            tgt = tokenize(target)
-            common = common_prefix_len(src, tgt)
-            dropped = sum(1 for tok in src[common:] if is_word(tok))
-            drop_counts[dropped] += 1
-            suffix = " ".join(tgt[common:] + [EOS_TOKEN])
-            cue = _last_word(src)
-            bucket = cue_suffixes.setdefault(cue, {})
-            bucket[suffix] = bucket.get(suffix, 0) + 1
-            global_suffixes[suffix] = global_suffixes.get(suffix, 0) + 1
-            prev = cls.BOS
-            for tok in tgt + [EOS_TOKEN]:
-                row = bigram.setdefault(prev, {})
-                row[tok] = row.get(tok, 0) + 1
-                unigram[tok] = unigram.get(tok, 0) + 1
-                prev = tok
-        if not drop_counts:
+        return cls.from_counts(TemplateCounts().count(pairs), cfg)
+
+    @classmethod
+    def from_counts(cls, counts: TemplateCounts, cfg: TrainConfig) -> "TemplateNgramModel":
+        """The model of counted pairs; the model holds the counts' tables."""
+        if not counts.drops:
             raise EmptyTrainingSet("no training pairs")
         # Mode of the per-pair drop counts; ties go to the smaller count.
-        best = max(drop_counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        return cls(best, cue_suffixes, global_suffixes, bigram, unigram,
-                   train_config=asdict(cfg))
+        best = max(counts.drops.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        return cls(best, counts.cue_suffixes, counts.global_suffixes, counts.bigram,
+                   counts.unigram, train_config=asdict(cfg))
 
     def copy_region(self, src_tokens: list[str]) -> list[str]:
         """Source tokens minus trailing punctuation and drop_words final words."""

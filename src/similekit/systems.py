@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .core import (NotModifierFinal, drop_dangling_comma, read_records, strip_terminal_modifier,
-                   write_jsonl)
+from .core import NotModifierFinal, drop_dangling_comma, strip_terminal_modifier, write_jsonl
 from .knowledge import vehicle_for_property
 from .lm import EmptyTrainingSet, GenerationConfig, TrainConfig, _pair_texts, fine_tune, generate
 
@@ -73,6 +72,24 @@ def mask_terminal_modifier(text: str, tagger) -> str:
     return stripped.prefix + " " + MASK_TOKEN + stripped.trailing
 
 
+# What training on masked sources raises when no source can be masked.
+NOTHING_MASKED = "no sources survive terminal-modifier masking"
+
+
+def masked_pairs(pairs, tagger, stats: dict):
+    """Yield (masked source, target) for each pair whose source can be masked.
+
+    Pairs are read as they are taken; stats["skipped"] is incremented for each other pair.
+    """
+    for source, target in map(_pair_texts, pairs):
+        try:
+            masked = mask_terminal_modifier(source, tagger)
+        except NotModifierFinal:
+            stats["skipped"] += 1
+            continue
+        yield masked, target
+
+
 def train_metaphor_mask(pairs, cfg: TrainConfig, backend, tagger, stats: dict | None = None):
     """Fine-tune on (masked source, simile target); unstrippable sources are skipped.
 
@@ -81,20 +98,10 @@ def train_metaphor_mask(pairs, cfg: TrainConfig, backend, tagger, stats: dict | 
     """
     counts = {} if stats is None else stats
     counts["skipped"] = 0
-
-    def masked_pairs():
-        for source, target in map(_pair_texts, pairs):
-            try:
-                masked = mask_terminal_modifier(source, tagger)
-            except NotModifierFinal:
-                counts["skipped"] += 1
-                continue
-            yield masked, target
-
     try:
-        return fine_tune(masked_pairs(), cfg, backend)
+        return fine_tune(masked_pairs(pairs, tagger, counts), cfg, backend)
     except EmptyTrainingSet:
-        raise EmptyTrainingSet("no sources survive terminal-modifier masking") from None
+        raise EmptyTrainingSet(NOTHING_MASKED) from None
 
 
 def baseline_metaphor_mask(literal: str, model, cfg: GenerationConfig, tagger) -> str:
@@ -122,14 +129,3 @@ def run_batch(literals: list[str], system: str, fn, seed: int, out_path=None) ->
     if out_path is not None:
         write_jsonl(records, out_path)
     return records
-
-
-def _batch_record(rec) -> dict:
-    row = dict(rec)
-    if "literal" not in row:
-        raise KeyError("literal")
-    return row
-
-
-def read_batch_jsonl(path) -> list[dict]:
-    return list(read_records(path, _batch_record))

@@ -1,6 +1,6 @@
 """The JSON-over-subprocess transport, against a stdlib fake worker.
 
-Every request gets its own process; a batch runs at most os.cpu_count()
+Every request gets its own process; a batch runs at most core.usable_cpus()
 of them at once, returns its replies in request order and, when a request
 fails, raises the first failure in request order with no process left.
 """
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from similekit import backends
 from similekit.backends import BackendUnavailable, JsonSubprocessBackend
 
 WORKER = [sys.executable, str(Path(__file__).resolve().parent / "fake_worker.py")]
@@ -53,7 +54,7 @@ def assert_all_reaped(started):
 
 def test_replies_in_request_order_when_workers_finish_out_of_order(tmp_path, started,
                                                                     monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(backends, "usable_cpus", lambda: 4)
     log = tmp_path / "finished"
     sleeps = [0.6, 0.0, 0.3, 0.0]
     requests = [{"i": i, "sleep": s, "log": str(log)} for i, s in enumerate(sleeps)]
@@ -66,7 +67,7 @@ def test_replies_in_request_order_when_workers_finish_out_of_order(tmp_path, sta
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_at_most_cpu_count_workers_at_once(started, monkeypatch, cpus):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(backends, "usable_cpus", lambda: cpus)
     replies = JsonSubprocessBackend(WORKER).call_many(
         [{"i": i, "sleep": 0.2} for i in range(6)], lambda reply: reply["i"])
     assert replies == list(range(6))
@@ -76,6 +77,7 @@ def test_at_most_cpu_count_workers_at_once(started, monkeypatch, cpus):
 
 
 def test_unknown_cpu_count_runs_one_at_a_time(started, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert JsonSubprocessBackend(WORKER).call_many([{"i": 0}, {"i": 1}], len) == [2, 2]
     assert started["peak"] == 1
@@ -106,7 +108,7 @@ FAILURES = {
 @pytest.mark.parametrize("kind", sorted(FAILURES))
 def test_first_failure_in_request_order_is_raised(started, monkeypatch, kind):
     """Request 1 fails late; request 2 fails first in time but later in order."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(backends, "usable_cpus", lambda: 2)
     fields, message = FAILURES[kind]
     late = {"sleep": 0.5, **fields}
     requests = [{"i": 0}, {"i": 1, **late}, {"i": 2, "exit": 4}, {"i": 3, "sleep": 30}]
@@ -119,7 +121,7 @@ def test_first_failure_in_request_order_is_raised(started, monkeypatch, kind):
 
 
 def test_a_failure_kills_the_workers_still_running(started, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(backends, "usable_cpus", lambda: 3)
     requests = [{"i": 0, "exit": 5}, {"i": 1, "sleep": 30}, {"i": 2, "sleep": 30},
                 {"i": 3, "sleep": 30}]
     began = time.monotonic()
@@ -138,7 +140,7 @@ def test_a_reply_read_rejects_is_a_bad_reply(started):
 
 
 def test_an_error_read_raises_propagates_with_no_worker_left(started, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(backends, "usable_cpus", lambda: 2)
 
     def read(reply):
         raise RuntimeError(f"read refused {reply['i']}")

@@ -37,11 +37,10 @@ from similekit.core import (
     write_lines,
 )
 from similekit.corpus import read_pairs_audit_jsonl, read_pairs_tsv
-from similekit.evaluation import read_refs_jsonl
+from similekit.evaluation import read_batch_jsonl, read_refs_jsonl
 from similekit.harvest import read_literals_jsonl, read_similes_jsonl
 from similekit.knowledge import SynonymTable, load_edge_table
 from similekit.story import read_stories_jsonl
-from similekit.systems import read_batch_jsonl
 from similekit.tagging import DEFAULT_TAGGER, DictTagger, LexiconTagger
 
 

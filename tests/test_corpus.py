@@ -1,18 +1,18 @@
 """Corpus construction: candidates, perplexity selection, pair contracts."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from similekit.core import parse_simile
+from similekit.core import SimileInstance, parse_simile, terminal_punctuation, tokenize
 from similekit.corpus import (
     BuildStats,
     GrammarCorrectionWarning,
-    LiteralCandidate,
     NoProperties,
     ParallelPair,
     build_parallel_corpus,
     correct_grammar,
+    format_pairs,
     iter_parallel_corpus,
-    make_literal_candidates,
     read_pairs_audit_jsonl,
     read_pairs_tsv,
     select_best_literal,
@@ -21,81 +21,126 @@ from similekit.corpus import (
     write_pairs_tsv,
 )
 from similekit.knowledge import PropertyCandidate, load_edge_table
-from similekit.lm import UniformScorer
+from similekit.lm import EmptyText, UniformScorer
+
+# Word pieces, apostrophes, punctuation and whitespace of several kinds, or any character.
+PIECES = st.sampled_from(["ab", "x", "'", "’", " ", ".", ",", "!", "-", "\t", "\n",
+                          "\u00a0", "\u2028", "\x1c", "\u00e9t\u00e9"]) | st.characters()
+TEXTS = st.lists(PIECES, max_size=8).map("".join)
 
 
 def props(*texts):
     return [PropertyCandidate(t, float(len(texts) - i)) for i, t in enumerate(texts)]
 
 
+class TextRecorder:
+    """A scorer of texts that keeps the texts it is handed; every candidate ties."""
+
+    def __init__(self):
+        self.texts = []
+
+    def perplexities(self, texts):
+        self.texts = list(texts)
+        return [1.0] * len(self.texts)
+
+
+class TokenRecorder(TextRecorder):
+    """A scorer that is also handed each candidate's tokens, and keeps them."""
+
+    def token_perplexities(self, token_lists):
+        self.tokens = list(token_lists)
+        return [1.0] * len(self.tokens)
+
+
+def candidate_texts(simile, properties):
+    """The candidate texts select_best_literal scores for a simile."""
+    scorer = TextRecorder()
+    select_best_literal(simile, properties, scorer)
+    return scorer.texts
+
+
 class TestMakeLiteralCandidates:
     def test_simple_prefix(self):
         simile = parse_simile("Love is like a unicorn.")
-        cands = make_literal_candidates(simile, props("very rare", "rare"))
-        assert [c.text for c in cands] == ["Love is very rare.", "Love is rare."]
-        assert [c.property for c in cands] == ["very rare", "rare"]
+        assert candidate_texts(simile, props("very rare", "rare")) == ["Love is very rare.",
+                                                                       "Love is rare."]
+        best = select_best_literal(simile, props("very rare", "rare"), UniformScorer(3))
+        assert (best.text, best.property) == ("Love is very rare.", "very rare")
 
     def test_clause_prefix_kept_verbatim(self):
         simile = parse_simile(
             "It was cool and quiet, and I stormed through like a charging bull."
         )
-        cands = make_literal_candidates(simile, props("fast"))
-        assert cands[0].text == "It was cool and quiet, and I stormed through fast."
+        texts = candidate_texts(simile, props("fast"))
+        assert texts == ["It was cool and quiet, and I stormed through fast."]
 
     def test_comma_before_comparator_survives(self):
         simile = parse_simile(
             "Sir Francis's voice was calm and quiet, like a breeze through a forest."
         )
-        cands = make_literal_candidates(simile, props("very relax"))
-        assert cands[0].text == "Sir Francis's voice was calm and quiet, very relax."
+        texts = candidate_texts(simile, props("very relax"))
+        assert texts == ["Sir Francis's voice was calm and quiet, very relax."]
 
     def test_terminal_punctuation_preserved(self):
         simile = parse_simile("He fought like a lion!")
-        assert make_literal_candidates(simile, props("brave"))[0].text == "He fought brave!"
+        assert candidate_texts(simile, props("brave")) == ["He fought brave!"]
 
     def test_no_terminal_punctuation(self):
         simile = parse_simile("he fought like a lion")
-        assert make_literal_candidates(simile, props("brave"))[0].text == "he fought brave"
+        assert candidate_texts(simile, props("brave")) == ["he fought brave"]
 
     def test_one_candidate_per_property(self):
         simile = parse_simile("Love is like a unicorn.")
-        assert len(make_literal_candidates(simile, props("a", "b", "c"))) == 3
+        assert len(candidate_texts(simile, props("a", "b", "c"))) == 3
 
     def test_no_properties_raises(self):
         simile = parse_simile("Love is like a unicorn.")
         with pytest.raises(NoProperties):
-            make_literal_candidates(simile, [])
+            select_best_literal(simile, [], UniformScorer(2))
+
+    @given(TEXTS, st.lists(TEXTS.filter(bool), min_size=1, max_size=5),
+           st.sampled_from(["", ".", "!", "?!", "...", "'", "”"]))
+    @settings(max_examples=300, deadline=None)
+    def test_candidate_tokens_are_the_candidate_texts_tokens(self, prefix, properties, punct):
+        """The prefix tokenized once plus each tail gives each candidate text's tokens."""
+        simile = SimileInstance(prefix + " like a rock" + punct, prefix, " like a ", "rock" + punct)
+        texts = [(prefix + " " + p).strip() + terminal_punctuation(simile.raw_text)
+                 for p in properties]
+        candidates = [PropertyCandidate(p, 1.0) for p in properties]
+        scorer = TokenRecorder()
+        if any(not text or text.isspace() for text in texts):
+            with pytest.raises(EmptyText):
+                select_best_literal(simile, candidates, scorer)
+            return
+        select_best_literal(simile, candidates, scorer)
+        assert scorer.tokens == [tokenize(text) for text in texts]
 
 
 class TestSelectBestLiteral:
     def test_picks_minimum_perplexity(self, table2_scorer):
-        cands = [
-            LiteralCandidate("Love is very rare.", "very rare"),
-            LiteralCandidate("Love is rare.", "rare"),
-            LiteralCandidate("Love is beautiful.", "beautiful"),
-        ]
-        best = select_best_literal(cands, table2_scorer)
+        simile = parse_simile("Love is like a unicorn.")
+        best = select_best_literal(simile, props("very rare", "rare", "beautiful"),
+                                   table2_scorer)
         assert best.property == "rare"
         assert best.perplexity == 1.0
 
     def test_tie_keeps_earlier_property(self):
-        cands = [LiteralCandidate("a b.", "first"), LiteralCandidate("c d.", "second")]
-        assert select_best_literal(cands, UniformScorer(7)).property == "first"
+        simile = parse_simile("a like a b.")
+        assert select_best_literal(simile, props("first", "second"),
+                                   UniformScorer(7)).property == "first"
 
     def test_uniform_tie_keeps_top_ranked_property_at_any_length(self):
         # 9 and 13 tokens: exp(-mean(-log 7)) would score these 6.999999999999999
         # and 6.9999999999999964, and the lower-ranked property would win.
-        cands = [
-            LiteralCandidate("The old truck went down the road slow.", "slow"),
-            LiteralCandidate("The old truck went down the road very very slow and steady.",
-                             "very very slow and steady"),
-        ]
-        best = select_best_literal(cands, UniformScorer(7))
-        assert (best.property, best.perplexity) == ("slow", 7.0)
+        simile = parse_simile("The old truck went down the road like a snail.")
+        best = select_best_literal(simile, props("slow", "very very slow and steady"),
+                                   UniformScorer(7))
+        assert (best.text, best.property, best.perplexity) == (
+            "The old truck went down the road slow.", "slow", 7.0)
 
     def test_empty_candidates(self):
         with pytest.raises(ValueError):
-            select_best_literal([], UniformScorer(2))
+            select_best_literal(parse_simile("Love is like a unicorn."), [], UniformScorer(2))
 
 
 class TestCorrectGrammar:
@@ -275,7 +320,8 @@ class TestPairFiles:
     def test_one_pass_writer_writes_what_the_two_writers_write(self, tmp_path, pairs, audit):
         write_pairs_tsv(pairs, tmp_path / "a.tsv")
         write_pairs_audit_jsonl(pairs, tmp_path / "a.jsonl")
-        write_pair_files(iter(pairs), tmp_path / "b.tsv", tmp_path / "b.jsonl" if audit else None)
+        runs = [format_pairs(iter(pairs[:1]), audit), format_pairs(iter(pairs[1:]), audit)]
+        write_pair_files(iter(runs), tmp_path / "b.tsv", tmp_path / "b.jsonl" if audit else None)
         assert (tmp_path / "b.tsv").read_bytes() == (tmp_path / "a.tsv").read_bytes()
         assert (tmp_path / "b.jsonl").exists() == audit
         if audit:
@@ -289,7 +335,7 @@ class TestPairFiles:
         tsv, audit = tmp_path / "pairs.tsv", tmp_path / "pairs.audit.jsonl"
         tsv.write_bytes(b"old tsv\n")
         audit.write_bytes(b"old audit\n")
-        for write in (lambda: write_pair_files(crashing(), tsv, audit),
+        for write in (lambda: write_pair_files((format_pairs([p]) for p in crashing()), tsv, audit),
                       lambda: write_pairs_tsv(crashing(), tsv),
                       lambda: write_pairs_audit_jsonl(crashing(), audit)):
             with pytest.raises(RuntimeError):
@@ -301,5 +347,6 @@ class TestPairFiles:
     def test_tab_in_a_later_pair_writes_nothing(self, tmp_path, pairs):
         bad = ParallelPair("a\tb fast.", "a b like a c.", "fast", "c")
         with pytest.raises(ValueError):
-            write_pair_files(pairs + [bad], tmp_path / "pairs.tsv", tmp_path / "a.jsonl")
+            write_pair_files((format_pairs([p]) for p in pairs + [bad]), tmp_path / "pairs.tsv",
+                             tmp_path / "a.jsonl")
         assert list(tmp_path.iterdir()) == []

@@ -276,10 +276,13 @@ def oracle_krippendorff_alpha(sheet, criterion=None):
 
 
 def oracle_load_csv(path):
-    """The csv.DictReader reading: fields by header name, a short row's missing ones None."""
+    """The csv.DictReader reading: fields by header name; a short row, whose missing
+    fields DictReader reads as None, is an error."""
     sheet = ScoreSheet()
     with open(path, encoding="utf-8", newline="") as fh:
         for rec in csv.DictReader(fh):
+            if None in rec.values():
+                raise ValueError("short row")
             sheet.add(rec["item_id"], rec["system"], rec["rater_id"], rec["criterion"],
                       int(rec["score"]))
     return sheet.rows
@@ -428,8 +431,11 @@ class TestScoreSheets:
          "score must be an integer in 1..5, got 9"),
         ("item_id,system,rater_id,criterion,score\ni0,A,r0,Z,3\n",
          "criterion must be one of ('C', 'R1', 'R2', 'OQ'), got 'Z'"),
-        ("item_id,system,rater_id,criterion,score\ni0,A,r0\n", "int() argument must be"),
-    ], ids=["missing-column", "bad-score", "score-out-of-range", "bad-criterion", "short-row"])
+        ("item_id,system,rater_id,criterion,score\ni0,A,r0\n", "expected 5 fields, got 3"),
+        ("item_id,system,criterion,score,rater_id\ni0,A,OQ,4,r0\ni0,A,OQ,4\n",
+         "expected 5 fields, got 4"),
+    ], ids=["missing-column", "bad-score", "score-out-of-range", "bad-criterion", "short-row",
+            "short-row-missing-rater"])
     def test_bad_row_is_located(self, tmp_path, rows, reason):
         path = tmp_path / "scores.csv"
         path.write_text(rows, encoding="utf-8")

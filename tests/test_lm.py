@@ -27,6 +27,7 @@ from similekit.lm import (
     RemoteModel,
     RemoteScorer,
     RemoteSeq2SeqBackend,
+    TemplateCounts,
     TemplateNgramModel,
     TrainConfig,
     UniformScorer,
@@ -575,6 +576,19 @@ class TestTemplateNgramModel:
         streamed = fine_tune((pair for pair in pairs), cfg, BACKEND)
         assert model_state(streamed) == model_state(from_list)
         assert saved_bytes(streamed) == saved_bytes(from_list)
+
+    @given(pair_lists, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_counts_of_runs_add_up_to_the_counts_of_all(self, pairs, data):
+        """Runs counted apart and added, as train's workers are, give the model of one count."""
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(pairs)), max_size=4)))
+        total = TemplateCounts()
+        for start, end in zip([0, *cuts], [*cuts, len(pairs)]):
+            total.add(TemplateCounts().count(pairs[start:end]))
+        assert vars(total) == vars(TemplateCounts().count(pairs))
+        merged = TemplateNgramModel.from_counts(total, TrainConfig(seed=1))
+        assert saved_bytes(merged) == saved_bytes(TemplateNgramModel.train(pairs,
+                                                                           TrainConfig(seed=1)))
 
     def test_training_and_saving_build_no_trie(self, tmp_path, toy_pairs, toy_world):
         model = fine_tune(iter(toy_pairs), TrainConfig(seed=11), BACKEND)

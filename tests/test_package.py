@@ -51,6 +51,42 @@ def test_a_scoresheet_run_loads_only_evaluation(tmp_path):
     assert loaded_after(run, prefix="subprocess") == []
 
 
+def test_an_evaluate_generated_run_loads_no_model_or_backend(tmp_path):
+    """Scoring batch files needs the batch and refs readers, not the generators."""
+    batch, refs = tmp_path / "scope.jsonl", tmp_path / "refs.jsonl"
+    batch.write_text('{"literal": "He ran fast.", "output": "He ran like a deer.", '
+                     '"seed": 1, "system": "scope"}\n', encoding="utf-8")
+    refs.write_text('{"literal": "He ran fast.", "references": ["He ran like a hare."]}\n',
+                    encoding="utf-8")
+    run = ("from similekit.cli import main\n"
+           f"assert main(['evaluate', '--generated', {str(batch)!r}, '--refs', {str(refs)!r}]) "
+           "== 0")
+    loaded = loaded_after(run)
+    assert not {"similekit.systems", "similekit.lm", "similekit.knowledge",
+                "similekit.backends"} & set(loaded)
+    assert loaded_after(run, prefix="subprocess") == []
+
+
+def test_build_corpus_and_train_load_no_pool(tmp_path):
+    """The fan-out forks with os.fork and pipes: no multiprocessing, no concurrent.futures."""
+    similes, edges = tmp_path / "similes.jsonl", tmp_path / "edges.tsv"
+    similes.write_text("".join(f'{{"text": "It ran like a deer{i}."}}\n' for i in range(5)),
+                       encoding="utf-8")
+    edges.write_text("".join(f"deer{i}\tfast\t1.0\n" for i in range(5)), encoding="utf-8")
+    pairs, model = tmp_path / "pairs.tsv", tmp_path / "model"
+    run = ("from similekit import core\n"
+           "from similekit.cli import main\n"
+           "core.RUN_LENGTH = 2\n"
+           "core.usable_cpus = lambda: 2\n"
+           f"assert main(['build-corpus', '--in', {str(similes)!r}, '--knowledge', {str(edges)!r},"
+           f" '--out', {str(pairs)!r}]) == 0\n"
+           f"assert main(['train', '--pairs', {str(pairs)!r}, '--model-out', {str(model)!r},"
+           " '--seed', '1']) == 0")
+    for prefix in ("multiprocessing", "concurrent"):
+        assert loaded_after(run, prefix=prefix) == []
+    assert pairs.read_text(encoding="utf-8").count("\n") == 5
+
+
 @pytest.mark.parametrize("name", similekit.__all__)
 def test_every_export_is_its_module_object(name):
     module = importlib.import_module(f"similekit.{similekit._MODULE_OF[name]}")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from similekit.core import NotModifierFinal, parse_simile
+from similekit.evaluation import read_batch_jsonl
 from similekit.knowledge import EMPTY_SYNONYMS, EdgeTableBackend, KnowledgeEdge, SynonymTable
 from similekit.lm import (
     EmptyTrainingSet,
@@ -19,7 +20,6 @@ from similekit.systems import (
     baseline_prefix_forced,
     baseline_retrieval,
     mask_terminal_modifier,
-    read_batch_jsonl,
     run_batch,
     scope_generate,
     train_metaphor_mask,
