@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import selectors
-import subprocess
 import time
 
 from .core import usable_cpus
@@ -27,10 +25,26 @@ class BackendUnavailable(RuntimeError):
     """A remote backend could not be reached or spoke an invalid protocol."""
 
 
+def reply_field(reply, name: str, kind: type):
+    """reply[name], which must be a `kind`; a float field takes any JSON number but a bool.
+
+    Any other value is a TypeError, which call_many reports as a bad reply.
+    """
+    value = reply[name]
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)  # OverflowError for an int beyond any float
+    if not isinstance(value, kind):
+        raise TypeError(f"{name!r} is {type(value).__name__}, not {kind.__name__}")
+    return value
+
+
 class _Exchange:
     """One request's process: its request is written and its output read without blocking."""
 
     def __init__(self, command: list[str], payload: bytes, timeout: float, selector):
+        import selectors
+        import subprocess
+
         self.proc = subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                      stderr=subprocess.PIPE)
         self.deadline = time.monotonic() + timeout
@@ -66,6 +80,8 @@ class _Exchange:
 
     def reply(self, name: str, timeout: float, read):
         """read(reply) once done; a timeout, a non-zero exit or a bad reply is BackendUnavailable."""
+        import subprocess
+
         code = None
         if self.done:
             try:
@@ -80,7 +96,7 @@ class _Exchange:
         stdout = self.received[self.proc.stdout]
         try:
             return read(json.loads(stdout.decode("utf-8")))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             shown = stdout.decode("utf-8", "replace")[:200]
             raise BackendUnavailable(f"backend {name!r} sent a bad reply ({exc!r}): {shown!r}") \
                 from exc
@@ -114,9 +130,12 @@ class JsonSubprocessBackend:
         At most usable_cpus() processes run at once, each for at most
         `timeout` seconds.  A process that cannot start, times out or exits
         non-zero, a reply that is not JSON, and one that read rejects with
-        KeyError, TypeError or ValueError are BackendUnavailable; the first
-        of them in request order is raised, after every process is reaped.
+        KeyError, OverflowError, TypeError or ValueError are
+        BackendUnavailable; the first of them in request order is raised,
+        after every process is reaped.
         """
+        import selectors  # with subprocess, loaded only by a process that sends a request
+
         name = self.command[0]
         payloads = [json.dumps(request).encode("utf-8") for request in requests]
         replies: list = [None] * len(payloads)

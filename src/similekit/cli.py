@@ -14,14 +14,11 @@ defaults.
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
-import hashlib
 import importlib
 import os
 import sys
-from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import (
     CRITERIA,
@@ -79,6 +76,8 @@ def __getattr__(name: str):
 
 
 def _sha256_file(path: str) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -93,6 +92,8 @@ def _hashed(path: str) -> str:
 
 def _write_manifest(s: Settings, seeds: dict) -> None:
     """Record the run's input and output options; the first output names the manifest."""
+    import hashlib  # a run that writes no manifest does not load it
+
     write_json({
         "command": s.command,
         "argv": list(s.argv),
@@ -123,9 +124,14 @@ def _parse_positive(text: str) -> int:
     return value
 
 
+# configparser.ConfigParser.BOOLEAN_STATES: only a run given --config loads configparser.
+_BOOLEAN_STATES = {"1": True, "yes": True, "true": True, "on": True,
+                   "0": False, "no": False, "false": False, "off": False}
+
+
 def _parse_bool(text: str) -> bool:
     try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+        return _BOOLEAN_STATES[text.strip().lower()]
     except KeyError:
         raise ValueError(f"not a boolean: {text!r}") from None
 
@@ -147,8 +153,7 @@ def _parse_triggers(text: str) -> TriggerConfig:
     return TriggerConfig(trigger_phrases=tuple(p.strip() for p in text.split(";") if p.strip()))
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     """One setting: the flag `--name` and the config key `name`.
 
     cast turns a flag or config value into the setting; _parse_bool makes a
@@ -170,8 +175,7 @@ class Option:
     help: str | None = None
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     section: str
     help: str
     run: Callable
@@ -201,6 +205,8 @@ class Settings(dict):
         if args.config == []:
             self.errors.append("argument --config: expected a value")
         elif args.config:
+            import configparser
+
             try:
                 with open(args.config, encoding="utf-8") as fh:
                     self.config_text = fh.read()
@@ -545,7 +551,7 @@ def cmd_evaluate(s: Settings) -> int:
                 records, refs_by_literal, embedder, train_seen=train_seen,
                 tagger=DEFAULT_TAGGER, smoothing=s["smoothing"],
             )
-        payload["metrics"] = asdict(report)["systems"]
+        payload["metrics"] = {name: m._asdict() for name, m in report.systems.items()}
         print(report.format_table(), end="")
     if scoresheet is not None:
         sheet = ScoreSheet.load_csv(scoresheet)

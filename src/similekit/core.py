@@ -12,12 +12,11 @@ from __future__ import annotations
 import contextlib
 import copyreg
 import functools
-import hashlib
 import itertools
 import json
 import os
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Word tokens keep internal apostrophes ("Francis's" is one token); every
 # other non-space character is its own token.
@@ -64,6 +63,8 @@ def fold(text: str) -> str:
 
 def derive_seed(seed: int, *parts) -> int:
     """A 64-bit seed hashed from a run seed and the item it is for, in any process."""
+    import hashlib  # loaded by the processes that seed, not by every one that imports core
+
     key = "|".join(str(part) for part in (seed, *parts)).encode("utf-8")
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
@@ -106,8 +107,61 @@ def is_comparator(phrase: str) -> bool:
     return fold(phrase) in COMPARATORS
 
 
-@dataclass(frozen=True)
-class TriggerConfig:
+# ---------------------------------------------------------------------------
+# Records.  An immutable record is a typing.NamedTuple; one whose fields are
+# checked subclasses the NamedTuple of its fields with Checked first, and
+# checks them in its __new__.  A mutable record is a Slots subclass.
+
+
+class Checked:
+    """The first base of a checked record, so that _make and _replace check too.
+
+    typing.NamedTuple refuses a __new__ in its class body, so a checked
+    record subclasses the NamedTuple of its fields and defines __new__
+    there, building itself with tuple.__new__(cls, fields).  A named
+    tuple's _make skips __new__, and its _replace builds through _make.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Slots:
+    """The base of a mutable record: its fields (_fields) are the __slots__ of its classes.
+
+    Two records are equal when they are of one class and their fields are
+    equal; defining __eq__ leaves a mutable record unhashable.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for klass in reversed(cls.__mro__)
+                            for name in vars(klass).get("__slots__", ()))
+
+    def _asdict(self) -> dict:
+        """{field: value}, in field order, as a named tuple's _asdict gives."""
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{self.__class__.__name__}({fields})"
+
+
+class _TriggerFields(NamedTuple):
+    trigger_phrases: tuple[str, ...] = ("like a",)
+
+
+class TriggerConfig(Checked, _TriggerFields):
     """Comparator trigger set: a non-empty subset of COMPARATORS.
 
     Only "like a" is on by default; "like an" is a configurable extension.
@@ -115,12 +169,12 @@ class TriggerConfig:
     "like a" does not fire inside "like apples" or "unlike a".
     """
 
-    trigger_phrases: tuple[str, ...] = ("like a",)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.trigger_phrases or not all(map(is_comparator, self.trigger_phrases)):
-            raise ValueError(f"{self.trigger_phrases} is not a non-empty subset of {COMPARATORS}")
-        object.__setattr__(self, "trigger_phrases", tuple(map(fold, self.trigger_phrases)))
+    def __new__(cls, trigger_phrases=("like a",)):
+        if not trigger_phrases or not all(map(is_comparator, trigger_phrases)):
+            raise ValueError(f"{trigger_phrases} is not a non-empty subset of {COMPARATORS}")
+        return tuple.__new__(cls, (tuple(map(fold, trigger_phrases)),))
 
 
 DEFAULT_TRIGGERS = TriggerConfig()
@@ -133,43 +187,50 @@ def _trigger_pattern(phrase: str) -> re.Pattern:
     return re.compile(pat, re.IGNORECASE)
 
 
-@dataclass(frozen=True, slots=True)
-class SimileInstance:
-    """A parsed simile.  prefix + comparator + vehicle == raw_text, byte for byte.
-
-    The comparator span absorbs the whitespace around the trigger phrase so
-    prefix and vehicle carry no flanking spaces.
-    """
-
+class _SimileFields(NamedTuple):
     raw_text: str
     prefix: str
     comparator: str
     vehicle: str
     source_id: str = ""
 
-    def __post_init__(self):
-        if self.prefix + self.comparator + self.vehicle != self.raw_text:
+
+class SimileInstance(Checked, _SimileFields):
+    """A parsed simile.  prefix + comparator + vehicle == raw_text, byte for byte.
+
+    The comparator span absorbs the whitespace around the trigger phrase so
+    prefix and vehicle carry no flanking spaces.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, raw_text, prefix, comparator, vehicle, source_id=""):
+        if prefix + comparator + vehicle != raw_text:
             raise ValueError("prefix + comparator + vehicle must equal raw_text")
-        if not WORD_CHAR.search(self.vehicle):
+        if not WORD_CHAR.search(vehicle):
             raise ValueError("vehicle must contain a word token")
+        return tuple.__new__(cls, (raw_text, prefix, comparator, vehicle, source_id))
 
     def vehicle_phrase(self) -> str:
         """Vehicle text with trailing sentence punctuation removed."""
         return re.sub(r"[^\w\s]+\s*$", "", self.vehicle).strip()
 
 
-@dataclass(frozen=True)
-class LiteralSentence:
-    """A literal utterance whose final content token is an adjective/adverb."""
-
+class _LiteralFields(NamedTuple):
     raw_text: str
     prefix: str
     property: str
 
-    def __post_init__(self):
-        low = {t.lower() for t in tokenize(self.raw_text)}
-        if low & {"like", "as"}:
+
+class LiteralSentence(Checked, _LiteralFields):
+    """A literal utterance whose final content token is an adjective/adverb."""
+
+    __slots__ = ()
+
+    def __new__(cls, raw_text, prefix, property):
+        if {t.lower() for t in tokenize(raw_text)} & {"like", "as"}:
             raise ValueError("literal sentence must contain no comparator token")
+        return tuple.__new__(cls, (raw_text, prefix, property))
 
 
 def parse_simile(text: str, cfg: TriggerConfig = DEFAULT_TRIGGERS) -> SimileInstance | None:
@@ -204,8 +265,7 @@ class NotModifierFinal(ValueError):
     """The sentence's last content token is not an adjective or adverb."""
 
 
-@dataclass(frozen=True)
-class StrippedLiteral:
+class StrippedLiteral(NamedTuple):
     """Result of removing a sentence's terminal modifier.
 
     prefix keeps the original text verbatim up to the modifier (including any
@@ -497,8 +557,11 @@ def text_of(record) -> str:
 
 
 def write_json(obj, path, indent=2) -> None:
+    """The bytes json.dump writes, encoded in one json.dumps call: with indent=None
+    that runs the C encoder, which json.dump, encoding in chunks, never does."""
+    text = json.dumps(obj, indent=indent, sort_keys=True)
     with atomic_open(path) as fh:
-        json.dump(obj, fh, indent=indent, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import contextlib
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     COMPARATORS,
+    Checked,
     SimileInstance,
+    Slots,
     TriggerConfig,
     atomic_open,
     json_line,
@@ -48,33 +50,40 @@ class GrammarCorrectionWarning(UserWarning):
 _CONTRACT_TRIGGERS = TriggerConfig(COMPARATORS)
 
 
-@dataclass(frozen=True)
-class LiteralCandidate:
+class LiteralCandidate(NamedTuple):
     text: str
     property: str
     perplexity: float | None = None
 
 
-@dataclass(frozen=True)
-class ParallelPair:
+class _PairFields(NamedTuple):
     source: str
     target: str
     property_used: str
     vehicle: str
     provenance: str = ""
 
-    def __post_init__(self):
-        if parse_simile(self.target, _CONTRACT_TRIGGERS) is None:
+
+class ParallelPair(Checked, _PairFields):
+    __slots__ = ()
+
+    def __new__(cls, source, target, property_used, vehicle, provenance=""):
+        if parse_simile(target, _CONTRACT_TRIGGERS) is None:
             raise ValueError("target must contain a trigger phrase")
-        if parse_simile(self.source, _CONTRACT_TRIGGERS) is not None:
+        if parse_simile(source, _CONTRACT_TRIGGERS) is not None:
             raise ValueError("source must not contain a trigger phrase")
+        return tuple.__new__(cls, (source, target, property_used, vehicle, provenance))
 
 
-@dataclass
-class BuildStats:
-    built: int = 0
-    skipped_no_properties: int = 0
-    failures: list = field(default_factory=list)
+class BuildStats(Slots):
+    """A build's counts: pairs built, similes skipped, (simile id, reason) per failure."""
+
+    __slots__ = ("built", "skipped_no_properties", "failures")
+
+    def __init__(self, built: int = 0, skipped_no_properties: int = 0, failures=None):
+        self.built = built
+        self.skipped_no_properties = skipped_no_properties
+        self.failures = [] if failures is None else failures
 
     def add(self, other: BuildStats) -> None:
         """Count the similes of `other`, read after these."""

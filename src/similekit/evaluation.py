@@ -15,13 +15,15 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     CRITERIA,
     LINE_ERRORS,
+    Checked,
     NotModifierFinal,
     ParseError,
+    Slots,
     atomic_open,
     extract_generated_vehicle,
     is_word,
@@ -196,30 +198,32 @@ def unseen_fraction(generated: list[tuple[str, str]], seen) -> float:
 # Human score sheets
 
 
-@dataclass(slots=True)
-class ScoreRow:
+class ScoreRow(Slots):
     """One rating, checked when made.
 
-    Not frozen: a frozen dataclass sets each field through object.__setattr__,
-    which took longer than reading the file for a sheet of thousands of ratings.
+    A slots class, not a named tuple: the score-sheet statistics read a named
+    tuple's fields more slowly, and they read every field of every rating.
     """
 
-    item_id: str
-    system: str
-    rater_id: str
-    criterion: str
-    score: int
+    __slots__ = ("item_id", "system", "rater_id", "criterion", "score")
 
-    def __post_init__(self):
-        if self.criterion not in CRITERIA:
-            raise ValueError(f"criterion must be one of {CRITERIA}, got {self.criterion!r}")
-        if not isinstance(self.score, int) or not 1 <= self.score <= 5:
-            raise ValueError(f"score must be an integer in 1..5, got {self.score!r}")
+    def __init__(self, item_id: str, system: str, rater_id: str, criterion: str, score: int):
+        if criterion not in CRITERIA:
+            raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+        if not isinstance(score, int) or not 1 <= score <= 5:
+            raise ValueError(f"score must be an integer in 1..5, got {score!r}")
+        self.item_id = item_id
+        self.system = system
+        self.rater_id = rater_id
+        self.criterion = criterion
+        self.score = score
 
 
-@dataclass
-class ScoreSheet:
-    rows: list[ScoreRow] = field(default_factory=list)
+class ScoreSheet(Slots):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[ScoreRow] | None = None):
+        self.rows = [] if rows is None else rows
 
     def add(self, item_id, system, rater_id, criterion, score) -> None:
         self.rows.append(ScoreRow(str(item_id), str(system), str(rater_id), criterion, int(score)))
@@ -320,8 +324,7 @@ def krippendorff_alpha(sheet: ScoreSheet, criterion: str | None = None) -> float
 # Reports
 
 
-@dataclass(frozen=True)
-class SystemMetrics:
+class _MetricFields(NamedTuple):
     bleu1: float
     bleu2: float
     embedding_f1: float
@@ -329,16 +332,23 @@ class SystemMetrics:
     scored: int
     blank: int
 
-    def __post_init__(self):
-        for name in ("bleu1", "bleu2", "embedding_f1", "novelty"):
-            value = getattr(self, name)
+
+class SystemMetrics(Checked, _MetricFields):
+    __slots__ = ()
+
+    def __new__(cls, bleu1, bleu2, embedding_f1, novelty, scored, blank):
+        for name, value in (("bleu1", bleu1), ("bleu2", bleu2), ("embedding_f1", embedding_f1),
+                            ("novelty", novelty)):
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        return tuple.__new__(cls, (bleu1, bleu2, embedding_f1, novelty, scored, blank))
 
 
-@dataclass
-class MetricReport:
-    systems: dict[str, SystemMetrics] = field(default_factory=dict)
+class MetricReport(Slots):
+    __slots__ = ("systems",)
+
+    def __init__(self, systems: dict[str, SystemMetrics] | None = None):
+        self.systems = {} if systems is None else systems
 
     def format_table(self) -> str:
         """BLEU and novelty scaled x100, embedding F1 raw, one system per row."""

@@ -14,14 +14,15 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .core import (
     COMPARATORS,
     DEFAULT_TRIGGERS,
+    Checked,
     LiteralSentence,
     SimileInstance,
+    Slots,
     TriggerConfig,
     is_comparator,
     parse_simile,
@@ -33,31 +34,38 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class RawComment:
+class _CommentFields(NamedTuple):
     id: str
     body: str
     subreddit: str = ""
     created_utc: int = 0
 
-    def __post_init__(self):
-        if not self.body:
+
+class RawComment(Checked, _CommentFields):
+    __slots__ = ()
+
+    def __new__(cls, id, body, subreddit="", created_utc=0):
+        if not body:
             raise ValueError("comment body must be non-empty")
+        return tuple.__new__(cls, (id, body, subreddit, created_utc))
 
 
-@dataclass
-class HarvestStats:
-    malformed: int = 0
-    duplicates: int = 0
-    rejected: int = 0
+class HarvestStats(Slots):
+    """Harvest's counts: malformed comment lines, duplicate similes, rejected literals."""
+
+    __slots__ = ("malformed", "duplicates", "rejected")
+
+    def __init__(self, malformed: int = 0, duplicates: int = 0, rejected: int = 0):
+        self.malformed = malformed
+        self.duplicates = duplicates
+        self.rejected = rejected
 
 
 class EmptyCorpus(ValueError):
     """split_corpus received no similes."""
 
 
-@dataclass(frozen=True)
-class CorpusSplit:
+class CorpusSplit(NamedTuple):
     train: list
     validation: list
 
@@ -214,7 +222,7 @@ def simile_record(rec) -> SimileInstance:
         inst = parse_simile(text)
         if inst is None:
             raise ValueError("text does not parse as a simile")
-        return replace(inst, source_id=rec.get("source_id", ""))
+        return inst._replace(source_id=rec.get("source_id", ""))
     prefix, vehicle = rec["prefix"], rec["vehicle"]
     inst = SimileInstance(text, prefix, text[len(prefix) : len(text) - len(vehicle)], vehicle,
                           rec.get("source_id", ""))

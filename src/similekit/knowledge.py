@@ -11,35 +11,43 @@ lookup, best_concept_for, needs the edge table; the remote adapter has none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .backends import BackendUnavailable, JsonSubprocessBackend
-from .core import fold, read_records
+from .backends import BackendUnavailable, JsonSubprocessBackend, reply_field
+from .core import Checked, fold, read_records
 
 
-@dataclass(frozen=True)
-class PropertyCandidate:
+class _CandidateFields(NamedTuple):
     text: str
     score: float
 
-    def __post_init__(self):
-        if not self.text:
+
+class PropertyCandidate(Checked, _CandidateFields):
+    __slots__ = ()
+
+    def __new__(cls, text, score):
+        if not text:
             raise ValueError("property text must be non-empty")
-        if not math.isfinite(self.score):
-            raise ValueError(f"property score must be finite, got {self.score}")
+        if not math.isfinite(score):
+            raise ValueError(f"property score must be finite, got {score}")
+        return tuple.__new__(cls, (text, score))
 
 
-@dataclass(frozen=True)
-class KnowledgeEdge:
+class _EdgeFields(NamedTuple):
     concept: str
     property: str
     weight: float
 
-    def __post_init__(self):
-        if not self.concept.strip() or not self.property.strip():
+
+class KnowledgeEdge(Checked, _EdgeFields):
+    __slots__ = ()
+
+    def __new__(cls, concept, property, weight):
+        if not concept.strip() or not property.strip():
             raise ValueError("empty concept or property")
-        if not 0 < self.weight < math.inf:
-            raise ValueError(f"edge weight must be positive and finite, got {self.weight}")
+        if not 0 < weight < math.inf:
+            raise ValueError(f"edge weight must be positive and finite, got {weight}")
+        return tuple.__new__(cls, (concept, property, weight))
 
 
 class EdgeTableBackend:
@@ -80,7 +88,8 @@ class RemoteKnowledgeBackend:
         def read(reply) -> list[PropertyCandidate]:
             if not isinstance(reply, list):
                 raise TypeError("reply is not a list")
-            cands = [PropertyCandidate(text=str(r["text"]), score=float(r["score"])) for r in reply]
+            cands = [PropertyCandidate(reply_field(row, "text", str),
+                                       reply_field(row, "score", float)) for row in reply]
             cands.sort(key=lambda c: (-c.score, c.text))
             return cands[:k]
 

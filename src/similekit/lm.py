@@ -29,11 +29,12 @@ import math
 import os
 import random
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
-from .backends import BackendUnavailable, JsonSubprocessBackend
+from .backends import BackendUnavailable, JsonSubprocessBackend, reply_field
 from .core import (
     EOS_TOKEN,
+    Checked,
     append_token,
     common_prefix_len,
     derive_seed,
@@ -52,37 +53,44 @@ class EmptyTrainingSet(ValueError):
     """fine_tune needs at least one (source, target) pair."""
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
+class _GenerationFields(NamedTuple):
     max_new_tokens: int
     seed: int
     top_k: int = 5
     temperature: float = 0.7
     forced_prefix: str | None = None
 
-    def __post_init__(self):
+
+class GenerationConfig(Checked, _GenerationFields):
+    __slots__ = ()
+
+    def __new__(cls, max_new_tokens, seed, top_k=5, temperature=0.7, forced_prefix=None):
         refused = [reason for bad, reason in (  # every refused field, in one ValueError
-            (self.max_new_tokens < 1, "max_new_tokens must be >= 1"),
-            (self.top_k < 1, "top_k must be >= 1"),
-            (not 0 < self.temperature < math.inf, "temperature must be finite and > 0"),  # NaN too
+            (max_new_tokens < 1, "max_new_tokens must be >= 1"),
+            (top_k < 1, "top_k must be >= 1"),
+            (not 0 < temperature < math.inf, "temperature must be finite and > 0"),  # NaN too
         ) if bad]
         if refused:
             raise ValueError("; ".join(refused))
+        return tuple.__new__(cls, (max_new_tokens, seed, top_k, temperature, forced_prefix))
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class _TrainFields(NamedTuple):
     seed: int
     epochs: int = 17
     batch_token_budget: int = 1024
 
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_token_budget < 1:
+
+class TrainConfig(Checked, _TrainFields):
+    __slots__ = ()
+
+    def __new__(cls, seed, epochs=17, batch_token_budget=1024):
+        if epochs < 1 or batch_token_budget < 1:
             raise ValueError("epochs and batch_token_budget must be positive")
+        return tuple.__new__(cls, (seed, epochs, batch_token_budget))
 
 
-@dataclass(frozen=True)
-class GenerationOutput:
+class GenerationOutput(NamedTuple):
     """Decoded text; truncated marks max_new_tokens running out before EOS."""
 
     text: str
@@ -472,7 +480,7 @@ class TemplateNgramModel:
         # Mode of the per-pair drop counts; ties go to the smaller count.
         best = max(counts.drops.items(), key=lambda kv: (kv[1], -kv[0]))[0]
         return cls(best, counts.cue_suffixes, counts.global_suffixes, counts.bigram,
-                   counts.unigram, train_config=asdict(cfg))
+                   counts.unigram, train_config=cfg._asdict())
 
     def copy_region(self, src_tokens: list[str]) -> list[str]:
         """Source tokens minus trailing punctuation and drop_words final words."""
@@ -558,6 +566,20 @@ def _read_json_object(path: str, keys) -> dict:
 # Remote adapters (JSON-over-subprocess; see backends module)
 
 
+def _reply_perplexity(reply) -> float:
+    """A reply's perplexity: a number, not a bool, finite and > 0."""
+    value = reply_field(reply, "perplexity", float)
+    if not 0 < value < math.inf:  # NaN too
+        raise ValueError(f"perplexity must be finite and > 0, got {value!r}")
+    return value
+
+
+def _reply_output(reply) -> GenerationOutput:
+    """A generate reply: `text` a string and `truncated`, False when absent, a bool."""
+    text = reply_field(reply, "text", str)
+    return GenerationOutput(text, "truncated" in reply and reply_field(reply, "truncated", bool))
+
+
 class RemoteScorer:
     """Scorer adapter: {op: "perplexity", text} -> {perplexity}, one request per text."""
 
@@ -567,7 +589,7 @@ class RemoteScorer:
     def perplexities(self, texts: list[str]) -> list[float]:
         """The requests of a batch run side by side; see JsonSubprocessBackend.call_many."""
         return self.backend.call_many([{"op": "perplexity", "text": text} for text in texts],
-                                      lambda reply: float(reply["perplexity"]))
+                                      _reply_perplexity)
 
     def perplexity(self, text: str) -> float:
         return self.perplexities([text])[0]
@@ -583,9 +605,8 @@ class RemoteModel:
     def generate_text(self, source: str, cfg: GenerationConfig) -> GenerationOutput:
         return self.backend.call(
             {"op": "generate", "model_id": self.model_id, "source": source,
-             "config": asdict(cfg)},
-            lambda reply: GenerationOutput(text=str(reply["text"]),
-                                           truncated=bool(reply.get("truncated", False))),
+             "config": cfg._asdict()},
+            _reply_output,
         )
 
 
@@ -598,6 +619,6 @@ class RemoteSeq2SeqBackend:
     def fine_tune(self, pairs, cfg: TrainConfig) -> RemoteModel:
         """Send every (source, target) pair of the iterable in one request."""
         return self.backend.call(
-            {"op": "fine_tune", "pairs": [list(p) for p in pairs], "config": asdict(cfg)},
-            lambda reply: RemoteModel(self.backend.command, str(reply["model_id"])),
+            {"op": "fine_tune", "pairs": [list(p) for p in pairs], "config": cfg._asdict()},
+            lambda reply: RemoteModel(self.backend.command, reply_field(reply, "model_id", str)),
         )

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
+    Checked,
     NotModifierFinal,
     read_records,
     split_sentences,
@@ -24,17 +25,21 @@ from .core import (
 from .lm import GenerationConfig, generate
 
 
-@dataclass(frozen=True)
-class Story:
+class _StoryFields(NamedTuple):
     title: str
     storyline: tuple[str, ...]
     sentences: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.sentences:
+
+class Story(Checked, _StoryFields):
+    """A story; storyline and sentences are kept as tuples, whatever sequence they came as."""
+
+    __slots__ = ()
+
+    def __new__(cls, title, storyline, sentences):
+        if not sentences:
             raise ValueError("a story needs at least one sentence")
-        object.__setattr__(self, "storyline", tuple(self.storyline))
-        object.__setattr__(self, "sentences", tuple(self.sentences))
+        return tuple.__new__(cls, (title, tuple(storyline), tuple(sentences)))
 
 
 class EmbellishWarning(UserWarning):

@@ -12,8 +12,6 @@ meta_m: like scope but trained and queried with the terminal modifier replaced
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .core import NotModifierFinal, drop_dangling_comma, strip_terminal_modifier, write_jsonl
 from .knowledge import vehicle_for_property
 from .lm import EmptyTrainingSet, GenerationConfig, TrainConfig, _pair_texts, fine_tune, generate
@@ -37,7 +35,7 @@ def baseline_prefix_forced(literal: str, model, cfg: GenerationConfig, tagger) -
     """Strip the terminal modifier, then force the decoder to continue 'like a'."""
     stripped = strip_terminal_modifier(literal, tagger)
     prefix = drop_dangling_comma(stripped.prefix) + " like a"
-    return generate(literal, replace(cfg, forced_prefix=prefix), model).text
+    return generate(literal, cfg._replace(forced_prefix=prefix), model).text
 
 
 def baseline_retrieval(

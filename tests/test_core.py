@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import json
 import sys
 
 import pytest
@@ -437,7 +438,7 @@ class TestAtomicWrites:
     WRITERS = {
         "jsonl": lambda path: write_jsonl(records_then_crash(), path),
         "lines": lambda path: write_lines((f"{rec['i']}\n" for rec in records_then_crash()), path),
-        # json.dump writes the document in pieces, so the bad value comes after the first.
+        # The bad value comes after the first key, whether it fails while writing or before.
         "json": lambda path: write_json({"a": 1, "b": object()}, path),
     }
 
@@ -462,6 +463,32 @@ class TestAtomicWrites:
         write_jsonl([{"b": "é", "a": 1}], path)
         assert path.read_bytes() == '{"a": 1, "b": "é"}\n'.encode("utf-8")
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+class TestWriteJson:
+    """write_json writes the bytes json.dump(obj, fh, indent=..., sort_keys=True) + "\n" wrote."""
+
+    MODEL_STATE = {
+        "drop_words": 1,
+        "cue_suffixes": {"calme": {"roche </s>": 3}, "früh": {"a ß . </s>": 1}, "": {}},
+        "bigram": {"<s>": {"Über": 2, "the": 5}, "日本": {"</s>": 1}},
+        "floats": [0.1, 1e-300, 2.5e300, -0.0, 1 / 3, 123456789.125],
+        "nested": [[], {}, [None, True, False, "tab\there", "quote\"", "\u2028"]],
+    }
+    MANIFEST = {"type": "template-ngram", "version": 1,
+                "train_config": {"seed": 7, "epochs": 17, "batch_token_budget": 1024},
+                "inputs": {"in/é.jsonl": "ab" * 32}, "outputs": ["out/a", "out/b"]}
+
+    @pytest.mark.parametrize("obj, indent", [(MODEL_STATE, None), (MANIFEST, 2)],
+                             ids=["model-state", "manifest"])
+    def test_bytes_equal_json_dump(self, tmp_path, obj, indent):
+        path, oracle = tmp_path / "written.json", tmp_path / "oracle.json"
+        write_json(obj, path, indent=indent)
+        with open(oracle, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=indent, sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == oracle.read_bytes()
+        assert json.loads(path.read_text(encoding="utf-8")) == obj
 
 
 class TestTagging:

@@ -4,7 +4,6 @@ import csv
 import json
 import math
 import random
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -509,7 +508,7 @@ class TestReports:
             {"scope": SystemMetrics(0.5, 0.25, 0.75, 0.9, scored=10, blank=1)}
         )
         # The CLI's --report serializes a report this way.
-        payload = json.loads(json.dumps(asdict(report)["systems"]))
+        payload = json.loads(json.dumps({name: m._asdict() for name, m in report.systems.items()}))
         assert payload["scope"]["bleu1"] == 0.5
         assert payload["scope"]["blank"] == 1
 

@@ -2,7 +2,6 @@
 
 import json
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from fractions import Fraction
 
@@ -57,7 +56,7 @@ def oracle_harvest_similes(comments, cfg=DEFAULT_TRIGGERS, stats=None):
                     stats.duplicates += 1
                 continue
             seen.add(key)
-            out.append(replace(inst, source_id=comment.id))
+            out.append(inst._replace(source_id=comment.id))
     return out
 
 
@@ -353,8 +352,8 @@ class TestFileFormats:
     def test_similes_read_back_with_stored_split(self, tmp_path):
         inst = parse_simile("The pie was like an oven.", TriggerConfig(COMPARATORS))
         path = tmp_path / "similes.jsonl"
-        write_similes_jsonl([replace(inst, source_id="7")], path)
-        assert read_similes_jsonl(path) == [replace(inst, source_id="7")]
+        write_similes_jsonl([inst._replace(source_id="7")], path)
+        assert read_similes_jsonl(path) == [inst._replace(source_id="7")]
 
     def test_text_only_record_parsed_with_default_triggers(self, tmp_path):
         path = tmp_path / "similes.jsonl"

@@ -7,6 +7,9 @@ PROBES, loaded read-only by path as tests/test_trace_targets.py does): the
 tracer patches them there, so the module must bind them.  The command line
 binds its library names from a table (`cli._NAMES`) when a command runs; the
 same rule holds for that table.
+
+Modules that a process loads only to run the code that uses them (LOADED_ON_USE)
+are imported inside that code: an import of one outside every function fails.
 """
 
 import ast
@@ -19,6 +22,7 @@ from test_trace_targets import PROBES
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "similekit"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+LOADED_ON_USE = {"configparser", "dataclasses", "hashlib", "selectors", "subprocess"}
 
 
 def probed_names(module: str) -> set[str]:
@@ -64,3 +68,41 @@ def test_cli_name_table_is_bound_and_used():
         missing += [f"{module}.{name}" for name in names if not hasattr(found, name)]
         unused += [name for name in names if name not in used | probed_names("cli")]
     assert (missing, unused) == ([], [])
+
+
+def eager_imports(source: str) -> list[str]:
+    """'<module> at line <n>' for each import of a LOADED_ON_USE module outside every function."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            found.extend(f"{name} at line {child.lineno}" for name in names
+                         if name.partition(".")[0] in LOADED_ON_USE)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_level_import_of_a_module_loaded_on_use(name):
+    found = eager_imports((PACKAGE / name).read_text(encoding="utf-8"))
+    assert not found, f"src/similekit/{name} imports at module level: {', '.join(found)}"
+
+
+def test_the_check_sees_a_module_level_import():
+    source = ("import os, subprocess\n"
+              "from dataclasses import dataclass\n"
+              "try:\n    import configparser\nexcept ImportError:\n    pass\n"
+              "class C:\n    import selectors\n"
+              "def f():\n    import hashlib\n")
+    assert eager_imports(source) == ["subprocess at line 1", "dataclasses at line 2",
+                                     "configparser at line 4", "selectors at line 8"]

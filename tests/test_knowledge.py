@@ -237,7 +237,14 @@ class TestRemoteBackend:
         [{"text": "red", "score": "nan"}],
         {},
         {"text": "red", "score": 1.0},
-    ], ids=["missing-score", "nan-score", "empty-object", "object"])
+        [{"text": None, "score": 1.0}],
+        [{"text": 7, "score": 1.0}],
+        [{"text": "red", "score": True}],
+        [{"text": "red", "score": "1.0"}],
+        [{"text": "red", "score": None}],
+        [{"text": "red", "score": 10 ** 400}],
+    ], ids=["missing-score", "nan-score", "empty-object", "object", "null-text", "int-text",
+            "bool-score", "string-score", "null-score", "huge-int-score"])
     def test_bad_reply_raises(self, tmp_path, reply):
         cmd = write_reply_script(tmp_path, f"import json\nprint(json.dumps({reply!r}))\n")
         with pytest.raises(BackendUnavailable, match="bad reply"):

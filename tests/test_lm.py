@@ -753,3 +753,65 @@ class TestRemoteAdapters:
                 RemoteModel(command, "m1").generate_text("hello", cfg())
             else:
                 RemoteScorer(command).perplexity("hello")
+
+
+def reply_command(tmp_path, reply: str):
+    """A stdlib worker that reads its request and prints `reply`, whatever was asked."""
+    return write_lm_script(tmp_path, f"import sys\nsys.stdin.read()\nprint({reply!r})\n")
+
+
+class TestRemoteReplyTypes:
+    """A reply value its field's type rejects is BackendUnavailable, not a converted value."""
+
+    @pytest.mark.parametrize("reply", [
+        '{"text": null, "truncated": "no"}',
+        '{"text": null}',
+        '{"text": 7, "truncated": false}',
+        '{"text": ["a"], "truncated": false}',
+        '{"text": "hello ok", "truncated": "no"}',
+        '{"text": "hello ok", "truncated": 1}',
+        '{"text": "hello ok", "truncated": null}',
+    ])
+    def test_generate_refuses(self, tmp_path, reply):
+        model = RemoteModel(reply_command(tmp_path, reply), "m1")
+        with pytest.raises(BackendUnavailable, match="bad reply"):
+            model.generate_text("hello", cfg())
+
+    @pytest.mark.parametrize("reply, expected", [
+        ('{"text": "hello ok", "truncated": true}', GenerationOutput("hello ok", True)),
+        ('{"text": "hello ok"}', GenerationOutput("hello ok", False)),
+    ])
+    def test_generate_accepts(self, tmp_path, reply, expected):
+        assert RemoteModel(reply_command(tmp_path, reply), "m1").generate_text(
+            "hello", cfg()) == expected
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "0", "-2.5", "true",
+                                       "false", "null", '"3.5"', "[3.5]", "1e400",
+                                       "1" + "0" * 400])
+    def test_perplexity_refuses(self, tmp_path, value):
+        scorer = RemoteScorer(reply_command(tmp_path, f'{{"perplexity": {value}}}'))
+        with pytest.raises(BackendUnavailable, match="bad reply"):
+            perplexities(["a", "b"], scorer)
+
+    @pytest.mark.parametrize("value, expected", [("3", 3.0), ("2.5", 2.5), ("1e-300", 1e-300)])
+    def test_perplexity_accepts(self, tmp_path, value, expected):
+        scorer = RemoteScorer(reply_command(tmp_path, f'{{"perplexity": {value}}}'))
+        assert perplexities(["a"], scorer) == [expected]
+        assert type(perplexities(["a"], scorer)[0]) is float
+
+    def test_nan_perplexity_never_wins_a_candidate(self, tmp_path):
+        """select_best_literal would take a NaN perplexity as the best; the build stops instead."""
+        from similekit.core import parse_simile
+        from similekit.corpus import select_best_literal
+        from similekit.knowledge import PropertyCandidate
+
+        scorer = RemoteScorer(reply_command(tmp_path, '{"perplexity": NaN}'))
+        simile = parse_simile("It ran like a deer.")
+        with pytest.raises(BackendUnavailable):
+            select_best_literal(simile, [PropertyCandidate("fast", 1.0)], scorer)
+
+    @pytest.mark.parametrize("value", ["7", "null", "true", '["m1"]'])
+    def test_model_id_refuses(self, tmp_path, value):
+        backend = RemoteSeq2SeqBackend(reply_command(tmp_path, f'{{"model_id": {value}}}'))
+        with pytest.raises(BackendUnavailable, match="bad reply"):
+            backend.fine_tune([("a", "b")], TrainConfig(seed=0))

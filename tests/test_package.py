@@ -38,14 +38,32 @@ def test_a_name_loads_its_module():
         "similekit", "similekit.backends", "similekit.core", "similekit.lm"]
 
 
-def test_a_scoresheet_run_loads_only_evaluation(tmp_path):
-    """The command line imports only the modules a command runs: here no model or backend."""
+def scoresheet_run(tmp_path) -> str:
+    """A statement that runs `evaluate --scoresheet` with a pairwise comparison and a report."""
     sheet = tmp_path / "scores.csv"
     sheet.write_text("item_id,system,rater_id,criterion,score\ni0,A,r0,OQ,4\ni0,B,r0,OQ,2\n",
                      encoding="utf-8")
-    run = ("from similekit.cli import main\n"
-           f"assert main(['evaluate', '--scoresheet', {str(sheet)!r}, '--pairwise', 'A,B', "
-           "'--criterion', 'OQ']) == 0")
+    report = tmp_path / "report.json"
+    return ("from similekit.cli import main\n"
+            f"assert main(['evaluate', '--scoresheet', {str(sheet)!r}, '--pairwise', 'A,B', "
+            f"'--criterion', 'OQ', '--report', {str(report)!r}]) == 0")
+
+
+def evaluate_generated_run(tmp_path) -> str:
+    """A statement that runs `evaluate --generated` on one batch file."""
+    batch, refs = tmp_path / "scope.jsonl", tmp_path / "refs.jsonl"
+    batch.write_text('{"literal": "He ran fast.", "output": "He ran like a deer.", '
+                     '"seed": 1, "system": "scope"}\n', encoding="utf-8")
+    refs.write_text('{"literal": "He ran fast.", "references": ["He ran like a hare."]}\n',
+                    encoding="utf-8")
+    return ("from similekit.cli import main\n"
+            f"assert main(['evaluate', '--generated', {str(batch)!r}, '--refs', {str(refs)!r}]) "
+            "== 0")
+
+
+def test_a_scoresheet_run_loads_only_evaluation(tmp_path):
+    """The command line imports only the modules a command runs: here no model or backend."""
+    run = scoresheet_run(tmp_path)
     assert loaded_after(run) == [
         "similekit", "similekit.cli", "similekit.core", "similekit.evaluation"]
     assert loaded_after(run, prefix="subprocess") == []
@@ -53,18 +71,36 @@ def test_a_scoresheet_run_loads_only_evaluation(tmp_path):
 
 def test_an_evaluate_generated_run_loads_no_model_or_backend(tmp_path):
     """Scoring batch files needs the batch and refs readers, not the generators."""
-    batch, refs = tmp_path / "scope.jsonl", tmp_path / "refs.jsonl"
-    batch.write_text('{"literal": "He ran fast.", "output": "He ran like a deer.", '
-                     '"seed": 1, "system": "scope"}\n', encoding="utf-8")
-    refs.write_text('{"literal": "He ran fast.", "references": ["He ran like a hare."]}\n',
-                    encoding="utf-8")
-    run = ("from similekit.cli import main\n"
-           f"assert main(['evaluate', '--generated', {str(batch)!r}, '--refs', {str(refs)!r}]) "
-           "== 0")
+    run = evaluate_generated_run(tmp_path)
     loaded = loaded_after(run)
     assert not {"similekit.systems", "similekit.lm", "similekit.knowledge",
                 "similekit.backends"} & set(loaded)
     assert loaded_after(run, prefix="subprocess") == []
+
+
+# Modules that similekit imports only in the code that uses them.
+LOADED_ON_USE = {"dataclasses", "inspect", "subprocess", "selectors", "hashlib", "configparser"}
+
+
+def test_a_worker_request_loads_nothing_it_does_not_run():
+    """A remote worker imports knowledge and lm for every request it answers."""
+    loaded = set(loaded_after("import similekit.knowledge, similekit.lm", prefix=""))
+    assert LOADED_ON_USE & loaded == set()
+
+
+@pytest.mark.parametrize("run", [scoresheet_run, evaluate_generated_run],
+                         ids=["scoresheet", "evaluate-generated"])
+def test_an_evaluate_run_loads_no_dataclasses_or_configparser(tmp_path, run):
+    loaded = set(loaded_after(run(tmp_path), prefix=""))
+    assert {"dataclasses", "inspect", "configparser"} & loaded == set()
+
+
+def test_a_config_file_is_read_with_configparser(tmp_path):
+    """configparser is loaded by the run given --config, and the section is still read."""
+    config = tmp_path / "run.ini"
+    config.write_text("[evaluate]\ncriterion = OQ\n", encoding="utf-8")
+    run = scoresheet_run(tmp_path).replace("'--criterion', 'OQ'", f"'--config', {str(config)!r}")
+    assert "configparser" in loaded_after(run, prefix="configparser")
 
 
 def test_build_corpus_and_train_load_no_pool(tmp_path):
