@@ -61,7 +61,6 @@ _EXPORTS = {
         "GenerationOutput",
         "RemoteModel",
         "RemoteScorer",
-        "RemoteSeq2SeqBackend",
         "TemplateNgramModel",
         "TrainConfig",
         "fine_tune",
@@ -75,7 +74,6 @@ _EXPORTS = {
         "baseline_prefix_forced",
         "baseline_retrieval",
         "scope_generate",
-        "train_metaphor_mask",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

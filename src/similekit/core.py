@@ -556,6 +556,13 @@ def text_of(record) -> str:
     return text
 
 
+def strings(name: str, items):
+    """items, a list or tuple of strings; anything else is a TypeError naming field `name`."""
+    if not isinstance(items, (list, tuple)) or not all(isinstance(s, str) for s in items):
+        raise TypeError(f"'{name}' must be a list of strings")
+    return items
+
+
 def write_json(obj, path, indent=2) -> None:
     """The bytes json.dump writes, encoded in one json.dumps call: with indent=None
     that runs the C encoder, which json.dump, encoding in chunks, never does."""

@@ -230,10 +230,6 @@ def write_pair_files(texts, tsv_path, audit_path=None) -> None:
                 audit.write(audit_text)
 
 
-def read_pairs_tsv(path) -> list[tuple[str, str]]:
-    return list(read_records(path, lambda source, target: (source, target), fields=2))
-
-
 def _pair_record(rec) -> ParallelPair:
     return ParallelPair(source=rec["source"], target=rec["target"],
                         property_used=rec["property_used"], vehicle=rec["vehicle"],

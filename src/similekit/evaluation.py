@@ -24,11 +24,11 @@ from .core import (
     NotModifierFinal,
     ParseError,
     Slots,
-    atomic_open,
     extract_generated_vehicle,
     is_word,
     read_records,
     rstrip_punct,
+    strings,
     strip_terminal_modifier,
     tokenize,
     utf8_lines,
@@ -227,13 +227,6 @@ class ScoreSheet(Slots):
 
     def add(self, item_id, system, rater_id, criterion, score) -> None:
         self.rows.append(ScoreRow(str(item_id), str(system), str(rater_id), criterion, int(score)))
-
-    def save_csv(self, path) -> None:
-        with atomic_open(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["item_id", "system", "rater_id", "criterion", "score"])
-            for r in self.rows:
-                writer.writerow([r.item_id, r.system, r.rater_id, r.criterion, r.score])
 
     @classmethod
     def load_csv(cls, path) -> "ScoreSheet":
@@ -439,7 +432,7 @@ def read_refs_jsonl(path) -> dict[str, list[str]]:
         if literal in seen:
             raise ValueError(f"repeated literal {literal!r}")
         seen.add(literal)
-        return literal, [str(r) for r in rec["references"]]
+        return literal, strings("references", rec["references"])
 
     return dict(read_records(path, row))
 
@@ -448,6 +441,8 @@ def _batch_record(rec) -> dict:
     row = dict(rec)
     if "literal" not in row:
         raise KeyError("literal")
+    if not isinstance(row.get("output", ""), str):
+        raise TypeError(f"'output' is {type(row['output']).__name__}, not a string")
     return row
 
 

@@ -72,9 +72,14 @@ class CorpusSplit(NamedTuple):
 
 def _comment_record(rec) -> RawComment:
     created = rec.get("created_utc", 0)  # a record that is not an object has no .get
+    comment_id, body = rec["id"], rec["body"]
+    if not isinstance(body, str):
+        raise TypeError(f"'body' is {type(body).__name__}, not a string")
+    if isinstance(comment_id, bool) or not isinstance(comment_id, (str, int)):
+        raise TypeError(f"'id' is {type(comment_id).__name__}, not a string or an integer")
     return RawComment(
-        id=str(rec["id"]),
-        body=str(rec["body"]),
+        id=str(comment_id),
+        body=body,
         subreddit=str(rec.get("subreddit", "")),
         # "1600000000.0" reads like the JSON number 1600000000.0.
         created_utc=int(float(created) if isinstance(created, str) else created),

@@ -4,18 +4,18 @@ Three capabilities, each behind a small protocol so neural backends can attach
 out of process, plus deterministic in-process reference implementations:
 
 * scorer: `perplexities(texts) -> [ppl, ...]`, one call for a batch such as
-  the literal candidates of one simile.  A scorer with only
-  `perplexity(text)` or `token_logprobs(tokens) -> [logp, ...]` is called
-  once per text instead; one with `token_perplexities(token_lists)` is also
-  handed the tokens a caller already has.  Reference: interpolated
-  word-bigram model with add-alpha smoothing.
+  the literal candidates of one simile; one with
+  `token_perplexities(token_lists)` is handed the tokens a caller already
+  has instead.  Reference: interpolated word-bigram model with add-alpha
+  smoothing.
 * seq2seq model: `next_token_distribution(src_tokens, out_tokens) -> [(token,
   prob), ...]`, ranked by falling probability, ties by token; decoding
   samples from the first top_k.  Reference: a template n-gram model that
   learns how many terminal words a source drops and what suffixes replace
   them, conditioned on the dropped cue word.
-* trainer backend: `fine_tune(pairs, cfg) -> model`, where pairs is an
-  iterator of (source, target) tuples, read once.
+* trainer: `TemplateNgramModel.train(pairs, cfg)` counts (source, target)
+  pairs into a model, reading each once; `fine_tune(pairs, cfg, backend)`
+  hands them to any `backend.fine_tune(pairs, cfg)`.
 
 Decoding is seeded per call from (seed, source, forced_prefix) so batch order
 and process boundaries never change an output.
@@ -106,24 +106,17 @@ def perplexities(texts, scorer, tokens=None) -> list[float]:
     per token; lower = more fluent.
 
     EmptyText is raised before anything is scored if a text has no tokens
-    (tokenize finds a token at every character that is not whitespace).  A
-    scorer with `perplexities` scores the batch in one call; one with only
-    `perplexity` or `token_logprobs` is called once per text.  `tokens`, when
+    (tokenize finds a token at every character that is not whitespace).  The
+    scorer's `perplexities` scores the batch in one call.  `tokens`, when
     given, holds tokenize(text) for each text: a scorer with
-    `token_perplexities`, or with only `token_logprobs`, is handed them
-    instead of tokenizing each text again.
+    `token_perplexities` is handed them instead of tokenizing each text again.
     """
     texts = list(texts)
     if any(not text or text.isspace() for text in texts):
         raise EmptyText("cannot score an empty text")
     if tokens is not None and hasattr(scorer, "token_perplexities"):
         return scorer.token_perplexities(tokens)
-    if hasattr(scorer, "perplexities"):
-        return [float(ppl) for ppl in scorer.perplexities(texts)]
-    if hasattr(scorer, "perplexity"):
-        return [float(scorer.perplexity(text)) for text in texts]
-    return [_perplexity_of(scorer.token_logprobs(toks))
-            for toks in (map(tokenize, texts) if tokens is None else tokens)]
+    return [float(ppl) for ppl in scorer.perplexities(texts)]
 
 
 def perplexity(text: str, scorer) -> float:
@@ -207,9 +200,6 @@ class BigramScorer:
             logps = self._logprobs(tokens, before, logps)
             out.append(_perplexity_of(logps))
         return out
-
-    def token_logprobs(self, tokens: list[str]) -> list[float]:
-        return self._logprobs(tokens, [], [])
 
     def _logprobs(self, tokens: list[str], before: list[str],
                   before_logps: list[float]) -> list[float]:
@@ -318,13 +308,6 @@ def fine_tune(pairs, cfg: TrainConfig, backend):
     if first is None:
         raise EmptyTrainingSet("no training pairs")
     return backend.fine_tune(itertools.chain((first,), texts), cfg)
-
-
-class ReferenceSeq2SeqBackend:
-    """In-process trainer producing TemplateNgramModel instances."""
-
-    def fine_tune(self, pairs, cfg: TrainConfig):
-        return TemplateNgramModel.train(pairs, cfg)
 
 
 def _last_word(tokens: list[str]) -> str:
@@ -591,9 +574,6 @@ class RemoteScorer:
         return self.backend.call_many([{"op": "perplexity", "text": text} for text in texts],
                                       _reply_perplexity)
 
-    def perplexity(self, text: str) -> float:
-        return self.perplexities([text])[0]
-
 
 class RemoteModel:
     """Generator adapter: {op: "generate", model_id, source, config} -> {text, truncated}."""
@@ -607,18 +587,4 @@ class RemoteModel:
             {"op": "generate", "model_id": self.model_id, "source": source,
              "config": cfg._asdict()},
             _reply_output,
-        )
-
-
-class RemoteSeq2SeqBackend:
-    """Trainer adapter: {op: "fine_tune", pairs, config} -> {model_id}."""
-
-    def __init__(self, command: list[str]):
-        self.backend = JsonSubprocessBackend(command)
-
-    def fine_tune(self, pairs, cfg: TrainConfig) -> RemoteModel:
-        """Send every (source, target) pair of the iterable in one request."""
-        return self.backend.call(
-            {"op": "fine_tune", "pairs": [list(p) for p in pairs], "config": cfg._asdict()},
-            lambda reply: RemoteModel(self.backend.command, reply_field(reply, "model_id", str)),
         )

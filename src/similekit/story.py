@@ -19,8 +19,8 @@ from .core import (
     NotModifierFinal,
     read_records,
     split_sentences,
+    strings,
     strip_terminal_modifier,
-    write_jsonl,
 )
 from .lm import GenerationConfig, generate
 
@@ -32,14 +32,15 @@ class _StoryFields(NamedTuple):
 
 
 class Story(Checked, _StoryFields):
-    """A story; storyline and sentences are kept as tuples, whatever sequence they came as."""
+    """A story; storyline and sentences are lists or tuples of strings, kept as tuples."""
 
     __slots__ = ()
 
     def __new__(cls, title, storyline, sentences):
         if not sentences:
             raise ValueError("a story needs at least one sentence")
-        return tuple.__new__(cls, (title, tuple(storyline), tuple(sentences)))
+        return tuple.__new__(cls, (title, tuple(strings("storyline", storyline)),
+                                   tuple(strings("sentences", sentences))))
 
 
 class EmbellishWarning(UserWarning):
@@ -100,11 +101,6 @@ def generate_story(title: str, storyline_model, story_model, cfg: GenerationConf
 
 # ---------------------------------------------------------------------------
 # File formats
-
-
-def write_stories_jsonl(stories: list[Story], path) -> None:
-    write_jsonl(({"title": story.title, "storyline": list(story.storyline),
-                  "sentences": list(story.sentences)} for story in stories), path)
 
 
 def read_stories_jsonl(path) -> list[Story]:

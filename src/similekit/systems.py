@@ -14,7 +14,11 @@ from __future__ import annotations
 
 from .core import NotModifierFinal, drop_dangling_comma, strip_terminal_modifier, write_jsonl
 from .knowledge import vehicle_for_property
-from .lm import EmptyTrainingSet, GenerationConfig, TrainConfig, _pair_texts, fine_tune, generate
+from .lm import GenerationConfig, generate
+
+# Bound for perfbench/tracer.py, which probes similekit.systems:fine_tune;
+# masked training counts through lm.TemplateCounts (cli.cmd_train).
+from .lm import fine_tune
 
 MASK_TOKEN = "<MASK>"
 
@@ -75,31 +79,17 @@ NOTHING_MASKED = "no sources survive terminal-modifier masking"
 
 
 def masked_pairs(pairs, tagger, stats: dict):
-    """Yield (masked source, target) for each pair whose source can be masked.
+    """Yield (masked source, target) for each (source, target) pair whose source can be masked.
 
     Pairs are read as they are taken; stats["skipped"] is incremented for each other pair.
     """
-    for source, target in map(_pair_texts, pairs):
+    for source, target in pairs:
         try:
             masked = mask_terminal_modifier(source, tagger)
         except NotModifierFinal:
             stats["skipped"] += 1
             continue
         yield masked, target
-
-
-def train_metaphor_mask(pairs, cfg: TrainConfig, backend, tagger, stats: dict | None = None):
-    """Fine-tune on (masked source, simile target); unstrippable sources are skipped.
-
-    Each source is masked as the trainer reads it, so a stream of pairs is
-    never held as a list; stats["skipped"] is the count once training is done.
-    """
-    counts = {} if stats is None else stats
-    counts["skipped"] = 0
-    try:
-        return fine_tune(masked_pairs(pairs, tagger, counts), cfg, backend)
-    except EmptyTrainingSet:
-        raise EmptyTrainingSet(NOTHING_MASKED) from None
 
 
 def baseline_metaphor_mask(literal: str, model, cfg: GenerationConfig, tagger) -> str:

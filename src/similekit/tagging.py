@@ -8,9 +8,6 @@ The default tagger is a lexicon plus suffix heuristics, dependency-free.
 
 from __future__ import annotations
 
-import re
-
-
 _ADJECTIVES = {
     "afraid", "ancient", "angry", "bad", "beautiful", "big", "bitter", "black",
     "blue", "bold", "bored", "brave", "bright", "broken", "busy", "calm", "careful",
@@ -75,19 +72,6 @@ class LexiconTagger:
             if low.endswith(suf) and len(low) > len(suf) + 2:
                 return "ADJ"
         return "X"
-
-
-class DictTagger:
-    """Exact-mapping tagger for tests and hand-curated vocabularies."""
-
-    def __init__(self, mapping: dict[str, str], default: str = "NOUN"):
-        self.mapping = {k.lower(): v for k, v in mapping.items()}
-        self.default = default
-
-    def tag(self, token: str) -> str:
-        if not re.search(r"\w", token):
-            return "PUNCT"
-        return self.mapping.get(token.lower(), self.default)
 
 
 DEFAULT_TAGGER = LexiconTagger()

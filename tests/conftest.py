@@ -15,7 +15,7 @@ import pytest
 
 from similekit.core import parse_simile
 from similekit.knowledge import EdgeTableBackend, KnowledgeEdge
-from similekit.lm import BigramScorer, ReferenceSeq2SeqBackend, TrainConfig, fine_tune
+from similekit.lm import BigramScorer, TemplateNgramModel, TrainConfig
 
 
 TABLE2 = [
@@ -49,8 +49,8 @@ class PreferenceScorer:
     def __init__(self, preferred: set[str]):
         self.preferred = set(preferred)
 
-    def perplexity(self, text: str) -> float:
-        return 1.0 if text in self.preferred else 100.0
+    def perplexities(self, texts: list[str]) -> list[float]:
+        return [1.0 if text in self.preferred else 100.0 for text in texts]
 
 
 def fix_relax(text: str) -> str:
@@ -161,11 +161,12 @@ def toy_pairs(toy_world):
 
 @pytest.fixture(scope="session")
 def toy_model(toy_pairs):
-    return fine_tune(toy_pairs, TrainConfig(seed=11), ReferenceSeq2SeqBackend())
+    return TemplateNgramModel.train([(p.source, p.target) for p in toy_pairs],
+                                    TrainConfig(seed=11))
 
 
 @pytest.fixture(scope="session")
 def pretrained_model(toy_world):
     """Stand-in for a generic pretrained LM: trained to reproduce similes."""
     pairs = [(t, t) for t in toy_world["simile_texts"]]
-    return fine_tune(pairs, TrainConfig(seed=5), ReferenceSeq2SeqBackend())
+    return TemplateNgramModel.train(pairs, TrainConfig(seed=5))

@@ -20,7 +20,7 @@ from similekit.cli import (
     _parse_triggers,
     main,
 )
-from similekit.core import parse_simile, read_lines
+from similekit.core import parse_simile, read_lines, write_jsonl
 from similekit.corpus import build_parallel_corpus, write_pairs_audit_jsonl, write_pairs_tsv
 from similekit.evaluation import ScoreSheet
 from similekit.harvest import (
@@ -33,7 +33,9 @@ from similekit.harvest import (
 )
 from similekit.knowledge import load_edge_table
 from similekit.lm import BigramScorer, TemplateNgramModel, TrainConfig, UniformScorer
-from similekit.story import Story, write_stories_jsonl
+from similekit.story import Story
+
+from test_eval import write_scoresheet
 
 MANIFEST_KEYS = {"command", "argv", "config_sha256", "inputs", "seeds", "outputs"}
 
@@ -170,7 +172,7 @@ def stories(tmp_path):
         Story("Quiet", (), ("He saw a dog.", "They walked home.")),
         Story("Winter", (), ("The road felt slow.",)),
     ]
-    write_stories_jsonl(items, path)
+    write_jsonl(map(Story._asdict, items), path)
     return path
 
 
@@ -617,6 +619,21 @@ class TestTrain:
         assert capsys.readouterr().err.startswith(f"error: {pairs}:{line}: ")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("lines", [
+        "",
+        "He saw a dog.\tHe ran like a deer.\nA tree.\tA tree like a tower.\n",
+    ], ids=["empty", "all-unmaskable"])
+    def test_nothing_to_mask_exits_one(self, tmp_path, capsys, lines):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(lines, encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["train", "--pairs", str(pairs), "--model-out", str(out / "model"),
+                   "--seed", "7", "--mask"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no sources survive terminal-modifier masking\n"
+        assert list(out.iterdir()) == []
+
     def test_reports_pairs_read_and_skipped(self, world, tmp_path, capsys):
         pairs = len(list(read_lines(world["pairs"])))
         rc = main(["train", "--pairs", str(world["pairs"]), "--model-out",
@@ -871,7 +888,7 @@ class TestEvaluate:
             sheet.add(f"i{k}", "scope", "r0", "OQ", better)
             sheet.add(f"i{k}", "meta_m", "r0", "OQ", worse)
         csv_path = tmp_path / "scores.csv"
-        sheet.save_csv(csv_path)
+        write_scoresheet(sheet, csv_path)
         rc = main(["evaluate", "--scoresheet", str(csv_path),
                    "--pairwise", "scope,meta_m", "--criterion", "OQ"])
         assert rc == 0
@@ -910,7 +927,7 @@ class TestEvaluate:
         sheet.add("i0", "scope", "r0", "OQ", 4)
         sheet.add("i0", "meta_m", "r0", "OQ", 2)
         csv_path = tmp_path / "scores.csv"
-        sheet.save_csv(csv_path)
+        write_scoresheet(sheet, csv_path)
         report = tmp_path / "report.json"
         argv = ["evaluate", "--scoresheet", str(csv_path), "--pairwise", "scope,meta_m",
                 "--report", str(report)]
@@ -948,6 +965,13 @@ class TestEvaluate:
                          encoding="utf-8")
         assert main(["evaluate", "--generated", str(batch), "--refs", str(refs)]) == 1
         assert capsys.readouterr().err == f"error: {batch}:1: missing field 'literal'\n"
+
+    def test_batch_output_not_a_string_is_located(self, refs, tmp_path, capsys):
+        batch = tmp_path / "b.jsonl"
+        literal = json.loads(refs.read_text(encoding="utf-8").splitlines()[0])["literal"]
+        batch.write_text(json.dumps({"literal": literal, "output": 5}) + "\n", encoding="utf-8")
+        assert main(["evaluate", "--generated", str(batch), "--refs", str(refs)]) == 1
+        assert capsys.readouterr().err == f"error: {batch}:1: 'output' is int, not a string\n"
 
     def test_bad_scoresheet_row_is_located(self, tmp_path, capsys):
         sheet = tmp_path / "scores.csv"
@@ -1117,7 +1141,7 @@ def test_command_path_runs_in_a_fresh_interpreter(run, world, refs, stories, tmp
     for k, (a, b) in enumerate([(4, 2), (2, 4), (3, 3)]):
         sheet.add(f"i{k}", "scope", "r0", "OQ", a)
         sheet.add(f"i{k}", "meta_m", "r0", "OQ", b)
-    sheet.save_csv(scoresheet)
+    write_scoresheet(sheet, scoresheet)
     inputs = {"synonyms": synonyms, "scoresheet": scoresheet, "titles": titles,
               "refs": refs, "stories": stories}
     out = tmp_path / "out"
@@ -1216,7 +1240,7 @@ def test_bad_decoding_setting_is_collected(world, tmp_path, capsys, command, fla
                                            reason):
     """GenerationConfig's refusal is reported with the other errors: exit 2, nothing written."""
     stories = tmp_path / "stories.jsonl"
-    write_stories_jsonl([Story("Winter", (), ("The road felt slow.",))], stories)
+    write_jsonl(map(Story._asdict, [Story("Winter", (), ("The road felt slow.",))]), stories)
     inputs = {"generate": ["--literals", str(world["literals"]), "--system", "scope"],
               "embellish": ["--stories", str(stories)]}[command]
     out = tmp_path / "out"
@@ -1243,7 +1267,7 @@ def test_bad_decoding_setting_is_collected(world, tmp_path, capsys, command, fla
 def test_every_refused_decoding_setting_is_reported(world, tmp_path, capsys, command, settings,
                                                     errors):
     stories = tmp_path / "stories.jsonl"
-    write_stories_jsonl([Story("Winter", (), ("The road felt slow.",))], stories)
+    write_jsonl(map(Story._asdict, [Story("Winter", (), ("The road felt slow.",))]), stories)
     inputs = {"generate": ["--literals", str(world["literals"]), "--system", "scope"],
               "embellish": ["--stories", str(stories)]}[command]
     out = tmp_path / "out"
@@ -1267,7 +1291,7 @@ def test_damaged_model_is_named(tmp_path, capsys, command):
         fh.write(b"\xff")
     literals, stories = tmp_path / "literals.jsonl", tmp_path / "stories.jsonl"
     literals.write_text('{"text": "The sea was very calm."}\n', encoding="utf-8")
-    write_stories_jsonl([Story("Winter", (), ("The road felt slow.",))], stories)
+    write_jsonl(map(Story._asdict, [Story("Winter", (), ("The road felt slow.",))]), stories)
     inputs = {"generate": ["--literals", str(literals), "--system", "scope"],
               "embellish": ["--stories", str(stories)]}[command]
     capsys.readouterr()

@@ -37,12 +37,24 @@ from similekit.core import (
     write_jsonl,
     write_lines,
 )
-from similekit.corpus import read_pairs_audit_jsonl, read_pairs_tsv
+from similekit.corpus import read_pairs_audit_jsonl
 from similekit.evaluation import read_batch_jsonl, read_refs_jsonl
 from similekit.harvest import read_literals_jsonl, read_similes_jsonl
 from similekit.knowledge import SynonymTable, load_edge_table
 from similekit.story import read_stories_jsonl
-from similekit.tagging import DEFAULT_TAGGER, DictTagger, LexiconTagger
+from similekit.tagging import DEFAULT_TAGGER, LexiconTagger
+
+from test_corpus import read_pairs_tsv
+
+
+class WordTagger:
+    """A tagger of one's own: ADJ for the given words, X for any other token."""
+
+    def __init__(self, *adjectives):
+        self.adjectives = set(adjectives)
+
+    def tag(self, token):
+        return "ADJ" if token in self.adjectives else "X"
 
 
 # Token alphabet with no vowels: can never collide with "like", "a", or "an".
@@ -199,7 +211,7 @@ class TestStripTerminalModifier:
     @given(st.lists(words, min_size=1, max_size=6))
     def test_prefix_nonempty_for_two_content_tokens(self, ws):
         text = " ".join(ws) + " fgbd"
-        tagger = DictTagger({"fgbd": "ADJ"})
+        tagger = WordTagger("fgbd")
         s = strip_terminal_modifier(text, tagger)
         assert s.prefix
         assert s.property == "fgbd"
@@ -334,6 +346,28 @@ class TestReadRecords:
         with pytest.raises(ParseError) as exc:
             read(path)
         assert str(exc.value) == f"{path}:1: missing field '{field}'"
+
+    @pytest.mark.parametrize("name, line, reason", [
+        ("refs", '{"literal": "x"}', "missing field 'references'"),
+        ("refs", '{"literal": "x", "references": "It was like ice."}',
+         "'references' must be a list of strings"),
+        ("refs", '{"literal": "x", "references": ["It was like ice.", 5]}',
+         "'references' must be a list of strings"),
+        ("stories", '{"sentences": "It was cold. It was late."}',
+         "'sentences' must be a list of strings"),
+        ("stories", '{"sentences": ["It was cold.", null]}',
+         "'sentences' must be a list of strings"),
+        ("stories", '{"sentences": ["It was cold."], "storyline": "winter"}',
+         "'storyline' must be a list of strings"),
+        ("batch", '{"literal": "x", "output": 5}', "'output' is int, not a string"),
+        ("batch", '{"literal": "x", "output": null}', "'output' is NoneType, not a string"),
+    ])
+    def test_bad_value_is_located(self, tmp_path, name, line, reason):
+        path = tmp_path / "in.jsonl"
+        path.write_text("\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            self.JSONL_READERS[name][0](path)
+        assert str(exc.value) == f"{path}:2: {reason}"
 
     UTF8_READERS = {
         **{name: read for name, (read, _) in JSONL_READERS.items()},
@@ -517,10 +551,5 @@ class TestTagging:
         with pytest.raises(TypeError):
             LexiconTagger(extra_adjectives=["zorblike"])
         assert LexiconTagger().tag("zorblike") == "X"
-        s = strip_terminal_modifier("It was zorblike.", DictTagger({"zorblike": "ADJ"}))
+        s = strip_terminal_modifier("It was zorblike.", WordTagger("zorblike"))
         assert (s.prefix, s.property, s.trailing) == ("It was", "zorblike", ".")
-
-    def test_dict_tagger(self):
-        t = DictTagger({"x": "ADJ"}, default="VERB")
-        assert t.tag("x") == "ADJ"
-        assert t.tag("y") == "VERB"

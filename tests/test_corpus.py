@@ -3,7 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from similekit.core import SimileInstance, parse_simile, terminal_punctuation, tokenize
+from similekit.core import (
+    SimileInstance,
+    parse_simile,
+    read_records,
+    terminal_punctuation,
+    tokenize,
+)
 from similekit.corpus import (
     BuildStats,
     GrammarCorrectionWarning,
@@ -14,7 +20,6 @@ from similekit.corpus import (
     format_pairs,
     iter_parallel_corpus,
     read_pairs_audit_jsonl,
-    read_pairs_tsv,
     select_best_literal,
     write_pair_files,
     write_pairs_audit_jsonl,
@@ -219,7 +224,7 @@ class TestBuildParallelCorpus:
 
     def test_scorer_error_propagates(self, table2_backend):
         class Explodes:
-            def token_logprobs(self, tokens):
+            def perplexities(self, texts):
                 raise RuntimeError("scorer down")
 
         similes = [parse_simile("Love is like a unicorn.")]
@@ -285,6 +290,11 @@ class TestBuildParallelCorpus:
         assert next(pairs).target == "Love is like a unicorn."
         assert (stats.built, stats.skipped_no_properties) == (1, 1)
         assert next(similes).vehicle == "zamboni."
+
+
+def read_pairs_tsv(path) -> list[tuple[str, str]]:
+    """The (source, target) pairs of a TSV, read as train reads them."""
+    return list(read_records(path, lambda source, target: (source, target), fields=2))
 
 
 class TestPairFiles:

@@ -34,6 +34,15 @@ from similekit.core import ParseError
 from similekit.tagging import DEFAULT_TAGGER
 
 
+def write_scoresheet(sheet, path):
+    """A score sheet's ratings as the CSV `evaluate --scoresheet` reads: a header row, then
+    one row per rating."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ScoreRow._fields)
+        writer.writerows([getattr(r, name) for name in ScoreRow._fields] for r in sheet.rows)
+
+
 # Plain-loop reference implementation, kept deliberately naive.
 def oracle_bleu(candidates, reference_sets, n, smoothing=False):
     def grams(tokens, k):
@@ -398,7 +407,7 @@ class TestScoreSheets:
     def test_csv_round_trip(self, tmp_path):
         sheet = self.build_sheet([("i0", (3, 4), (4, 5)), ("i1", (1,), (2,))])
         path = tmp_path / "scores.csv"
-        sheet.save_csv(path)
+        write_scoresheet(sheet, path)
         assert ScoreSheet.load_csv(path).rows == sheet.rows
 
     def test_columns_are_found_by_header_name(self, tmp_path):
@@ -460,7 +469,7 @@ class TestScoreSheets:
         sheet.add("i0\r\nsecond line", "A", "r0", "C", 3)
         sheet.add("i1", "A", "r0", "C", 4)
         path = tmp_path / "scores.csv"
-        sheet.save_csv(path)
+        write_scoresheet(sheet, path)
         assert ScoreSheet.load_csv(path).rows == sheet.rows
 
     def test_alpha_perfect_agreement(self):

@@ -20,8 +20,8 @@ from similekit import core, corpus
 from similekit.backends import BackendUnavailable
 from similekit.cli import main
 from similekit.core import ParseError, fan_out, read_records
-from similekit.lm import ReferenceSeq2SeqBackend, TemplateNgramModel, TrainConfig
-from similekit.systems import train_metaphor_mask
+from similekit.lm import TemplateNgramModel, TrainConfig
+from similekit.systems import masked_pairs
 from similekit.tagging import DEFAULT_TAGGER
 
 WORKERS = [1, 2, 3]
@@ -292,10 +292,8 @@ def test_train_bytes_do_not_depend_on_the_workers(toy_pairs, tmp_path, split, ca
     pairs_read = [tuple(line.split("\t")) for line in pairs.read_text(encoding="utf-8")
                   .splitlines()]
     if mask:
-        train_metaphor_mask(pairs_read, TrainConfig(seed=7), ReferenceSeq2SeqBackend(),
-                            DEFAULT_TAGGER).save(reference)
-    else:
-        TemplateNgramModel.train(pairs_read, TrainConfig(seed=7)).save(reference)
+        pairs_read = masked_pairs(pairs_read, DEFAULT_TAGGER, {"skipped": 0})
+    TemplateNgramModel.train(pairs_read, TrainConfig(seed=7)).save(reference)
     assert seen[1][0] == (reference / "model.json").read_bytes()
     assert "trained on 53 pairs" in seen[1][1]
     assert ("masked training: 3 pairs skipped" in seen[1][1]) == mask

@@ -144,7 +144,8 @@ class TestHarvestSimiles:
 
 
 def oracle_iter_comments(path, stats=None):
-    """The comment reader's own file loop, as it was before it read through read_records."""
+    """The comment reader's own file loop, as it was before it read through read_records,
+    with the type rule since added: `body` a string, `id` a string or an integer."""
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
@@ -152,9 +153,11 @@ def oracle_iter_comments(path, stats=None):
             try:
                 rec = json.loads(line)
                 created = rec.get("created_utc", 0)
+                if not isinstance(rec["body"], str) or type(rec["id"]) not in (str, int):
+                    raise TypeError("not a comment")
                 comment = RawComment(
                     id=str(rec["id"]),
-                    body=str(rec["body"]),
+                    body=rec["body"],
                     subreddit=str(rec.get("subreddit", "")),
                     created_utc=int(float(created) if isinstance(created, str) else created),
                 )
@@ -178,8 +181,9 @@ created_texts = st.one_of(
                      "1e400", "-1e400", "NaN", "Infinity", "null", "[1]", "true"]),
 )
 record_lines = st.fixed_dictionaries({}, optional={
-    "id": st.one_of(json_text, st.integers().map(str)),
-    "body": st.one_of(json_text, st.just('""'), st.just("7")),
+    "id": st.one_of(json_text, st.integers().map(str),
+                    st.sampled_from(["null", "true", "1.5", '["a"]'])),
+    "body": st.one_of(json_text, st.sampled_from(['""', "7", "null", '["b like a c."]'])),
     "subreddit": json_text,
     "created_utc": created_texts,
 }).map(comment_line)
@@ -205,6 +209,23 @@ class TestLoadComments:
         comments = load_comments(path, stats)
         assert [c.id for c in comments] == ["1", "4"]
         assert stats.malformed == 3
+
+    @pytest.mark.parametrize("fields", [
+        {"id": "a", "body": ["It ran like a dog."]},
+        {"id": "b", "body": 7},
+        {"id": "c", "body": None},
+        {"id": None, "body": "It ran like a dog."},
+        {"id": True, "body": "It ran like a dog."},
+        {"id": 1.5, "body": "It ran like a dog."},
+        {"id": ["d"], "body": "It ran like a dog."},
+    ])
+    def test_wrong_type_is_malformed(self, tmp_path, fields):
+        path = tmp_path / "c.ndjson"
+        rows = [fields, {"id": 7, "body": "It ran like a cat."}]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        stats = HarvestStats()
+        assert load_comments(path, stats) == [RawComment("7", "It ran like a cat.")]
+        assert stats.malformed == 1
 
     def test_decimal_timestamp_strings_read_as_numbers(self, tmp_path):
         path = tmp_path / "c.ndjson"

@@ -10,6 +10,11 @@ same rule holds for that table.
 
 Modules that a process loads only to run the code that uses them (LOADED_ON_USE)
 are imported inside that code: an import of one outside every function fails.
+
+Every top-level function and class, and every method, is reached: some code in
+src/similekit/ (`__init__.py` aside), in perfbench/ or a tracer probe names it.
+A definition only tests call is surface no command, benchmark step or probe
+runs.  Names kept on purpose are listed, each with its reason, in KEPT.
 """
 
 import ast
@@ -21,6 +26,7 @@ import pytest
 from test_trace_targets import PROBES
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "similekit"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 LOADED_ON_USE = {"configparser", "dataclasses", "hashlib", "selectors", "subprocess"}
 
@@ -106,3 +112,65 @@ def test_the_check_sees_a_module_level_import():
               "def f():\n    import hashlib\n")
     assert eager_imports(source) == ["subprocess at line 1", "dataclasses at line 2",
                                      "configparser at line 4", "selectors at line 8"]
+
+
+# Definitions that nothing in src/ or perfbench/ names, kept on purpose.
+KEPT = {
+    "harvest.HarvestedSimile.instance": "README gives `row.instance()` as the way from the "
+                                        "rows harvest_similes returns to SimileInstances",
+}
+
+
+def definitions(module: str, tree: ast.Module):
+    """(`module.Name` or `module.Class.method`, name) for each top-level function and
+    class and each method, but command functions, dunders and Checked._make: the
+    command table, Python and a named tuple's _replace call those."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        members = [(node.name, node)]
+        if isinstance(node, ast.ClassDef):
+            members += [(f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef)]
+        for path, item in members:
+            command = any(isinstance(d, ast.Call) and getattr(d.func, "id", "") == "_command"
+                          for d in item.decorator_list)
+            if not (command or item.name.startswith("__") or path == "Checked._make"):
+                yield f"{module}.{path}", item.name
+
+
+def names_in(tree: ast.AST) -> set[str]:
+    """The identifiers a tree names, as a Name or as an Attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def unreached(sources: dict[str, str], others: list[str], probes: list[str]) -> list[str]:
+    """The definitions of `sources` ({module: source}) that no source, no other file
+    and no probe target (`module:name` or `module:Class.method`) names."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = set().union(*map(names_in, trees.values()),
+                        *(names_in(ast.parse(source)) for source in others))
+    named |= {part for target in probes for part in target.partition(":")[2].split(".")}
+    return [qualified for module, tree in trees.items()
+            for qualified, name in definitions(module, tree) if name not in named]
+
+
+def test_every_definition_is_reached():
+    sources = {name.removesuffix(".py"): (PACKAGE / name).read_text(encoding="utf-8")
+               for name in MODULES}
+    others = [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.glob("*.py"))]
+    found = unreached(sources, others, [target for target, *_ in PROBES])
+    stray = [name for name in found if name not in KEPT]
+    assert not stray, f"reached by no command, perfbench step or probe: {', '.join(stray)}"
+    assert sorted(set(KEPT) - set(found)) == [], "kept on purpose, but now reached"
+
+
+def test_the_check_sees_an_unreached_definition():
+    source = ("class A:\n    def used(self): pass\n    def unused(self): pass\n"
+              "    def __len__(self): return 0\n"
+              "def helper(): pass\ndef probed(): pass\n"
+              "@_command('x')\ndef cmd_x(s): pass\n"
+              "def f(a): return A().used(), helper\n")
+    assert unreached({"m": source}, [], ["similekit.m:probed"]) == ["m.A.unused", "m.f"]
+    assert unreached({"m": source}, ["f()"], ["similekit.m:probed"]) == ["m.A.unused"]

@@ -23,10 +23,8 @@ from similekit.lm import (
     EmptyTrainingSet,
     GenerationConfig,
     GenerationOutput,
-    ReferenceSeq2SeqBackend,
     RemoteModel,
     RemoteScorer,
-    RemoteSeq2SeqBackend,
     TemplateCounts,
     TemplateNgramModel,
     TrainConfig,
@@ -40,7 +38,22 @@ from similekit.lm import (
     perplexity,
 )
 
-BACKEND = ReferenceSeq2SeqBackend()
+
+class CountingBackend:
+    """A trainer backend of one's own: fine_tune hands it the pairs to count."""
+
+    def fine_tune(self, pairs, cfg):
+        return TemplateNgramModel.train(pairs, cfg)
+
+
+class UnreachableBackend:
+    """A trainer backend that fails when asked, as a remote one with no worker does."""
+
+    def fine_tune(self, pairs, cfg):
+        raise BackendUnavailable("no worker")
+
+
+BACKEND = CountingBackend()
 
 
 def cfg(**kw):
@@ -70,10 +83,11 @@ class TestPerplexity:
 
     def test_delegates_to_scorer_perplexity(self):
         class Fixed:
-            def perplexity(self, text):
-                return 42.0
+            def perplexities(self, texts):
+                return [42] * len(texts)
 
         assert perplexity("anything at all", Fixed()) == 42.0
+        assert type(perplexity("anything at all", Fixed())) is float
 
     def test_bigram_hand_computed_single_token(self):
         # Trained on "a b a b": bigram <s>->a has count 1 of 1 context total;
@@ -286,7 +300,7 @@ class TestKernelsEqualOracles:
         assert scorer.context_total == oracle.context_total
         for text in queries:
             tokens = tokenize(text)
-            assert scorer.token_logprobs(tokens) == oracle.token_logprobs(tokens)
+            assert scorer._logprobs(tokens, [], []) == oracle.token_logprobs(tokens)
             assert perplexity(text, scorer) == oracle_perplexity(text, oracle)
 
     @given(st.dictionaries(st.text("abcdefgh", min_size=1, max_size=3),
@@ -306,8 +320,9 @@ class TestKernelsEqualOracles:
     @settings(max_examples=200, deadline=None)
     def test_prefix_reuse_equals_scoring_from_the_start(self, train, data):
         # Candidate families share a prefix and differ at the end, as the
-        # literal candidates of one simile do; calls interleave families, and
-        # both the returned lists and the token lists passed in are mutated.
+        # literal candidates of one simile do; calls interleave families, each
+        # reuses the log-probs of the call before, as token_perplexities does,
+        # and both the returned lists and the token lists passed in are mutated.
         scorer, oracle = BigramScorer(train), OracleBigramScorer(train)
         word = st.sampled_from(QUERY_WORDS)
         families = data.draw(st.lists(st.tuples(
@@ -315,15 +330,17 @@ class TestKernelsEqualOracles:
             st.lists(st.lists(word, min_size=1, max_size=3), min_size=1, max_size=5)),
             min_size=1, max_size=4))
         calls = [prefix + tail for prefix, tails in families for tail in tails]
+        before, before_logps = [], []
         for tokens in data.draw(st.permutations(calls)):
             tokens = list(tokens)
             expected = oracle.token_logprobs(tokens)
-            got = scorer.token_logprobs(tokens)
+            got = scorer._logprobs(tokens, before, before_logps)
             assert got == expected
+            before, before_logps = list(tokens), list(got)
             got.append(0.0)
             got[0] = 1.0
             tokens[-1] = "mutated"
-            assert scorer.token_logprobs(tokens) == oracle.token_logprobs(tokens)
+            assert scorer._logprobs(tokens, [], []) == oracle.token_logprobs(tokens)
 
 
 @st.composite
@@ -336,16 +353,6 @@ def candidate_families(draw):
         st.lists(st.lists(word, min_size=1, max_size=3), min_size=1, max_size=5)),
         min_size=1, max_size=4))
     return [" ".join(prefix + tail) for prefix, tails in families for tail in tails]
-
-
-class PerplexityOnly:
-    """A scorer with only `perplexity`, answering as the oracle."""
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-
-    def perplexity(self, text):
-        return oracle_perplexity(text, self.oracle)
 
 
 class TestBatchScoring:
@@ -364,16 +371,16 @@ class TestBatchScoring:
         perplexities(first, scorer)
         assert perplexities(second, scorer) == perplexities(second, BigramScorer(train))
         tokens = tokenize(second[0])
-        assert scorer.token_logprobs(tokens) == OracleBigramScorer(train).token_logprobs(tokens)
+        assert scorer._logprobs(tokens, [], []) == OracleBigramScorer(train).token_logprobs(tokens)
 
     @given(texts_of(TRAIN_WORDS, 1), candidate_families())
     @settings(max_examples=100, deadline=None)
     def test_adapter_equals_per_text_scoring(self, train, texts):
-        oracle = OracleBigramScorer(train)
+        """Handed the tokens, perplexities scores them as it scores each text alone."""
+        oracle, scorer = OracleBigramScorer(train), BigramScorer(train)
         expected = [oracle_perplexity(text, oracle) for text in texts]
-        assert perplexities(texts, oracle) == expected  # only token_logprobs
-        assert perplexities(texts, PerplexityOnly(oracle)) == expected
-        assert [perplexity(text, oracle) for text in texts] == expected
+        assert perplexities(texts, scorer, [tokenize(text) for text in texts]) == expected
+        assert [perplexity(text, scorer) for text in texts] == expected
 
     @given(candidate_families(), st.data(), st.sampled_from(["", " ", "\t\n", None]))
     @settings(max_examples=50, deadline=None)
@@ -560,7 +567,7 @@ class TestTemplateNgramModel:
         with pytest.raises(EmptyTrainingSet):
             fine_tune([], TrainConfig(seed=0), BACKEND)
 
-    @pytest.mark.parametrize("backend", [BACKEND, RemoteSeq2SeqBackend(["no-such-worker"])],
+    @pytest.mark.parametrize("backend", [BACKEND, UnreachableBackend()],
                              ids=["reference", "remote"])
     def test_empty_iterator_is_an_empty_training_set(self, backend):
         with pytest.raises(EmptyTrainingSet):
@@ -711,8 +718,6 @@ import json, sys
 req = json.load(sys.stdin)
 if req["op"] == "perplexity":
     print(json.dumps({"perplexity": 42.0}))
-elif req["op"] == "fine_tune":
-    print(json.dumps({"model_id": "m%d" % len(req["pairs"])}))
 elif req["op"] == "generate":
     print(json.dumps({"text": req["source"] + " ok", "truncated": False}))
 """
@@ -723,11 +728,8 @@ class TestRemoteAdapters:
         scorer = RemoteScorer(write_lm_script(tmp_path, ECHO_SERVER))
         assert perplexity("any text", scorer) == 42.0
 
-    def test_remote_train_and_generate(self, tmp_path):
-        command = write_lm_script(tmp_path, ECHO_SERVER)
-        model = fine_tune([("a", "b"), ("c", "d")], TrainConfig(seed=0), RemoteSeq2SeqBackend(command))
-        assert isinstance(model, RemoteModel)
-        assert model.model_id == "m2"
+    def test_remote_generate(self, tmp_path):
+        model = RemoteModel(write_lm_script(tmp_path, ECHO_SERVER), "m1")
         out = generate("hello", cfg(), model)
         assert out == GenerationOutput("hello ok", truncated=False)
 
@@ -742,17 +744,15 @@ class TestRemoteAdapters:
         with pytest.raises(BackendUnavailable):
             perplexity("text", scorer)
 
-    @pytest.mark.parametrize("call", ["fine_tune", "generate", "perplexity"])
+    @pytest.mark.parametrize("call", ["generate", "perplexity"])
     def test_reply_without_its_field_names_the_command(self, tmp_path, call):
         command = write_lm_script(tmp_path, "print('[\"wrong shape\"]')")
         message = f"backend '{sys.executable}' sent a bad reply"
         with pytest.raises(BackendUnavailable, match=re.escape(message)):
-            if call == "fine_tune":
-                RemoteSeq2SeqBackend(command).fine_tune([("a", "b")], TrainConfig(seed=0))
-            elif call == "generate":
+            if call == "generate":
                 RemoteModel(command, "m1").generate_text("hello", cfg())
             else:
-                RemoteScorer(command).perplexity("hello")
+                RemoteScorer(command).perplexities(["hello"])
 
 
 def reply_command(tmp_path, reply: str):
@@ -809,9 +809,3 @@ class TestRemoteReplyTypes:
         simile = parse_simile("It ran like a deer.")
         with pytest.raises(BackendUnavailable):
             select_best_literal(simile, [PropertyCandidate("fast", 1.0)], scorer)
-
-    @pytest.mark.parametrize("value", ["7", "null", "true", '["m1"]'])
-    def test_model_id_refuses(self, tmp_path, value):
-        backend = RemoteSeq2SeqBackend(reply_command(tmp_path, f'{{"model_id": {value}}}'))
-        with pytest.raises(BackendUnavailable, match="bad reply"):
-            backend.fine_tune([("a", "b")], TrainConfig(seed=0))

@@ -15,8 +15,9 @@ import hashlib
 import json
 
 from similekit.cli import main
+from similekit.core import write_jsonl
 from similekit.harvest import read_literals_jsonl
-from similekit.story import Story, write_stories_jsonl
+from similekit.story import Story
 
 EXPECTED = {
     "audit.jsonl": "381b240ee01cb613f67a75d88f28f3b591b2c45bf6234579e80d482234c82de7",
@@ -88,11 +89,11 @@ def run_desk_pipeline(root, toy_world) -> dict:
                  "--train-audit", str(out["audit.jsonl"]),
                  "--report", str(out["report.json"])]) == 0
     stories = root / "stories.jsonl"
-    write_stories_jsonl([
+    write_jsonl(map(Story._asdict, [
         Story("Flood", ("river",), ("The rain began at dusk.",
                                     "By midnight the river seemed wild.", "Nobody slept.")),
         Story("Winter", (), ("The road felt slow.", "Her voice felt soft.")),
-    ], stories)
+    ]), stories)
     assert main(["embellish", "--stories", str(stories), "--model", str(root / "model"),
                  "--seed", "3", "--out", str(out["embellished.jsonl"])]) == 0
     return out

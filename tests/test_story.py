@@ -2,7 +2,7 @@
 
 import pytest
 
-from similekit.core import NotModifierFinal
+from similekit.core import NotModifierFinal, write_jsonl
 from similekit.story import (
     EmbellishWarning,
     Story,
@@ -10,7 +10,6 @@ from similekit.story import (
     generate_story,
     read_stories_jsonl,
     select_replaceable,
-    write_stories_jsonl,
 )
 from similekit.lm import GenerationConfig, TemplateNgramModel, TrainConfig
 from similekit.tagging import DEFAULT_TAGGER
@@ -125,9 +124,20 @@ class TestGenerateStory:
         with pytest.raises(ValueError):
             Story("T", (), ())
 
+    @pytest.mark.parametrize("build", [
+        lambda: Story("T", (), "It was cold."),
+        lambda: Story("T", "winter", ("It was cold.",)),
+        lambda: Story("T", (), ("It was cold.", 7)),
+        lambda: Story._make(["T", (), "It was cold."]),
+        lambda: STORY._replace(storyline="river"),
+    ])
+    def test_lines_must_be_lists_of_strings(self, build):
+        with pytest.raises(TypeError, match="must be a list of strings"):
+            build()
+
 
 class TestStoryFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "stories.jsonl"
-        write_stories_jsonl([STORY], path)
+        write_jsonl(map(Story._asdict, [STORY]), path)
         assert read_stories_jsonl(path) == [STORY]

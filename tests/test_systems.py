@@ -6,23 +6,18 @@ from hypothesis import given, settings, strategies as st
 from similekit.core import NotModifierFinal, parse_simile
 from similekit.evaluation import read_batch_jsonl
 from similekit.knowledge import EMPTY_SYNONYMS, EdgeTableBackend, KnowledgeEdge, SynonymTable
-from similekit.lm import (
-    EmptyTrainingSet,
-    GenerationConfig,
-    ReferenceSeq2SeqBackend,
-    TemplateNgramModel,
-    TrainConfig,
-)
+from similekit.lm import EmptyTrainingSet, GenerationConfig, TemplateNgramModel, TrainConfig
 from similekit.systems import (
     ABSENT_OUTPUT,
     MASK_TOKEN,
+    NOTHING_MASKED,
     baseline_metaphor_mask,
     baseline_prefix_forced,
     baseline_retrieval,
     mask_terminal_modifier,
+    masked_pairs,
     run_batch,
     scope_generate,
-    train_metaphor_mask,
 )
 from similekit.tagging import DEFAULT_TAGGER
 
@@ -33,20 +28,18 @@ def cfg(**kw):
     return GenerationConfig(**base)
 
 
-def oracle_train_metaphor_mask(pairs, cfg, tagger, stats):
-    """The list-based masking trainer: mask every source, then train on the list."""
-    masked_pairs = []
-    stats["skipped"] = 0
-    for source, target in pairs:
+def oracle_masked_pairs(pairs, tagger, stats):
+    """The list-based masking: (index, (masked source, target)) for each pair whose source
+    can be masked."""
+    kept = []
+    for index, (source, target) in enumerate(pairs):
         try:
             masked = mask_terminal_modifier(source, tagger)
         except NotModifierFinal:
             stats["skipped"] += 1
             continue
-        masked_pairs.append((masked, target))
-    if not masked_pairs:
-        raise EmptyTrainingSet("no sources survive terminal-modifier masking")
-    return TemplateNgramModel.train(masked_pairs, cfg)
+        kept.append((index, (masked, target)))
+    return kept
 
 
 sources = st.builds("{} {} {}{}".format, st.sampled_from(["The sky", "He", "A rock"]),
@@ -160,10 +153,9 @@ class TestMasking:
             ("The sky was blue.", "The sky was like a sea."),
             ("He saw a dog.", "He ran like a deer."),
         ]
-        stats = {}
-        model = train_metaphor_mask(
-            pairs, TrainConfig(seed=0), ReferenceSeq2SeqBackend(), DEFAULT_TAGGER, stats
-        )
+        stats = {"skipped": 0}
+        model = TemplateNgramModel.train(masked_pairs(pairs, DEFAULT_TAGGER, stats),
+                                         TrainConfig(seed=0))
         assert stats["skipped"] == 1
         assert model.drop_words >= 1
 
@@ -174,14 +166,13 @@ class TestMasking:
 
         pairs = [("The sky was blue.", "The sky was like a sea.")]
         with pytest.raises(RuntimeError, match="tagger crashed"):
-            train_metaphor_mask(pairs, TrainConfig(seed=0), ReferenceSeq2SeqBackend(),
-                                BrokenTagger())
+            list(masked_pairs(pairs, BrokenTagger(), {"skipped": 0}))
 
     def test_train_raises_when_nothing_survives(self):
         pairs = [("He saw a dog.", "He ran like a deer.")]
         with pytest.raises(EmptyTrainingSet):
-            train_metaphor_mask(pairs, TrainConfig(seed=0), ReferenceSeq2SeqBackend(),
-                                DEFAULT_TAGGER)
+            TemplateNgramModel.train(masked_pairs(pairs, DEFAULT_TAGGER, {"skipped": 0}),
+                                     TrainConfig(seed=0))
 
     @pytest.mark.parametrize("make", [list, lambda pairs: (pair for pair in pairs)],
                              ids=["list", "generator"])
@@ -190,35 +181,40 @@ class TestMasking:
         [("He saw a dog.", "He ran like a deer."), ("A tree.", "A tree like a tower.")],
     ], ids=["empty", "all-unmaskable"])
     def test_nothing_to_train_on_names_the_masking(self, make, pairs):
-        stats = {}
-        with pytest.raises(EmptyTrainingSet, match="no sources survive terminal-modifier masking"):
-            train_metaphor_mask(make(pairs), TrainConfig(seed=0), ReferenceSeq2SeqBackend(),
-                                DEFAULT_TAGGER, stats)
+        """With no maskable source every pair counts as skipped and training has nothing
+        to learn from; train --mask then reports NOTHING_MASKED, which names the masking."""
+        stats = {"skipped": 0}
+        with pytest.raises(EmptyTrainingSet):
+            TemplateNgramModel.train(masked_pairs(make(pairs), DEFAULT_TAGGER, stats),
+                                     TrainConfig(seed=0))
         assert stats == {"skipped": len(pairs)}
+        assert NOTHING_MASKED == "no sources survive terminal-modifier masking"
 
     @given(st.lists(st.tuples(sources, st.sampled_from(TARGETS)), min_size=1, max_size=10))
     @settings(max_examples=100, deadline=None)
     def test_streamed_masking_equals_the_list_oracle(self, pairs):
-        stats, oracle_stats = {}, {}
-        try:
-            expected = oracle_train_metaphor_mask(pairs, TrainConfig(seed=3), DEFAULT_TAGGER,
-                                                  oracle_stats)
-        except EmptyTrainingSet:
-            expected = None
-        try:
-            model = train_metaphor_mask((pair for pair in pairs), TrainConfig(seed=3),
-                                        ReferenceSeq2SeqBackend(), DEFAULT_TAGGER, stats)
-        except EmptyTrainingSet:
-            model = None
+        """masked_pairs yields what the list oracle keeps, reading a pair only when the
+        masked pair before it has been taken."""
+        stats, oracle_stats = {"skipped": 0}, {"skipped": 0}
+        expected = oracle_masked_pairs(pairs, DEFAULT_TAGGER, oracle_stats)
+        read = []
+
+        def stream():
+            for pair in pairs:
+                read.append(pair)
+                yield pair
+
+        # Each masked pair with the index of the last pair read when it was yielded.
+        got = [(len(read) - 1, masked)
+               for masked in masked_pairs(stream(), DEFAULT_TAGGER, stats)]
+        assert got == expected
         assert stats == oracle_stats
-        assert (model is None) == (expected is None)
-        if model is not None:
-            assert vars(model) == vars(expected)
+        assert len(read) == len(pairs)
 
     def test_masked_decode_produces_similes(self, toy_pairs, toy_world):
-        model = train_metaphor_mask(
-            toy_pairs, TrainConfig(seed=6), ReferenceSeq2SeqBackend(), DEFAULT_TAGGER
-        )
+        pairs = ((p.source, p.target) for p in toy_pairs)
+        model = TemplateNgramModel.train(masked_pairs(pairs, DEFAULT_TAGGER, {"skipped": 0}),
+                                         TrainConfig(seed=6))
         out = baseline_metaphor_mask(toy_world["holdout"][0], model, cfg(seed=6), DEFAULT_TAGGER)
         assert "like a" in out
         assert MASK_TOKEN not in out
