@@ -1,15 +1,18 @@
 """Out-of-process backend plumbing.
 
 Heavy models (commonsense knowledge, neural scorers and generators) attach
-over a subprocess boundary speaking JSON: every request starts one process
-of the backend's command, writes the JSON request to its stdin and reads one
-JSON reply from its stdout.  `call_many` runs the requests of a batch side by
-side, at most core.usable_cpus() processes at once, and returns the replies in
-request order.  If a request fails, the error raised is the first failure in
-request order, and every process still running is killed and reaped.  `call`
-is the one-request case.  The core pipeline never links a backend directly;
-every in-repo reference implementation satisfies the same call contracts
-in-process.
+over a subprocess boundary speaking JSON: every request is answered by one
+process of the backend's command, which reads one JSON request on stdin and
+writes one JSON reply on stdout.  `call_many` runs the requests of a batch
+side by side, at most core.usable_cpus() processes at once, and returns the
+replies in request order.  When a request takes its process and the backend
+has fewer than usable_cpus() processes alive, one more is started, idle on
+stdin, so the next request does not wait for an interpreter to start; close()
+and garbage collection or exit kill and reap it.  If a request fails, the
+error raised is the first failure in request order, and every process of the
+backend, the idle one too, is killed and reaped.  `call` is the one-request
+case.  The core pipeline never links a backend directly; every in-repo
+reference implementation satisfies the same call contracts in-process.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import weakref
 
 from .core import usable_cpus
 
@@ -38,15 +42,32 @@ def reply_field(reply, name: str, kind: type):
     return value
 
 
+def _start(command: list[str]):
+    """A process of command, its stdin, stdout and stderr pipes to this process."""
+    import subprocess  # with selectors, loaded only by a process that sends a request
+
+    return subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+
+
+def _kill(owner: int, proc) -> None:
+    """Close proc's pipes, kill it and reap it, if this process is `owner`, the one that
+    started it: a forked copy of a backend leaves its parent's process alone."""
+    if os.getpid() != owner:
+        return
+    for pipe in (proc.stdin, proc.stdout, proc.stderr):
+        pipe.close()
+    proc.kill()
+    proc.wait()
+
+
 class _Exchange:
     """One request's process: its request is written and its output read without blocking."""
 
-    def __init__(self, command: list[str], payload: bytes, timeout: float, selector):
+    def __init__(self, proc, payload: bytes, timeout: float, selector):
         import selectors
-        import subprocess
 
-        self.proc = subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                     stderr=subprocess.PIPE)
+        self.proc = proc
         self.deadline = time.monotonic() + timeout
         self.selector = selector
         self.unsent = memoryview(payload)
@@ -119,6 +140,32 @@ class JsonSubprocessBackend:
             raise ValueError("command must be non-empty")
         self.command = list(command)
         self.timeout = timeout
+        # The idle process started ahead of the next request, held by the
+        # weakref.finalize that kills it when the backend is collected or at exit.
+        self._spare = None
+
+    def close(self) -> None:
+        """Kill and reap the idle process, if there is one; a later request starts another."""
+        spare, self._spare = self._spare, None
+        if spare is not None:
+            spare()
+
+    def _process(self):
+        """The idle process, if this process started it, or else a new one."""
+        spare, self._spare = self._spare, None
+        found = spare.detach() if spare is not None else None
+        if found is not None:
+            owner, proc = found[2]
+            if owner == os.getpid():
+                return proc
+        return _start(self.command)
+
+    def _start_spare(self) -> None:
+        try:
+            proc = _start(self.command)
+        except OSError:  # the next request starts its own process and reports the error
+            return
+        self._spare = weakref.finalize(self, _kill, os.getpid(), proc)
 
     def call(self, request: dict, read=lambda reply: reply):
         """Send one request and return read(reply); see call_many."""
@@ -127,14 +174,17 @@ class JsonSubprocessBackend:
     def call_many(self, requests: list[dict], read=lambda reply: reply) -> list:
         """Send each request to its own process and return [read(reply), ...] in request order.
 
-        At most usable_cpus() processes run at once, each for at most
-        `timeout` seconds.  A process that cannot start, times out or exits
-        non-zero, a reply that is not JSON, and one that read rejects with
-        KeyError, OverflowError, TypeError or ValueError are
-        BackendUnavailable; the first of them in request order is raised,
-        after every process is reaped.
+        At most usable_cpus() processes of this backend are alive at once,
+        the idle one included.  A request takes the idle process if there is
+        one; if fewer than usable_cpus() are then alive, one more is started
+        and waits on stdin for the next request.  A request has `timeout`
+        seconds from the moment its bytes start to be written.  A process
+        that cannot start, times out or exits non-zero, a reply that is not
+        JSON, and one that read rejects with KeyError, OverflowError,
+        TypeError or ValueError are BackendUnavailable; the first of them in
+        request order is raised, after every process is reaped.
         """
-        import selectors  # with subprocess, loaded only by a process that sends a request
+        import selectors
 
         name = self.command[0]
         payloads = [json.dumps(request).encode("utf-8") for request in requests]
@@ -148,10 +198,13 @@ class JsonSubprocessBackend:
                     while (not failures and started < len(payloads)
                            and len(running) < slots):
                         try:
-                            running[started] = _Exchange(self.command, payloads[started],
+                            running[started] = _Exchange(self._process(), payloads[started],
                                                          self.timeout, selector)
                         except OSError as exc:
                             failures[started] = BackendUnavailable(f"backend {name!r}: {exc}")
+                        else:
+                            if len(running) < slots:
+                                self._start_spare()
                         started += 1
                     if failures:  # requests start in order: no later one can fail first
                         for index in [i for i in running if i > min(failures)]:
@@ -171,9 +224,12 @@ class JsonSubprocessBackend:
                                 failures[index] = exc
                             finally:
                                 ex.close()
+                if failures:
+                    raise failures[min(failures)]
+            except BaseException:
+                self.close()
+                raise
             finally:
                 for ex in running.values():
                     ex.close()
-        if failures:
-            raise failures[min(failures)]
         return replies

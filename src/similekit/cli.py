@@ -542,7 +542,7 @@ def cmd_evaluate(s: Settings) -> int:
         embedder = OneHotEmbedder() if s["embedder"] == "onehot" else CharNgramEmbedder()
         report = MetricReport()
         for path in generated:
-            records = read_batch_jsonl(path)
+            records = read_batch_jsonl(path, refs_by_literal)
             if not records:
                 print(f"warning: {path} has no rows; not scored", file=sys.stderr)
                 continue

@@ -447,11 +447,17 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def runs_of(items):
+    """The items of an iterable in lists of RUN_LENGTH, in order; a list is read
+    from items only when the one before it has been taken."""
+    items = iter(items)
+    while run := list(itertools.islice(items, RUN_LENGTH)):
+        yield run
+
+
 def _runs(path):
     """The (number, line) pairs of path's non-blank lines, RUN_LENGTH at a time."""
-    lines = _numbered_lines(path)
-    while run := list(itertools.islice(lines, RUN_LENGTH)):
-        yield run
+    return runs_of(_numbered_lines(path))
 
 
 def fan_out(path, build, work, fields: int = 0):
@@ -548,12 +554,16 @@ def _send(out, message) -> None:
     out.flush()
 
 
+def string(name: str, value) -> str:
+    """value, a string; anything else is a TypeError naming field `name`."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name!r} is {type(value).__name__}, not a string")
+    return value
+
+
 def text_of(record) -> str:
     """A record's `text` field, which must be a string."""
-    text = record["text"]
-    if not isinstance(text, str):
-        raise TypeError(f"'text' is {type(text).__name__}, not a string")
-    return text
+    return string("text", record["text"])
 
 
 def strings(name: str, items):

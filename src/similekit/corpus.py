@@ -3,8 +3,9 @@
 For each simile: look up the vehicle's top-k HasProperty properties, append
 each to the prefix to form literal candidates, keep the candidate the scorer
 finds most fluent (minimum perplexity, ties by property rank), run it through
-the grammar-correction hook, and emit the pair.  The simile prefix is kept
-verbatim, so a comma before the comparator survives into the literal
+the grammar-correction hook, and emit the pair.  Similes are converted a run
+at a time, with one lookup and one scoring call per run.  The simile prefix
+is kept verbatim, so a comma before the comparator survives into the literal
 ("... calm and quiet, very relaxed.").
 """
 
@@ -24,16 +25,19 @@ from .core import (
     json_line,
     parse_simile,
     read_records,
+    runs_of,
     terminal_punctuation,
     tokenize,
     write_jsonl,
     write_lines,
 )
-from .knowledge import PropertyCandidate, properties_of
-from .lm import perplexities
+from .knowledge import PropertyCandidate, properties_of_each
+from .lm import EmptyText, perplexities
 
-# Bound for perfbench/tracer.py, which probes similekit.corpus:perplexity;
-# candidates are scored through perplexities, one call per simile.
+# Bound for perfbench/tracer.py, which probes similekit.corpus:properties_of and
+# similekit.corpus:perplexity; a run's vehicles are looked up through
+# properties_of_each and its candidates scored through perplexities, one call each.
+from .knowledge import properties_of
 from .lm import perplexity
 
 
@@ -92,23 +96,40 @@ class BuildStats(Slots):
         self.failures += other.failures
 
 
-def select_best_literal(simile: SimileInstance,
-                        properties: list[PropertyCandidate], scorer) -> LiteralCandidate:
-    """The literal candidate the scorer finds most fluent (minimum perplexity,
-    ties keep the earlier, higher-ranked property).
+def select_best_literals(similes: list[SimileInstance],
+                         properties_each: list[list[PropertyCandidate]], scorer) -> list:
+    """For each simile and its properties, the literal candidate the scorer finds
+    most fluent (minimum perplexity, ties keep the earlier, higher-ranked
+    property), or the ValueError its candidates raise: NoProperties when it
+    has none, EmptyText when one has no tokens.
 
     A candidate is prefix + property + the simile's terminal punctuation.
-    All are scored in one call.  A token holds no whitespace, so a
-    candidate's tokens are the prefix's, tokenized once, and its tail's.
+    Every candidate of the batch is scored in one call, those of a simile
+    next to each other.  A token holds no whitespace, so a candidate's
+    tokens are the prefix's, tokenized once, and its tail's.
     """
-    if not properties:
-        raise NoProperties(f"no properties for vehicle of {simile.raw_text!r}")
-    punct = terminal_punctuation(simile.raw_text)
-    head = tokenize(simile.prefix)
-    texts = [(simile.prefix + " " + prop.text).strip() + punct for prop in properties]
-    ppls = perplexities(texts, scorer, [head + tokenize(prop.text + punct) for prop in properties])
-    best = min(range(len(texts)), key=ppls.__getitem__)
-    return LiteralCandidate(texts[best], properties[best].text, ppls[best])
+    texts, tokens, starts = [], [], []
+    for simile, properties in zip(similes, properties_each):
+        punct = terminal_punctuation(simile.raw_text)
+        candidates = [(simile.prefix + " " + prop.text).strip() + punct for prop in properties]
+        if not candidates:
+            starts.append(NoProperties(f"no properties for vehicle of {simile.raw_text!r}"))
+        elif any(not text or text.isspace() for text in candidates):
+            starts.append(EmptyText("cannot score an empty text"))
+        else:
+            starts.append(len(texts))
+            head = tokenize(simile.prefix)
+            texts += candidates
+            tokens += [head + tokenize(prop.text + punct) for prop in properties]
+    ppls = perplexities(texts, scorer, tokens) if texts else []
+    best = []
+    for properties, start in zip(properties_each, starts):
+        if isinstance(start, ValueError):
+            best.append(start)
+            continue
+        i = min(range(start, start + len(properties)), key=ppls.__getitem__)
+        best.append(LiteralCandidate(texts[i], properties[i - start].text, ppls[i]))
+    return best
 
 
 def correct_grammar(text: str, corrector=None) -> str:
@@ -136,39 +157,42 @@ def iter_parallel_corpus(
 ):
     """Yield one pair per convertible simile; a simile that fails with a ValueError is recorded.
 
+    Similes are converted a run (core.RUN_LENGTH of them) at a time: one
+    lookup of the run's vehicles (knowledge.properties_of_each) and one
+    scoring call over all the run's candidates (select_best_literals).
     Similes whose vehicle yields no properties are skipped and counted.  A
-    ValueError on one simile (an empty candidate text, or a pair that breaks
-    the source/target contract) is recorded in stats.failures and the
-    simile is dropped; any other error, such as BackendUnavailable from a
-    remote scorer or knowledge table, propagates and ends the build.
-    Output order follows input order, and each simile is read from
-    `similes` only when the pair before it has been taken, so a stream of
-    similes is converted holding one at a time.
+    ValueError on one simile (an empty candidate text, or a pair that
+    breaks the source/target contract) is recorded in stats.failures and
+    the simile is dropped.  An error of the lookup or of the scoring call,
+    such as BackendUnavailable from a remote scorer or knowledge table, or
+    a k below 1, propagates and ends the build.  Output order follows input
+    order, and a run is read from `similes` only when the pairs of the run
+    before it have been taken, so a stream of similes is converted holding
+    one run at a time.
     """
-    for simile in similes:
-        try:
-            concept = simile.vehicle_phrase()
-            props = properties_of(concept, k, knowledge_backend)
-            if not props:
-                if stats is not None:
-                    stats.skipped_no_properties += 1
+    stats = BuildStats() if stats is None else stats
+    for run in runs_of(similes):
+        concepts = [simile.vehicle_phrase() for simile in run]
+        found = properties_of_each(concepts, k, knowledge_backend)
+        for simile, concept, best in zip(run, concepts, select_best_literals(run, found, scorer)):
+            if isinstance(best, NoProperties):
+                stats.skipped_no_properties += 1
                 continue
-            best = select_best_literal(simile, props, scorer)
-            source = correct_grammar(best.text, corrector)
-            pair = ParallelPair(
-                source=source,
-                target=simile.raw_text,
-                property_used=best.property,
-                vehicle=concept,
-                provenance=simile.source_id,
-            )
-        except ValueError as exc:
-            if stats is not None:
+            try:
+                if isinstance(best, ValueError):
+                    raise best
+                pair = ParallelPair(
+                    source=correct_grammar(best.text, corrector),
+                    target=simile.raw_text,
+                    property_used=best.property,
+                    vehicle=concept,
+                    provenance=simile.source_id,
+                )
+            except ValueError as exc:
                 stats.failures.append((simile.source_id or simile.raw_text, str(exc)))
-            continue
-        if stats is not None:
+                continue
             stats.built += 1
-        yield pair
+            yield pair
 
 
 def build_parallel_corpus(

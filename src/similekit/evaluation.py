@@ -28,6 +28,7 @@ from .core import (
     is_word,
     read_records,
     rstrip_punct,
+    string,
     strings,
     strip_terminal_modifier,
     tokenize,
@@ -428,7 +429,7 @@ def read_refs_jsonl(path) -> dict[str, list[str]]:
     seen = set()
 
     def row(rec):
-        literal = rec["literal"]
+        literal = string("literal", rec["literal"])
         if literal in seen:
             raise ValueError(f"repeated literal {literal!r}")
         seen.add(literal)
@@ -437,15 +438,17 @@ def read_refs_jsonl(path) -> dict[str, list[str]]:
     return dict(read_records(path, row))
 
 
-def _batch_record(rec) -> dict:
-    row = dict(rec)
-    if "literal" not in row:
-        raise KeyError("literal")
-    if not isinstance(row.get("output", ""), str):
-        raise TypeError(f"'output' is {type(row['output']).__name__}, not a string")
-    return row
+def read_batch_jsonl(path, refs_by_literal=None) -> list[dict]:
+    """The rows of a batch file `generate` wrote, each with a string `literal` and a
+    string `output` when it has one.  Given refs_by_literal, a row whose literal has
+    no references is an error at its line."""
+    def record(rec) -> dict:
+        row = dict(rec)
+        literal = string("literal", row["literal"])
+        if "output" in row:
+            string("output", row["output"])
+        if refs_by_literal is not None and literal not in refs_by_literal:
+            raise ValueError(f"literal {literal!r} is not in the references")
+        return row
 
-
-def read_batch_jsonl(path) -> list[dict]:
-    """The rows of a batch file `generate` wrote, each with a `literal`."""
-    return list(read_records(path, _batch_record))
+    return list(read_records(path, record))

@@ -1,11 +1,12 @@
 """Commonsense property lookup in both directions.
 
-Corpus construction asks vehicle -> top-k HasProperty properties; the
-retrieval baseline asks property -> best vehicle, with a synonym fallback.
-Backends are interchangeable for the forward lookup: a static weighted edge
-table (used by every test) or a remote adapter speaking the JSON contract
-{concept, relation: "HasProperty", k} -> [{text, score}, ...].  The reverse
-lookup, best_concept_for, needs the edge table; the remote adapter has none.
+Corpus construction asks vehicle -> top-k HasProperty properties, for a run
+of vehicles at a time; the retrieval baseline asks property -> best vehicle,
+with a synonym fallback.  Backends are interchangeable for the forward
+lookup: a static weighted edge table (used by every test) or a remote adapter
+speaking the JSON contract {concept, relation: "HasProperty", k} ->
+[{text, score}, ...].  The reverse lookup, best_concept_for, needs the edge
+table; the remote adapter has none.
 """
 
 from __future__ import annotations
@@ -73,18 +74,28 @@ class EdgeTableBackend:
     def properties_of(self, concept: str, k: int) -> list[PropertyCandidate]:
         return self.by_concept.get(fold(concept), [])[:k]
 
+    def properties_of_each(self, concepts: list[str], k: int) -> list[list[PropertyCandidate]]:
+        return [self.properties_of(concept, k) for concept in concepts]
+
     def best_concept_for(self, prop: str) -> str | None:
         row = self.by_property.get(fold(prop))
         return row[1] if row else None
 
 
 class RemoteKnowledgeBackend:
-    """Adapter for an out-of-process HasProperty model; forward lookup only."""
+    """Adapter for an out-of-process HasProperty model; forward lookup only.
+
+    A batch of concepts sends each distinct concept once, the requests side
+    by side (JsonSubprocessBackend.call_many), and maps the answers back.
+    """
 
     def __init__(self, command: list[str]):
         self.backend = JsonSubprocessBackend(command)
 
     def properties_of(self, concept: str, k: int) -> list[PropertyCandidate]:
+        return self.properties_of_each([concept], k)[0]
+
+    def properties_of_each(self, concepts: list[str], k: int) -> list[list[PropertyCandidate]]:
         def read(reply) -> list[PropertyCandidate]:
             if not isinstance(reply, list):
                 raise TypeError("reply is not a list")
@@ -93,7 +104,10 @@ class RemoteKnowledgeBackend:
             cands.sort(key=lambda c: (-c.score, c.text))
             return cands[:k]
 
-        return self.backend.call({"concept": concept, "relation": "HasProperty", "k": k}, read)
+        distinct = list(dict.fromkeys(concepts))
+        requests = [{"concept": c, "relation": "HasProperty", "k": k} for c in distinct]
+        answers = dict(zip(distinct, self.backend.call_many(requests, read)))
+        return [answers[concept] for concept in concepts]
 
 
 def load_edge_table(path) -> EdgeTableBackend:
@@ -131,14 +145,28 @@ class SynonymTable:
 EMPTY_SYNONYMS = SynonymTable()
 
 
+def _in_score_order(cands: list[PropertyCandidate], k: int) -> list[PropertyCandidate]:
+    if any(cands[i].score < cands[i + 1].score for i in range(len(cands) - 1)):
+        raise BackendUnavailable("backend returned properties out of score order")
+    return cands[:k]
+
+
 def properties_of(vehicle: str, k: int, backend) -> list[PropertyCandidate]:
     """Top-k properties of a concept, descending score; fewer when unknown."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    cands = backend.properties_of(vehicle, k)
-    if any(cands[i].score < cands[i + 1].score for i in range(len(cands) - 1)):
-        raise BackendUnavailable("backend returned properties out of score order")
-    return cands[:k]
+    return _in_score_order(backend.properties_of(vehicle, k), k)
+
+
+def properties_of_each(vehicles: list[str], k: int, backend) -> list[list[PropertyCandidate]]:
+    """properties_of for each vehicle, in order, from one call of the backend's
+    properties_of_each."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    found = backend.properties_of_each(vehicles, k)
+    if len(found) != len(vehicles):
+        raise BackendUnavailable(f"backend answered {len(found)} of {len(vehicles)} concepts")
+    return [_in_score_order(cands, k) for cands in found]
 
 
 def vehicle_for_property(prop: str, backend, synonym_backend=EMPTY_SYNONYMS) -> str | None:

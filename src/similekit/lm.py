@@ -4,7 +4,7 @@ Three capabilities, each behind a small protocol so neural backends can attach
 out of process, plus deterministic in-process reference implementations:
 
 * scorer: `perplexities(texts) -> [ppl, ...]`, one call for a batch such as
-  the literal candidates of one simile; one with
+  the literal candidates of a run of similes; one with
   `token_perplexities(token_lists)` is handed the tokens a caller already
   has instead.  Reference: interpolated word-bigram model with add-alpha
   smoothing.

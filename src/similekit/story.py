@@ -19,6 +19,7 @@ from .core import (
     NotModifierFinal,
     read_records,
     split_sentences,
+    string,
     strings,
     strip_terminal_modifier,
 )
@@ -32,14 +33,15 @@ class _StoryFields(NamedTuple):
 
 
 class Story(Checked, _StoryFields):
-    """A story; storyline and sentences are lists or tuples of strings, kept as tuples."""
+    """A story: a string title; storyline and sentences are lists or tuples of strings,
+    kept as tuples."""
 
     __slots__ = ()
 
     def __new__(cls, title, storyline, sentences):
         if not sentences:
             raise ValueError("a story needs at least one sentence")
-        return tuple.__new__(cls, (title, tuple(strings("storyline", storyline)),
+        return tuple.__new__(cls, (string("title", title), tuple(strings("storyline", storyline)),
                                    tuple(strings("sentences", sentences))))
 
 

@@ -7,15 +7,32 @@ known strings.
 toy: a 200-simile templated corpus over 10 vehicles x 5 properties each,
 plus 50 held-out modifier-final literals, small enough to push through the
 whole pipeline in seconds.
+
+Every test must leave no child process behind, running or a zombie: a
+backend's idle process, a fan-out worker or anything else it started.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
 from similekit.core import parse_simile
 from similekit.knowledge import EdgeTableBackend, KnowledgeEdge
 from similekit.lm import BigramScorer, TemplateNgramModel, TrainConfig
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After each test, this process has no child at all."""
+    yield
+    assert_no_child_left()
 
 
 TABLE2 = [

@@ -1,12 +1,16 @@
 """A stdlib stand-in for a remote backend, driven by the request it is sent.
 
-Reads one JSON request on stdin.  Optional fields, applied in this order:
+Given a file, appends its pid to it as it starts, before reading anything.
+Reads one JSON request on stdin; if stdin closes with no request (the backend
+that started it went away without killing it), it sleeps 30 seconds, so a
+test can see it was left behind.  Optional fields, applied in this order:
 `sleep` (seconds), `log` (a file the request's `i` is appended to),
 `kill` (the process SIGKILLs itself), `exit` (exit with that code after a
 line on stderr) and `raw` (printed instead of the reply).  The reply is
-{"i": i, "length": the number of bytes of stdin}.
+{"i": i, "length": the number of bytes of stdin}, and `pid`, the process's
+pid, when the request has a true `pid`.
 
-    python3 fake_worker.py < request
+    python3 fake_worker.py [PID_LOG] < request
 """
 
 import json
@@ -15,7 +19,13 @@ import signal
 import sys
 import time
 
+if len(sys.argv) > 1:
+    with open(sys.argv[1], "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\n")
 data = sys.stdin.buffer.read()
+if not data:
+    time.sleep(30)
+    sys.exit(1)
 request = json.loads(data)
 time.sleep(request.get("sleep", 0))
 if "log" in request:
@@ -26,5 +36,7 @@ if request.get("kill"):
 if "exit" in request:
     print(f"request {request['i']} failed on purpose", file=sys.stderr)
     sys.exit(request["exit"])
-print(request["raw"] if "raw" in request else json.dumps({"i": request["i"],
-                                                          "length": len(data)}))
+reply = {"i": request["i"], "length": len(data)}
+if request.get("pid"):
+    reply["pid"] = os.getpid()
+print(request["raw"] if "raw" in request else json.dumps(reply))

@@ -530,10 +530,10 @@ class TestBuildCorpus:
 
     def test_backend_error_exits_one_and_writes_nothing(self, world, tmp_path, capsys,
                                                         monkeypatch):
-        def unreachable(concept, k, backend):
+        def unreachable(concepts, k, backend):
             raise BackendUnavailable("knowledge backend down")
 
-        monkeypatch.setattr("similekit.corpus.properties_of", unreachable)
+        monkeypatch.setattr("similekit.corpus.properties_of_each", unreachable)
         rc = main(["build-corpus", "--in", str(world["train_similes"]),
                    "--knowledge", world["edges"], "--out", str(tmp_path / "pairs.tsv"),
                    "--audit-out", str(tmp_path / "audit.jsonl")])
@@ -973,6 +973,28 @@ class TestEvaluate:
         assert main(["evaluate", "--generated", str(batch), "--refs", str(refs)]) == 1
         assert capsys.readouterr().err == f"error: {batch}:1: 'output' is int, not a string\n"
 
+    def test_batch_literal_missing_from_refs_is_located(self, refs, tmp_path, capsys):
+        batch = tmp_path / "b.jsonl"
+        literal = json.loads(refs.read_text(encoding="utf-8").splitlines()[0])["literal"]
+        batch.write_text("".join(json.dumps({"literal": text, "output": "x"}) + "\n"
+                                 for text in (literal, "It was cold.")), encoding="utf-8")
+        assert main(["evaluate", "--generated", str(batch), "--refs", str(refs)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {batch}:2: literal 'It was cold.' is not in the references\n")
+
+    @pytest.mark.parametrize("bad", ["batch", "refs"])
+    def test_literal_not_a_string_is_located(self, refs, tmp_path, capsys, bad):
+        batch = tmp_path / "b.jsonl"
+        batch.write_text(json.dumps({"literal": "It was cold.", "output": "x"}) + "\n",
+                         encoding="utf-8")
+        refs.write_text(json.dumps({"literal": "It was cold.", "references": ["y"]}) + "\n",
+                        encoding="utf-8")
+        path = {"batch": batch, "refs": refs}[bad]
+        path.write_text(json.dumps({"literal": 5, "output": "x", "references": ["y"]}) + "\n",
+                        encoding="utf-8")
+        assert main(["evaluate", "--generated", str(batch), "--refs", str(refs)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:1: 'literal' is int, not a string\n"
+
     def test_bad_scoresheet_row_is_located(self, tmp_path, capsys):
         sheet = tmp_path / "scores.csv"
         sheet.write_text("item_id,system,rater_id,criterion\ni0,A,r0,C\n", encoding="utf-8")
@@ -1030,6 +1052,17 @@ class TestEmbellish:
                    "--seed", "3", "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == "error: decoder crashed\n"
+        assert not out.exists()
+
+    def test_title_not_a_string_is_located(self, world, tmp_path, capsys):
+        stories = tmp_path / "stories.jsonl"
+        stories.write_text('{"title": ["a"], "sentences": ["The road felt slow."]}\n',
+                           encoding="utf-8")
+        out = tmp_path / "embellished.jsonl"
+        rc = main(["embellish", "--stories", str(stories), "--model", str(world["model"]),
+                   "--seed", "3", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {stories}:1: 'title' is list, not a string\n"
         assert not out.exists()
 
     def test_titles_need_models(self, world, tmp_path, capsys):

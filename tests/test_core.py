@@ -361,6 +361,10 @@ class TestReadRecords:
          "'storyline' must be a list of strings"),
         ("batch", '{"literal": "x", "output": 5}', "'output' is int, not a string"),
         ("batch", '{"literal": "x", "output": null}', "'output' is NoneType, not a string"),
+        ("batch", '{"literal": ["x"], "output": "y"}', "'literal' is list, not a string"),
+        ("refs", '{"literal": 5, "references": []}', "'literal' is int, not a string"),
+        ("stories", '{"title": ["a"], "sentences": ["It was cold."]}',
+         "'title' is list, not a string"),
     ])
     def test_bad_value_is_located(self, tmp_path, name, line, reason):
         path = tmp_path / "in.jsonl"

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from similekit import core
 from similekit.core import (
     SimileInstance,
     parse_simile,
@@ -20,13 +21,13 @@ from similekit.corpus import (
     format_pairs,
     iter_parallel_corpus,
     read_pairs_audit_jsonl,
-    select_best_literal,
+    select_best_literals,
     write_pair_files,
     write_pairs_audit_jsonl,
     write_pairs_tsv,
 )
-from similekit.knowledge import PropertyCandidate, load_edge_table
-from similekit.lm import EmptyText, UniformScorer
+from similekit.knowledge import PropertyCandidate, load_edge_table, properties_of
+from similekit.lm import BigramScorer, EmptyText, UniformScorer, perplexities
 
 # Word pieces, apostrophes, punctuation and whitespace of several kinds, or any character.
 PIECES = st.sampled_from(["ab", "x", "'", "’", " ", ".", ",", "!", "-", "\t", "\n",
@@ -36,6 +37,14 @@ TEXTS = st.lists(PIECES, max_size=8).map("".join)
 
 def props(*texts):
     return [PropertyCandidate(t, float(len(texts) - i)) for i, t in enumerate(texts)]
+
+
+def select_best_literal(simile, properties, scorer):
+    """The one-simile batch of select_best_literals: its candidate, or the error it holds."""
+    [best] = select_best_literals([simile], [properties], scorer)
+    if isinstance(best, ValueError):
+        raise best
+    return best
 
 
 class TextRecorder:
@@ -263,8 +272,10 @@ class TestBuildParallelCorpus:
         again = build_parallel_corpus(toy_world["similes"][:40], backend, scorer)
         assert once == again
 
-    def test_stream_pulls_one_simile_per_pair(self, toy_world):
-        """A simile is read only once the pair before it has been taken."""
+    def test_stream_pulls_one_simile_per_pair(self, toy_world, monkeypatch):
+        """With runs of one simile, a simile is read only once the pair before it has been
+        taken."""
+        monkeypatch.setattr(core, "RUN_LENGTH", 1)
         similes = toy_world["similes"][:20]
         pulled = []
 
@@ -281,7 +292,28 @@ class TestBuildParallelCorpus:
             assert pair.target == pulled[-1].raw_text
         assert pulled == similes
 
-    def test_stream_counts_skips_before_the_next_pair(self, table2_backend, table2_scorer):
+    def test_stream_pulls_one_run_at_a_time(self, toy_world, monkeypatch):
+        """A run is read only once the pairs of the run before it have been taken."""
+        monkeypatch.setattr(core, "RUN_LENGTH", 3)
+        similes = toy_world["similes"][:20]
+        pulled = []
+
+        def stream():
+            for simile in similes:
+                pulled.append(simile)
+                yield simile
+
+        backend = load_edge_table(toy_world["edges_path"])
+        pairs = iter_parallel_corpus(stream(), backend, UniformScorer(10))
+        assert pulled == []
+        for taken, pair in enumerate(pairs, start=1):
+            assert len(pulled) == min(-(-taken // 3) * 3, len(similes))
+            assert pair.target == similes[taken - 1].raw_text
+        assert pulled == similes
+
+    def test_stream_counts_skips_before_the_next_pair(self, table2_backend, table2_scorer,
+                                                      monkeypatch):
+        monkeypatch.setattr(core, "RUN_LENGTH", 2)
         similes = iter([parse_simile("It hummed like a zamboni."),
                         parse_simile("Love is like a unicorn."),
                         parse_simile("It hummed like a zamboni.")])
@@ -290,6 +322,112 @@ class TestBuildParallelCorpus:
         assert next(pairs).target == "Love is like a unicorn."
         assert (stats.built, stats.skipped_no_properties) == (1, 1)
         assert next(similes).vehicle == "zamboni."
+
+
+class TableBackend:
+    """A knowledge backend answering from a dict, so properties can be any candidate."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def properties_of(self, concept, k):
+        return self.table.get(concept, [])[:k]
+
+    def properties_of_each(self, concepts, k):
+        return [self.properties_of(concept, k) for concept in concepts]
+
+
+def convert_one_at_a_time(similes, backend, scorer, corrector, k, stats):
+    """The pairs of the conversion earlier versions made, one simile at a time, with
+    each simile's candidates scored in a call of their own: the oracle of runs."""
+    pairs = []
+    for simile in similes:
+        try:
+            concept = simile.vehicle_phrase()
+            found = properties_of(concept, k, backend)
+            if not found:
+                stats.skipped_no_properties += 1
+                continue
+            punct = terminal_punctuation(simile.raw_text)
+            texts = [(simile.prefix + " " + prop.text).strip() + punct for prop in found]
+            ppls = perplexities(texts, scorer)
+            best = min(range(len(texts)), key=ppls.__getitem__)
+            pair = ParallelPair(correct_grammar(texts[best], corrector), simile.raw_text,
+                                found[best].text, concept, simile.source_id)
+        except ValueError as exc:
+            stats.failures.append((simile.source_id or simile.raw_text, str(exc)))
+            continue
+        stats.built += 1
+        pairs.append(pair)
+    return pairs
+
+
+# Vehicles with several properties, with none, and with a blank one that leaves the
+# candidate of an empty prefix without punctuation empty.
+RUN_TABLE = {
+    "rock": props("hard", "grey and hard", "loud", "solid"),
+    "owl": props("wise", "quiet", "very very wise"),
+    "ghost": [],
+    "void": [PropertyCandidate(" ", 1.0)],
+}
+RUN_SCORER = BigramScorer(["The wall was hard.", "He was wise and quiet.",
+                           "It was grey and hard.", "She was very quiet."])
+SIMILES = st.builds(
+    lambda prefix, vehicle, punct, source_id: SimileInstance(
+        f"{prefix} like a {vehicle}{punct}".lstrip(), prefix, " like a " if prefix else "like a ",
+        vehicle + punct, source_id),
+    st.sampled_from(["", "The wall was", "He sat, calm", "It was"]),
+    st.sampled_from(sorted(RUN_TABLE) + ["zamboni"]),
+    st.sampled_from(["", ".", "!"]),
+    st.sampled_from(["", "c1", "c2"]))
+
+
+@given(similes=st.lists(SIMILES, max_size=12), run_length=st.integers(1, 5),
+       k=st.integers(1, 4), scorer=st.sampled_from([RUN_SCORER, UniformScorer(7)]))
+@settings(max_examples=200, deadline=None)
+def test_runs_convert_as_one_simile_at_a_time(similes, run_length, k, scorer):
+    """Pairs, counts and the order of the failures do not depend on how the similes
+    fall into runs; a ValueError in mid-run drops only its own simile."""
+    def add_comparator(text):  # the pair then breaks the source/target contract
+        return text + " Like a drum." if text.startswith("He sat") else text
+
+    backend = TableBackend(RUN_TABLE)
+    expected_stats = BuildStats()
+    expected = convert_one_at_a_time(similes, backend, scorer, add_comparator, k,
+                                      expected_stats)
+    saved = core.RUN_LENGTH  # a function-scoped monkeypatch spans examples
+    core.RUN_LENGTH = run_length
+    try:
+        stats = BuildStats()
+        pairs = list(iter_parallel_corpus(iter(similes), backend, scorer, add_comparator, k,
+                                          stats))
+    finally:
+        core.RUN_LENGTH = saved
+    assert pairs == expected
+    assert (stats.built, stats.skipped_no_properties, stats.failures) == (
+        expected_stats.built, expected_stats.skipped_no_properties, expected_stats.failures)
+
+
+def test_one_lookup_and_one_scoring_call_per_run(toy_world, monkeypatch):
+    monkeypatch.setattr(core, "RUN_LENGTH", 8)
+    lookups, batches = [], []
+
+    class Counting(TableBackend):
+        def properties_of_each(self, concepts, k):
+            lookups.append(len(concepts))
+            return super().properties_of_each(concepts, k)
+
+    class Recorder(TextRecorder):
+        def perplexities(self, texts):
+            batches.append(len(texts))
+            return super().perplexities(texts)
+
+    backend = Counting({simile.vehicle_phrase(): props("big", "small")
+                        for simile in toy_world["similes"]})
+    pairs = build_parallel_corpus(toy_world["similes"][:20], backend, Recorder())
+    assert len(pairs) == 20
+    assert lookups == [8, 8, 4]
+    assert batches == [16, 16, 8]
 
 
 def read_pairs_tsv(path) -> list[tuple[str, str]]:

@@ -24,6 +24,8 @@ from similekit.lm import TemplateNgramModel, TrainConfig
 from similekit.systems import masked_pairs
 from similekit.tagging import DEFAULT_TAGGER
 
+from conftest import assert_no_child_left
+
 WORKERS = [1, 2, 3]
 
 
@@ -38,11 +40,6 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture()
@@ -323,12 +320,12 @@ def test_a_worker_error_keeps_the_old_outputs(toy_world, edges, tmp_path, split,
     similes = tmp_path / "similes.jsonl"
     similes_file(similes, toy_world["simile_texts"][:12])
     last = toy_world["similes"][11].vehicle_phrase()
-    lookup = corpus.properties_of
+    lookup = corpus.properties_of_each
 
-    def down_on_the_last(concept, k, backend):
-        if concept == last:
+    def down_on_the_last(concepts, k, backend):
+        if last in concepts:
             raise BackendUnavailable("knowledge backend down")
-        return lookup(concept, k, backend)
+        return lookup(concepts, k, backend)
 
     split(4, 2)
     rc, out = build(tmp_path, edges, similes, "out")
@@ -336,7 +333,7 @@ def test_a_worker_error_keeps_the_old_outputs(toy_world, edges, tmp_path, split,
     manifest = out / "pairs.tsv.manifest.json"
     before = outputs(out), manifest.read_bytes()
     capsys.readouterr()
-    monkeypatch.setattr(corpus, "properties_of", down_on_the_last)
+    monkeypatch.setattr(corpus, "properties_of_each", down_on_the_last)
     # --k 4 would change the manifest, had the run written one.
     rc = main(["build-corpus", "--in", str(similes), "--knowledge", edges, "--k", "4",
                "--out", str(out / "pairs.tsv"), "--audit-out", str(out / "audit.jsonl")])

@@ -16,6 +16,7 @@ from similekit.knowledge import (
     SynonymTable,
     load_edge_table,
     properties_of,
+    properties_of_each,
     vehicle_for_property,
 )
 
@@ -76,6 +77,22 @@ class TestEdgeTable:
 
         with pytest.raises(BackendUnavailable):
             properties_of("rock", 2, Shuffled())
+
+    def test_batch_is_each_lookup_in_order(self, table2_backend, table2_rows):
+        vehicles = [row["vehicle"] for row in table2_rows] + ["zamboni", table2_rows[0]["vehicle"]]
+        for k in (1, 3, 50):
+            assert properties_of_each(vehicles, k, table2_backend) == [
+                properties_of(vehicle, k, table2_backend) for vehicle in vehicles]
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            properties_of_each(vehicles, 0, table2_backend)
+
+    def test_out_of_order_batch_rejected(self):
+        class Shuffled:
+            def properties_of_each(self, concepts, k):
+                return [[], [PropertyCandidate("a", 0.1), PropertyCandidate("b", 0.9)]]
+
+        with pytest.raises(BackendUnavailable, match="out of score order"):
+            properties_of_each(["rock", "owl"], 2, Shuffled())
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -221,6 +238,28 @@ class TestRemoteBackend:
         cands = properties_of("sunset", 2, backend)
         assert [c.text for c in cands] == ["beautiful", "red"]
         assert properties_of("zamboni", 2, backend) == []
+
+    def test_a_batch_sends_each_distinct_concept_once(self, tmp_path):
+        log = tmp_path / "concepts"
+        cmd = write_reply_script(
+            tmp_path,
+            "import json, sys\n"
+            "req = json.load(sys.stdin)\n"
+            f"open({str(log)!r}, 'a').write(req['concept'] + '\\n')\n"
+            "print(json.dumps([{'text': req['concept'] + '-ish', 'score': 1.0}]))\n",
+        )
+        concepts = ["sunset", "Sunset", "sunset", "rock", "Sunset"]
+        found = properties_of_each(concepts, 2, RemoteKnowledgeBackend(cmd))
+        assert found == [[PropertyCandidate(c + "-ish", 1.0)] for c in concepts]
+        assert sorted(log.read_text(encoding="utf-8").split()) == ["Sunset", "rock", "sunset"]
+
+    def test_a_batch_answer_of_the_wrong_length_is_unavailable(self, table2_backend):
+        class Short:
+            def properties_of_each(self, concepts, k):
+                return table2_backend.properties_of_each(concepts[1:], k)
+
+        with pytest.raises(BackendUnavailable, match="answered 1 of 2 concepts"):
+            properties_of_each(["unicorn", "rock"], 2, Short())
 
     def test_nonzero_exit_raises(self, tmp_path):
         cmd = write_reply_script(tmp_path, "import sys\nsys.exit(3)\n")

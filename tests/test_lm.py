@@ -800,12 +800,13 @@ class TestRemoteReplyTypes:
         assert type(perplexities(["a"], scorer)[0]) is float
 
     def test_nan_perplexity_never_wins_a_candidate(self, tmp_path):
-        """select_best_literal would take a NaN perplexity as the best; the build stops instead."""
+        """select_best_literals would take a NaN perplexity as the best; the build stops
+        instead."""
         from similekit.core import parse_simile
-        from similekit.corpus import select_best_literal
+        from similekit.corpus import select_best_literals
         from similekit.knowledge import PropertyCandidate
 
         scorer = RemoteScorer(reply_command(tmp_path, '{"perplexity": NaN}'))
         simile = parse_simile("It ran like a deer.")
         with pytest.raises(BackendUnavailable):
-            select_best_literal(simile, [PropertyCandidate("fast", 1.0)], scorer)
+            select_best_literals([simile], [[PropertyCandidate("fast", 1.0)]], scorer)

@@ -135,6 +135,16 @@ class TestGenerateStory:
         with pytest.raises(TypeError, match="must be a list of strings"):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: Story(["a"], (), ("It was cold.",)),
+        lambda: Story(None, (), ("It was cold.",)),
+        lambda: Story._make([5, (), ("It was cold.",)]),
+        lambda: STORY._replace(title=("The Flood",)),
+    ])
+    def test_title_must_be_a_string(self, build):
+        with pytest.raises(TypeError, match="'title' is .*, not a string"):
+            build()
+
 
 class TestStoryFiles:
     def test_round_trip(self, tmp_path):

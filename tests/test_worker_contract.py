@@ -45,6 +45,13 @@ def test_properties_equal_edge_table(world, concept):
     assert remote == load_edge_table(world["edges"]).properties_of(concept, 3)
 
 
+def test_batched_lookup_equals_edge_table(world):
+    concepts = ["glacier", "Hurricane", "glacier", "zamboni", "hurricane", "Hurricane"]
+    remote = RemoteKnowledgeBackend(world["command"]).properties_of_each(concepts, 3)
+    assert remote == load_edge_table(world["edges"]).properties_of_each(concepts, 3)
+    assert remote[0] and remote[1]
+
+
 @pytest.mark.parametrize("text", ["The river was cold.", "Her voice was zzz quiet."])
 def test_perplexity_equals_bigram_scorer(world, text):
     remote = perplexity(text, RemoteScorer(world["command"]))
