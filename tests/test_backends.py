@@ -211,11 +211,14 @@ def test_the_idle_process_is_reaped_at_exit(tmp_path):
     """A process that makes one request and exits leaves no process behind.  fake_worker
     logs each pid as it starts, and sleeps 30 s if its stdin closes with no request."""
     log = tmp_path / "pids"
-    code = ("import sys\n"
+    code = ("import time\n"
             "from similekit import backends\n"
             "backends.usable_cpus = lambda: 2\n"
             f"backend = backends.JsonSubprocessBackend({WORKER + [str(log)]!r})\n"
-            "assert backend.call({'i': 0})['i'] == 0\n")
+            "assert backend.call({'i': 0})['i'] == 0\n"
+            "deadline = time.monotonic() + 20  # until the idle process has started\n"
+            f"while len(open({str(log)!r}).read().split()) < 2 and time.monotonic() < deadline:\n"
+            "    time.sleep(0.01)\n")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=30,
                    env=dict(os.environ, PYTHONPATH=str(SRC)))
     pids = [int(line) for line in log.read_text(encoding="utf-8").split()]
