@@ -12,7 +12,8 @@ out of process, plus deterministic in-process reference implementations:
   prob), ...]`, ranked by falling probability, ties by token; decoding
   samples from the first top_k.  Reference: a template n-gram model that
   learns how many terminal words a source drops and what suffixes replace
-  them, conditioned on the dropped cue word.
+  them, conditioned on the dropped cue word.  Its model file holds just
+  those two tables.
 * trainer: `TemplateNgramModel.train(pairs, cfg)` counts (source, target)
   pairs into a model, reading each once; `fine_tune(pairs, cfg, backend)`
   hands them to any `backend.fine_tune(pairs, cfg)`.
@@ -75,19 +76,8 @@ class GenerationConfig(Checked, _GenerationFields):
         return tuple.__new__(cls, (max_new_tokens, seed, top_k, temperature, forced_prefix))
 
 
-class _TrainFields(NamedTuple):
+class TrainConfig(NamedTuple):
     seed: int
-    epochs: int = 17
-    batch_token_budget: int = 1024
-
-
-class TrainConfig(Checked, _TrainFields):
-    __slots__ = ()
-
-    def __new__(cls, seed, epochs=17, batch_token_budget=1024):
-        if epochs < 1 or batch_token_budget < 1:
-            raise ValueError("epochs and batch_token_budget must be positive")
-        return tuple.__new__(cls, (seed, epochs, batch_token_budget))
 
 
 class GenerationOutput(NamedTuple):
@@ -329,19 +319,22 @@ def _rank(counts: dict[str, int]) -> tuple[tuple[str, float], ...]:
 class _Trie:
     """Counted token trie over target suffixes, walked by longest context match.
 
-    An entry is [count, children, ranked]: ranked is the children's _rank,
-    computed on first use.  The root is an entry whose count is unused.
+    Built from one or more {suffix: count} tables; a node counts the
+    suffixes of every table that pass through it.  An entry is [count,
+    children, ranked]: ranked is the children's _rank, computed on first
+    use.  The root is an entry whose count is unused.
     """
 
     __slots__ = ("root",)
 
-    def __init__(self, suffix_counts: dict[str, int]):
+    def __init__(self, *suffix_tables: dict[str, int]):
         self.root: list = [0, {}, None]
-        for joined, count in suffix_counts.items():
-            entry = self.root
-            for tok in joined.split(" "):
-                entry = entry[1].setdefault(tok, [0, {}, None])
-                entry[0] += count
+        for suffix_counts in suffix_tables:
+            for joined, count in suffix_counts.items():
+                entry = self.root
+                for tok in joined.split(" "):
+                    entry = entry[1].setdefault(tok, [0, {}, None])
+                    entry[0] += count
 
     def next_ranked(self, context: list[str]) -> tuple | None:
         """Ranked next tokens at the deepest node whose root path is a suffix of context."""
@@ -362,23 +355,19 @@ class _Trie:
 class TemplateCounts:
     """The integer counts TemplateNgramModel is built from.
 
-    Per (source, target) pair: the source words the target drops, the target
-    suffix after the common token prefix (by the source's last word, the cue,
-    and over all cues), and the target's token bigrams and unigrams.  Counts
-    add up, so runs of pairs counted apart and added give the counts of all.
+    Per (source, target) pair: the number of source words the target drops,
+    and the target suffix after the common token prefix, by the source's
+    last word (the cue).  Counts add up, so runs of pairs counted apart and
+    added give the counts of all.
     """
 
     def __init__(self):
         self.drops: dict[int, int] = {}
         self.cue_suffixes: dict[str, dict[str, int]] = {}
-        self.global_suffixes: dict[str, int] = {}
-        self.bigram: dict[str, dict[str, int]] = {}
-        self.unigram: dict[str, int] = {}
 
     def count(self, pairs) -> "TemplateCounts":
         """Add the counts of an iterable of (source, target) pairs, reading each once."""
-        drops, cue_suffixes, global_suffixes = self.drops, self.cue_suffixes, self.global_suffixes
-        bigram, unigram = self.bigram, self.unigram
+        drops, cue_suffixes = self.drops, self.cue_suffixes
         for source, target in pairs:
             src = tokenize(source)
             tgt = tokenize(target)
@@ -388,30 +377,24 @@ class TemplateCounts:
             suffix = " ".join(tgt[common:] + [EOS_TOKEN])
             bucket = cue_suffixes.setdefault(_last_word(src), {})
             bucket[suffix] = bucket.get(suffix, 0) + 1
-            global_suffixes[suffix] = global_suffixes.get(suffix, 0) + 1
-            prev = TemplateNgramModel.BOS
-            for tok in tgt + [EOS_TOKEN]:
-                row = bigram.setdefault(prev, {})
-                row[tok] = row.get(tok, 0) + 1
-                unigram[tok] = unigram.get(tok, 0) + 1
-                prev = tok
         return self
 
     def add(self, other: "TemplateCounts") -> None:
-        """Add another's counts; `other` is not used afterwards, so its rows may be taken."""
-        for table, rows in ((self.cue_suffixes, other.cue_suffixes), (self.bigram, other.bigram)):
-            for key, row in rows.items():
-                mine = table.setdefault(key, row)
-                if mine is not row:
-                    _add_counts(mine, row)
-        for table, counts in ((self.drops, other.drops), (self.global_suffixes,
-                              other.global_suffixes), (self.unigram, other.unigram)):
-            _add_counts(table, counts)
+        """Add another's counts; `other` is not used afterwards, so its buckets may be taken."""
+        for cue, bucket in other.cue_suffixes.items():
+            mine = self.cue_suffixes.setdefault(cue, bucket)
+            if mine is not bucket:
+                _add_counts(mine, bucket)
+        _add_counts(self.drops, other.drops)
 
 
 def _add_counts(total: dict, counts: dict) -> None:
     for key, n in counts.items():
         total[key] = total.get(key, 0) + n
+
+
+# What decoding returns where no suffix is known: the end of the output.
+_END = ((EOS_TOKEN, 1.0),)
 
 
 class TemplateNgramModel:
@@ -422,33 +405,28 @@ class TemplateNgramModel:
     (the mode over pairs), and (b) which target suffixes replace them, keyed
     by the dropped cue word.  Decoding copies the source minus its dropped
     words deterministically, then samples the continuation from the cue's
-    suffix trie, backing off to a global trie, a target-side bigram model,
-    and finally a unigram model.  Purely count-based, so training is
-    deterministic; the TrainConfig is recorded for the model manifest.
+    suffix trie, backing off to a global trie built from every cue's
+    suffixes.  An output that a forced prefix took away from the copy
+    region walks the same tries with the whole output as context.  Purely
+    count-based, so training is deterministic; the TrainConfig is recorded
+    for the model manifest.
     """
 
     def __init__(self, drop_words: int, cue_suffixes: dict[str, dict[str, int]],
-                 global_suffixes: dict[str, int], bigram: dict[str, dict[str, int]],
-                 unigram: dict[str, int], train_config: dict):
+                 train_config: dict):
         self.drop_words = drop_words
         self.cue_suffixes = cue_suffixes
-        self.global_suffixes = global_suffixes
-        self.bigram = bigram
-        self.unigram = unigram
         self.train_config = train_config
         # Tries are built on first lookup, so training and saving build none
         # and decoding builds only the cues its sources end in.
         self._cue_tries: dict[str, _Trie] = {}
         self._global_trie: _Trie | None = None
-        # The bigram (or unigram) row after a token, ranked on first use.
-        self._ranked_rows: dict[str, tuple] = {}
         # The last source seen, its copy region and its cue's trie: decoding
         # asks about one source on every step.
         self._source: tuple = (None, [], None)
 
-    BOS = "<s>"
     # What model.json holds: the constructor's arguments but the train config.
-    STATE = ("drop_words", "cue_suffixes", "global_suffixes", "bigram", "unigram")
+    STATE = ("drop_words", "cue_suffixes")
 
     @classmethod
     def train(cls, pairs, cfg: TrainConfig) -> "TemplateNgramModel":
@@ -457,13 +435,12 @@ class TemplateNgramModel:
 
     @classmethod
     def from_counts(cls, counts: TemplateCounts, cfg: TrainConfig) -> "TemplateNgramModel":
-        """The model of counted pairs; the model holds the counts' tables."""
+        """The model of counted pairs; the model holds the counts' cue table."""
         if not counts.drops:
             raise EmptyTrainingSet("no training pairs")
         # Mode of the per-pair drop counts; ties go to the smaller count.
         best = max(counts.drops.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        return cls(best, counts.cue_suffixes, counts.global_suffixes, counts.bigram,
-                   counts.unigram, train_config=cfg._asdict())
+        return cls(best, counts.cue_suffixes, train_config=cfg._asdict())
 
     def copy_region(self, src_tokens: list[str]) -> list[str]:
         """Source tokens minus trailing punctuation and drop_words final words."""
@@ -473,7 +450,7 @@ class TemplateNgramModel:
         return toks
 
     def next_token_distribution(self, src_tokens: list[str], out_tokens: list[str]) -> tuple:
-        """Ranked (token, prob) pairs; each node's or row's tuple is built once and shared."""
+        """Ranked (token, prob) pairs; each node's tuple is built once and shared."""
         source, copy, cue_trie = self._source
         if src_tokens != source:
             copy = self.copy_region(src_tokens)
@@ -485,24 +462,17 @@ class TemplateNgramModel:
         n = len(out_tokens)
         if n < len(copy) and out_tokens == copy[:n]:
             return ((copy[n], 1.0),)
+        # The continuation after the copy region; an output a forced prefix
+        # took away from it is matched whole.
+        context = out_tokens[len(copy) :] if out_tokens[: len(copy)] == copy else out_tokens
         ranked = None
-        if n >= len(copy) and out_tokens[: len(copy)] == copy:
-            # Continuation region: walk the cue trie, then the global trie.
-            context = out_tokens[len(copy) :]
-            if cue_trie is not None:
-                ranked = cue_trie.next_ranked(context)
-            if ranked is None:
-                if self._global_trie is None:
-                    self._global_trie = _Trie(self.global_suffixes)
-                ranked = self._global_trie.next_ranked(context)
+        if cue_trie is not None:
+            ranked = cue_trie.next_ranked(context)
         if ranked is None:
-            # Forced-prefix divergence or trie miss: sentence-level bigram.
-            last = out_tokens[-1] if out_tokens else self.BOS
-            ranked = self._ranked_rows.get(last)
-            if ranked is None:
-                counts = self.bigram.get(last) or self.unigram
-                ranked = self._ranked_rows[last] = _rank(counts) if counts else ((EOS_TOKEN, 1.0),)
-        return ranked
+            if self._global_trie is None:
+                self._global_trie = _Trie(*self.cue_suffixes.values())
+            ranked = self._global_trie.next_ranked(context)
+        return ranked or _END
 
     # Persistence: a directory with a manifest (config + seed) and the counts.
 
@@ -514,20 +484,37 @@ class TemplateNgramModel:
         write_json(state, os.path.join(model_dir, "model.json"), indent=None)
         manifest = {
             "type": "template-ngram",
-            "version": 1,
+            "version": 2,
             "train_config": self.train_config,
         }
         write_json(manifest, os.path.join(model_dir, "manifest.json"))
 
     @classmethod
     def load(cls, model_dir: str) -> "TemplateNgramModel":
-        """A saved model; a damaged manifest.json or model.json is a ValueError naming it."""
-        manifest = _read_json_object(os.path.join(model_dir, "manifest.json"), ("type",))
+        """A saved model of version 2 or 1 (a manifest without `version` is 1).
+        A version-1 model.json also holds three tables decoding does not
+        read; they are ignored.  A damaged manifest.json or model.json is a
+        ValueError naming it."""
+        path = os.path.join(model_dir, "manifest.json")
+        manifest = _read_json_object(path, ("type",))
         if manifest["type"] != "template-ngram":
             raise ValueError(f"not a template-ngram model dir: {model_dir}")
-        state = _read_json_object(os.path.join(model_dir, "model.json"), cls.STATE)
-        return cls(**{name: state[name] for name in cls.STATE},
-                   train_config=manifest.get("train_config", {}))
+        version = manifest.get("version", 1)
+        if type(version) is not int or version not in (1, 2):
+            raise ValueError(f"{path}: unknown model version {version!r}")
+        path = os.path.join(model_dir, "model.json")
+        state = _read_json_object(path, cls.STATE)
+        drop_words, cue_suffixes = state["drop_words"], state["cue_suffixes"]
+        if type(drop_words) is not int or drop_words < 0:
+            raise ValueError(f"{path}: drop_words must be an integer >= 0, not {drop_words!r}")
+        if not isinstance(cue_suffixes, dict):
+            raise ValueError(f"{path}: cue_suffixes must be an object")
+        for cue, bucket in cue_suffixes.items():
+            if not (isinstance(bucket, dict)
+                    and all(type(n) is int and n >= 1 for n in bucket.values())):
+                raise ValueError(f"{path}: cue_suffixes[{cue!r}] must map each suffix "
+                                 "to an integer count >= 1")
+        return cls(drop_words, cue_suffixes, train_config=manifest.get("train_config", {}))
 
 
 def _read_json_object(path: str, keys) -> dict:

@@ -1314,14 +1314,13 @@ def test_every_refused_decoding_setting_is_reported(world, tmp_path, capsys, com
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["generate", "embellish"])
-def test_damaged_model_is_named(tmp_path, capsys, command):
-    """A byte that is not UTF-8 appended to a one-pair model.json: exit 1, the file named."""
+def run_on_damaged_model(tmp_path, capsys, command, damage) -> str:
+    """Train a one-pair model, damage(model dir), run command on it: exit 1, no output;
+    returns standard error."""
     pairs, model = tmp_path / "pairs.tsv", tmp_path / "model"
     pairs.write_text("The sky was very blue.\tThe sky was like a sapphire.\n", encoding="utf-8")
     assert main(["train", "--pairs", str(pairs), "--model-out", str(model), "--seed", "1"]) == 0
-    with open(model / "model.json", "ab") as fh:
-        fh.write(b"\xff")
+    damage(model)
     literals, stories = tmp_path / "literals.jsonl", tmp_path / "stories.jsonl"
     literals.write_text('{"text": "The sea was very calm."}\n', encoding="utf-8")
     write_jsonl(map(Story._asdict, [Story("Winter", (), ("The road felt slow.",))]), stories)
@@ -1331,6 +1330,35 @@ def test_damaged_model_is_named(tmp_path, capsys, command):
     rc = main([command, *inputs, "--model", str(model), "--seed", "1",
                "--out", str(tmp_path / "out.jsonl")])
     assert rc == 1
-    assert capsys.readouterr().err.startswith(
-        f"error: {model / 'model.json'}: 'utf-8' codec can't decode byte 0xff in position ")
     assert not (tmp_path / "out.jsonl").exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "embellish"])
+def test_damaged_model_is_named(tmp_path, capsys, command):
+    """A byte that is not UTF-8 appended to a one-pair model.json: exit 1, the file named."""
+    def damage(model):
+        with open(model / "model.json", "ab") as fh:
+            fh.write(b"\xff")
+
+    assert run_on_damaged_model(tmp_path, capsys, command, damage).startswith(
+        f"error: {tmp_path / 'model' / 'model.json'}: 'utf-8' codec can't decode byte 0xff "
+        "in position ")
+
+
+@pytest.mark.parametrize("command", ["generate", "embellish"])
+@pytest.mark.parametrize("name, field, value, reason", [
+    ("model.json", "drop_words", -1, "drop_words must be an integer >= 0, not -1"),
+    ("model.json", "cue_suffixes", [], "cue_suffixes must be an object"),
+    ("manifest.json", "version", 3, "unknown model version 3"),
+], ids=["drop-words", "cue-suffixes", "version"])
+def test_model_with_a_bad_field_is_named(tmp_path, capsys, command, name, field, value,
+                                         reason):
+    path = tmp_path / "model" / name
+
+    def damage(model):
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj[field] = value
+        path.write_text(json.dumps(obj), encoding="utf-8")
+
+    assert run_on_damaged_model(tmp_path, capsys, command, damage) == f"error: {path}: {reason}\n"

@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from similekit.backends import BackendUnavailable
 from similekit.core import EOS_TOKEN, append_token, tokenize
@@ -211,12 +211,19 @@ class OracleTrie:
 
 
 class OracleDecoder:
-    """The previous dict-returning next_token_distribution over a model's tables."""
+    """The dict-returning next_token_distribution over a model's cue table.
+
+    The global trie is built from one summed table, and an output a forced
+    prefix took away from the copy region is matched whole.
+    """
 
     def __init__(self, model):
         self.model = model
         self.cue_tries = {cue: OracleTrie(c) for cue, c in model.cue_suffixes.items()}
-        self.global_trie = OracleTrie(model.global_suffixes)
+        summed = Counter()
+        for bucket in model.cue_suffixes.values():
+            summed.update(bucket)
+        self.global_trie = OracleTrie(summed)
 
     def next_token_distribution(self, src_tokens, out_tokens):
         model = self.model
@@ -224,17 +231,16 @@ class OracleDecoder:
         n = len(out_tokens)
         if n < len(copy) and out_tokens == copy[:n]:
             return {copy[n]: 1.0}
-        counts = None
         if n >= len(copy) and out_tokens[: len(copy)] == copy:
             context = out_tokens[len(copy) :]
-            trie = self.cue_tries.get(_last_word(src_tokens))
-            if trie is not None:
-                counts = trie.next_counts(context)
-            if counts is None:
-                counts = self.global_trie.next_counts(context)
+        else:
+            context = out_tokens
+        counts = None
+        trie = self.cue_tries.get(_last_word(src_tokens))
+        if trie is not None:
+            counts = trie.next_counts(context)
         if counts is None:
-            last = out_tokens[-1] if out_tokens else model.BOS
-            counts = model.bigram.get(last) or model.unigram
+            counts = self.global_trie.next_counts(context)
         if not counts:
             return {EOS_TOKEN: 1.0}
         total = sum(counts.values())
@@ -407,7 +413,7 @@ TGT_WORDS = SRC_WORDS + ["like", "a", "rose", "fire", "sea"]
 def template_models(draw):
     """A trained model, or now and then one with empty tables."""
     if draw(st.integers(0, 9)) == 0:
-        return TemplateNgramModel(draw(st.integers(0, 2)), {}, {}, {}, {}, {})
+        return TemplateNgramModel(draw(st.integers(0, 2)), {}, {})
     pairs = []
     for _ in range(draw(st.integers(1, 8))):
         src = draw(st.lists(st.sampled_from(SRC_WORDS), min_size=1, max_size=7))
@@ -458,8 +464,10 @@ class TestGenerationConfig:
             cfg(temperature=temperature)
 
     def test_train_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(seed=1, epochs=0)
+        """The seed is the one field: epochs and batch_token_budget were never read."""
+        assert TrainConfig(seed=1)._asdict() == {"seed": 1}
+        with pytest.raises(TypeError):
+            TrainConfig(seed=1, epochs=3)
 
 
 def balanced_model():
@@ -544,14 +552,32 @@ class TestGenerate:
 
 
 def model_state(model):
-    return (model.drop_words, model.cue_suffixes, model.global_suffixes, model.bigram,
-            model.unigram, model.train_config)
+    return (model.drop_words, model.cue_suffixes, model.train_config)
 
 
 def saved_bytes(model):
     with tempfile.TemporaryDirectory() as tmp:
         model.save(tmp)
         return {name: (Path(tmp) / name).read_bytes() for name in ("manifest.json", "model.json")}
+
+
+V1_PAIRS = [("The sky was blue.", "The sky was like a sea."),
+            ("The lake was blue.", "The lake was like a sapphire."),
+            ("The rock was very hard.", "The rock was like a diamond."),
+            ("He ran fast.", "He ran like a deer.")]
+# The model.json version 1 wrote for V1_PAIRS.
+V1_MODEL_JSON = (
+    '{"bigram": {".": {"</s>": 4}, "<s>": {"He": 1, "The": 3}, "He": {"ran": 1}, "The": '
+    '{"lake": 1, "rock": 1, "sky": 1}, "a": {"deer": 1, "diamond": 1, "sapphire": 1, "sea": 1}, '
+    '"deer": {".": 1}, "diamond": {".": 1}, "lake": {"was": 1}, "like": {"a": 4}, "ran": '
+    '{"like": 1}, "rock": {"was": 1}, "sapphire": {".": 1}, "sea": {".": 1}, "sky": {"was": 1}, '
+    '"was": {"like": 3}}, "cue_suffixes": {"blue": {"like a sapphire . </s>": 1, '
+    '"like a sea . </s>": 1}, "fast": {"like a deer . </s>": 1}, "hard": '
+    '{"like a diamond . </s>": 1}}, "drop_words": 1, "global_suffixes": '
+    '{"like a deer . </s>": 1, "like a diamond . </s>": 1, "like a sapphire . </s>": 1, '
+    '"like a sea . </s>": 1}, "unigram": {".": 4, "</s>": 4, "He": 1, "The": 3, "a": 4, '
+    '"deer": 1, "diamond": 1, "lake": 1, "like": 4, "ran": 1, "rock": 1, "sapphire": 1, '
+    '"sea": 1, "sky": 1, "was": 3}}\n')
 
 
 WORDS = ["the", "sky", "was", "blue", "hard", "rock", "ran", "fast", ",", ".", "!"]
@@ -699,6 +725,89 @@ class TestTemplateNgramModel:
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(reason)):
             TemplateNgramModel.load(model_dir)
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("drop_words", "1", "drop_words must be an integer >= 0, not '1'"),
+        ("drop_words", -1, "drop_words must be an integer >= 0, not -1"),
+        ("drop_words", True, "drop_words must be an integer >= 0, not True"),
+        ("cue_suffixes", [], "cue_suffixes must be an object"),
+        ("cue_suffixes", {"blue": ["x"]}, "cue_suffixes['blue'] must map each suffix"),
+        ("cue_suffixes", {"blue": {"like a sea . </s>": "1"}},
+         "cue_suffixes['blue'] must map each suffix"),
+        ("cue_suffixes", {"blue": {"like a sea . </s>": 0}},
+         "cue_suffixes['blue'] must map each suffix"),
+        ("cue_suffixes", {"blue": {"like a sea . </s>": 1.5}},
+         "cue_suffixes['blue'] must map each suffix"),
+    ], ids=["drop-string", "drop-negative", "drop-bool", "cues-list", "bucket-list",
+            "count-string", "count-zero", "count-float"])
+    def test_bad_model_field_is_named(self, tmp_path, field, value, reason):
+        model_dir = tmp_path / "model"
+        fine_tune([("The sky was blue.", "The sky was like a sea.")], TrainConfig(seed=1),
+                  BACKEND).save(model_dir)
+        path = model_dir / "model.json"
+        state = json.loads(path.read_text(encoding="utf-8"))
+        state[field] = value
+        path.write_text(json.dumps(state), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {reason}")):
+            TemplateNgramModel.load(model_dir)
+
+    @pytest.mark.parametrize("version", [0, 3, "2", True, None, 2.0])
+    def test_unknown_model_version_is_named(self, tmp_path, version):
+        model_dir = tmp_path / "model"
+        fine_tune([("The sky was blue.", "The sky was like a sea.")], TrainConfig(seed=1),
+                  BACKEND).save(model_dir)
+        path = model_dir / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["version"] = version
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown model version "
+                                                       f"{version!r}")):
+            TemplateNgramModel.load(model_dir)
+
+    @pytest.mark.parametrize("versioned", [True, False], ids=["version-1", "no-version"])
+    def test_version_1_model_decodes_as_version_2(self, tmp_path, versioned):
+        """A model dir as version 1 wrote it, with the three tables decoding no longer reads."""
+        v1 = tmp_path / "v1"
+        v1.mkdir()
+        (v1 / "model.json").write_text(V1_MODEL_JSON, encoding="utf-8")
+        manifest = {"train_config": {"batch_token_budget": 1024, "epochs": 17, "seed": 4},
+                    "type": "template-ngram", **({"version": 1} if versioned else {})}
+        (v1 / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+        loaded = TemplateNgramModel.load(v1)
+        model = TemplateNgramModel.train(V1_PAIRS, TrainConfig(seed=4))
+        assert (loaded.drop_words, loaded.cue_suffixes) == (model.drop_words, model.cue_suffixes)
+        for source in ["The sky was blue.", "The sea was very blue.", "It was hard.",
+                       "The day felt odd.", "He ran fast!"]:
+            for seed in range(4):
+                for prefix in (None, model.copy_region(tokenize(source))[0]):
+                    c = cfg(seed=seed, temperature=2.0, forced_prefix=prefix)
+                    assert generate(source, c, loaded) == generate(source, c, model)
+
+    @pytest.mark.parametrize("prefix", ["y might be like a", "y might", "x", "x is red",
+                                        "x is like a rose"])
+    def test_divergent_forced_prefix_ends_within_budget(self, prefix):
+        """A forced prefix off the copy region is continued from the cue's suffixes."""
+        for seed in range(10):
+            out = generate("x is red.", cfg(seed=seed, max_new_tokens=6, forced_prefix=prefix),
+                           balanced_model())
+            assert out.text.startswith(prefix) and not out.truncated
+
+    @given(pair_lists, texts, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_seen_cue_yields_one_of_its_training_suffixes(self, pairs, words, data):
+        """Free decoding copies the source, then emits a training suffix of its cue whole:
+        the reference model cannot write a vehicle its cue was never trained on."""
+        model = TemplateNgramModel.train(pairs, TrainConfig(seed=0))
+        source = words + " " + data.draw(st.sampled_from(pairs))[0]
+        c = cfg(seed=data.draw(st.integers(0, 2**32 - 1)), temperature=2.5, top_k=10)
+        src_tokens = tokenize(source)
+        assume(_last_word(src_tokens) in model.cue_suffixes)  # not so for a wordless source
+        out = generate(source, c, model)
+        copy = model.copy_region(src_tokens)
+        out_tokens = tokenize(out.text)
+        assert out_tokens[: len(copy)] == copy and not out.truncated
+        suffix = " ".join(out_tokens[len(copy) :] + [EOS_TOKEN])
+        assert suffix in model.cue_suffixes[_last_word(src_tokens)]
 
     def test_toy_model_generates_similes_from_held_out_literals(self, toy_model, toy_world):
         text = toy_world["holdout"][0]

@@ -27,10 +27,10 @@ EXPECTED = {
     "batch.scope.jsonl": "d69f0668d1264b95d3e55a3f8eb07e9bbfb01b82042f33a1037d9f5676d77ff8",
     "embellished.jsonl": "303847c748331cc361fed450dddcaeec5f66043468ffea0b88101666dfaf4ba4",
     "literals.jsonl": "500deee06380861f58d0afe13e3e400d3df30e7e6ea53252714ea357e05ad1c7",
-    "mask-model/manifest.json": "e2377ff1846958c37c78c545a2d7f4fa06fb37a45d16014205cd058e92783e89",
-    "mask-model/model.json": "3d4c580818542964ba9897a045319f629ac543bec41170a1eeb497ca209f6696",
-    "model/manifest.json": "e2377ff1846958c37c78c545a2d7f4fa06fb37a45d16014205cd058e92783e89",
-    "model/model.json": "6a412af55a54fa532d6052567261b17b9ee72c5e018a47a96873ea416f940f6d",
+    "mask-model/manifest.json": "edb32a5cb2e82d26e5db8bf3dd4a295890e13d9bd0334ef58059899096a149c6",
+    "mask-model/model.json": "2e4d183b2f9209458e4f552a0e189bf89c10ddb3b9d279e410d1965c1b521cea",
+    "model/manifest.json": "edb32a5cb2e82d26e5db8bf3dd4a295890e13d9bd0334ef58059899096a149c6",
+    "model/model.json": "4112992c892f8b2a606b85cb9e70d324e54773d1c4b020015f2c5347500e1096",
     "pairs.tsv": "49eef7fe18d80b1b654425e9680b1524c1c81cb6a2a963779c108e9fa955d753",
     "report.json": "730190cbd0854dc0aa2832c6c82389e4075ec6afe0fd26efc37dbbb9040d466d",
     "similes.jsonl": "08c73cec4a1a66df36f06ab2e2dee8ee06ad07b1860507528a0fbaf137132b04",

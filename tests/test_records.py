@@ -41,8 +41,7 @@ RECORDS = [
      [("max_new_tokens", EMPTY), ("seed", EMPTY), ("top_k", 5), ("temperature", 0.7),
       ("forced_prefix", None)],
      {"max_new_tokens": 8, "seed": 1}, {"forced_prefix": "It ran like a"}, False),
-    (lm.TrainConfig, [("seed", EMPTY), ("epochs", 17), ("batch_token_budget", 1024)],
-     {"seed": 1}, {"epochs": 3}, False),
+    (lm.TrainConfig, [("seed", EMPTY)], {"seed": 1}, {"seed": 3}, False),
     (lm.GenerationOutput, [("text", EMPTY), ("truncated", False)], {"text": "x"},
      {"truncated": True}, False),
     (corpus.LiteralCandidate, [("text", EMPTY), ("property", EMPTY), ("perplexity", None)],
@@ -102,8 +101,6 @@ CHECKS = [
     (lm.GenerationConfig, RECORDS[6][2], {"max_new_tokens": 0}, "max_new_tokens"),
     (lm.GenerationConfig, RECORDS[6][2], {"top_k": 0}, "top_k"),
     (lm.GenerationConfig, RECORDS[6][2], {"temperature": math.nan}, "temperature"),
-    (lm.TrainConfig, RECORDS[7][2], {"epochs": 0}, "must be positive"),
-    (lm.TrainConfig, RECORDS[7][2], {"batch_token_budget": 0}, "must be positive"),
     (corpus.ParallelPair, RECORDS[10][2], {"target": "It ran fast."}, "target must contain"),
     (corpus.ParallelPair, RECORDS[10][2], {"source": "It ran like a hare."},
      "source must not contain"),
