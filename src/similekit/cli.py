@@ -45,9 +45,9 @@ _NAMES = {
     "evaluation": ("CharNgramEmbedder", "MetricReport", "OneHotEmbedder", "ScoreSheet",
                    "evaluate_generation", "mean_scores", "normalize_pair", "pairwise_compare",
                    "read_batch_jsonl", "read_refs_jsonl"),
-    "harvest": ("HarvestStats", "harvest_literals", "harvest_similes", "iter_comments",
-                "load_comments", "read_literals_jsonl", "sample_literals", "simile_record",
-                "split_corpus", "write_literals_jsonl", "write_similes_jsonl"),
+    "harvest": ("HarvestStats", "harvest_literals", "harvest_similes", "load_comments",
+                "read_literals_jsonl", "sample_literals", "simile_record", "split_corpus",
+                "write_literals_jsonl", "write_similes_jsonl"),
     "knowledge": ("EMPTY_SYNONYMS", "SynonymTable", "load_edge_table"),
     "lm": ("BigramScorer", "EmptyTrainingSet", "GenerationConfig", "TemplateCounts",
            "TemplateNgramModel", "TrainConfig", "UniformScorer", "fine_tune"),
@@ -105,13 +105,15 @@ def _write_manifest(s: Settings, seeds: dict) -> None:
 
 
 def _parse_ratio(text: str):
-    """A float or an exact fraction such as 82697/87843, strictly between 0 and 1."""
+    """An exact Fraction, strictly between 0 and 1, from a decimal such as 0.55 or a
+    fraction such as 82697/87843: a float 0.55 times 100 is 55.00000000000001."""
+    from fractions import Fraction
+
     if "/" in text:
-        from fractions import Fraction
         num, den = text.split("/", 1)
         ratio = Fraction(int(num), int(den))
     else:
-        ratio = float(text)
+        ratio = Fraction(text)
     if not 0 < ratio < 1:
         raise ValueError(f"ratio must be strictly between 0 and 1: {text}")
     return ratio
@@ -335,8 +337,7 @@ def cmd_harvest(s: Settings) -> int:
     seeds = {}
     files = []  # (writer, rows, path): nothing is written until every output is computed
     if comments is not None:
-        similes = harvest_similes(iter_comments(comments, stats),
-                                 s["triggers"] or DEFAULT_TRIGGERS, stats)
+        similes = harvest_similes(comments, s["triggers"] or DEFAULT_TRIGGERS, stats)
         files.append((write_similes_jsonl, similes, s["similes-out"]))
         print(f"harvested {len(similes)} similes "
               f"({stats.duplicates} duplicates, {stats.malformed} malformed records)")

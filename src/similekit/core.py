@@ -78,11 +78,16 @@ def append_token(text: str, token: str) -> str:
     return text + " " + token
 
 
+_NEWLINES = re.compile(r"\n+")
+_SENTENCE = re.compile(r"[^.!?]+[.!?]*")
+_TERMINAL_PUNCT = re.compile(r"([^\w\s]+)\s*$")
+
+
 def split_sentences(text: str) -> list[str]:
     """Rule-based sentence split on terminal punctuation and newlines."""
     parts = []
-    for chunk in re.split(r"\n+", text):
-        for m in re.finditer(r"[^.!?]+[.!?]*", chunk):
+    for chunk in _NEWLINES.split(text):
+        for m in _SENTENCE.finditer(chunk):
             sent = m.group().strip()
             if sent:
                 parts.append(sent)
@@ -91,7 +96,7 @@ def split_sentences(text: str) -> list[str]:
 
 def terminal_punctuation(text: str) -> str:
     """Trailing punctuation run of a sentence, "" when it ends in a word."""
-    m = re.search(r"([^\w\s]+)\s*$", text)
+    m = _TERMINAL_PUNCT.search(text)
     return m.group(1) if m else ""
 
 
@@ -460,12 +465,15 @@ def _runs(path):
     return runs_of(_numbered_lines(path))
 
 
-def fan_out(path, build, work, fields: int = 0):
+def fan_out(path, build, work, fields: int = 0, on_error=None):
     """Yield work(records) for each run of RUN_LENGTH records of path, in file order.
 
     records iterates build(record) over the run's lines as read_records does,
-    so a bad line is a ParseError at path:line.  Given more than one run and
-    more than one usable CPU, the runs are dealt in turn to forked worker
+    so a bad line is a ParseError at path:line, raised or, given on_error,
+    passed to on_error(error) and the line skipped.  on_error is called in
+    the process that reads the run, so what it counts reaches the caller
+    only in work's result.  Given more than one run and more than one
+    usable CPU, the runs are dealt in turn to forked worker
     processes, one per usable CPU up to the number of runs, which share the
     caller's state copy-on-write: fork once that state is built, in a
     process with no other thread.  Each worker reads the file, decodes only
@@ -479,7 +487,7 @@ def fan_out(path, build, work, fields: int = 0):
         workers = sum(1 for _ in itertools.islice(_runs(path), workers))
     if workers < 2:
         for run in _runs(path):
-            yield work(_records(path, run, build, fields))
+            yield work(_records(path, run, build, fields, on_error))
         return
     import pickle  # only a process that forks loads these
     import signal
@@ -497,7 +505,7 @@ def fan_out(path, build, work, fields: int = 0):
             if pid == 0:
                 for reader in readers:
                     reader.close()
-                _serve(path, build, work, fields, index, workers, write_end)
+                _serve(path, build, work, fields, on_error, index, workers, write_end)
             os.close(write_end)
             pids.append(pid)
         for index in itertools.count():
@@ -520,7 +528,7 @@ def fan_out(path, build, work, fields: int = 0):
             os.waitpid(pid, 0)
 
 
-def _serve(path, build, work, fields, index, workers, fd) -> None:
+def _serve(path, build, work, fields, on_error, index, workers, fd) -> None:
     """A worker's life: run every workers-th run from index, send each result, exit."""
     code = 1
     try:
@@ -529,7 +537,7 @@ def _serve(path, build, work, fields, index, workers, fd) -> None:
                 if number % workers != index:
                     continue
                 try:
-                    _send(out, ("run", work(_records(path, run, build, fields))))
+                    _send(out, ("run", work(_records(path, run, build, fields, on_error))))
                 except Exception as exc:  # raised in the parent, in file order
                     _send(out, ("error", exc))
                     break

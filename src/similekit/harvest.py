@@ -10,10 +10,10 @@ stricter contract: no comparator token at all and a modifier-final ending.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import re
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import (
@@ -24,6 +24,7 @@ from .core import (
     SimileInstance,
     Slots,
     TriggerConfig,
+    fan_out,
     is_comparator,
     parse_simile,
     read_records,
@@ -77,6 +78,8 @@ def _comment_record(rec) -> RawComment:
         raise TypeError(f"'body' is {type(body).__name__}, not a string")
     if isinstance(comment_id, bool) or not isinstance(comment_id, (str, int)):
         raise TypeError(f"'id' is {type(comment_id).__name__}, not a string or an integer")
+    if isinstance(created, bool):  # int(True) would read as 1
+        raise TypeError("'created_utc' is bool, not a number or a numeric string")
     return RawComment(
         id=str(comment_id),
         body=body,
@@ -101,21 +104,23 @@ def load_comments(path, stats: HarvestStats | None = None) -> list[RawComment]:
     return list(iter_comments(path, stats))
 
 
+_PUNCT = re.compile(r"[^\w\s]")
+
+
 def dedup_key(text: str) -> str:
-    return " ".join(re.sub(r"[^\w\s]", " ", text.lower()).split())
+    return " ".join(_PUNCT.sub(" ", text.lower()).split())
 
 
 class HarvestedSimile(NamedTuple):
     """A kept simile as harvest holds it: its rank, its text and the split offsets.
 
-    Rows sort by (created_utc, source_id, arrival).  `prefix`, `vehicle`,
-    `raw_text` and `source_id` are what write_similes_jsonl reads, so rows
-    are written as they are; instance() rebuilds the SimileInstance.
+    `prefix`, `vehicle`, `raw_text` and `source_id` are what
+    write_similes_jsonl reads, so rows are written as they are; instance()
+    rebuilds the SimileInstance.
     """
 
     created_utc: int
     source_id: str
-    arrival: int
     raw_text: str
     prefix_end: int
     vehicle_start: int
@@ -133,41 +138,78 @@ class HarvestedSimile(NamedTuple):
         return SimileInstance(self.raw_text, self.prefix, comparator, self.vehicle, self.source_id)
 
 
+# A kept simile's slot is its key's hash cut to 30 bits: an int below 2**30 takes
+# 32 bytes, a 64-bit hash 40, and the few more collisions cost a probe each.
+_SLOT_MASK = (1 << 30) - 1
+
+
 def harvest_similes(
-    comments,
+    path,
     cfg: TriggerConfig = DEFAULT_TRIGGERS,
     stats: HarvestStats | None = None,
 ) -> list[HarvestedSimile]:
-    """Extract deduplicated simile sentences from a stream of comments.
+    """The deduplicated simile sentences of a comment dump, read with core.fan_out.
 
     Of the similes sharing a dedup key, the one that comes first by
     (created_utc, id, arrival) is kept, arrival being the order of comments
-    in the stream and of sentences in a comment, and the kept similes are
+    in the file and of sentences in a comment, and the kept similes are
     returned in that order.  Output is thus fixed by (created_utc, id)
-    regardless of stream order, so repeated harvests over the same records
-    agree byte for byte.  Only one compact row per kept simile is held,
-    never the comments; `[row.instance() for row in rows]` gives the similes.
+    regardless of file order, so repeated harvests over the same records
+    agree byte for byte.  Worker processes decode the comments, split and
+    parse them, and hash each simile's dedup key; this process applies the
+    dedup rule run by run, in file order.  It holds one compact row per
+    kept simile, filed under its key's hash (cut to 30 bits); a hit is
+    checked against the keys of the texts, and a different key there moves
+    on to the next slot, so a collision drops no simile.
+    `[row.instance() for row in rows]` gives the similes.  Malformed lines
+    and duplicates are counted in stats.
     """
-    kept: dict[str, HarvestedSimile] = {}
-    arrival = itertools.count()
-    for comment in comments:
-        rank = (comment.created_utc, comment.id)
-        for sentence in split_sentences(comment.body):
-            inst = parse_simile(sentence, cfg)
-            if inst is None:
+    if stats is None:
+        stats = HarvestStats()
+    malformed = 0  # of the run being parsed, in the process that parses it
+
+    def skip(error) -> None:
+        nonlocal malformed
+        malformed += 1
+
+    def parse(comments):
+        """A run's similes in file order, as key hashes and rows, and its malformed count."""
+        nonlocal malformed
+        malformed = 0
+        hashes, rows = [], []
+        for comment in comments:
+            for sentence in split_sentences(comment.body):
+                inst = parse_simile(sentence, cfg)
+                if inst is not None:
+                    hashes.append(hash(dedup_key(sentence)) & _SLOT_MASK)
+                    rows.append(HarvestedSimile(comment.created_utc, comment.id, sentence,
+                                                len(inst.prefix),
+                                                len(sentence) - len(inst.vehicle)))
+        return hashes, rows, malformed
+
+    kept: dict[int, HarvestedSimile] = {}
+    for hashes, rows, bad in fan_out(path, _comment_record, parse, on_error=skip):
+        stats.malformed += bad
+        for slot, row in zip(hashes, rows):
+            key = None
+            while (held := kept.get(slot)) is not None:
+                if key is None:
+                    key = dedup_key(row.raw_text)
+                if dedup_key(held.raw_text) == key:
+                    break
+                slot += 1  # another key took this slot first
+            else:
+                kept[slot] = row
                 continue
-            key = dedup_key(sentence)
-            held = kept.get(key)
-            if held is not None:
-                if stats is not None:
-                    stats.duplicates += 1
-                if held[:2] <= rank:  # an earlier arrival wins a tie
-                    continue
-            kept[key] = HarvestedSimile(*rank, next(arrival), sentence, len(inst.prefix),
-                                        len(sentence) - len(inst.vehicle))
+            stats.duplicates += 1
+            if row[:2] < held[:2]:  # a tie keeps the earlier arrival
+                del kept[slot]  # and re-inserted last: dict order stays arrival order
+                kept[slot] = row
     rows = list(kept.values())
     del kept
-    rows.sort()
+    # Two stable sorts order by (created_utc, source_id, arrival) without a key tuple per row.
+    rows.sort(key=itemgetter(1))
+    rows.sort(key=itemgetter(0))
     return rows
 
 

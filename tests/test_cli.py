@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,6 @@ from similekit.corpus import build_parallel_corpus, write_pairs_audit_jsonl, wri
 from similekit.evaluation import ScoreSheet
 from similekit.harvest import (
     harvest_similes,
-    iter_comments,
     read_literals_jsonl,
     read_similes_jsonl,
     split_corpus,
@@ -261,8 +262,7 @@ class TestHarvest:
 
     def test_split_writes_what_the_library_writes(self, world, tmp_path):
         """Written from compact rows, the three files equal the rebuilt instances' files."""
-        instances = [row.instance()
-                     for row in harvest_similes(iter_comments(world["comments"]))]
+        instances = [row.instance() for row in harvest_similes(world["comments"])]
         split = split_corpus(instances, 0.9, 5)
         for name, similes in (("similes", instances), ("train_similes", split.train),
                               ("val_similes", split.validation)):
@@ -320,6 +320,35 @@ class TestHarvest:
         assert main(argv) == 2
         assert "split" in capsys.readouterr().err
         assert [p for p in tmp_path.iterdir() if p.suffix != ".ini"] == []
+
+    @pytest.mark.parametrize("ratio, n, train", [
+        ("0.55", 100, 55), ("11/20", 100, 55), ("0.28", 25, 7), ("0.9", 30, 27)])
+    def test_split_train_size_is_the_exact_ceiling(self, tmp_path, capsys, ratio, n, train):
+        """0.55 is read as 11/20: the float 0.55 times 100 is 55.00000000000001."""
+        comments = tmp_path / "c.ndjson"
+        comments.write_text("".join(json.dumps({"id": str(i), "body": f"Thing {i} ran like a cat."})
+                                    + "\n" for i in range(n)), encoding="utf-8")
+        assert main(["harvest", "--comments", str(comments),
+                     "--similes-out", str(tmp_path / "s.jsonl"), "--split", ratio,
+                     "--train-out", str(tmp_path / "t.jsonl"),
+                     "--val-out", str(tmp_path / "v.jsonl"), "--seed", "5"]) == 0
+        assert f"split {train} train / {n - train} validation" in capsys.readouterr().out
+        assert len(read_jsonl(tmp_path / "t.jsonl")) == train
+
+    def test_ratio_text_is_read_exactly(self):
+        assert _parse_ratio("0.55") == Fraction(11, 20)
+        assert _parse_ratio("82697/87843") == Fraction(82697, 87843)
+        assert math.ceil(_parse_ratio("0.28") * 25) == 7
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "0", "1", "1/0", "0.5.5", ""])
+    def test_a_ratio_that_is_not_between_0_and_1_exits_two(self, world, tmp_path, capsys, ratio):
+        argv = ["harvest", "--comments", str(world["comments"]),
+                "--similes-out", str(tmp_path / "s.jsonl"), "--split", ratio,
+                "--train-out", str(tmp_path / "t.jsonl"), "--val-out", str(tmp_path / "v.jsonl"),
+                "--seed", "5"]
+        assert main(argv) == 2
+        assert "'split'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_manifest_lists_given_paths(self, world):
         assert_manifest_lists(

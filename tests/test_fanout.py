@@ -4,6 +4,7 @@ Each test sets core.RUN_LENGTH small and core.usable_cpus to a worker count,
 so a few dozen records make several runs and every worker gets some.
 """
 
+import builtins
 import contextlib
 import io
 import json
@@ -14,17 +15,19 @@ import signal
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from similekit import core, corpus
+from similekit import core, corpus, harvest
 from similekit.backends import BackendUnavailable
 from similekit.cli import main
 from similekit.core import ParseError, fan_out, read_records
+from similekit.harvest import HarvestStats, RawComment, harvest_similes
 from similekit.lm import TemplateNgramModel, TrainConfig
 from similekit.systems import masked_pairs
 from similekit.tagging import DEFAULT_TAGGER
 
 from conftest import assert_no_child_left
+from test_harvest import SENTENCES, oracle_harvest_similes
 
 WORKERS = [1, 2, 3]
 
@@ -205,6 +208,126 @@ def test_no_fork_without_os_fork(tmp_path, split, monkeypatch):
     results = list(fan_out(path, lambda rec: rec, numbers))
     assert [ids for ids, _ in results] == [[0, 1], [2, 3], [4, 5], [6, 7], [8]]
     assert {pid for _, pid in results} == {os.getpid()}
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_on_error_skips_a_bad_line_in_the_process_that_reads_it(tmp_path, split, workers):
+    """What on_error counts in a worker reaches the caller only through work's result."""
+    path = tmp_path / "records.jsonl"
+    write_records(path, 9)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:6] + ['{"j": 1}\n'] + lines[6:]), encoding="utf-8")
+    errors = []
+
+    def work(records):
+        ids = list(records)
+        bad = [error.line_number for error in errors]
+        errors.clear()
+        return ids, bad
+
+    split(3, workers)
+    assert list(fan_out(path, lambda rec: rec["i"], work, on_error=errors.append)) == [
+        ([0, 1, 2], []), ([3, 4, 5], []), ([6, 7], [7]), ([8], [])]
+    assert errors == []
+    assert_no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# harvest
+
+
+BAD_LINES = ["{not json", "[1, 2]", '{"id": "1"}', '{"id": true, "body": "It ran like a dog."}',
+             '{"id": "x", "body": "It ran like a dog.", "created_utc": true}']
+dump_entries = st.lists(st.one_of(
+    st.builds(RawComment, id=st.sampled_from(["a", "b", "c"]),
+              body=st.lists(st.sampled_from(SENTENCES), min_size=1, max_size=3).map("\n".join),
+              created_utc=st.integers(0, 2)),
+    st.sampled_from(BAD_LINES + ["", "  "]),
+), max_size=16)
+
+
+def write_dump(path, entries):
+    """A comment dump: a RawComment as its JSON record, a string as the line it is."""
+    path.write_text("".join((json.dumps(e._asdict()) if isinstance(e, RawComment) else e) + "\n"
+                            for e in entries), encoding="utf-8")
+    return path
+
+
+def few_hashes(monkeypatch, buckets):
+    """Make harvest hash every dedup key to one of `buckets` values (0: the real hash)."""
+    if buckets:
+        monkeypatch.setattr(harvest, "hash", lambda key: builtins.hash(key) % buckets,
+                            raising=False)
+    else:
+        monkeypatch.delattr(harvest, "hash", raising=False)
+
+
+@given(entries=dump_entries, run_length=st.integers(1, 4), buckets=st.sampled_from([0, 1, 3]))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_harvest_equals_the_oracle_for_every_worker_count(tmp_path_factory, split, monkeypatch,
+                                                          entries, run_length, buckets):
+    """Malformed and blank lines, and duplicates on both sides of a run boundary, with
+    earlier ranks in later runs and equal ranks; with buckets, keys collide as well."""
+    path = write_dump(tmp_path_factory.mktemp("dump") / "c.ndjson", entries)
+    want_stats = HarvestStats(malformed=sum(isinstance(e, str) and bool(e.strip())
+                                            for e in entries))
+    want = oracle_harvest_similes([e for e in entries if isinstance(e, RawComment)],
+                                  stats=want_stats)
+    few_hashes(monkeypatch, buckets)
+    for workers in WORKERS:
+        split(run_length, workers)
+        stats = HarvestStats()
+        assert [row.instance() for row in harvest_similes(path, stats=stats)] == want
+        assert stats == want_stats
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_an_earlier_rank_in_a_later_run_replaces_the_held_simile(tmp_path, split, workers):
+    path = write_dump(tmp_path / "c.ndjson", [
+        RawComment("b", "He ran like a deer.", created_utc=2),
+        RawComment("c", "She sang like a bird.", created_utc=1),
+        RawComment("a", "he ran, like a deer!", created_utc=1),   # ranked before b's
+        RawComment("c", "SHE SANG LIKE A BIRD?", created_utc=1),  # a tie: the first read stays
+    ])
+    split(2, workers)
+    stats = HarvestStats()
+    rows = harvest_similes(path, stats=stats)
+    assert [(row.source_id, row.raw_text) for row in rows] == [
+        ("a", "he ran, like a deer!"), ("c", "She sang like a bird.")]
+    assert stats == HarvestStats(duplicates=2)
+
+
+@pytest.mark.parametrize("buckets", [1, 7])
+@pytest.mark.parametrize("workers", WORKERS)
+def test_colliding_hashes_drop_no_simile(tmp_path, split, monkeypatch, workers, buckets):
+    comments = [RawComment(str(i % 5), f"Thing {i % 13} ran like a deer {i % 17}. "
+                                       f"THING {i % 11} RAN LIKE A DEER {i % 17}!",
+                           created_utc=i % 3) for i in range(60)]
+    path = write_dump(tmp_path / "c.ndjson", comments)
+    split(4, workers)
+    want_stats = HarvestStats()
+    want = harvest_similes(path, stats=want_stats)
+    assert len(want) > 50 and want_stats.duplicates > 10
+    few_hashes(monkeypatch, buckets)
+    stats = HarvestStats()
+    assert harvest_similes(path, stats=stats) == want
+    assert stats == want_stats
+    assert [row.instance() for row in want] == oracle_harvest_similes(comments)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_bad_line_read_in_a_worker_is_counted_not_raised(tmp_path, split, workers):
+    entries = [RawComment(str(i), f"Thing {i} ran like a deer.") for i in range(6)]
+    entries.insert(3, '{"id": "7", "body": ["It ran like a dog."]}')
+    path = write_dump(tmp_path / "c.ndjson", entries)
+    split(2, workers)
+    stats = HarvestStats()
+    rows = harvest_similes(path, stats=stats)
+    assert [row.source_id for row in rows] == [str(i) for i in range(6)]
+    assert stats == HarvestStats(malformed=1)
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,15 @@ def comment(i, body, ts=0):
     return RawComment(id=str(i), body=body, subreddit="test", created_utc=ts)
 
 
+def harvest(comments, cfg=DEFAULT_TRIGGERS, stats=None):
+    """harvest_similes over a dump of the comments, one JSON record a line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.ndjson"
+        path.write_text("".join(json.dumps(c._asdict()) + "\n" for c in comments),
+                        encoding="utf-8")
+        return harvest_similes(path, cfg, stats)
+
+
 def oracle_harvest_similes(comments, cfg=DEFAULT_TRIGGERS, stats=None):
     """The previous harvest_similes: sort every comment, the first simile of a key wins."""
     ordered = sorted(comments, key=lambda c: (c.created_utc, c.id))
@@ -79,14 +88,14 @@ class TestHarvestSimiles:
     @settings(max_examples=300, deadline=None)
     def test_streaming_equals_sort_then_first_wins(self, comments, cfg):
         stats, oracle_stats = HarvestStats(), HarvestStats()
-        instances = [row.instance() for row in harvest_similes(iter(comments), cfg, stats)]
+        instances = [row.instance() for row in harvest(comments, cfg, stats)]
         assert instances == oracle_harvest_similes(comments, cfg, oracle_stats)  # source_id too
         assert stats.duplicates == oracle_stats.duplicates
 
     def test_rows_write_the_bytes_of_their_instances(self, tmp_path):
-        rows = harvest_similes([comment(1, "Ok, he ran like a deer! Then she sang like an owl."),
-                                comment(2, "It was, like a, dream like a storm.", ts=1)],
-                               TriggerConfig(COMPARATORS))
+        rows = harvest([comment(1, "Ok, he ran like a deer! Then she sang like an owl."),
+                        comment(2, "It was, like a, dream like a storm.", ts=1)],
+                       TriggerConfig(COMPARATORS))
         assert [(r.raw_text, r.prefix, r.vehicle) for r in rows] == [
             ("Ok, he ran like a deer!", "Ok, he ran", "deer!"),
             ("Then she sang like an owl.", "Then she sang", "owl."),
@@ -97,12 +106,12 @@ class TestHarvestSimiles:
             (tmp_path / "instances.jsonl").read_bytes()
 
     def test_pronoun_topic_retained(self):
-        out = harvest_similes([comment(1, "I feel like a fool")])
+        out = harvest([comment(1, "I feel like a fool")])
         assert len(out) == 1
         assert out[0].vehicle == "fool"
 
     def test_non_trigger_dropped(self):
-        assert harvest_similes([comment(1, "I like apples")]) == []
+        assert harvest([comment(1, "I like apples")]) == []
 
     def test_dedup_across_comments(self):
         body = "He ran like a deer."
@@ -112,7 +121,7 @@ class TestHarvestSimiles:
             comment(3, body.upper(), ts=3),  # same text modulo case
         ]
         stats = HarvestStats()
-        out = harvest_similes(comments, stats=stats)
+        out = harvest(comments, stats=stats)
         assert len(out) == 2
         assert stats.duplicates == 1
 
@@ -121,7 +130,7 @@ class TestHarvestSimiles:
 
     def test_multi_sentence_bodies_split(self):
         body = "It rained. The sea was like a mirror. We left."
-        out = harvest_similes([comment(1, body)])
+        out = harvest([comment(1, body)])
         assert [s.raw_text for s in out] == ["The sea was like a mirror."]
 
     def test_order_fixed_by_timestamp_then_id(self):
@@ -130,22 +139,23 @@ class TestHarvestSimiles:
             comment(1, "A was like an ant or like a fly.", ts=5),
             comment(3, "C was like a cat.", ts=1),
         ]
-        out = harvest_similes(comments)
+        out = harvest(comments)
         first_words = [s.raw_text.split()[0] for s in out]
         assert first_words == ["C", "A", "B"]
 
     def test_harvest_idempotent(self):
         comments = [comment(i, f"Thing {i} was like a stone {i}.") for i in range(10)]
-        assert harvest_similes(comments) == harvest_similes(comments)
+        assert harvest(comments) == harvest(comments)
 
     def test_source_id_attached(self):
-        out = harvest_similes([comment(42, "Love is like a unicorn.")])
+        out = harvest([comment(42, "Love is like a unicorn.")])
         assert out[0].source_id == "42"
 
 
 def oracle_iter_comments(path, stats=None):
     """The comment reader's own file loop, as it was before it read through read_records,
-    with the type rule since added: `body` a string, `id` a string or an integer."""
+    with the type rules since added: `body` a string, `id` a string or an integer, and
+    `created_utc` not a boolean."""
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
@@ -155,6 +165,8 @@ def oracle_iter_comments(path, stats=None):
                 created = rec.get("created_utc", 0)
                 if not isinstance(rec["body"], str) or type(rec["id"]) not in (str, int):
                     raise TypeError("not a comment")
+                if type(created) is bool:
+                    raise TypeError("not a timestamp")
                 comment = RawComment(
                     id=str(rec["id"]),
                     body=rec["body"],
@@ -218,6 +230,8 @@ class TestLoadComments:
         {"id": True, "body": "It ran like a dog."},
         {"id": 1.5, "body": "It ran like a dog."},
         {"id": ["d"], "body": "It ran like a dog."},
+        {"id": "e", "body": "It ran like a dog.", "created_utc": True},
+        {"id": "f", "body": "It ran like a dog.", "created_utc": False},
     ])
     def test_wrong_type_is_malformed(self, tmp_path, fields):
         path = tmp_path / "c.ndjson"
