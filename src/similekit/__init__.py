@@ -47,6 +47,7 @@ _EXPORTS = {
     "harvest": (
         "CorpusSplit",
         "EmptyCorpus",
+        "HarvestRows",
         "HarvestedSimile",
         "RawComment",
         "harvest_literals",

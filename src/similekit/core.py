@@ -79,12 +79,25 @@ def append_token(text: str, token: str) -> str:
 
 
 _NEWLINES = re.compile(r"\n+")
-_SENTENCE = re.compile(r"[^.!?]+[.!?]*")
+# A sentence runs to a run of terminal punctuation and the closing quotes and
+# brackets after it, attached or after spaces ("”", "’", ")" and "]" never open
+# one).  A period ends none when it is a decimal point, ends a single-capital
+# initial ("I" aside, the pronoun), or belongs to Mr, Mrs, Ms, Dr, St, e.g. or
+# i.e. (any case), and no closing mark follows it.
+_SENTENCE = re.compile(r"""
+    (?: [^.!?…]+
+      | \.(?!["'”’)\]])
+          (?: (?<=\d\.)(?=\d) | (?<=\b[A-HJ-Z]\.)
+            | (?i: (?<=\bmr\.) | (?<=\bmrs\.) | (?<=\bms\.) | (?<=\bdr\.) | (?<=\bst\.)
+                 | (?<=\be\.)(?=g\.) | (?<=\be\.g\.) | (?<=\bi\.)(?=e\.) | (?<=\bi\.e\.) ))
+    )*
+    [.!?…]* (?: ["'”’)\]] | \s+(?=[”’)\]]) )*
+""", re.VERBOSE)
 _TERMINAL_PUNCT = re.compile(r"([^\w\s]+)\s*$")
 
 
 def split_sentences(text: str) -> list[str]:
-    """Rule-based sentence split on terminal punctuation and newlines."""
+    """Rule-based sentence split on terminal punctuation (., !, ?, …) and newlines."""
     parts = []
     for chunk in _NEWLINES.split(text):
         for m in _SENTENCE.finditer(chunk):

@@ -11,9 +11,13 @@ stricter contract: no comparator token at all and a modifier-final ending.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
-from operator import itemgetter
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import compress, count, islice, repeat
 from typing import NamedTuple
 
 from .core import (
@@ -67,8 +71,8 @@ class EmptyCorpus(ValueError):
 
 
 class CorpusSplit(NamedTuple):
-    train: list
-    validation: list
+    train: Sequence
+    validation: Sequence
 
 
 def _comment_record(rec) -> RawComment:
@@ -112,11 +116,12 @@ def dedup_key(text: str) -> str:
 
 
 class HarvestedSimile(NamedTuple):
-    """A kept simile as harvest holds it: its rank, its text and the split offsets.
+    """A kept simile as harvest_similes gives it: its rank, its text and the split offsets.
 
-    `prefix`, `vehicle`, `raw_text` and `source_id` are what
-    write_similes_jsonl reads, so rows are written as they are; instance()
-    rebuilds the SimileInstance.
+    harvest_similes holds no HarvestedSimile: its sequence builds one each
+    time an item is read.  `prefix`, `vehicle`, `raw_text` and `source_id`
+    are what write_similes_jsonl reads, so rows are written as they are;
+    instance() rebuilds the SimileInstance.
     """
 
     created_utc: int
@@ -138,16 +143,152 @@ class HarvestedSimile(NamedTuple):
         return SimileInstance(self.raw_text, self.prefix, comparator, self.vehicle, self.source_id)
 
 
-# A kept simile's slot is its key's hash cut to 30 bits: an int below 2**30 takes
-# 32 bytes, a 64-bit hash 40, and the few more collisions cost a probe each.
+# A simile's slot is its key's hash cut to 30 bits, so that it fits an array("i").
 _SLOT_MASK = (1 << 30) - 1
+
+
+def _int_column(values: list):
+    """values as an array("q"), or the list itself when one of them needs more than 64 bits."""
+    try:
+        return array("q", values)
+    except OverflowError:
+        return values
+
+
+class _Run(NamedTuple):
+    """One run's similes as a fan-out worker sends them, in file order.
+
+    `text` joins each simile's comment id and sentence; a simile's sentence
+    is text[start:stop], and its id runs from the stop before it (0 for the
+    first).  The offsets are array("i"), so a run whose text reaches 2**31
+    characters raises OverflowError.
+    """
+
+    text: str
+    start: array
+    stop: array
+    created: array | list
+    prefix_end: array
+    vehicle_start: array
+    hashes: array
+    malformed: int
+
+
+class _Columns:
+    """Every simile harvest_similes reads, in arrival order: each run's text, and one
+    array per field with a row for each simile, whether it is kept or not."""
+
+    __slots__ = ("texts", "first", "start", "stop", "created", "prefix_end", "vehicle_start")
+
+    def __init__(self):
+        self.texts = []  # a run's text, for each run with a simile
+        self.first = []  # the row of each of those runs' first simile
+        self.start, self.stop = array("i"), array("i")
+        self.created = array("q")
+        self.prefix_end, self.vehicle_start = array("i"), array("i")
+
+    def add(self, run: _Run) -> None:
+        if not run.stop:
+            return
+        self.texts.append(run.text)
+        self.first.append(len(self.stop))
+        if isinstance(run.created, list) and not isinstance(self.created, list):
+            self.created = list(self.created)  # a created_utc beyond 64 bits
+        for name in ("start", "stop", "created", "prefix_end", "vehicle_start"):
+            getattr(self, name).extend(getattr(run, name))
+
+    def rows(self, order):
+        """A HarvestedSimile for each row of order, built as it is taken."""
+        texts, first, start, stop = self.texts, self.first, self.start, self.stop
+        created, prefix_end, vehicle_start = self.created, self.prefix_end, self.vehicle_start
+        new = tuple.__new__
+        for row in order:
+            run = bisect_right(first, row) - 1
+            text, begin, end = texts[run], start[row], stop[row]
+            yield new(HarvestedSimile, (
+                created[row], text[stop[row - 1] if row > first[run] else 0 : begin],
+                text[begin:end], prefix_end[row], vehicle_start[row]))
+
+    def row(self, row: int) -> HarvestedSimile:
+        return next(self.rows((row,)))
+
+    def ranked(self, rows) -> array:
+        """rows in (created_utc, source_id, row) order, as an array("i")."""
+        # One int per row packs (created_utc, row), so one sort needs no key list;
+        # then only the rare rows of one created_utc are sorted by their ids.
+        shift = len(self.stop).bit_length()
+        packed = sorted(self.created[row] << shift | row for row in rows)
+        order = array("i", map(operator.and_, packed, repeat((1 << shift) - 1)))
+        del packed
+        created = self.created.__getitem__
+        ties = list(compress(count(1), map(operator.eq, map(created, islice(order, 1, None)),
+                                           map(created, order))))
+        end = 0
+        for tie in ties:  # order[tie] has the created_utc of order[tie - 1]
+            if tie >= end:  # the second row of a group, which is in arrival order
+                start, end = tie - 1, tie + 1
+                while end < len(order) and created(order[end]) == created(order[start]):
+                    end += 1
+                order[start:end] = array("i", sorted(order[start:end],
+                                                     key=lambda row: self.row(row).source_id))
+        return order
+
+
+class HarvestRows(Sequence):
+    """The similes harvest_similes keeps, in output order: a read-only sequence of
+    HarvestedSimile, each built from harvest's columns when it is read.
+
+    It supports len, indexing, slicing (another HarvestRows), iteration and
+    ==, which compares the items with those of any other sequence.
+    """
+
+    __slots__ = ("_columns", "_order")
+
+    def __init__(self, columns: _Columns, order: array):
+        self._columns, self._order = columns, order
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return HarvestRows(self._columns, self._order[index])
+        return self._columns.row(self._order[index])
+
+    def __iter__(self):
+        return self._columns.rows(self._order)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"HarvestRows({list(self)!r})"
+
+    def take(self, positions) -> HarvestRows:
+        """The items at these positions, in their order, over the same columns."""
+        return HarvestRows(self._columns, array("i", map(self._order.__getitem__, positions)))
+
+
+def _grown(slots: array, hashes: array) -> array:
+    """A table of twice as many slots, each held row moved to the first free slot from its hash."""
+    grown = array("i", [-1]) * (2 * len(slots))
+    mask = len(grown) - 1
+    for row in slots:
+        if row >= 0:
+            slot = hashes[row] & mask
+            while grown[slot] >= 0:
+                slot = (slot + 1) & mask
+            grown[slot] = row
+    return grown
 
 
 def harvest_similes(
     path,
     cfg: TriggerConfig = DEFAULT_TRIGGERS,
     stats: HarvestStats | None = None,
-) -> list[HarvestedSimile]:
+) -> HarvestRows:
     """The deduplicated simile sentences of a comment dump, read with core.fan_out.
 
     Of the similes sharing a dedup key, the one that comes first by
@@ -156,13 +297,16 @@ def harvest_similes(
     returned in that order.  Output is thus fixed by (created_utc, id)
     regardless of file order, so repeated harvests over the same records
     agree byte for byte.  Worker processes decode the comments, split and
-    parse them, and hash each simile's dedup key; this process applies the
-    dedup rule run by run, in file order.  It holds one compact row per
-    kept simile, filed under its key's hash (cut to 30 bits); a hit is
-    checked against the keys of the texts, and a different key there moves
-    on to the next slot, so a collision drops no simile.
-    `[row.instance() for row in rows]` gives the similes.  Malformed lines
-    and duplicates are counted in stats.
+    parse them, and hash each simile's dedup key; each sends its run back
+    as columns (_Run).  This process appends every run to its own columns
+    and applies the dedup rule run by run, in file order, through an
+    open-addressing table of row numbers: a simile's slot comes from its
+    key's hash (cut to 30 bits), a held simile of the same hash is checked
+    against the keys of the texts, and a different key there moves on to
+    the next slot, so a collision drops no simile.  An earlier-ranked
+    duplicate takes the slot of the row it replaces.  The result is a
+    HarvestRows; `[row.instance() for row in rows]` gives the similes.
+    Malformed lines and duplicates are counted in stats.
     """
     if stats is None:
         stats = HarvestStats()
@@ -172,45 +316,59 @@ def harvest_similes(
         nonlocal malformed
         malformed += 1
 
-    def parse(comments):
-        """A run's similes in file order, as key hashes and rows, and its malformed count."""
+    def parse(comments) -> _Run:
         nonlocal malformed
         malformed = 0
-        hashes, rows = [], []
+        parts, created = [], []
+        hashes, start, stop, prefix_end, vehicle_start = (array("i") for _ in range(5))
+        end = 0
         for comment in comments:
             for sentence in split_sentences(comment.body):
                 inst = parse_simile(sentence, cfg)
                 if inst is not None:
                     hashes.append(hash(dedup_key(sentence)) & _SLOT_MASK)
-                    rows.append(HarvestedSimile(comment.created_utc, comment.id, sentence,
-                                                len(inst.prefix),
-                                                len(sentence) - len(inst.vehicle)))
-        return hashes, rows, malformed
+                    parts += (comment.id, sentence)
+                    end += len(comment.id)
+                    start.append(end)
+                    end += len(sentence)
+                    stop.append(end)
+                    created.append(comment.created_utc)
+                    prefix_end.append(len(inst.prefix))
+                    vehicle_start.append(len(sentence) - len(inst.vehicle))
+        return _Run("".join(parts), start, stop, _int_column(created), prefix_end,
+                    vehicle_start, hashes, malformed)
 
-    kept: dict[int, HarvestedSimile] = {}
-    for hashes, rows, bad in fan_out(path, _comment_record, parse, on_error=skip):
-        stats.malformed += bad
-        for slot, row in zip(hashes, rows):
-            key = None
-            while (held := kept.get(slot)) is not None:
-                if key is None:
-                    key = dedup_key(row.raw_text)
-                if dedup_key(held.raw_text) == key:
-                    break
-                slot += 1  # another key took this slot first
+    columns, hashes = _Columns(), array("i")
+    slots = array("i", [-1]) * 8  # a row number, or -1; at most half of them held
+    held_count = 0
+    for run in fan_out(path, _comment_record, parse, on_error=skip):
+        stats.malformed += run.malformed
+        columns.add(run)
+        first = len(hashes)
+        hashes.extend(run.hashes)
+        for row in range(first, len(hashes)):
+            mask, wanted, simile = len(slots) - 1, hashes[row], None
+            slot = wanted & mask
+            while (held := slots[slot]) >= 0:
+                if hashes[held] == wanted:
+                    if simile is None:
+                        simile = columns.row(row)
+                        key = dedup_key(simile.raw_text)
+                    kept = columns.row(held)
+                    if dedup_key(kept.raw_text) == key:
+                        break
+                slot = (slot + 1) & mask  # another key took this slot first
             else:
-                kept[slot] = row
+                slots[slot] = row
+                held_count += 1
+                if 2 * held_count > len(slots):
+                    slots = _grown(slots, hashes)
                 continue
             stats.duplicates += 1
-            if row[:2] < held[:2]:  # a tie keeps the earlier arrival
-                del kept[slot]  # and re-inserted last: dict order stays arrival order
-                kept[slot] = row
-    rows = list(kept.values())
-    del kept
-    # Two stable sorts order by (created_utc, source_id, arrival) without a key tuple per row.
-    rows.sort(key=itemgetter(1))
-    rows.sort(key=itemgetter(0))
-    return rows
+            if simile[:2] < kept[:2]:  # (created_utc, source_id); a tie keeps the earlier
+                slots[slot] = row
+    del hashes
+    return HarvestRows(columns, columns.ranked(row for row in slots if row >= 0))
 
 
 def harvest_literals(sentences, tagger, stats: HarvestStats | None = None) -> list[LiteralSentence]:
@@ -237,19 +395,27 @@ def sample_literals(literals: list, n: int, seed: int) -> list:
     return random.Random(seed).sample(literals, n)
 
 
-def split_corpus(similes: list, ratio, seed: int) -> CorpusSplit:
+def split_corpus(similes: Sequence, ratio, seed: int) -> CorpusSplit:
     """Seeded shuffle then split; train takes the ceiling of ratio * n.
 
-    ratio may be a float or an exact Fraction; 0 < ratio < 1.
+    ratio may be a float or an exact Fraction; 0 < ratio < 1.  HarvestRows
+    split into two HarvestRows over the same columns, any other sequence
+    into two lists.
     """
     if not similes:
         raise EmptyCorpus("no similes to split")
     if not 0 < ratio < 1:
         raise ValueError("ratio must be strictly between 0 and 1")
-    order = list(similes)
+    # Shuffling positions permutes them as shuffling the similes would.
+    order = array("i", range(len(similes)))
     random.Random(seed).shuffle(order)
     train_n = math.ceil(ratio * len(order))
-    return CorpusSplit(train=order[:train_n], validation=order[train_n:])
+    if isinstance(similes, HarvestRows):
+        take = similes.take
+    else:
+        def take(positions):
+            return [similes[i] for i in positions]
+    return CorpusSplit(train=take(order[:train_n]), validation=take(order[train_n:]))
 
 
 # ---------------------------------------------------------------------------

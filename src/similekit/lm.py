@@ -29,6 +29,7 @@ import json
 import math
 import os
 import random
+import sys
 from collections import Counter, defaultdict
 from typing import NamedTuple
 
@@ -161,7 +162,9 @@ class BigramScorer:
                 continue
             trained = True
             prev = self.BOS
-            for tok in tokens:
+            # One str per distinct token: each row keeps the tokens it counts,
+            # which would otherwise be each text's own copies.
+            for tok in map(sys.intern, tokens):
                 self.unigram[tok] += 1
                 bigram[prev][tok] += 1
                 prev = tok

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import re
 import sys
 
 import pytest
@@ -88,6 +89,57 @@ class TestTokenizer:
     def test_split_sentences(self):
         assert split_sentences("One. Two! Three?") == ["One.", "Two!", "Three?"]
         assert split_sentences("line one\nline two.") == ["line one", "line two."]
+
+
+# Sentences whose inner periods end no sentence, and ends followed by closing marks.
+ONE_SENTENCE = [
+    "Mr. Smith ran like a cheetah.",
+    "It cost 3.5 dollars like a steal.",
+    "He was e.g. tall like a tree.",
+    "It was, i.e. E.G. and I.E., like a maze.",
+    "Mrs. Dr. Ms. St. Pancras and dr. who met.",
+    "J. R. R. Tolkien wrote like a monk.",
+    "The U.S. team ran.",
+]
+SPLITS = [
+    ("“Go.” Then left.", ["“Go.”", "Then left."]),
+    ("He said “stop.”) Then left.", ["He said “stop.”)", "Then left."]),
+    ("It ended (badly.] So it goes.", ["It ended (badly.]", "So it goes."]),
+    ("He waited… Then he ran like a deer.", ["He waited…", "Then he ran like a deer."]),
+    ("Wait!… ‘No.’ Yes.", ["Wait!…", "‘No.’", "Yes."]),
+    ("So did I. Then I left.", ["So did I.", "Then I left."]),  # "I" is no initial
+    ("It cost 3. 5 more.", ["It cost 3.", "5 more."]),
+    ("\"Go.\" \"Stop.\"", ["\"Go.\"", "\"Stop.\""]),
+]
+CLOSING = "”’)]"
+prose = st.text(alphabet="aZI3e.g!?…”’)]\"' \n", max_size=40)
+
+
+class TestSplitSentences:
+    @pytest.mark.parametrize("text", ONE_SENTENCE)
+    def test_an_abbreviation_initial_or_decimal_point_ends_no_sentence(self, text):
+        assert split_sentences(text) == [text]
+        assert split_sentences(f"First. {text} Last.") == ["First.", text, "Last."]
+
+    @pytest.mark.parametrize("text, want", SPLITS)
+    def test_closing_marks_stay_with_their_sentence(self, text, want):
+        assert split_sentences(text) == want
+
+    @given(prose)
+    def test_no_sentence_but_a_lines_first_starts_with_a_closing_mark(self, text):
+        for line in text.split("\n"):
+            assert not any(s.startswith(tuple(CLOSING)) for s in split_sentences(line)[1:])
+
+    @given(prose, st.integers(0, 9), st.integers(0, 9))
+    def test_a_decimal_point_is_never_split(self, text, whole, fraction):
+        text = f"{text}{whole}.{fraction}{text}"
+        decimal = re.compile(r"(?=\d\.\d)")  # each digit-period-digit, overlaps too
+        assert (len(decimal.findall(" ".join(split_sentences(text))))
+                == len(decimal.findall(text)))
+
+    @given(prose)
+    def test_only_whitespace_is_dropped(self, text):
+        assert "".join("".join(split_sentences(text)).split()) == "".join(text.split())
 
 
 class TestSimileInstance:

@@ -283,6 +283,45 @@ def test_harvest_equals_the_oracle_for_every_worker_count(tmp_path_factory, spli
         assert_no_child_left()
 
 
+# Keys shared by texts that differ, in text one, two and four bytes a character wide.
+WIDE_SENTENCES = [
+    "Él corrió like a ciervo.", "él corrió, like a CIERVO!", "Ça va like a café.",
+    "猫が走った like a 虎.", "猫が走った LIKE A 虎!", "It glowed like a star 🌟.",
+    "it glowed, like a STAR 🌟?", "😀 sang like a bird 🐦.", "He ran like a deer.",
+    "Nothing here.",
+]
+wide_dump_entries = st.lists(st.one_of(
+    st.builds(RawComment, id=st.sampled_from(["a", "bb", "123", "猫"]),
+              body=st.lists(st.sampled_from(WIDE_SENTENCES), min_size=1, max_size=3).map(" ".join),
+              created_utc=st.sampled_from([0, 1, 2, 2**64])),  # 2**64 needs more than 64 bits
+    st.sampled_from(BAD_LINES),
+), max_size=16)
+
+
+@given(entries=wide_dump_entries, run_length=st.integers(1, 4),
+       buckets=st.sampled_from([0, 1, 3]))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_harvest_of_wide_text_equals_the_oracle(tmp_path_factory, split, monkeypatch, entries,
+                                                 run_length, buckets):
+    """Each run's texts and ids are held joined, with offsets into them: mixed widths,
+    ids of several lengths and a created_utc past 64 bits come back as they were read."""
+    path = write_dump(tmp_path_factory.mktemp("dump") / "c.ndjson", entries)
+    want_stats = HarvestStats(malformed=sum(isinstance(e, str) for e in entries))
+    comments = [e for e in entries if isinstance(e, RawComment)]
+    want = oracle_harvest_similes(comments, stats=want_stats)
+    few_hashes(monkeypatch, buckets)
+    for workers in WORKERS:
+        split(run_length, workers)
+        stats = HarvestStats()
+        rows = harvest_similes(path, stats=stats)
+        assert [row.instance() for row in rows] == want
+        assert stats == want_stats
+        ranks = {(c.id, c.created_utc) for c in comments}
+        assert all((row.source_id, row.created_utc) in ranks for row in rows)
+        assert_no_child_left()
+
+
 @pytest.mark.parametrize("workers", WORKERS)
 def test_an_earlier_rank_in_a_later_run_replaces_the_held_simile(tmp_path, split, workers):
     path = write_dump(tmp_path / "c.ndjson", [

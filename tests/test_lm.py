@@ -309,6 +309,18 @@ class TestKernelsEqualOracles:
             assert scorer._logprobs(tokens, [], []) == oracle.token_logprobs(tokens)
             assert perplexity(text, scorer) == oracle_perplexity(text, oracle)
 
+    @given(texts_of(TRAIN_WORDS, 1))
+    @settings(max_examples=100, deadline=None)
+    def test_the_scorer_holds_one_string_per_token(self, train):
+        """Each context and each row key is the unigram key of its token, not a copy."""
+        scorer = BigramScorer(train)
+        held = {token: token for token in scorer.unigram}
+        for context, row in scorer.bigram.items():
+            assert context == BigramScorer.BOS or context is held[context]
+            assert all(token is held[token] for token in row)
+        assert all(context == BigramScorer.BOS or context is held[context]
+                   for context in scorer.context_total)
+
     @given(st.dictionaries(st.text("abcdefgh", min_size=1, max_size=3),
                            st.sampled_from([0.05, 0.1, 0.1, 0.2, 0.25, 0.25, 0.5, 1e-9]),
                            min_size=1, max_size=40),
