@@ -293,7 +293,7 @@ WIDE_SENTENCES = [
 wide_dump_entries = st.lists(st.one_of(
     st.builds(RawComment, id=st.sampled_from(["a", "bb", "123", "猫"]),
               body=st.lists(st.sampled_from(WIDE_SENTENCES), min_size=1, max_size=3).map(" ".join),
-              created_utc=st.sampled_from([0, 1, 2, 2**64])),  # 2**64 needs more than 64 bits
+              created_utc=st.sampled_from([-3, 0, 1, 2, 2**64])),  # 2**64 needs 65 bits
     st.sampled_from(BAD_LINES),
 ), max_size=16)
 
@@ -305,7 +305,8 @@ wide_dump_entries = st.lists(st.one_of(
 def test_harvest_of_wide_text_equals_the_oracle(tmp_path_factory, split, monkeypatch, entries,
                                                  run_length, buckets):
     """Each run's texts and ids are held joined, with offsets into them: mixed widths,
-    ids of several lengths and a created_utc past 64 bits come back as they were read."""
+    ids of several lengths, and negative created_utc and one past 64 bits, come back as
+    they were read."""
     path = write_dump(tmp_path_factory.mktemp("dump") / "c.ndjson", entries)
     want_stats = HarvestStats(malformed=sum(isinstance(e, str) for e in entries))
     comments = [e for e in entries if isinstance(e, RawComment)]
