@@ -81,26 +81,40 @@ def append_token(text: str, token: str) -> str:
 _NEWLINES = re.compile(r"\n+")
 # A sentence runs to a run of terminal punctuation and the closing quotes and
 # brackets after it, attached or after spaces ("”", "’", ")" and "]" never open
-# one).  A period ends none when it is a decimal point, ends a single-capital
-# initial ("I" aside, the pronoun), or belongs to Mr, Mrs, Ms, Dr, St, e.g. or
-# i.e. (any case), and no closing mark follows it.
-_SENTENCE = re.compile(r"""
-    (?: [^.!?…]+
+# one).  A period ends none when it is a decimal point, belongs to Mr, Mrs, Ms,
+# Dr, St, e.g. or i.e. (any case) or to a run of capital initials ("U.S."), or
+# ends a single-capital initial ("I" aside, the pronoun) that opens the sentence,
+# follows a capitalised word or comes before or after another initial ("J. Smith",
+# "John F. Kennedy", "by J. R. R. Tolkien"), and no closing mark follows it.  So
+# "got a B. Then" splits, but "Plan B. It" does not: it reads as a name would.
+_INITIAL = r"""[A-HJ-Z]\.(?![\w"'”’)\]])"""
+_SENTENCE = r"""
+    \s* (?: INITIAL \s+ )*
+    (?: [^.!?…A-Z]+
+      | (?=[A-Z]\.) \b (?: (?: [A-Z]\. ){2,} (?!["'”’)\]]) | INITIAL (?: \s+ INITIAL )+ )
+      | [A-Z]\w* (?: \s+ INITIAL )*
       | \.(?!["'”’)\]])
-          (?: (?<=\d\.)(?=\d) | (?<=\b[A-HJ-Z]\.)
+          (?: (?<=\d\.)(?=\d)
             | (?i: (?<=\bmr\.) | (?<=\bmrs\.) | (?<=\bms\.) | (?<=\bdr\.) | (?<=\bst\.)
                  | (?<=\be\.)(?=g\.) | (?<=\be\.g\.) | (?<=\bi\.)(?=e\.) | (?<=\bi\.e\.) ))
     )*
     [.!?…]* (?: ["'”’)\]] | \s+(?=[”’)\]]) )*
-""", re.VERBOSE)
+""".replace("INITIAL", _INITIAL)
 _TERMINAL_PUNCT = re.compile(r"([^\w\s]+)\s*$")
+
+
+@functools.cache
+def _sentences():
+    """_SENTENCE's finditer, compiled (a few ms) only in a process that splits text."""
+    return re.compile(_SENTENCE, re.VERBOSE).finditer
 
 
 def split_sentences(text: str) -> list[str]:
     """Rule-based sentence split on terminal punctuation (., !, ?, …) and newlines."""
     parts = []
+    sentences = _sentences()
     for chunk in _NEWLINES.split(text):
-        for m in _SENTENCE.finditer(chunk):
+        for m in sentences(chunk):
             sent = m.group().strip()
             if sent:
                 parts.append(sent)

@@ -145,6 +145,9 @@ class HarvestedSimile(NamedTuple):
 
 # A simile's slot is its key's hash cut to 30 bits, so that it fits an array("i").
 _SLOT_MASK = (1 << 30) - 1
+# Held text is UTF-8, where a character takes its own width, not the widest of its
+# run's; "surrogatepass" carries the lone surrogates a JSON escape can put in a str.
+_UTF8 = ("utf-8", "surrogatepass")
 
 
 def _int_column(values: list):
@@ -158,13 +161,13 @@ def _int_column(values: list):
 class _Run(NamedTuple):
     """One run's similes as a fan-out worker sends them, in file order.
 
-    `text` joins each simile's comment id and sentence; a simile's sentence
-    is text[start:stop], and its id runs from the stop before it (0 for the
-    first).  The offsets are array("i"), so a run whose text reaches 2**31
-    characters raises OverflowError.
+    `text` joins each simile's comment id and sentence, UTF-8 encoded; a
+    simile's sentence is text[start:stop], and its id runs from the stop
+    before it (0 for the first).  The offsets count bytes in array("i"), so a
+    run whose text reaches 2**31 bytes raises OverflowError.
     """
 
-    text: str
+    text: bytes
     start: array
     stop: array
     created: array | list
@@ -175,17 +178,19 @@ class _Run(NamedTuple):
 
 
 class _Columns:
-    """Every simile harvest_similes reads, in arrival order: each run's text, and one
-    array per field with a row for each simile, whether it is kept or not."""
+    """The similes harvest_similes holds, in arrival order: each run's text, and one
+    array per field with a row for each simile, kept or dropped since the last keep()."""
 
-    __slots__ = ("texts", "first", "start", "stop", "created", "prefix_end", "vehicle_start")
+    __slots__ = ("texts", "first", "start", "stop", "created", "prefix_end", "vehicle_start",
+                 "hashes")
+    _ROW_FIELDS = ("created", "prefix_end", "vehicle_start", "hashes")  # all but the offsets
 
     def __init__(self):
         self.texts = []  # a run's text, for each run with a simile
         self.first = []  # the row of each of those runs' first simile
         self.start, self.stop = array("i"), array("i")
         self.created = array("q")
-        self.prefix_end, self.vehicle_start = array("i"), array("i")
+        self.prefix_end, self.vehicle_start, self.hashes = array("i"), array("i"), array("i")
 
     def add(self, run: _Run) -> None:
         if not run.stop:
@@ -194,8 +199,33 @@ class _Columns:
         self.first.append(len(self.stop))
         if isinstance(run.created, list) and not isinstance(self.created, list):
             self.created = list(self.created)  # a created_utc beyond 64 bits
-        for name in ("start", "stop", "created", "prefix_end", "vehicle_start"):
+        for name in ("start", "stop", *self._ROW_FIELDS):
             getattr(self, name).extend(getattr(run, name))
+
+    def keep(self, alive: bytearray) -> None:
+        """Drop each row whose byte in alive is 0, and its text; the rest keep their order
+        and are numbered from 0 again."""
+        texts, first, start, stop = [], [], array("i"), array("i")
+        ends = [*self.first[1:], len(self.stop)]
+        for run, (lo, hi) in enumerate(zip(self.first, ends)):
+            text, self.texts[run] = self.texts[run], None  # freed run by run
+            parts, end = [], 0
+            for row in compress(range(lo, hi), alive[lo:hi]):
+                begin = self.stop[row - 1] if row > lo else 0
+                parts.append(text[begin : self.stop[row]])
+                end += self.start[row] - begin
+                start.append(end)
+                end += self.stop[row] - self.start[row]
+                stop.append(end)
+            if parts:
+                first.append(len(stop) - len(parts))
+                texts.append(b"".join(parts))
+        self.texts, self.first, self.start, self.stop = texts, first, start, stop
+        for name in self._ROW_FIELDS:
+            column = getattr(self, name)
+            kept = compress(column, alive)
+            setattr(self, name, list(kept) if isinstance(column, list)
+                    else array(column.typecode, kept))
 
     def rows(self, order):
         """A HarvestedSimile for each row of order, built as it is taken."""
@@ -204,10 +234,11 @@ class _Columns:
         new = tuple.__new__
         for row in order:
             run = bisect_right(first, row) - 1
-            text, begin, end = texts[run], start[row], stop[row]
-            yield new(HarvestedSimile, (
-                created[row], text[stop[row - 1] if row > first[run] else 0 : begin],
-                text[begin:end], prefix_end[row], vehicle_start[row]))
+            text, begin = texts[run], start[row]
+            source_id = text[stop[row - 1] if row > first[run] else 0 : begin]
+            yield new(HarvestedSimile, (created[row], source_id.decode(*_UTF8),
+                                        text[begin : stop[row]].decode(*_UTF8),
+                                        prefix_end[row], vehicle_start[row]))
 
     def row(self, row: int) -> HarvestedSimile:
         return next(self.rows((row,)))
@@ -271,17 +302,16 @@ class HarvestRows(Sequence):
         return HarvestRows(self._columns, array("i", map(self._order.__getitem__, positions)))
 
 
-def _grown(slots: array, hashes: array) -> array:
-    """A table of twice as many slots, each held row moved to the first free slot from its hash."""
-    grown = array("i", [-1]) * (2 * len(slots))
-    mask = len(grown) - 1
-    for row in slots:
-        if row >= 0:
-            slot = hashes[row] & mask
-            while grown[slot] >= 0:
-                slot = (slot + 1) & mask
-            grown[slot] = row
-    return grown
+def _table(rows, hashes: array, size: int) -> array:
+    """A table of size slots (a power of 2), each row in the first free slot from its hash."""
+    table = array("i", [-1]) * size
+    mask = size - 1
+    for row in rows:
+        slot = hashes[row] & mask
+        while table[slot] >= 0:
+            slot = (slot + 1) & mask
+        table[slot] = row
+    return table
 
 
 def harvest_similes(
@@ -304,9 +334,11 @@ def harvest_similes(
     key's hash (cut to 30 bits), a held simile of the same hash is checked
     against the keys of the texts, and a different key there moves on to
     the next slot, so a collision drops no simile.  An earlier-ranked
-    duplicate takes the slot of the row it replaces.  The result is a
-    HarvestRows; `[row.instance() for row in rows]` gives the similes.
-    Malformed lines and duplicates are counted in stats.
+    duplicate takes the slot of the row it replaces.  When a run leaves more
+    dropped rows than held ones, the dropped rows and their text are cut
+    from the columns, so memory follows the similes kept, not the
+    duplicates read.  The result is a HarvestRows;
+    `[row.instance() for row in rows]` gives the similes.  Malformed lines and duplicates are counted in stats.
     """
     if stats is None:
         stats = HarvestStats()
@@ -327,25 +359,26 @@ def harvest_similes(
                 inst = parse_simile(sentence, cfg)
                 if inst is not None:
                     hashes.append(hash(dedup_key(sentence)) & _SLOT_MASK)
-                    parts += (comment.id, sentence)
-                    end += len(comment.id)
+                    source_id, text = comment.id.encode(*_UTF8), sentence.encode(*_UTF8)
+                    parts += (source_id, text)
+                    end += len(source_id)
                     start.append(end)
-                    end += len(sentence)
+                    end += len(text)
                     stop.append(end)
                     created.append(comment.created_utc)
                     prefix_end.append(len(inst.prefix))
                     vehicle_start.append(len(sentence) - len(inst.vehicle))
-        return _Run("".join(parts), start, stop, _int_column(created), prefix_end,
+        return _Run(b"".join(parts), start, stop, _int_column(created), prefix_end,
                     vehicle_start, hashes, malformed)
 
-    columns, hashes = _Columns(), array("i")
+    columns = _Columns()
     slots = array("i", [-1]) * 8  # a row number, or -1; at most half of them held
     held_count = 0
     for run in fan_out(path, _comment_record, parse, on_error=skip):
         stats.malformed += run.malformed
+        first = len(columns.hashes)
         columns.add(run)
-        first = len(hashes)
-        hashes.extend(run.hashes)
+        hashes = columns.hashes
         for row in range(first, len(hashes)):
             mask, wanted, simile = len(slots) - 1, hashes[row], None
             slot = wanted & mask
@@ -362,12 +395,18 @@ def harvest_similes(
                 slots[slot] = row
                 held_count += 1
                 if 2 * held_count > len(slots):
-                    slots = _grown(slots, hashes)
+                    slots = _table((row for row in slots if row >= 0), hashes, 2 * len(slots))
                 continue
             stats.duplicates += 1
             if simile[:2] < kept[:2]:  # (created_utc, source_id); a tie keeps the earlier
                 slots[slot] = row
-    del hashes
+        if len(hashes) > 2 * held_count:  # more dropped rows than held ones
+            alive = bytearray(len(hashes))
+            for row in slots:
+                if row >= 0:
+                    alive[row] = 1
+            columns.keep(alive)
+            slots = _table(range(held_count), columns.hashes, len(slots))
     return HarvestRows(columns, columns.ranked(row for row in slots if row >= 0))
 
 

@@ -100,6 +100,9 @@ ONE_SENTENCE = [
     "Mrs. Dr. Ms. St. Pancras and dr. who met.",
     "J. R. R. Tolkien wrote like a monk.",
     "The U.S. team ran.",
+    "A book by J. R. R. Tolkien reads like a dream.",
+    "John F. Kennedy spoke like a king.",
+    "Plan B. It ran like a clock.",  # after a capitalised word a letter reads as an initial
 ]
 SPLITS = [
     ("“Go.” Then left.", ["“Go.”", "Then left."]),
@@ -108,6 +111,9 @@ SPLITS = [
     ("He waited… Then he ran like a deer.", ["He waited…", "Then he ran like a deer."]),
     ("Wait!… ‘No.’ Yes.", ["Wait!…", "‘No.’", "Yes."]),
     ("So did I. Then I left.", ["So did I.", "Then I left."]),  # "I" is no initial
+    ("He got a B. She ran like a deer.", ["He got a B.", "She ran like a deer."]),
+    ("Take vitamin C. Then rest.", ["Take vitamin C.", "Then rest."]),
+    ("He met J.” Then left.", ["He met J.”", "Then left."]),
     ("It cost 3. 5 more.", ["It cost 3.", "5 more."]),
     ("\"Go.\" \"Stop.\"", ["\"Go.\"", "\"Stop.\""]),
 ]
@@ -136,6 +142,11 @@ class TestSplitSentences:
         decimal = re.compile(r"(?=\d\.\d)")  # each digit-period-digit, overlaps too
         assert (len(decimal.findall(" ".join(split_sentences(text))))
                 == len(decimal.findall(text)))
+
+    @given(prose, st.sampled_from("ABCHJXZ"), st.sampled_from(["She", "Then", "it", "I"]))
+    def test_a_capital_letter_after_a_lowercase_word_ends_its_sentence(self, text, letter, word):
+        sentences = split_sentences(f"{text} got a {letter}. {word} ran.")
+        assert any(s.endswith(f"got a {letter}.") for s in sentences)
 
     @given(prose)
     def test_only_whitespace_is_dropped(self, text):

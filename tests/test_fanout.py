@@ -288,7 +288,7 @@ WIDE_SENTENCES = [
     "Él corrió like a ciervo.", "él corrió, like a CIERVO!", "Ça va like a café.",
     "猫が走った like a 虎.", "猫が走った LIKE A 虎!", "It glowed like a star 🌟.",
     "it glowed, like a STAR 🌟?", "😀 sang like a bird 🐦.", "He ran like a deer.",
-    "Nothing here.",
+    "Nothing here.", "A lone \ud83d ran like a shade.",  # a surrogate, as a JSON escape gives
 ]
 wide_dump_entries = st.lists(st.one_of(
     st.builds(RawComment, id=st.sampled_from(["a", "bb", "123", "猫"]),

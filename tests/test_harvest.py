@@ -158,14 +158,21 @@ class TestHarvestSimiles:
 VEHICLES = ["deer", "bird", "storm", "mirror", "ghost", "rocket", "feather", "stone"]
 
 
-def generated_dump(path, n):
-    """n comments of two similes each, ids of one length, timestamps out of file order."""
+def generated_dump(path, n, copies=1, step=0, extra=""):
+    """n comments of two similes each, ids of one length, timestamps out of file order.
+
+    The n comments are written `copies` times, each copy's timestamps `step`
+    seconds after the last's; `extra` ends each comment's first simile.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(n):
-            body = (f"Comment {i} ran fast like a {VEHICLES[i % 8]} in the field {i % 97}. "
-                    f"Nothing else happened here. It sang like a {VEHICLES[i * 3 % 8]} at night {i}.")
-            fh.write(json.dumps({"id": f"t1_{i:07d}", "body": body,
-                                 "created_utc": 1_500_000_000 + i * 7919 % 100_000}) + "\n")
+        for copy in range(copies):
+            for i in range(n):
+                body = (f"Comment {i} ran fast like a {VEHICLES[i % 8]} in the field {i % 97}"
+                        f"{extra}. Nothing else happened here. "
+                        f"It sang like a {VEHICLES[i * 3 % 8]} at night {i}.")
+                record = {"id": f"t1_{i:07d}", "body": body,
+                          "created_utc": 1_500_000_000 + i * 7919 % 100_000 + copy * step}
+                fh.write(json.dumps(record) + "\n")
     return path
 
 
@@ -199,12 +206,22 @@ class TestHarvestRows:
         assert isinstance(split.train, HarvestRows)
         assert split == split_corpus(items, ratio, seed)
 
-    def test_it_holds_under_half_the_bytes_a_tuple_per_simile_took(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("copies, step, extra, bound", [
+        (1, 0, "", 236 / 2),
+        (1, 0, " 🌟", 236 / 2),  # a four-byte character in every comment
+        (4, 1, "", 236),  # three later-ranked copies of each comment, each one dropped
+        (4, -1, "", 236),  # three earlier-ranked copies, each replacing the one held
+    ])
+    def test_it_holds_fewer_bytes_than_a_tuple_per_simile_took(self, tmp_path, monkeypatch,
+                                                                copies, step, extra, bound):
         """tracemalloc's count of what the result holds, per kept simile, in one process.
         When each kept simile was a HarvestedSimile with its own id and text strings, the
-        result held 236 bytes per simile of this dump (Python 3.11); the columns hold 86."""
+        result held 236 bytes per simile of this dump (330 with the emoji; Python 3.11).
+        The columns hold 87; 90 with the emoji, where one str per run would hold 249, as
+        a str stores every character at its widest character's width; 162 with the
+        copies, as at most as many dropped rows as held ones are left in the columns."""
         monkeypatch.setattr(core, "usable_cpus", lambda: 1)
-        path = generated_dump(tmp_path / "c.ndjson", 3000)
+        path = generated_dump(tmp_path / "c.ndjson", 3000, copies, step, extra)
         harvest_similes(path)  # the first call fills the caches it leaves behind
         tracemalloc.start()
         try:
@@ -214,7 +231,7 @@ class TestHarvestRows:
         finally:
             tracemalloc.stop()
         assert len(rows) == 6000
-        assert held / len(rows) < 236 / 2
+        assert held / len(rows) < bound
 
 
 def oracle_iter_comments(path, stats=None):
