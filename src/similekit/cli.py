@@ -335,18 +335,18 @@ def cmd_harvest(s: Settings) -> int:
         return 2
     stats = HarvestStats()
     seeds = {}
-    files = []  # (writer, rows, path): nothing is written until every output is computed
+    files = []  # (writer, *args): nothing is written until every output is computed
     if comments is not None:
         similes = harvest_similes(comments, s["triggers"] or DEFAULT_TRIGGERS, stats)
-        files.append((write_similes_jsonl, similes, s["similes-out"]))
         print(f"harvested {len(similes)} similes "
               f"({stats.duplicates} duplicates, {stats.malformed} malformed records)")
+        parts = []
         if split is not None:
             result = split_corpus(similes, split, seed)
-            files += [(write_similes_jsonl, result.train, s["train-out"]),
-                      (write_similes_jsonl, result.validation, s["val-out"])]
+            parts = [(result.train, s["train-out"]), (result.validation, s["val-out"])]
             seeds["split_seed"] = seed
             print(f"split {len(result.train)} train / {len(result.validation)} validation")
+        files.append((write_similes_jsonl, similes, s["similes-out"], parts))
     if sentences is not None:
         # A list, because perfbench/tracer.py counts the crawl lines with len().
         literals = harvest_literals(list(read_lines(sentences)), DEFAULT_TAGGER, stats)
@@ -355,8 +355,8 @@ def cmd_harvest(s: Settings) -> int:
             seeds["sample_seed"] = seed
         files.append((write_literals_jsonl, literals, s["literals-out"]))
         print(f"kept {len(literals)} literals ({stats.rejected} rejected)")
-    for write, rows, path in files:
-        write(rows, path)
+    for write, *args in files:
+        write(*args)
     _write_manifest(s, seeds)
     return 0
 

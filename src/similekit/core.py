@@ -265,32 +265,46 @@ class LiteralSentence(Checked, _LiteralFields):
         return tuple.__new__(cls, (raw_text, prefix, property))
 
 
+def _first_trigger(text: str, cfg: TriggerConfig) -> re.Match | None:
+    """The first occurrence of the first trigger of cfg that occurs in text."""
+    for phrase in cfg.trigger_phrases:
+        m = _trigger_pattern(phrase).search(text)
+        if m is not None:
+            return m
+    return None
+
+
 def parse_simile(text: str, cfg: TriggerConfig = DEFAULT_TRIGGERS) -> SimileInstance | None:
     """Split a sentence at the first occurrence of the first matching trigger.
 
     Returns None when no trigger occurs or the vehicle would be empty.
     """
-    for phrase in cfg.trigger_phrases:
-        m = _trigger_pattern(phrase).search(text)
-        if m is None:
-            continue
-        start, end = m.start(), m.end()
-        # Absorb flanking whitespace into the comparator span so the
-        # prefix/vehicle round-trip stays exact without stray spaces.
-        while start > 0 and text[start - 1].isspace():
-            start -= 1
-        while end < len(text) and text[end].isspace():
-            end += 1
-        vehicle = text[end:]
-        if not WORD_CHAR.search(vehicle):
-            return None
-        return SimileInstance(
-            raw_text=text,
-            prefix=text[:start],
-            comparator=text[start:end],
-            vehicle=vehicle,
-        )
-    return None
+    m = _first_trigger(text, cfg)
+    if m is None:
+        return None
+    start, end = m.start(), m.end()
+    # Absorb flanking whitespace into the comparator span so the
+    # prefix/vehicle round-trip stays exact without stray spaces.
+    while start > 0 and text[start - 1].isspace():
+        start -= 1
+    while end < len(text) and text[end].isspace():
+        end += 1
+    vehicle = text[end:]
+    if not WORD_CHAR.search(vehicle):
+        return None
+    return SimileInstance(
+        raw_text=text,
+        prefix=text[:start],
+        comparator=text[start:end],
+        vehicle=vehicle,
+    )
+
+
+def is_simile(text: str, cfg: TriggerConfig = DEFAULT_TRIGGERS) -> bool:
+    """Whether parse_simile(text, cfg) finds a simile, without building it: a word
+    follows the trigger it splits at (the whitespace it absorbs holds none)."""
+    m = _first_trigger(text, cfg)
+    return m is not None and WORD_CHAR.search(text, m.end()) is not None
 
 
 class NotModifierFinal(ValueError):
@@ -350,22 +364,31 @@ def extract_generated_vehicle(generated: str, reference: str) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Files: JSONL has one JSON object per line, keys sorted, non-ASCII text kept
-# as is; a JSON document has its keys sorted and ends in a newline.  Every
+# as is, but a lone surrogate, which UTF-8 cannot encode, written as its JSON
+# escape; a JSON document has its keys sorted and ends in a newline.  Every
 # output is written through atomic_open, so a run that fails part-way leaves
 # the previous file in place.
 
+# The encoding of an output's text: a lone surrogate becomes its escape \udXXX,
+# which JSON reads back as the same str.  Only JSON can hold one: a pair of the
+# corpus, the one text written as TSV, refuses it.
+TEXT_ENCODING = ("utf-8", "backslashreplace")
+
 
 @contextlib.contextmanager
-def atomic_open(path, newline=None):
-    """A text file for writing that replaces `path` only when the block completes.
+def atomic_open(path, newline=None, binary=False):
+    """A file for writing, text in TEXT_ENCODING or, with binary, bytes, that
+    replaces `path` only when the block completes.
 
     The text goes to a temporary file next to `path`, moved into place with
     os.replace; if the block raises, the temporary file is removed and
     `path` is left as it was.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    encoding, errors = TEXT_ENCODING
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        with (open(tmp, "wb") if binary else
+              open(tmp, "w", encoding=encoding, errors=errors, newline=newline)) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -380,12 +403,38 @@ def write_lines(lines, path) -> None:
         fh.writelines(lines)
 
 
-# json.dumps(record, ensure_ascii=False, sort_keys=True), without an encoder per call.
-_JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+def _record_encoder():
+    """A function giving json.dumps(record, ensure_ascii=False, sort_keys=True).
+
+    JSONEncoder.encode builds a C encoder for every call; this one is built
+    once, with the arguments encode would give it, where the C encoder
+    exists.  Its circular-reference markers are cleared after an error, which
+    can leave them behind.
+    """
+    encoder = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return encoder.encode
+    markers = {}
+    encode = make(markers, encoder.default, json.encoder.encode_basestring, encoder.indent,
+                  encoder.key_separator, encoder.item_separator, encoder.sort_keys,
+                  encoder.skipkeys, encoder.allow_nan)
+
+    def encode_record(record) -> str:
+        try:
+            return "".join(encode(record, 0))
+        except BaseException:
+            markers.clear()
+            raise
+
+    return encode_record
+
+
+_encode_record = _record_encoder()
 
 
 def json_line(record) -> str:
-    return _JSON_ENCODER.encode(record) + "\n"
+    return _encode_record(record) + "\n"
 
 
 def write_jsonl(records, path) -> None:

@@ -12,6 +12,7 @@ is kept verbatim, so a comma before the comparator survives into the literal
 from __future__ import annotations
 
 import contextlib
+import re
 import warnings
 from typing import NamedTuple
 
@@ -22,8 +23,8 @@ from .core import (
     Slots,
     TriggerConfig,
     atomic_open,
+    is_simile,
     json_line,
-    parse_simile,
     read_records,
     runs_of,
     terminal_punctuation,
@@ -34,9 +35,11 @@ from .core import (
 from .knowledge import PropertyCandidate, properties_of_each
 from .lm import EmptyText, perplexities
 
-# Bound for perfbench/tracer.py, which probes similekit.corpus:properties_of and
-# similekit.corpus:perplexity; a run's vehicles are looked up through
-# properties_of_each and its candidates scored through perplexities, one call each.
+# Bound for perfbench/tracer.py, which probes similekit.corpus:properties_of,
+# similekit.corpus:perplexity and similekit.corpus:parse_simile; a run's vehicles
+# are looked up through properties_of_each and its candidates scored in one call,
+# and a pair's contract is checked with is_simile.
+from .core import parse_simile
 from .knowledge import properties_of
 from .lm import perplexity
 
@@ -52,6 +55,9 @@ class GrammarCorrectionWarning(UserWarning):
 # Every comparator counts when validating the source/target contract, whatever
 # the parse-time configuration was.  Built once: each pair checks it twice.
 _CONTRACT_TRIGGERS = TriggerConfig(COMPARATORS)
+
+# A code point UTF-8 cannot encode; a JSON escape can put one in a str.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class LiteralCandidate(NamedTuple):
@@ -72,10 +78,14 @@ class ParallelPair(Checked, _PairFields):
     __slots__ = ()
 
     def __new__(cls, source, target, property_used, vehicle, provenance=""):
-        if parse_simile(target, _CONTRACT_TRIGGERS) is None:
+        if not is_simile(target, _CONTRACT_TRIGGERS):
             raise ValueError("target must contain a trigger phrase")
-        if parse_simile(source, _CONTRACT_TRIGGERS) is not None:
+        if is_simile(source, _CONTRACT_TRIGGERS):
             raise ValueError("source must not contain a trigger phrase")
+        if not (source.isascii() and target.isascii()):
+            if bad := _SURROGATE.search(source + target):
+                raise ValueError(f"pair text holds the lone surrogate {bad.group()!r}, "
+                                 "which a TSV line cannot carry")
         return tuple.__new__(cls, (source, target, property_used, vehicle, provenance))
 
 
@@ -105,31 +115,50 @@ def select_best_literals(similes: list[SimileInstance],
 
     A candidate is prefix + property + the simile's terminal punctuation.
     Every candidate of the batch is scored in one call, those of a simile
-    next to each other.  A token holds no whitespace, so a candidate's
-    tokens are the prefix's, tokenized once, and its tail's.
+    next to each other.  A scorer with token_perplexities is handed each
+    simile's prefix tokens once, with each candidate's tail (property and
+    punctuation) tokens: a token holds no whitespace, so a candidate's
+    tokens are the prefix's and its tail's.  Only the chosen candidate's text
+    is built.  Any other scorer is handed every candidate's text.
     """
-    texts, tokens, starts = [], [], []
+    by_tokens = hasattr(scorer, "token_perplexities")
+    batch, starts, puncts, scored = [], [], [], 0
     for simile, properties in zip(similes, properties_each):
         punct = terminal_punctuation(simile.raw_text)
-        candidates = [(simile.prefix + " " + prop.text).strip() + punct for prop in properties]
-        if not candidates:
+        puncts.append(punct)
+        if not properties:
             starts.append(NoProperties(f"no properties for vehicle of {simile.raw_text!r}"))
-        elif any(not text or text.isspace() for text in candidates):
+            continue
+        # A candidate is empty or whitespace exactly when its prefix and property are
+        # and the simile ends in a word (terminal punctuation holds no whitespace).
+        if not punct and not simile.prefix.strip() and not all(p.text.strip() for p in properties):
             starts.append(EmptyText("cannot score an empty text"))
+            continue
+        starts.append(scored)
+        scored += len(properties)
+        if by_tokens:
+            batch.append((tokenize(simile.prefix), [tokenize(p.text + punct) for p in properties]))
         else:
-            starts.append(len(texts))
-            head = tokenize(simile.prefix)
-            texts += candidates
-            tokens += [head + tokenize(prop.text + punct) for prop in properties]
-    ppls = perplexities(texts, scorer, tokens) if texts else []
+            batch += (_candidate_text(simile.prefix, p.text, punct) for p in properties)
+    if not batch:
+        ppls = []
+    elif by_tokens:
+        ppls = scorer.token_perplexities(batch)
+    else:
+        ppls = perplexities(batch, scorer)
     best = []
-    for properties, start in zip(properties_each, starts):
+    for simile, properties, start, punct in zip(similes, properties_each, starts, puncts):
         if isinstance(start, ValueError):
             best.append(start)
             continue
         i = min(range(start, start + len(properties)), key=ppls.__getitem__)
-        best.append(LiteralCandidate(texts[i], properties[i - start].text, ppls[i]))
+        prop = properties[i - start].text
+        best.append(LiteralCandidate(_candidate_text(simile.prefix, prop, punct), prop, ppls[i]))
     return best
+
+
+def _candidate_text(prefix: str, prop: str, punct: str) -> str:
+    return (prefix + " " + prop).strip() + punct
 
 
 def correct_grammar(text: str, corrector=None) -> str:

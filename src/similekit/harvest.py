@@ -23,13 +23,16 @@ from typing import NamedTuple
 from .core import (
     COMPARATORS,
     DEFAULT_TRIGGERS,
+    TEXT_ENCODING,
     Checked,
     LiteralSentence,
     SimileInstance,
     Slots,
     TriggerConfig,
+    atomic_open,
     fan_out,
     is_comparator,
+    json_line,
     parse_simile,
     read_records,
     split_sentences,
@@ -461,10 +464,48 @@ def split_corpus(similes: Sequence, ratio, seed: int) -> CorpusSplit:
 # File formats
 
 
-def write_similes_jsonl(instances, path) -> None:
-    """Write SimileInstances or HarvestedSimile rows, one JSON record each."""
-    write_jsonl(({"text": inst.raw_text, "prefix": inst.prefix, "vehicle": inst.vehicle,
-                  "source_id": inst.source_id} for inst in instances), path)
+def write_similes_jsonl(instances, path, parts=()) -> None:
+    """Write SimileInstances or HarvestedSimile rows, one JSON record each.
+
+    Each (rows, part_path) of parts, rows taken from instances, a HarvestRows,
+    by split_corpus or HarvestRows.take, is then written as rows alone would
+    be, in the same bytes: its lines are copied from the file at path, each
+    found by the byte offset at which its row's line was written there (an
+    array of one offset per row of the columns), so each simile is encoded
+    once.
+    """
+    records = map(_simile_json, instances)
+    if not parts:
+        write_jsonl(records, path)
+        return
+    columns = instances._columns
+    if any(rows._columns is not columns for rows, _ in parts):
+        raise ValueError("parts must be taken from the similes written")
+    offsets = array("i", [0]) * len(columns.stop)  # 4 bytes a row while the file is under 2 GiB
+    end = 0
+    with atomic_open(path, binary=True) as out:
+        for row, record in zip(instances._order, records):
+            line = json_line(record).encode(*TEXT_ENCODING)
+            try:
+                offsets[row] = end
+            except OverflowError:
+                offsets = array("q", offsets)
+                offsets[row] = end
+            end += len(line)
+            out.write(line)
+    # Each line is read after a seek, anywhere in the file: a buffer of a few lines
+    # copies less per line than the default of 8 KiB.
+    with open(path, "rb", buffering=512) as written:
+        for rows, part_path in parts:
+            with atomic_open(part_path, binary=True) as out:
+                for row in rows._order:
+                    written.seek(offsets[row])
+                    out.write(written.readline())
+
+
+def _simile_json(inst) -> dict:
+    return {"text": inst.raw_text, "prefix": inst.prefix, "vehicle": inst.vehicle,
+            "source_id": inst.source_id}
 
 
 def simile_record(rec) -> SimileInstance:

@@ -75,7 +75,9 @@ class EdgeTableBackend:
         return self.by_concept.get(fold(concept), [])[:k]
 
     def properties_of_each(self, concepts: list[str], k: int) -> list[list[PropertyCandidate]]:
-        return [self.properties_of(concept, k) for concept in concepts]
+        """properties_of for each concept, each distinct one looked up once."""
+        found = {concept: self.properties_of(concept, k) for concept in set(concepts)}
+        return [found[concept] for concept in concepts]
 
     def best_concept_for(self, prop: str) -> str | None:
         row = self.by_property.get(fold(prop))
@@ -166,7 +168,10 @@ def properties_of_each(vehicles: list[str], k: int, backend) -> list[list[Proper
     found = backend.properties_of_each(vehicles, k)
     if len(found) != len(vehicles):
         raise BackendUnavailable(f"backend answered {len(found)} of {len(vehicles)} concepts")
-    return [_in_score_order(cands, k) for cands in found]
+    # A backend answers the repeats of a vehicle with one list, checked once.
+    distinct = {id(cands): cands for cands in found}
+    checked = {key: _in_score_order(cands, k) for key, cands in distinct.items()}
+    return [checked[id(cands)] for cands in found]
 
 
 def vehicle_for_property(prop: str, backend, synonym_backend=EMPTY_SYNONYMS) -> str | None:

@@ -5,8 +5,9 @@ out of process, plus deterministic in-process reference implementations:
 
 * scorer: `perplexities(texts) -> [ppl, ...]`, one call for a batch such as
   the literal candidates of a run of similes; one with
-  `token_perplexities(token_lists)` is handed the tokens a caller already
-  has instead.  Reference: interpolated word-bigram model with add-alpha
+  `token_perplexities(groups)` is handed instead each simile's prefix tokens
+  once with its candidates' tail tokens, `(head, [tail, ...])`, and scores
+  each head + tail.  Reference: interpolated word-bigram model with add-alpha
   smoothing.
 * seq2seq model: `next_token_distribution(src_tokens, out_tokens) -> [(token,
   prob), ...]`, ranked by falling probability, ties by token; decoding
@@ -30,7 +31,6 @@ import math
 import os
 import random
 import sys
-from collections import Counter, defaultdict
 from typing import NamedTuple
 
 from .backends import BackendUnavailable, JsonSubprocessBackend, reply_field
@@ -92,31 +92,23 @@ class GenerationOutput(NamedTuple):
 # Perplexity
 
 
-def perplexities(texts, scorer, tokens=None) -> list[float]:
+def perplexities(texts, scorer) -> list[float]:
     """Perplexity of each text, in order: exp of mean negative log-likelihood
     per token; lower = more fluent.
 
     EmptyText is raised before anything is scored if a text has no tokens
     (tokenize finds a token at every character that is not whitespace).  The
-    scorer's `perplexities` scores the batch in one call.  `tokens`, when
-    given, holds tokenize(text) for each text: a scorer with
-    `token_perplexities` is handed them instead of tokenizing each text again.
+    scorer's `perplexities` scores the batch in one call.
     """
     texts = list(texts)
     if any(not text or text.isspace() for text in texts):
         raise EmptyText("cannot score an empty text")
-    if tokens is not None and hasattr(scorer, "token_perplexities"):
-        return scorer.token_perplexities(tokens)
     return [float(ppl) for ppl in scorer.perplexities(texts)]
 
 
 def perplexity(text: str, scorer) -> float:
     """The perplexity of one text; see perplexities."""
     return perplexities([text], scorer)[0]
-
-
-def _perplexity_of(logps: list[float]) -> float:
-    return math.exp(-sum(logps) / len(logps))
 
 
 class UniformScorer:
@@ -153,8 +145,10 @@ class BigramScorer:
             raise ValueError("interpolation must be in [0, 1]")
         self.alpha = alpha
         self.lam = interpolation
-        self.unigram: Counter = Counter()
-        bigram: defaultdict[str, Counter] = defaultdict(Counter)
+        # Plain dicts, their lookups hoisted: a Counter's += costs more per token.
+        unigram: dict[str, int] = {}
+        bigram: dict[str, dict[str, int]] = {}
+        count_of, row_of, intern = unigram.get, bigram.get, sys.intern
         trained = False
         for text in texts:
             tokens = tokenize(text)
@@ -164,60 +158,68 @@ class BigramScorer:
             prev = self.BOS
             # One str per distinct token: each row keeps the tokens it counts,
             # which would otherwise be each text's own copies.
-            for tok in map(sys.intern, tokens):
-                self.unigram[tok] += 1
-                bigram[prev][tok] += 1
+            for tok in map(intern, tokens):
+                unigram[tok] = count_of(tok, 0) + 1
+                row = row_of(prev)
+                if row is None:
+                    row = bigram[prev] = {}
+                row[tok] = row.get(tok, 0) + 1
                 prev = tok
         if not trained:
             raise EmptyText("scorer needs at least one non-empty training text")
-        self.bigram: dict[str, Counter] = dict(bigram)
-        self.context_total = Counter({prev: row.total() for prev, row in bigram.items()})
-        self.vocab = set(self.unigram) | {self.UNK}
-        self.vocab_size = len(self.vocab)
-        self.total = sum(self.unigram.values())
+        self.unigram = unigram
+        self.bigram = bigram
+        self.context_total = {prev: sum(row.values()) for prev, row in bigram.items()}
+        self.vocab_size = len(unigram) + 1  # and UNK, which tokenize never gives
+        self.total = sum(unigram.values())
+        # What _logprobs reads, hoisted once: the invariants of the formula, each
+        # computed by the expression it has there, and the lookups.
+        alpha_v = alpha * self.vocab_size
+        self._terms = (alpha, interpolation, alpha_v, self.total + alpha_v, 1 - interpolation,
+                       bigram.get, self.context_total.get, unigram.get)
 
     def perplexities(self, texts: list[str]) -> list[float]:
         """Each text is tokenized once; see token_perplexities."""
-        return self.token_perplexities(map(tokenize, texts))
+        return self.token_perplexities(([], [tokenize(text)]) for text in texts)
 
-    def token_perplexities(self, token_lists) -> list[float]:
-        """The perplexity of each token list.  A token's log-prob depends only
-        on it and the token before it, so the log-probs of the prefix a list
-        shares with the list before it (the literal candidates of one simile
-        differ only at the end) are reused within the call."""
-        out, tokens, logps = [], [], []
-        for next_tokens in token_lists:
-            before, tokens = tokens, next_tokens
-            if not tokens:
-                raise EmptyText("cannot score an empty text")
-            logps = self._logprobs(tokens, before, logps)
-            out.append(_perplexity_of(logps))
+    def token_perplexities(self, groups) -> list[float]:
+        """The perplexity of head + tail for each (head, tails) of groups and each
+        tail of its tails, in order.  A token's log-prob depends only on it and
+        the token before it, so a head's log-probs are computed once and each
+        tail's are added to a copy of them (the literal candidates of one simile
+        share its prefix and differ only after it)."""
+        out, logprobs, exp = [], self._logprobs, math.exp
+        for head, tails in groups:
+            head_logps = logprobs(head)
+            for tail in tails:
+                if not head and not tail:
+                    raise EmptyText("cannot score an empty text")
+                logps = logprobs(tail, head, head_logps)
+                # The sum runs over the whole list: from Python 3.12 sum() of floats is
+                # compensated, so the head's sum plus the tail's would round differently.
+                out.append(exp(-sum(logps) / len(logps)))
         return out
 
-    def _logprobs(self, tokens: list[str], before: list[str],
-                  before_logps: list[float]) -> list[float]:
-        """Log-probs of tokens; those of the prefix shared with `before` are
-        copied from before_logps.  The float expressions keep the operation
-        order of the formula above (tests compare the log-probs bit for bit);
-        only invariants computed by the same expression, and the lookups,
-        are hoisted out of the loop."""
-        shared = common_prefix_len(tokens, before)
-        out = before_logps[:shared]
-        vocab, unk, alpha, lam = self.vocab, self.UNK, self.alpha, self.lam
+    def _logprobs(self, tokens: list[str], head: list[str] = (),
+                  head_logps: list[float] = ()) -> list[float]:
+        """The log-probs of head + tokens, given head's own as head_logps.  The
+        float expressions keep the operation order of the formula above (tests
+        compare the log-probs bit for bit); the invariants and lookups are read
+        from _terms.  A token never counted is UNK, counted 0."""
+        alpha, lam, alpha_v, uni_den, rest, row_of, context_total, count_of = self._terms
+        out = list(head_logps)
+        log, append, unk = math.log, out.append, self.UNK
         prev = self.BOS
-        if shared:
-            prev = tokens[shared - 1] if tokens[shared - 1] in vocab else unk
-        alpha_v = alpha * self.vocab_size
-        uni_den = self.total + alpha_v
-        rest = 1 - lam
-        row_of, context_total, unigram = self.bigram.get, self.context_total.get, self.unigram.get
-        log, append = math.log, out.append
-        for tok in tokens[shared:]:
-            t = tok if tok in vocab else unk
-            p_bi = (row_of(prev, _NO_ROW).get(t, 0) + alpha) / (context_total(prev, 0) + alpha_v)
-            p_uni = (unigram(t, 0) + alpha) / uni_den
+        if head:
+            prev = head[-1] if count_of(head[-1]) is not None else unk
+        for tok in tokens:
+            count = count_of(tok)
+            if count is None:
+                tok, count = unk, 0
+            p_bi = (row_of(prev, _NO_ROW).get(tok, 0) + alpha) / (context_total(prev, 0) + alpha_v)
+            p_uni = (count + alpha) / uni_den
             append(log(lam * p_bi + rest * p_uni))
-            prev = t
+            prev = tok
         return out
 
 

@@ -22,8 +22,14 @@ from similekit.cli import (
     _parse_triggers,
     main,
 )
-from similekit.core import parse_simile, read_lines, write_jsonl
-from similekit.corpus import build_parallel_corpus, write_pairs_audit_jsonl, write_pairs_tsv
+from similekit.core import parse_simile, read_lines, read_records, write_jsonl
+from similekit.corpus import (
+    BuildStats,
+    build_parallel_corpus,
+    iter_parallel_corpus,
+    write_pairs_audit_jsonl,
+    write_pairs_tsv,
+)
 from similekit.evaluation import ScoreSheet
 from similekit.harvest import (
     harvest_similes,
@@ -200,6 +206,41 @@ def test_summary_lines(tmp_path, capsys):
     assert main(["build-corpus", "--in", str(similes), "--knowledge", str(edges),
                  "--out", str(tmp_path / "p.tsv")]) == 0
     assert capsys.readouterr().out == "built 1 pairs (1 skipped, 1 failed)\n"
+
+
+def test_a_lone_surrogate_is_carried_by_harvest_and_failed_by_build_corpus(tmp_path, capsys):
+    """A body or id holding a JSON-escaped lone surrogate is harvested and written as the
+    same escape, and read back as the same string; build-corpus fails the pair whose
+    text holds one, with its reason, since a TSV line cannot carry it."""
+    comments, similes = tmp_path / "c.ndjson", tmp_path / "s.jsonl"
+    comments.write_text('{"id": "1", "body": "The dog ran like a rocket \\ud83d. It was late."}\n'
+                        '{"id": "2\\udc00", "body": "She sang like a bird."}\n', encoding="utf-8")
+    assert main(["harvest", "--comments", str(comments), "--similes-out", str(similes),
+                 "--split", "0.5", "--train-out", str(tmp_path / "t.jsonl"),
+                 "--val-out", str(tmp_path / "v.jsonl"), "--seed", "1"]) == 0
+    assert capsys.readouterr().out == ("harvested 2 similes (0 duplicates, 0 malformed records)\n"
+                                       "split 1 train / 1 validation\n")
+    written = similes.read_bytes().decode("utf-8")
+    assert "rocket \\ud83d." in written and '"2\\udc00"' in written
+    records = list(read_records(similes, lambda rec: rec))
+    assert [(rec["text"], rec["source_id"]) for rec in records] == [
+        ("The dog ran like a rocket \ud83d.", "1"), ("She sang like a bird.", "2\udc00")]
+    split_bytes = (tmp_path / "t.jsonl").read_bytes() + (tmp_path / "v.jsonl").read_bytes()
+    assert sorted(split_bytes.splitlines()) == sorted(similes.read_bytes().splitlines())
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("rocket\tfast\t1.0\nbird\tsweet\t1.0\n", encoding="utf-8")
+    assert main(["build-corpus", "--in", str(similes), "--knowledge", str(edges),
+                 "--out", str(tmp_path / "p.tsv"), "--audit-out", str(tmp_path / "a.jsonl")]) == 0
+    assert capsys.readouterr().out == "built 1 pairs (0 skipped, 1 failed)\n"
+    assert (tmp_path / "p.tsv").read_text(encoding="utf-8") == \
+        "She sang sweet.\tShe sang like a bird.\n"
+    assert [rec["provenance"] for rec in read_records(tmp_path / "a.jsonl", lambda r: r)] == \
+        ["2\udc00"]
+    stats = BuildStats()
+    list(iter_parallel_corpus(read_similes_jsonl(similes), load_edge_table(edges),
+                              UniformScorer(3), stats=stats))
+    assert stats.failures == [
+        ("1", "pair text holds the lone surrogate '\\ud83d', which a TSV line cannot carry")]
 
 
 def test_byte_not_utf8_is_a_malformed_comment(tmp_path, capsys):

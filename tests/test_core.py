@@ -7,7 +7,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import similekit
 from similekit import knowledge
@@ -24,7 +24,9 @@ from similekit.core import (
     extract_generated_vehicle,
     fold,
     is_comparator,
+    is_simile,
     is_word,
+    json_line,
     parse_simile,
     read_lines,
     read_records,
@@ -239,6 +241,16 @@ class TestParseSimile:
     def test_instance_validates_round_trip(self):
         with pytest.raises(ValueError):
             SimileInstance(raw_text="a like a b", prefix="x", comparator=" like a ", vehicle="b")
+
+    @given(st.lists(st.sampled_from(["like", "LIKE", "Like", "a", "A", "an", "An", "X", "bee",
+                                     " ", "  ", "\t", "\n", "\u00a0", ".", ",", "!", "'", "9",
+                                     "\u00e9", "\ud83d", "_"]), max_size=12).map("".join),
+           st.sampled_from([DEFAULT_TRIGGERS, TriggerConfig(("like an",)),
+                            TriggerConfig(("like a", "like an")),
+                            TriggerConfig(("like an", "like a"))]))
+    @settings(max_examples=500)
+    def test_is_simile_is_parse_simile_finding_one(self, text, cfg):
+        assert is_simile(text, cfg) == (parse_simile(text, cfg) is not None)
 
 
 class TestStripTerminalModifier:
@@ -564,6 +576,54 @@ class TestAtomicWrites:
         write_jsonl([{"b": "é", "a": 1}], path)
         assert path.read_bytes() == '{"a": 1, "b": "é"}\n'.encode("utf-8")
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
+                | st.floats(allow_nan=True, allow_infinity=True))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                           | st.dictionaries(st.text(max_size=5), inner, max_size=4), max_leaves=12)
+
+
+class TestJsonLine:
+    """json_line gives json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"."""
+
+    @given(st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=6))
+    @settings(max_examples=300)
+    def test_equals_json_dumps(self, record):
+        assert json_line(record) == json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+
+    def test_known_record(self):
+        record = {"text": "Caf\u00e9 \u201cnoir\u201d \u65e5\u672c", "n": [1.5, None, [2, "x"]],
+                  "f": 1e-300, "z": None}
+        assert json_line(record) == json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+
+    def test_a_failed_record_leaves_the_next_one_whole(self):
+        loop = []
+        loop.append(loop)
+        for bad, error in (({"a": [object()]}, TypeError), ({"a": loop}, ValueError)):
+            with pytest.raises(error):
+                json_line(bad)
+            assert json_line({"a": [1]}) == '{"a": [1]}\n'
+
+    def test_without_the_c_encoder_it_encodes_the_same(self, monkeypatch):
+        import similekit.core as core
+
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        record = {"b": ["\u00e9", 1.5, None], "a": {"y": True}}
+        assert core._record_encoder()(record) == json.dumps(record, ensure_ascii=False,
+                                                            sort_keys=True)
+
+    @given(st.text(st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF), min_size=1),
+           st.text(max_size=4))
+    def test_a_lone_surrogate_is_written_as_its_escape(self, tmp_path_factory, surrogates, text):
+        path = tmp_path_factory.mktemp("jsonl") / "out.jsonl"
+        # Two surrogates that JSON would read back as one character never meet here.
+        value = text + "".join(c + "." for c in surrogates)
+        write_jsonl([{"s": value}], path)
+        data = path.read_bytes()
+        assert data.decode("utf-8") == json.dumps({"s": value}, ensure_ascii=False) \
+            .encode("utf-8", "backslashreplace").decode("utf-8") + "\n"
+        assert list(read_records(path, lambda rec: rec["s"])) == [value]
 
 
 class TestWriteJson:

@@ -26,8 +26,11 @@ from similekit.corpus import (
     write_pairs_audit_jsonl,
     write_pairs_tsv,
 )
+from similekit.harvest import simile_record
 from similekit.knowledge import PropertyCandidate, load_edge_table, properties_of
 from similekit.lm import BigramScorer, EmptyText, UniformScorer, perplexities
+
+from test_lm import OracleBigramScorer, oracle_perplexity
 
 # Word pieces, apostrophes, punctuation and whitespace of several kinds, or any character.
 PIECES = st.sampled_from(["ab", "x", "'", "’", " ", ".", ",", "!", "-", "\t", "\n",
@@ -58,11 +61,12 @@ class TextRecorder:
         return [1.0] * len(self.texts)
 
 
-class TokenRecorder(TextRecorder):
-    """A scorer that is also handed each candidate's tokens, and keeps them."""
+class TokenRecorder:
+    """A scorer handed each simile's prefix tokens and its candidates' tail tokens;
+    it keeps each candidate's tokens, head + tail.  Every candidate ties."""
 
-    def token_perplexities(self, token_lists):
-        self.tokens = list(token_lists)
+    def token_perplexities(self, groups):
+        self.tokens = [head + tail for head, tails in groups for tail in tails]
         return [1.0] * len(self.tokens)
 
 
@@ -121,13 +125,16 @@ class TestMakeLiteralCandidates:
         texts = [(prefix + " " + p).strip() + terminal_punctuation(simile.raw_text)
                  for p in properties]
         candidates = [PropertyCandidate(p, 1.0) for p in properties]
-        scorer = TokenRecorder()
+        scorer, text_scorer = TokenRecorder(), TextRecorder()
         if any(not text or text.isspace() for text in texts):
-            with pytest.raises(EmptyText):
-                select_best_literal(simile, candidates, scorer)
+            for each in (scorer, text_scorer):
+                with pytest.raises(EmptyText):
+                    select_best_literal(simile, candidates, each)
             return
-        select_best_literal(simile, candidates, scorer)
+        best = select_best_literal(simile, candidates, scorer)
         assert scorer.tokens == [tokenize(text) for text in texts]
+        assert best == select_best_literal(simile, candidates, text_scorer)
+        assert text_scorer.texts == texts
 
 
 class TestSelectBestLiteral:
@@ -406,6 +413,121 @@ def test_runs_convert_as_one_simile_at_a_time(similes, run_length, k, scorer):
     assert pairs == expected
     assert (stats.built, stats.skipped_no_properties, stats.failures) == (
         expected_stats.built, expected_stats.skipped_no_properties, expected_stats.failures)
+
+
+# Prefixes: empty, ending in a token the scorer never saw, with <unk> and <s> spelled
+# out; properties: repeated, punctuation only, one that is not a word at all.
+ORACLE_PREFIXES = ["", "The wall was", "It sat zebra", "<unk> was", "the <s>", "He, calm",
+                   "  ", "was was"]
+ORACLE_PROPERTIES = ["hard", "grey and hard", "wise", "quiet", "zebra", "!", "...", "<unk>",
+                     "<s>", "very very wise", "-"]
+
+
+def oracle_best(simile, properties, oracle):
+    """The candidate with the least perplexity of OracleBigramScorer, the earlier on a tie."""
+    punct = terminal_punctuation(simile.raw_text)
+    texts = [(simile.prefix + " " + prop).strip() + punct for prop in properties]
+    ppls = [oracle_perplexity(text, oracle) for text in texts]
+    best = min(range(len(texts)), key=ppls.__getitem__)
+    return texts[best], properties[best], ppls[best]
+
+
+@given(st.lists(st.tuples(st.sampled_from(ORACLE_PREFIXES), st.sampled_from(["", ".", "!?", "”"]),
+                          st.lists(st.sampled_from(ORACLE_PROPERTIES), min_size=1, max_size=5)),
+                max_size=6),
+       st.lists(st.sampled_from(["The wall was hard.", "He was wise and quiet.", "It was grey!",
+                                 "was was ... -", "the the"]), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_scoring_each_prefix_once_equals_the_oracle(batch, train):
+    """select_best_literals with a BigramScorer picks the text, property and perplexity
+    (==) that scoring every candidate text alone picks."""
+    similes = [SimileInstance(f"{prefix} like a rock{punct}", prefix, " like a ", "rock" + punct)
+               for prefix, punct, _ in batch]
+    properties = [[PropertyCandidate(text, 1.0) for text in texts] for _, _, texts in batch]
+    scorer, oracle = BigramScorer(train), OracleBigramScorer(train)
+    best = select_best_literals(similes, properties, scorer)
+    assert [tuple(b) for b in best] == [oracle_best(simile, [p.text for p in props], oracle)
+                                       for simile, props in zip(similes, properties)]
+
+
+def oracle_contract(source, target):
+    """The pair contract's reason, as parse_simile decides it, or None."""
+    triggers = core.TriggerConfig(core.COMPARATORS)
+    if parse_simile(target, triggers) is None:
+        return "target must contain a trigger phrase"
+    if parse_simile(source, triggers) is not None:
+        return "source must not contain a trigger phrase"
+    return None
+
+
+CONTRACT_RECORDS = [
+    {"text": "Xlike a deer.", "prefix": "X", "vehicle": "deer."},  # no trigger: Xlike
+    {"text": "He ate like an ox, then ran like a deer.", "prefix": "He ate like an ox, then ran",
+     "vehicle": "deer.", "source_id": "earlier"},  # the prefix holds a trigger
+    {"text": "I feel like a loon.", "prefix": "I feel like", "vehicle": "loon.",
+     "source_id": "join"},  # invalid comparator: a ParseError when read
+    {"text": "I feel like a loon.", "prefix": "I feel", "vehicle": "loon.", "source_id": "ok"},
+    {"text": "It is like an ox, like a.", "prefix": "It is", "vehicle": "ox, like a."},
+    {"text": "It ran like a deer.", "prefix": "It ran", "vehicle": "deer.", "source_id": "ok2"},
+]
+CONTRACT_TABLE = {"deer": props("fast"), "loon": props("a bit mad", "mad"), "ox": props("strong"),
+                  "ox, like a": props("strong")}
+
+
+def test_the_pair_contract_equals_the_oracle(tmp_path):
+    """The pairs and failures, with their reasons and in order, that a contract decided
+    by parse_simile gives: a trigger broken by the prefix (Xlike), one held in the
+    prefix, one a property makes across the join (like + a bit mad), and one whose
+    last trigger has no word after it."""
+    path = tmp_path / "similes.jsonl"
+    core.write_jsonl([rec for rec in CONTRACT_RECORDS if rec.get("source_id") != "join"], path)
+    similes = list(read_records(path, simile_record))
+    similes.append(SimileInstance("I feel like a loon.", "I feel like", " a ", "loon.", "join"))
+    backend, scorer = TableBackend(CONTRACT_TABLE), UniformScorer(3)
+    stats = BuildStats()
+    pairs = build_parallel_corpus(similes, backend, scorer, stats=stats)
+    want_pairs, want_failures = [], []
+    for simile, best in zip(similes, select_best_literals(
+            similes, [backend.properties_of(s.vehicle_phrase(), 5) for s in similes], scorer)):
+        reason = oracle_contract(best.text, simile.raw_text)
+        if reason is None:
+            want_pairs.append((best.text, simile.raw_text))
+        else:
+            want_failures.append((simile.source_id or simile.raw_text, reason))
+    assert [(p.source, p.target) for p in pairs] == want_pairs == [
+        ("I feel a bit mad.", "I feel like a loon."), ("It ran fast.", "It ran like a deer.")]
+    assert stats.failures == want_failures
+    assert [reason for _, reason in stats.failures] == [
+        "target must contain a trigger phrase", "source must not contain a trigger phrase",
+        "target must contain a trigger phrase", "source must not contain a trigger phrase"]
+
+
+@given(st.lists(st.sampled_from(["like", "a", "an", "LIKE", "Xlike", "ox", ",", ".", " ", "\t"]),
+                max_size=8).map(" ".join),
+       st.lists(st.sampled_from(["like", "a", "an", "Like", "deer", ".", "!", " "]),
+                max_size=8).map(" ".join))
+@settings(max_examples=300, deadline=None)
+def test_a_pair_is_refused_as_the_oracle_refuses_it(source, target):
+    reason = oracle_contract(source, target)
+    if reason is None:
+        assert ParallelPair(source, target, "p", "v").source == source
+    else:
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            ParallelPair(source, target, "p", "v")
+
+
+def test_a_pair_text_with_a_lone_surrogate_fails_with_its_reason():
+    """A TSV line cannot carry a lone surrogate (a JSON escape gives one): such a
+    simile is a failure with its reason, like a contract failure."""
+    similes = [SimileInstance("It ran like a deer \ud83d.", "It ran", " like a ", "deer \ud83d.",
+                              "s1"),
+               SimileInstance("It ran like a deer.", "It ran", " like a ", "deer.", "c\udc00")]
+    stats = BuildStats()
+    pairs = build_parallel_corpus(similes, TableBackend({"deer": props("fast")}),
+                                  UniformScorer(3), stats=stats)
+    assert [(p.source, p.provenance) for p in pairs] == [("It ran fast.", "c\udc00")]
+    assert stats.failures == [
+        ("s1", "pair text holds the lone surrogate '\\ud83d', which a TSV line cannot carry")]
 
 
 def test_one_lookup_and_one_scoring_call_per_run(toy_world, monkeypatch):

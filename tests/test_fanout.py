@@ -13,6 +13,8 @@ import pickle
 import re
 import signal
 import time
+from array import array
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -290,12 +292,11 @@ WIDE_SENTENCES = [
     "it glowed, like a STAR 🌟?", "😀 sang like a bird 🐦.", "He ran like a deer.",
     "Nothing here.", "A lone \ud83d ran like a shade.",  # a surrogate, as a JSON escape gives
 ]
-wide_dump_entries = st.lists(st.one_of(
-    st.builds(RawComment, id=st.sampled_from(["a", "bb", "123", "猫"]),
-              body=st.lists(st.sampled_from(WIDE_SENTENCES), min_size=1, max_size=3).map(" ".join),
-              created_utc=st.sampled_from([-3, 0, 1, 2, 2**64])),  # 2**64 needs 65 bits
-    st.sampled_from(BAD_LINES),
-), max_size=16)
+wide_comments = st.builds(
+    RawComment, id=st.sampled_from(["a", "bb", "123", "猫"]),
+    body=st.lists(st.sampled_from(WIDE_SENTENCES), min_size=1, max_size=3).map(" ".join),
+    created_utc=st.sampled_from([-3, 0, 1, 2, 2**64]))  # 2**64 needs 65 bits
+wide_dump_entries = st.lists(st.one_of(wide_comments, st.sampled_from(BAD_LINES)), max_size=16)
 
 
 @given(entries=wide_dump_entries, run_length=st.integers(1, 4),
@@ -321,6 +322,54 @@ def test_harvest_of_wide_text_equals_the_oracle(tmp_path_factory, split, monkeyp
         ranks = {(c.id, c.created_utc) for c in comments}
         assert all((row.source_id, row.created_utc) in ranks for row in rows)
         assert_no_child_left()
+
+
+@given(entries=st.lists(wide_comments, min_size=1, max_size=10),
+       run_length=st.integers(1, 4), data=st.data())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_copied_split_lines_are_the_bytes_written_alone(tmp_path_factory, split, entries,
+                                                        run_length, data):
+    """write_similes_jsonl copies the split's lines from the file it wrote: three copies
+    of each comment make the dropped rows outnumber the held ones, so the columns are
+    cut, and the split may leave one validation row."""
+    out = tmp_path_factory.mktemp("out")
+    path = write_dump(out / "c.ndjson", [e for e in entries for _ in range(3)])
+    split(run_length, data.draw(st.sampled_from(WORKERS)))
+    rows = harvest_similes(path)
+    if len(rows) < 2:
+        return
+    ratio = data.draw(st.sampled_from([Fraction(len(rows) - 1, len(rows)), Fraction(1, 2)]))
+    result = harvest.split_corpus(rows, ratio, data.draw(st.integers(0, 9)))
+    harvest.write_similes_jsonl(rows, out / "similes.jsonl",
+                                [(result.train, out / "train.jsonl"),
+                                 (result.validation, out / "val.jsonl")])
+    for name, alone in (("similes", rows), ("train", result.train), ("val", result.validation)):
+        harvest.write_similes_jsonl(alone, out / f"{name}.alone.jsonl")
+        assert (out / f"{name}.jsonl").read_bytes() == (out / f"{name}.alone.jsonl").read_bytes()
+    assert harvest.read_similes_jsonl(out / "val.jsonl") == [r.instance() for r in result.validation]
+
+
+def test_offsets_past_the_4_byte_range_are_held_in_8(tmp_path, monkeypatch):
+    """The offsets start 4 bytes wide; here they start 1 byte wide, so a file of more
+    than 127 bytes moves them to 8 bytes mid-write, as one of 2 GiB would."""
+    comments = [RawComment(str(i), sentence) for i, sentence in enumerate(WIDE_SENTENCES)]
+    rows = harvest_similes(write_dump(tmp_path / "c.ndjson", comments))
+    result = harvest.split_corpus(rows, Fraction(1, 2), 3)
+    monkeypatch.setattr(harvest, "array", lambda code, *init: array(code.replace("i", "b"), *init))
+    harvest.write_similes_jsonl(rows, tmp_path / "s.jsonl",
+                                [(result.validation, tmp_path / "v.jsonl")])
+    assert (tmp_path / "s.jsonl").stat().st_size > 2 * 127
+    harvest.write_similes_jsonl(result.validation, tmp_path / "alone.jsonl")
+    assert (tmp_path / "v.jsonl").read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
+
+
+def test_copied_lines_need_parts_of_the_similes_written(tmp_path):
+    rows = harvest_similes(write_dump(tmp_path / "c.ndjson", [RawComment("a", WIDE_SENTENCES[0])]))
+    other = harvest_similes(write_dump(tmp_path / "d.ndjson", [RawComment("b", WIDE_SENTENCES[3])]))
+    with pytest.raises(ValueError, match="parts must be taken from the similes written"):
+        harvest.write_similes_jsonl(rows, tmp_path / "s.jsonl", [(other, tmp_path / "t.jsonl")])
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 @pytest.mark.parametrize("workers", WORKERS)

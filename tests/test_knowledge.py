@@ -106,6 +106,30 @@ class TestEdgeTable:
             PropertyCandidate("hungry", value)
 
 
+class TestDistinctLookups:
+    EDGES = [KnowledgeEdge("rock", "hard", 3.0), KnowledgeEdge("rock", "grey", 2.0),
+             KnowledgeEdge("Owl", "wise", 1.0), KnowledgeEdge("big cat", "fast", 1.5)]
+
+    @given(st.lists(st.sampled_from(["rock", "Rock", " rock ", "owl", "OWL", "big  cat",
+                                     "zamboni", ""]), max_size=12), st.integers(1, 3))
+    def test_each_distinct_vehicle_looked_up_once_gives_one_lookup_each(self, concepts, k):
+        backend = EdgeTableBackend(self.EDGES)
+        assert backend.properties_of_each(concepts, k) == [backend.properties_of(c, k)
+                                                           for c in concepts]
+        assert properties_of_each(concepts, k, backend) == [properties_of(c, k, backend)
+                                                            for c in concepts]
+
+    def test_a_repeated_vehicle_is_folded_once(self, monkeypatch):
+        import similekit.knowledge as knowledge
+
+        folded = []
+        monkeypatch.setattr(knowledge, "fold", lambda text: folded.append(text) or text.lower())
+        backend = EdgeTableBackend(self.EDGES)
+        folded.clear()
+        backend.properties_of_each(["rock", "owl", "rock", "Rock", "owl"], 2)
+        assert sorted(folded) == ["Rock", "owl", "rock"]
+
+
 class TestLoadEdgeTable:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "edges.tsv"

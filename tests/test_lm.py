@@ -338,27 +338,29 @@ class TestKernelsEqualOracles:
     @settings(max_examples=200, deadline=None)
     def test_prefix_reuse_equals_scoring_from_the_start(self, train, data):
         # Candidate families share a prefix and differ at the end, as the
-        # literal candidates of one simile do; calls interleave families, each
-        # reuses the log-probs of the call before, as token_perplexities does,
-        # and both the returned lists and the token lists passed in are mutated.
+        # literal candidates of one simile do; each prefix is scored once and
+        # each tail after it, as token_perplexities does, calls interleave
+        # families, and both the returned lists and the token lists passed in
+        # are mutated.
         scorer, oracle = BigramScorer(train), OracleBigramScorer(train)
         word = st.sampled_from(QUERY_WORDS)
         families = data.draw(st.lists(st.tuples(
             st.lists(word, max_size=8),
             st.lists(st.lists(word, min_size=1, max_size=3), min_size=1, max_size=5)),
             min_size=1, max_size=4))
-        calls = [prefix + tail for prefix, tails in families for tail in tails]
-        before, before_logps = [], []
-        for tokens in data.draw(st.permutations(calls)):
-            tokens = list(tokens)
-            expected = oracle.token_logprobs(tokens)
-            got = scorer._logprobs(tokens, before, before_logps)
-            assert got == expected
-            before, before_logps = list(tokens), list(got)
+        heads = [(prefix, scorer._logprobs(prefix)) for prefix, _ in families]
+        assert [logps for _, logps in heads] == [oracle.token_logprobs(p) for p, _ in families]
+        calls = [(index, tail) for index, (_, tails) in enumerate(families) for tail in tails]
+        for index, tail in data.draw(st.permutations(calls)):
+            head, head_logps = heads[index]
+            tail = list(tail)
+            got = scorer._logprobs(tail, head, head_logps)
+            assert got == oracle.token_logprobs(head + tail)
             got.append(0.0)
             got[0] = 1.0
-            tokens[-1] = "mutated"
-            assert scorer._logprobs(tokens, [], []) == oracle.token_logprobs(tokens)
+            tail[-1] = "mutated"
+            assert scorer._logprobs(tail, [], []) == oracle.token_logprobs(tail)
+        assert [logps for _, logps in heads] == [oracle.token_logprobs(p) for p, _ in families]
 
 
 @st.composite
@@ -391,13 +393,23 @@ class TestBatchScoring:
         tokens = tokenize(second[0])
         assert scorer._logprobs(tokens, [], []) == OracleBigramScorer(train).token_logprobs(tokens)
 
-    @given(texts_of(TRAIN_WORDS, 1), candidate_families())
+    @given(texts_of(TRAIN_WORDS, 1), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_adapter_equals_per_text_scoring(self, train, texts):
-        """Handed the tokens, perplexities scores them as it scores each text alone."""
+    def test_adapter_equals_per_text_scoring(self, train, data):
+        """Handed (head, tails) groups, token_perplexities scores each head + tail
+        as perplexity scores its text alone."""
         oracle, scorer = OracleBigramScorer(train), BigramScorer(train)
+        word = st.sampled_from(QUERY_WORDS)
+        groups = data.draw(st.lists(st.tuples(
+            st.lists(word, max_size=8),
+            st.lists(st.lists(word, min_size=1, max_size=3), min_size=1, max_size=5)),
+            max_size=4))
+        texts = [" ".join(head + tail) for head, tails in groups for tail in tails]
         expected = [oracle_perplexity(text, oracle) for text in texts]
-        assert perplexities(texts, scorer, [tokenize(text) for text in texts]) == expected
+        # A token holds no whitespace, so a text's tokens are its head's and its tail's.
+        groups = [(tokenize(" ".join(head)), [tokenize(" ".join(tail)) for tail in tails])
+                  for head, tails in groups]
+        assert scorer.token_perplexities(groups) == expected
         assert [perplexity(text, scorer) for text in texts] == expected
 
     @given(candidate_families(), st.data(), st.sampled_from(["", " ", "\t\n", None]))
