@@ -4,9 +4,10 @@ Each command declares its settings once, in an option table: the flag
 `--name` is the key `name` in the command's INI config section, and flags
 win over the config file.  Validation problems are reported all at once, not
 first-only, with exit code 2.  Every run writes a manifest next to its first
-output recording argv, config hash, the digest of every input path, seeds,
-and every output path, all taken from the option table, with no timestamps,
-so re-running an identical invocation reproduces outputs byte for byte.
+output recording argv, config hash, the digest of every input path (taken
+when the run starts), seeds, and every output path, all taken from the option
+table, with no timestamps, so re-running an identical invocation reproduces
+outputs byte for byte; an output may not name an input.
 Seeds are mandatory wherever sampling happens; there are no wall-clock
 defaults.
 """
@@ -29,6 +30,7 @@ from .core import (
     fan_out,
     read_lines,
     read_records,
+    sha256,
     text_of,
     write_json,
     write_jsonl,
@@ -75,14 +77,28 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _sha256_file(path: str) -> str:
-    import hashlib
+# A forked child that loads hashlib costs about 15 ms of CPU, what the built-in
+# sha256 (about 150 MB/s, against OpenSSL's 1,000) takes over 2 MiB; below that,
+# hashing in the command's process is faster.
+FORK_HASHING_BYTES = 2 << 20
 
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+
+def _sha256_files(paths, new=None) -> list[str]:
+    """The hex SHA-256 of each file, by `new` or else hashlib's.  hashlib hashes with
+    OpenSSL, six times as fast as the built-in sha256, but maps its 3.6 MB libcrypto, so
+    a command's own process imports it only where it cannot fork (_hash_inputs)."""
+    if new is None:
+        import hashlib
+
+        new = hashlib.sha256
+    digests = []
+    for path in paths:
+        h = new()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(65536), b""):
+                h.update(chunk)
+        digests.append(h.hexdigest())
+    return digests
 
 
 def _hashed(path: str) -> str:
@@ -90,15 +106,74 @@ def _hashed(path: str) -> str:
     return os.path.join(path, "model.json") if os.path.isdir(path) else path
 
 
+def _file_id(path: str):
+    """The (device, inode) of the file a path names, or None where it names none."""
+    try:
+        st = os.stat(path)
+    except (OSError, ValueError):
+        return None
+    return st.st_dev, st.st_ino
+
+
+def _hash_inputs(s: Settings) -> None:
+    """Hash a run's inputs before the command reads them.  Up to FORK_HASHING_BYTES the
+    built-in sha256 does it here; above, a forked child hashes with OpenSSL and sends
+    the digests down a pipe.  The run waits for it, so the command never shares a CPU
+    with it and no child outlives this call."""
+    if s.errors or not s.outputs:
+        return
+    paths = sorted(set(s.inputs))
+    try:
+        if sum(map(os.path.getsize, paths)) <= FORK_HASHING_BYTES:
+            s.digests = dict(zip(paths, _sha256_files(paths, sha256)))
+            return
+    except (OSError, ValueError):  # the command reports it; the manifest hashes again
+        return
+    if not hasattr(os, "fork"):
+        return
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # the manifest hashes the inputs in this process
+        os.close(read_end)
+        os.close(write_end)
+        return
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "w", encoding="ascii") as out:
+                out.write(" ".join(_sha256_files(paths)))
+            code = 0
+        finally:
+            # No atexit handler runs and no buffer inherited from the parent is flushed twice.
+            os._exit(code)
+    os.close(write_end)
+    try:
+        with open(read_end, encoding="ascii") as reader:
+            digests = reader.read().split()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status == 0:
+        s.digests = dict(zip(paths, digests))
+
+
+def _input_digests(s: Settings) -> dict[str, str]:
+    """Each input file's digest, as _hash_inputs took it; hashed here where it took
+    none, so that a file it could not read raises its error here."""
+    if s.digests is not None:
+        return s.digests
+    paths = sorted(set(s.inputs))
+    return dict(zip(paths, _sha256_files(paths)))
+
+
 def _write_manifest(s: Settings, seeds: dict) -> None:
     """Record the run's input and output options; the first output names the manifest."""
-    import hashlib  # a run that writes no manifest does not load it
-
     write_json({
         "command": s.command,
         "argv": list(s.argv),
-        "config_sha256": hashlib.sha256(s.config_text.encode("utf-8")).hexdigest(),
-        "inputs": {p: _sha256_file(p) for p in sorted(set(s.inputs))},
+        "config_sha256": sha256(s.config_text.encode("utf-8")).hexdigest(),
+        "inputs": _input_digests(s),
         "seeds": seeds,
         "outputs": sorted(set(s.outputs)),
     }, s.outputs[0].rstrip("/") + ".manifest.json")
@@ -190,7 +265,9 @@ class Settings(dict):
     Every problem is collected in `errors` rather than stopping at the first.
     A value that fails a check is kept as given; the errors end the run
     before it is used.  `inputs` holds the file each given input path is
-    hashed through and `outputs` each given output path, in table order.
+    hashed through and `outputs` each given output path, in table order; an
+    output may not name an input's file.  `digests` maps each input to its
+    digest, once _hash_inputs has taken them.
     """
 
     def __init__(self, args: argparse.Namespace, argv: list[str], unknown: list[str]):
@@ -201,6 +278,7 @@ class Settings(dict):
         self.inputs: list[str] = []
         self.outputs: list[str] = []
         self.config_text = ""
+        self.digests = None
         if unknown:
             self.error(f"unrecognized arguments: {' '.join(unknown)}")
         config: dict[str, str] = {}
@@ -234,6 +312,12 @@ class Settings(dict):
             for name in opt.requires:
                 if self[opt.name] != opt.default and self[name] is None:
                     self.error(f"--{opt.name} requires --{name}")
+        # Written over, an input could no longer be replayed from the manifest.
+        inputs = {_file_id(path) for path in self.inputs} - {None}
+        for opt in command.options:
+            path = self[opt.name]
+            if opt.output and isinstance(path, str) and _file_id(_hashed(path)) in inputs:
+                self.error(f"'{opt.name}' names an input file: {path}")
 
     def _resolve(self, opt: Option, value, config: dict[str, str]):
         if value == []:
@@ -662,7 +746,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args, unknown = build_parser().parse_known_args(argv)
     try:
-        return COMMANDS[args.command].run(Settings(args, argv, unknown))
+        s = Settings(args, argv, unknown)
+        _hash_inputs(s)
+        return COMMANDS[args.command].run(s)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,6 +10,7 @@ stricter contract: no comparator token at all and a modifier-final ending.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 import random
@@ -146,6 +147,10 @@ class HarvestedSimile(NamedTuple):
         return SimileInstance(self.raw_text, self.prefix, comparator, self.vehicle, self.source_id)
 
 
+# Packed sort keys per block in _Columns.ranked: a block is int objects while it is
+# sorted, then 8 bytes a key until the blocks are merged.
+RANK_BLOCK = 4096
+
 # A simile's slot is its key's hash cut to 30 bits, so that it fits an array("i").
 _SLOT_MASK = (1 << 30) - 1
 # Held text is UTF-8, where a character takes its own width, not the widest of its
@@ -248,10 +253,18 @@ class _Columns:
 
     def ranked(self, rows) -> array:
         """rows in (created_utc, source_id, row) order, as an array("i")."""
-        # One int per row packs (created_utc, row), so one sort needs no key list;
-        # then only the rare rows of one created_utc are sorted by their ids.
+        # One int packs (created_utc, row), so a sort needs no key list.  The ints are
+        # sorted RANK_BLOCK at a time, each block kept as an array("q"), and the blocks
+        # merged: not an int object per row at once, unless a packed int needs more
+        # than 64 bits.  Then only the rare rows of one created_utc are sorted by id.
         shift = len(self.stop).bit_length()
-        packed = sorted(self.created[row] << shift | row for row in rows)
+        keys = (self.created[row] << shift | row for row in rows)
+        bound = 1 << (63 - shift)  # of a packed int an array("q") holds
+        if -bound <= min(self.created, default=0) and max(self.created, default=0) < bound:
+            packed = heapq.merge(*[array("q", block) for block in
+                                   iter(lambda: sorted(islice(keys, RANK_BLOCK)), [])])
+        else:
+            packed = sorted(keys)
         order = array("i", map(operator.and_, packed, repeat((1 << shift) - 1)))
         del packed
         created = self.created.__getitem__

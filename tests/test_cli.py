@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from similekit import cli
 from similekit.backends import BackendUnavailable
 from similekit.cli import (
     COMMANDS,
@@ -42,6 +43,7 @@ from similekit.knowledge import load_edge_table
 from similekit.lm import BigramScorer, TemplateNgramModel, TrainConfig, UniformScorer
 from similekit.story import Story
 
+from conftest import assert_no_child_left
 from test_eval import write_scoresheet
 
 MANIFEST_KEYS = {"command", "argv", "config_sha256", "inputs", "seeds", "outputs"}
@@ -1179,6 +1181,123 @@ class TestEmbellish:
                               [out])
 
 
+# ---------------------------------------------------------------------------
+# Input digests: a child forked when the run starts hashes the inputs.
+
+
+@pytest.mark.parametrize("alias", ["same", "dot", "symlink", "model-json"])
+def test_an_output_naming_an_input_exits_two(world, tmp_path, capsys, alias):
+    """Written over, an input could not be replayed: the manifest would record the
+    output's digest for it.  Paths match by the file they name."""
+    literals, model = tmp_path / "h.jsonl", tmp_path / "m"
+    literals.write_bytes(world["literals"].read_bytes())
+    model.mkdir()
+    for name in ("manifest.json", "model.json"):
+        (model / name).write_bytes((world["model"] / name).read_bytes())
+    (tmp_path / "link.jsonl").symlink_to(literals)
+    given, out = {
+        "same": (literals, literals),
+        "dot": (literals, f"{tmp_path}/./h.jsonl"),
+        "symlink": (tmp_path / "link.jsonl", literals),
+        "model-json": (literals, model / "model.json"),
+    }[alias]
+    kept = {path: path.read_bytes() for path in (literals, model / "model.json")}
+    rc = main(["generate", "--literals", str(given), "--system", "scope", "--model", str(model),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"[generate] 'out' names an input file: {out}" in err
+    assert "missing required setting 'seed'" in err  # collected with the other errors
+    assert {path: path.read_bytes() for path in kept} == kept
+    assert not Path(f"{out}.manifest.json").exists()
+
+
+def counted_forks(monkeypatch) -> list[int]:
+    """The pid of each child os.fork starts from here on, with every run's inputs
+    hashed in a forked child however small they are."""
+    monkeypatch.setattr(cli, "FORK_HASHING_BYTES", 0)
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def test_the_hashing_child_is_reaped_after_a_refusal(world, tmp_path, capsys, monkeypatch):
+    """The command refuses the run after the child is forked: exit 2, no child left."""
+    forks = counted_forks(monkeypatch)
+    rc = main(["harvest", "--comments", str(world["comments"]),
+               "--similes-out", str(tmp_path / "s.jsonl"), "--seed", "3"])
+    assert rc == 2
+    assert "--seed requires --split or --sample" in capsys.readouterr().err
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_the_hashing_child_is_reaped_after_a_failure(world, tmp_path, capsys, monkeypatch):
+    forks = counted_forks(monkeypatch)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("He ran fast.\tHe ran like a deer.\nno tab here\n", encoding="utf-8")
+    rc = main(["train", "--pairs", str(pairs), "--model-out", str(tmp_path / "m"),
+               "--seed", "1"])
+    assert rc == 1
+    assert f"{pairs}:2" in capsys.readouterr().err
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def generate_scope(world, tmp_path) -> Path:
+    out = tmp_path / "b.jsonl"
+    assert main(["generate", "--literals", str(world["literals"]), "--system", "scope",
+                 "--model", str(world["model"]), "--seed", "1", "--out", str(out)]) == 0
+    return out
+
+
+def test_the_manifest_digests_come_from_the_hashing_child(world, tmp_path, monkeypatch):
+    forks = counted_forks(monkeypatch)
+    out = generate_scope(world, tmp_path)
+    assert len(forks) == 1
+    assert_manifest_lists(out, [world["literals"], world["model"] / "model.json"], [out])
+
+
+def test_small_inputs_are_hashed_without_a_fork(world, tmp_path, monkeypatch):
+    """Up to FORK_HASHING_BYTES the built-in sha256 is faster than a child."""
+    forks = counted_forks(monkeypatch)
+    total = sum(path.stat().st_size for path in (world["literals"], world["model"] / "model.json"))
+    monkeypatch.setattr(cli, "FORK_HASHING_BYTES", total)
+    out = generate_scope(world, tmp_path)
+    assert forks == []
+    assert_manifest_lists(out, [world["literals"], world["model"] / "model.json"], [out])
+
+
+def test_without_fork_the_manifest_hashes_in_process(world, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "FORK_HASHING_BYTES", 0)
+    monkeypatch.delattr(os, "fork")
+    out = generate_scope(world, tmp_path)
+    assert_manifest_lists(out, [world["literals"], world["model"] / "model.json"], [out])
+
+
+def test_a_failed_hashing_child_is_replaced_by_hashing_in_process(world, tmp_path,
+                                                                  monkeypatch):
+    parent, hash_files = os.getpid(), cli._sha256_files
+
+    def failing_in_the_child(paths):
+        if os.getpid() != parent:
+            raise OSError("cannot read")
+        return hash_files(paths)
+
+    monkeypatch.setattr(cli, "_sha256_files", failing_in_the_child)
+    forks = counted_forks(monkeypatch)
+    out = generate_scope(world, tmp_path)
+    assert len(forks) == 1
+    assert_manifest_lists(out, [world["literals"], world["model"] / "model.json"], [out])
+
+
 def test_module_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "similekit.cli", "--help"],
@@ -1229,13 +1348,9 @@ FRESH_RUNS = {
 }
 
 
-@pytest.mark.parametrize("run", FRESH_RUNS)
-def test_command_path_runs_in_a_fresh_interpreter(run, world, refs, stories, tmp_path):
-    """`python -m similekit.cli` binds every name the path calls.
-
-    The in-process tests share one cli module whose names earlier commands
-    already loaded, so only a new interpreter shows a name a command does not load.
-    """
+@pytest.fixture
+def fresh_inputs(refs, stories, tmp_path):
+    """The inputs x of FRESH_RUNS."""
     synonyms, scoresheet, titles = (tmp_path / "syn.tsv", tmp_path / "scores.csv",
                                     tmp_path / "titles.txt")
     synonyms.write_text("cold\tchilly\n", encoding="utf-8")
@@ -1245,11 +1360,20 @@ def test_command_path_runs_in_a_fresh_interpreter(run, world, refs, stories, tmp
         sheet.add(f"i{k}", "scope", "r0", "OQ", a)
         sheet.add(f"i{k}", "meta_m", "r0", "OQ", b)
     write_scoresheet(sheet, scoresheet)
-    inputs = {"synonyms": synonyms, "scoresheet": scoresheet, "titles": titles,
-              "refs": refs, "stories": stories}
+    return {"synonyms": synonyms, "scoresheet": scoresheet, "titles": titles,
+            "refs": refs, "stories": stories}
+
+
+@pytest.mark.parametrize("run", FRESH_RUNS)
+def test_command_path_runs_in_a_fresh_interpreter(run, world, fresh_inputs, tmp_path):
+    """`python -m similekit.cli` binds every name the path calls.
+
+    The in-process tests share one cli module whose names earlier commands
+    already loaded, so only a new interpreter shows a name a command does not load.
+    """
     out = tmp_path / "out"
     out.mkdir()
-    argv = [str(arg) for arg in FRESH_RUNS[run](world, inputs, out)]
+    argv = [str(arg) for arg in FRESH_RUNS[run](world, fresh_inputs, out)]
     proc = subprocess.run([sys.executable, "-m", "similekit.cli", *argv], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr

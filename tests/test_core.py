@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import importlib.util
 import json
 import re
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import similekit
-from similekit import knowledge
+from similekit import core, knowledge
 from similekit.core import (
     DEFAULT_TRIGGERS,
     NotModifierFinal,
@@ -389,6 +390,17 @@ class TestSharedRules:
         story = f"{seed}|{index}|{text}".encode()
         assert derive_seed(seed, index, text) == int.from_bytes(
             hashlib.sha256(story).digest()[:8], "big")
+
+    @given(st.binary(max_size=300))
+    def test_sha256_equals_hashlib(self, data):
+        ours = core.sha256(data)
+        assert ours.digest() == hashlib.sha256(data).digest()
+        assert ours.hexdigest() == hashlib.sha256(data).hexdigest()
+
+    def test_sha256_is_the_interpreters_own_where_it_has_one(self):
+        """hashlib is the fallback only: it would map libcrypto into every process that seeds."""
+        own = importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256")
+        assert (core._sha256_type().__module__ == "_hashlib") == (own is None)
 
 
 class TestReadRecords:

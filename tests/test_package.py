@@ -1,6 +1,8 @@
 """The package exports its names lazily: a module is imported on first use."""
 
+import hashlib
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import similekit
+
+from test_cli import FRESH_RUNS, fresh_inputs, refs, stories, world  # noqa: F401 (fixtures)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 OTHERS = ["cli", "corpus", "evaluation", "harvest", "story", "systems", "tagging"]
@@ -121,6 +125,29 @@ def test_build_corpus_and_train_load_no_pool(tmp_path):
     for prefix in ("multiprocessing", "concurrent"):
         assert loaded_after(run, prefix=prefix) == []
     assert pairs.read_text(encoding="utf-8").count("\n") == 5
+
+
+@pytest.mark.parametrize("run", ["harvest-comments", "build-corpus-reference", "train",
+                                 "generate-scope", "generate-rtrvl", "evaluate-generated",
+                                 "embellish-stories"])
+@pytest.mark.parametrize("fork_bytes", [0, None], ids=["forked", "in-process"])
+def test_a_command_never_loads_libcrypto(run, fork_bytes, world, fresh_inputs, tmp_path):
+    """hashlib's _hashlib maps OpenSSL's libcrypto, 3.6 MB of a command's peak: the
+    built-in sha256 hashes small inputs and a child forked at the start large ones, and
+    seeds come from the built-in sha256.  The manifest still holds each input's SHA-256,
+    a model directory's through its model.json."""
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [str(arg) for arg in FRESH_RUNS[run](world, fresh_inputs, out)]
+    patch = "" if fork_bytes is None else f"cli.FORK_HASHING_BYTES = {fork_bytes}\n"
+    run_it = f"from similekit import cli\n{patch}assert cli.main({argv!r}) == 0"
+    assert loaded_after(run_it, prefix="_hashlib") == []
+    (manifest,) = out.glob("*.manifest.json")
+    inputs = json.loads(manifest.read_text(encoding="utf-8"))["inputs"]
+    assert inputs and inputs == {
+        path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in inputs}
+    if "--model" in argv:
+        assert os.path.join(argv[argv.index("--model") + 1], "model.json") in inputs
 
 
 @pytest.mark.parametrize("name", similekit.__all__)
