@@ -7,7 +7,7 @@ first-only, with exit code 2.  Every run writes a manifest next to its first
 output recording argv, config hash, the digest of every input path (taken
 when the run starts), seeds, and every output path, all taken from the option
 table, with no timestamps, so re-running an identical invocation reproduces
-outputs byte for byte; an output may not name an input.
+outputs byte for byte; an output may not name an input or another output.
 Seeds are mandatory wherever sampling happens; there are no wall-clock
 defaults.
 """
@@ -29,8 +29,10 @@ from .core import (
     derive_seed,
     fan_out,
     read_lines,
+    read_literals_jsonl,
     read_records,
     sha256,
+    simile_record,
     text_of,
     write_json,
     write_jsonl,
@@ -48,8 +50,8 @@ _NAMES = {
                    "evaluate_generation", "mean_scores", "normalize_pair", "pairwise_compare",
                    "read_batch_jsonl", "read_refs_jsonl"),
     "harvest": ("HarvestStats", "harvest_literals", "harvest_similes", "load_comments",
-                "read_literals_jsonl", "sample_literals", "simile_record", "split_corpus",
-                "write_literals_jsonl", "write_similes_jsonl"),
+                "sample_literals", "split_corpus", "write_literals_jsonl",
+                "write_similes_jsonl"),
     "knowledge": ("EMPTY_SYNONYMS", "SynonymTable", "load_edge_table"),
     "lm": ("BigramScorer", "EmptyTrainingSet", "GenerationConfig", "TemplateCounts",
            "TemplateNgramModel", "TrainConfig", "UniformScorer", "fine_tune"),
@@ -175,7 +177,7 @@ def _write_manifest(s: Settings, seeds: dict) -> None:
         "config_sha256": sha256(s.config_text.encode("utf-8")).hexdigest(),
         "inputs": _input_digests(s),
         "seeds": seeds,
-        "outputs": sorted(set(s.outputs)),
+        "outputs": sorted(s.outputs),
     }, s.outputs[0].rstrip("/") + ".manifest.json")
 
 
@@ -266,8 +268,8 @@ class Settings(dict):
     A value that fails a check is kept as given; the errors end the run
     before it is used.  `inputs` holds the file each given input path is
     hashed through and `outputs` each given output path, in table order; an
-    output may not name an input's file.  `digests` maps each input to its
-    digest, once _hash_inputs has taken them.
+    output may name neither an input's file nor another output's.  `digests`
+    maps each input to its digest, once _hash_inputs has taken them.
     """
 
     def __init__(self, args: argparse.Namespace, argv: list[str], unknown: list[str]):
@@ -312,12 +314,20 @@ class Settings(dict):
             for name in opt.requires:
                 if self[opt.name] != opt.default and self[name] is None:
                     self.error(f"--{opt.name} requires --{name}")
-        # Written over, an input could no longer be replayed from the manifest.
+        # Written over, an input could no longer be replayed from the manifest; written
+        # twice, an output would hold only what was written last.  realpath also matches
+        # outputs that do not exist yet.
         inputs = {_file_id(path) for path in self.inputs} - {None}
+        outputs: dict[str, str] = {}
         for opt in command.options:
             path = self[opt.name]
-            if opt.output and isinstance(path, str) and _file_id(_hashed(path)) in inputs:
+            if not (opt.output and isinstance(path, str)):
+                continue
+            if _file_id(_hashed(path)) in inputs:
                 self.error(f"'{opt.name}' names an input file: {path}")
+            first = outputs.setdefault(os.path.realpath(path), opt.name)
+            if first != opt.name:
+                self.error(f"'{opt.name}' names the file of '{first}': {path}")
 
     def _resolve(self, opt: Option, value, config: dict[str, str]):
         if value == []:
@@ -456,9 +466,10 @@ def cmd_harvest(s: Settings) -> int:
     Option("audit-out", output=True),
 )
 def cmd_build_corpus(s: Settings) -> int:
-    """Stream --in: its texts when the scorer learns from them, then its runs of similes,
-    each converted in a worker process (core.fan_out) and written in file order."""
-    _load("corpus", "harvest", "knowledge", "lm")
+    """Load the edge table, then stream --in: its texts when the scorer learns from them,
+    then its runs of similes, each converted in a worker process (core.fan_out) and
+    written in file order."""
+    _load("corpus", "knowledge", "lm")
     if s["scorer"] == "uniform":
         # Every candidate ties, so the top-ranked property wins whatever k or V is.
         if s["scorer-train"] is not None:
@@ -467,13 +478,15 @@ def cmd_build_corpus(s: Settings) -> int:
             s.error("--scorer uniform does not read --k")
     if s.fail_if_errors():
         return 2
+    # The table first: the temporary objects of its load are freed before the
+    # scorer is built, not while it is held.
+    backend = load_edge_table(s["knowledge"])
     if s["scorer"] == "uniform":
         scorer = UniformScorer(1000)
     elif s["scorer-train"]:
         scorer = BigramScorer(read_lines(s["scorer-train"]))
     else:
         scorer = BigramScorer(read_records(s["in"], text_of))
-    backend = load_edge_table(s["knowledge"])
     audit = s["audit-out"] is not None
 
     def convert(similes):
@@ -553,7 +566,7 @@ def cmd_train(s: Settings) -> int:
     Option("out", required=True, output=True),
 )
 def cmd_generate(s: Settings) -> int:
-    _load("harvest", "knowledge", "lm", "systems", "tagging")
+    _load("knowledge", "lm", "systems", "tagging")
     system = s["system"]
     # rtrvl reads the knowledge table and no model; the other systems the reverse.
     reads, ignores = ("knowledge", "model") if system == "rtrvl" else ("model", "knowledge")

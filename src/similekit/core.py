@@ -668,6 +668,37 @@ def text_of(record) -> str:
     return string("text", record["text"])
 
 
+def simile_record(rec) -> SimileInstance:
+    """Rebuild a simile from harvest's stored split; a text-only record is parsed."""
+    text = text_of(rec)
+    if "prefix" not in rec:
+        inst = parse_simile(text)
+        if inst is None:
+            raise ValueError("text does not parse as a simile")
+        return inst._replace(source_id=rec.get("source_id", ""))
+    prefix, vehicle = rec["prefix"], rec["vehicle"]
+    inst = SimileInstance(text, prefix, text[len(prefix) : len(text) - len(vehicle)], vehicle,
+                          rec.get("source_id", ""))
+    if not is_comparator(inst.comparator):
+        raise ValueError(f"comparator {inst.comparator!r} is not one of {COMPARATORS}")
+    return inst
+
+
+def read_similes_jsonl(path) -> list[SimileInstance]:
+    """The similes of a file harvest wrote, in file order."""
+    return list(read_records(path, simile_record))
+
+
+def _literal_record(rec) -> dict:
+    text_of(rec)  # a literal is generated from its text
+    return rec
+
+
+def read_literals_jsonl(path) -> list[dict]:
+    """The literal records of a file, each with a string `text`."""
+    return list(read_records(path, _literal_record))
+
+
 def strings(name: str, items):
     """items, a list or tuple of strings; anything else is a TypeError naming field `name`."""
     if not isinstance(items, (list, tuple)) or not all(isinstance(s, str) for s in items):

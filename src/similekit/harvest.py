@@ -21,8 +21,8 @@ from collections.abc import Sequence
 from itertools import compress, count, islice, repeat
 from typing import NamedTuple
 
+from . import core
 from .core import (
-    COMPARATORS,
     DEFAULT_TRIGGERS,
     TEXT_ENCODING,
     Checked,
@@ -32,15 +32,18 @@ from .core import (
     TriggerConfig,
     atomic_open,
     fan_out,
-    is_comparator,
     json_line,
     parse_simile,
     read_records,
     split_sentences,
     strip_terminal_modifier,
-    text_of,
     write_jsonl,
 )
+
+# The readers of the files harvest writes live in core, so that build-corpus and
+# generate read them without loading this module; they stay importable from here.
+read_literals_jsonl, read_similes_jsonl, simile_record = (
+    core.read_literals_jsonl, core.read_similes_jsonl, core.simile_record)
 
 
 class _CommentFields(NamedTuple):
@@ -521,36 +524,5 @@ def _simile_json(inst) -> dict:
             "source_id": inst.source_id}
 
 
-def simile_record(rec) -> SimileInstance:
-    """Rebuild a simile from harvest's stored split; a text-only record is parsed."""
-    text = text_of(rec)
-    if "prefix" not in rec:
-        inst = parse_simile(text)
-        if inst is None:
-            raise ValueError("text does not parse as a simile")
-        return inst._replace(source_id=rec.get("source_id", ""))
-    prefix, vehicle = rec["prefix"], rec["vehicle"]
-    inst = SimileInstance(text, prefix, text[len(prefix) : len(text) - len(vehicle)], vehicle,
-                          rec.get("source_id", ""))
-    if not is_comparator(inst.comparator):
-        raise ValueError(f"comparator {inst.comparator!r} is not one of {COMPARATORS}")
-    return inst
-
-
-def read_similes_jsonl(path) -> list[SimileInstance]:
-    """The similes of a file harvest wrote, in file order."""
-    return list(read_records(path, simile_record))
-
-
 def write_literals_jsonl(literals: list[LiteralSentence], path) -> None:
     write_jsonl(({"text": lit.raw_text, "property": lit.property} for lit in literals), path)
-
-
-def _literal_record(rec) -> dict:
-    text_of(rec)  # a literal is generated from its text
-    return rec
-
-
-def read_literals_jsonl(path) -> list[dict]:
-    """The literal records of a file, each with a string `text`."""
-    return list(read_records(path, _literal_record))

@@ -310,24 +310,29 @@ def _last_word(tokens: list[str]) -> str:
     return words[-1].lower() if words else ""
 
 
-def _rank(counts: dict[str, int]) -> tuple[tuple[str, float], ...]:
-    """(token, count / total) pairs by falling count, ties by token.
+def _rank(children: dict) -> tuple[tuple[str, float], ...]:
+    """(token, count / total) pairs of a trie node's children by falling count, ties
+    by token; a child is its count (a leaf) or a [count, children, ranked] node.
 
     Distinct integer counts over one total give distinct quotients, so this
     is also the order by falling probability.
     """
-    total = sum(counts.values())
-    return tuple((tok, c / total)
-                 for tok, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+    counts = [(tok, child if type(child) is int else child[0])
+              for tok, child in children.items()]
+    total = sum(c for _, c in counts)
+    return tuple((tok, c / total) for tok, c in sorted(counts, key=lambda kv: (-kv[1], kv[0])))
 
 
 class _Trie:
     """Counted token trie over target suffixes, walked by longest context match.
 
     Built from one or more {suffix: count} tables; a node counts the
-    suffixes of every table that pass through it.  An entry is [count,
-    children, ranked]: ranked is the children's _rank, computed on first
-    use.  The root is an entry whose count is unused.
+    suffixes of every table that pass through it.  A node that suffixes
+    pass through is [count, children, ranked]: ranked is the children's
+    _rank, computed on first use.  A node where they all end is its bare
+    count: every suffix ends in </s>, so most nodes are such leaves, and a
+    leaf becomes a list if a later suffix passes through it.  The root is a
+    list whose count is unused.
     """
 
     __slots__ = ("root",)
@@ -336,24 +341,34 @@ class _Trie:
         self.root: list = [0, {}, None]
         for suffix_counts in suffix_tables:
             for joined, count in suffix_counts.items():
-                entry = self.root
-                for tok in joined.split(" "):
-                    entry = entry[1].setdefault(tok, [0, {}, None])
-                    entry[0] += count
+                *path, last = joined.split(" ")
+                node = self.root
+                for tok in path:
+                    child = node[1].get(tok, 0)
+                    if type(child) is int:  # a new node, or a leaf a suffix now passes
+                        child = node[1][tok] = [child + count, {}, None]
+                    else:
+                        child[0] += count
+                    node = child
+                leaf = node[1].get(last, 0)
+                if type(leaf) is int:
+                    node[1][last] = leaf + count
+                else:
+                    leaf[0] += count
 
     def next_ranked(self, context: list[str]) -> tuple | None:
         """Ranked next tokens at the deepest node whose root path is a suffix of context."""
         for depth in range(len(context), -1, -1):
-            entry = self.root
+            node = self.root
             for tok in context[len(context) - depth :]:
-                entry = entry[1].get(tok)
-                if entry is None:
+                node = node[1].get(tok, 0)
+                if type(node) is int:  # no such node, or a leaf, which nothing follows
                     break
             else:
-                if entry[1]:
-                    if entry[2] is None:
-                        entry[2] = _rank({tok: child[0] for tok, child in entry[1].items()})
-                    return entry[2]
+                if node[1]:
+                    if node[2] is None:
+                        node[2] = _rank(node[1])
+                    return node[2]
         return None
 
 

@@ -600,6 +600,40 @@ class TestBuildCorpus:
         assert capsys.readouterr().err == f"error: {similes}:{line}: {reason}\n"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("scorer", ["reference", "scorer-train", "uniform"])
+    def test_edge_table_is_loaded_before_the_scorer(self, world, tmp_path, monkeypatch, scorer):
+        """The temporary objects of the table's load are freed before the scorer is
+        built, not while it is held."""
+        calls = []
+        for name in ("load_edge_table", "BigramScorer", "UniformScorer"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, real=real, name=name: (
+                calls.append(name), real(*args))[1])
+        flags = {"reference": [], "uniform": ["--scorer", "uniform"],
+                 "scorer-train": ["--scorer-train", str(world["sentences"])]}[scorer]
+        assert main(["build-corpus", "--in", str(world["train_similes"]), "--knowledge",
+                     world["edges"], "--out", str(tmp_path / "p.tsv")] + flags) == 0
+        scorer_class = "UniformScorer" if scorer == "uniform" else "BigramScorer"
+        assert calls == ["load_edge_table", scorer_class]
+
+    @pytest.mark.parametrize("scorer", ["reference", "uniform"])
+    def test_a_bad_table_line_is_reported_before_a_bad_simile(self, world, tmp_path, capsys,
+                                                              scorer):
+        """With a bad line in both --knowledge and --in, the table's is reported: it is
+        read first, before the scorer reads the texts of --in."""
+        similes, edges = tmp_path / "similes.jsonl", tmp_path / "edges.tsv"
+        similes.write_bytes(b"not json\n" + world["train_similes"].read_bytes())
+        table = Path(world["edges"]).read_bytes()
+        edges.write_bytes(table + b"deer\tfast\n")
+        line = table.count(b"\n") + 1
+        rc = main(["build-corpus", "--in", str(similes), "--knowledge", str(edges),
+                   "--scorer", scorer, "--out", str(tmp_path / "p.tsv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {edges}:{line}: ")
+        assert str(similes) not in err
+        assert not (tmp_path / "p.tsv").exists()
+
     def test_backend_error_exits_one_and_writes_nothing(self, world, tmp_path, capsys,
                                                         monkeypatch):
         def unreachable(concepts, k, backend):
@@ -1210,6 +1244,40 @@ def test_an_output_naming_an_input_exits_two(world, tmp_path, capsys, alias):
     assert "missing required setting 'seed'" in err  # collected with the other errors
     assert {path: path.read_bytes() for path in kept} == kept
     assert not Path(f"{out}.manifest.json").exists()
+
+
+@pytest.mark.parametrize("alias", ["same", "dot", "absolute", "linked-dir"])
+def test_two_outputs_naming_one_file_exit_two(world, tmp_path, capsys, monkeypatch, alias):
+    """Written twice, a file would hold only the output written last, and the manifest
+    would list it once.  Outputs need not exist yet, so paths match by os.path.realpath:
+    `./s.jsonl` is `s.jsonl`."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to(tmp_path)
+    train = {"same": "s.jsonl", "dot": "./s.jsonl", "absolute": f"{tmp_path}/s.jsonl",
+             "linked-dir": "link/s.jsonl"}[alias]
+    rc = main(["harvest", "--comments", str(world["comments"]), "--similes-out", "s.jsonl",
+               "--split", "0.5", "--train-out", train, "--val-out", "v.jsonl", "--seed", "1",
+               "--sample", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"[harvest] 'train-out' names the file of 'similes-out': {train}" in err
+    assert "--sample requires --sentences" in err  # collected with the other errors
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link"]
+
+
+def test_every_output_of_a_run_is_its_own_file(world, tmp_path, capsys):
+    """Each later output that names an earlier one's file is reported; distinct outputs
+    with the same name in different directories are not."""
+    (tmp_path / "a").mkdir()
+    out, audit = tmp_path / "p.tsv", tmp_path / "a" / "p.tsv"
+    argv = ["build-corpus", "--in", str(world["train_similes"]), "--knowledge",
+            str(world["edges"]), "--scorer", "uniform", "--out", str(out)]
+    assert main([*argv, "--audit-out", f"{tmp_path}/a/../p.tsv"]) == 2
+    assert (f"[corpus] 'audit-out' names the file of 'out': {tmp_path}/a/../p.tsv"
+            in capsys.readouterr().err)
+    assert main([*argv, "--audit-out", str(audit)]) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["outputs"] == sorted([str(out), str(audit)])
 
 
 def counted_forks(monkeypatch) -> list[int]:

@@ -29,6 +29,7 @@ from similekit.lm import (
     TemplateNgramModel,
     TrainConfig,
     UniformScorer,
+    _Trie,
     _derive_rng,
     _last_word,
     _sample,
@@ -471,6 +472,82 @@ class TestDecodeEqualsOracle:
         for seed, text in enumerate(toy_world["holdout"]):
             c = cfg(seed=seed, forced_prefix="The river was like a" if seed % 3 == 0 else None)
             assert generate(text, c, toy_model) == oracle_generate(text, c, oracle)
+
+
+class ListTrie:
+    """The suffix trie as built before leaves were counts: every node is
+    [count, children, ranked]."""
+
+    def __init__(self, *suffix_tables):
+        self.root = [0, {}, None]
+        for suffix_counts in suffix_tables:
+            for joined, count in suffix_counts.items():
+                node = self.root
+                for tok in joined.split(" "):
+                    node = node[1].setdefault(tok, [0, {}, None])
+                    node[0] += count
+
+    def next_ranked(self, context):
+        for depth in range(len(context), -1, -1):
+            node = self.root
+            for tok in context[len(context) - depth :]:
+                node = node[1].get(tok)
+                if node is None:
+                    break
+            else:
+                if node[1]:
+                    if node[2] is None:
+                        counts = {tok: child[0] for tok, child in node[1].items()}
+                        total = sum(counts.values())
+                        node[2] = tuple((tok, c / total) for tok, c in
+                                        sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+                    return node[2]
+        return None
+
+
+TRIE_WORDS = ["a", "b", "c", EOS_TOKEN]
+trie_suffixes = st.lists(st.sampled_from(TRIE_WORDS), min_size=1, max_size=4).map(" ".join)
+
+
+@st.composite
+def suffix_tables(draw):
+    """One to three {suffix: count} tables.  Some suffix is a prefix of another, the
+    shorter drawn first or last, within one table or across two, as a hand-written
+    model.json may have; a model trained here ends every suffix in </s>."""
+    tables = draw(st.lists(st.dictionaries(trie_suffixes, st.integers(1, 5), max_size=6),
+                           min_size=1, max_size=3))
+    short = draw(trie_suffixes)
+    pair = [short, f"{short} {draw(trie_suffixes)}"]
+    for suffix in pair[:: draw(st.sampled_from([1, -1]))]:
+        table = tables[draw(st.integers(0, len(tables) - 1))]
+        table[suffix] = table.get(suffix, 0) + draw(st.integers(1, 5))
+    return tables
+
+
+trie_contexts = st.lists(st.lists(st.sampled_from(TRIE_WORDS + ["z"]), max_size=5),
+                         min_size=1, max_size=8)
+
+
+class TestTrie:
+    @given(suffix_tables(), trie_contexts)
+    @settings(max_examples=300, deadline=None)
+    def test_next_ranked_equals_the_trie_of_lists(self, tables, contexts):
+        trie, oracle = _Trie(*tables), ListTrie(*tables)
+        # Asked twice, so a node's ranked tuple is read back from the node too.
+        for context in contexts + contexts:
+            assert trie.next_ranked(context) == oracle.next_ranked(context)
+
+    def test_a_leaf_is_its_count(self):
+        trie = _Trie({"a </s>": 2, "a b </s>": 1}, {"a </s>": 3})
+        assert trie.root[1] == {"a": [6, {EOS_TOKEN: 5, "b": [1, {EOS_TOKEN: 1}, None]}, None]}
+
+    @pytest.mark.parametrize("tables", [({"a": 2, "a b": 1},), ({"a b": 1}, {"a": 2})],
+                             ids=["leaf-first", "node-first"])
+    def test_a_suffix_through_a_leaf_makes_it_a_node(self, tables):
+        trie = _Trie(*tables)
+        assert trie.root[1] == {"a": [3, {"b": 1}, None]}
+        assert trie.next_ranked(["a"]) == (("b", 1.0),)
+        assert trie.next_ranked(["b"]) == trie.next_ranked([]) == (("a", 1.0),)
 
 
 class TestGenerationConfig:

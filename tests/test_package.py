@@ -150,6 +150,25 @@ def test_a_command_never_loads_libcrypto(run, fork_bytes, world, fresh_inputs, t
         assert os.path.join(argv[argv.index("--model") + 1], "model.json") in inputs
 
 
+@pytest.mark.parametrize("run", ["build-corpus-reference", "build-corpus-uniform",
+                                 "generate-scope", "generate-meta_m", "generate-rtrvl"])
+def test_build_corpus_and_generate_never_load_harvest(run, world, fresh_inputs, tmp_path):
+    """The readers of harvest's files live in core: a process that runs these commands
+    compiles and holds none of harvest.py."""
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [str(arg) for arg in FRESH_RUNS[run](world, fresh_inputs, out)]
+    loaded = loaded_after(f"from similekit import cli\nassert cli.main({argv!r}) == 0")
+    assert "similekit.cli" in loaded and "similekit.harvest" not in loaded
+
+
+def test_harvest_names_the_readers_of_core():
+    from similekit import core, harvest
+
+    for name in ("read_literals_jsonl", "read_similes_jsonl", "simile_record"):
+        assert getattr(harvest, name) is getattr(core, name)
+
+
 @pytest.mark.parametrize("name", similekit.__all__)
 def test_every_export_is_its_module_object(name):
     module = importlib.import_module(f"similekit.{similekit._MODULE_OF[name]}")
