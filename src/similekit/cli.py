@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib
+import marshal
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -25,6 +26,8 @@ from .core import (
     CRITERIA,
     DEFAULT_TRIGGERS,
     NotModifierFinal,
+    RecordRuns,
+    Spool,
     TriggerConfig,
     derive_seed,
     fan_out,
@@ -33,7 +36,6 @@ from .core import (
     read_records,
     sha256,
     simile_record,
-    text_of,
     write_json,
     write_jsonl,
 )
@@ -43,7 +45,7 @@ from .core import (
 # them here (`similekit.cli:name`); it alone reads load_comments, build_parallel_corpus,
 # read_pairs_audit_jsonl, write_pairs_tsv, write_pairs_audit_jsonl and fine_tune.
 _NAMES = {
-    "corpus": ("BuildStats", "format_pairs", "iter_parallel_corpus", "write_pair_files",
+    "corpus": ("BuildStats", "convert_run", "format_pairs", "prepare_run", "write_pair_files",
                "build_parallel_corpus", "read_pairs_audit_jsonl", "write_pairs_audit_jsonl",
                "write_pairs_tsv"),
     "evaluation": ("CharNgramEmbedder", "MetricReport", "OneHotEmbedder", "ScoreSheet",
@@ -466,9 +468,10 @@ def cmd_harvest(s: Settings) -> int:
     Option("audit-out", output=True),
 )
 def cmd_build_corpus(s: Settings) -> int:
-    """Load the edge table, then stream --in: its texts when the scorer learns from them,
-    then its runs of similes, each converted in a worker process (core.fan_out) and
-    written in file order."""
+    """Convert --in in two fan-outs (core.fan_out) through a spool (core.Spool): the first
+    decodes each record once and looks its vehicle up in the --knowledge table; with the
+    table freed, the scorer is built; the second scores the spooled runs, and their pairs
+    are written in file order."""
     _load("corpus", "knowledge", "lm")
     if s["scorer"] == "uniform":
         # Every candidate ties, so the top-ranked property wins whatever k or V is.
@@ -478,36 +481,56 @@ def cmd_build_corpus(s: Settings) -> int:
             s.error("--scorer uniform does not read --k")
     if s.fail_if_errors():
         return 2
-    # The table first: the temporary objects of its load are freed before the
-    # scorer is built, not while it is held.
-    backend = load_edge_table(s["knowledge"])
-    if s["scorer"] == "uniform":
-        scorer = UniformScorer(1000)
-    elif s["scorer-train"]:
-        scorer = BigramScorer(read_lines(s["scorer-train"]))
-    else:
-        scorer = BigramScorer(read_records(s["in"], text_of))
     audit = s["audit-out"] is not None
-
-    def convert(similes):
-        """A run's TSV text, audit text and counts."""
-        run_stats = BuildStats()
-        pairs = iter_parallel_corpus(similes, backend, scorer, k=s["k"], stats=run_stats)
-        return format_pairs(pairs, audit), run_stats
-
     stats = BuildStats()
+    with Spool() as spool:
+        runs = _prepare_runs(s, spool)
+        if s["scorer"] == "uniform":
+            scorer = UniformScorer(1000)
+        elif s["scorer-train"]:
+            scorer = BigramScorer(read_lines(s["scorer-train"]))
+        else:
+            scorer = BigramScorer(text for texts, _ in runs for text in _unspool(spool, texts))
 
-    def texts(runs):
-        for text, run_stats in runs:
-            stats.add(run_stats)
-            yield text
+        def convert(run):
+            """A run's TSV text, audit text and counts."""
+            run_stats = BuildStats()
+            pairs = convert_run(_unspool(spool, run[1]), scorer, stats=run_stats)
+            return format_pairs(pairs, audit), run_stats
 
-    with contextlib.closing(fan_out(s["in"], simile_record, convert)) as runs:
-        write_pair_files(texts(runs), s["out"], s["audit-out"])
+        def texts(results):
+            for text, run_stats in results:
+                stats.add(run_stats)
+                yield text
+
+        with contextlib.closing(fan_out(runs, convert)) as results:
+            write_pair_files(texts(results), s["out"], s["audit-out"])
     _write_manifest(s, {})
     print(f"built {stats.built} pairs "
           f"({stats.skipped_no_properties} skipped, {len(stats.failures)} failed)")
     return 0
+
+
+def _prepare_runs(s: Settings, spool) -> list[list[tuple[int, int]]]:
+    """Load the --knowledge table, then decode --in and look up its runs in worker
+    processes (corpus.prepare_run), each record decoded once.  Spool each run's texts
+    and its prepared similes, each marshalled, and return for each run where they lie,
+    (length, offset) each: the scorer reads the texts alone, run by run, which leaves
+    it less to interleave with its counts.  Nothing holds the table once this returns,
+    so the memory it took is free for the scorer."""
+    backend = load_edge_table(s["knowledge"])
+
+    def prepare(similes) -> tuple[bytes, bytes]:
+        prepared = prepare_run(similes, backend, s["k"])
+        return marshal.dumps([simile[0] for simile in prepared]), marshal.dumps(prepared)
+
+    with contextlib.closing(fan_out(RecordRuns(s["in"], simile_record), prepare)) as runs:
+        return [[(len(data), spool.append(data)) for data in run] for run in runs]
+
+
+def _unspool(spool, extent: tuple[int, int]):
+    """What _prepare_runs spooled at (length, offset)."""
+    return marshal.loads(spool.read(*extent))
 
 
 @_command(
@@ -533,7 +556,8 @@ def cmd_train(s: Settings) -> int:
         return counts, len(pairs), stats["skipped"]
 
     counts, read, skipped = TemplateCounts(), 0, 0
-    runs = fan_out(s["pairs"], lambda source, target: (source, target), count, fields=2)
+    runs = fan_out(RecordRuns(s["pairs"], lambda source, target: (source, target), fields=2),
+                   count)
     with contextlib.closing(runs):
         for run_counts, run_read, run_skipped in runs:
             counts.add(run_counts)

@@ -56,6 +56,17 @@ def common_prefix_len(a: list, b: list) -> int:
     return i
 
 
+def float_sum(values, start: float = 0.0) -> float:
+    """start plus the values, added one at a time from the left, as sum() adds floats up to
+    Python 3.11.  From 3.12 sum() compensates its rounding, so one list could sum to
+    another last digit there; these sums give the same bytes on every interpreter, and
+    float_sum(b, float_sum(a)) is float_sum(a + b)."""
+    total = start
+    for value in values:
+        total += value
+    return total
+
+
 def fold(text: str) -> str:
     """Lowercase, with each whitespace run made one space and the ends stripped."""
     return " ".join(text.lower().split())
@@ -554,34 +565,43 @@ def runs_of(items):
         yield run
 
 
-def _runs(path):
-    """The (number, line) pairs of path's non-blank lines, RUN_LENGTH at a time."""
-    return runs_of(_numbered_lines(path))
+class RecordRuns:
+    """The records of a file in runs of RUN_LENGTH non-blank lines, for fan_out: each run
+    is an iterator of build(record) over its lines, as read_records gives them, that
+    decodes a line only when it is read.  It iterates anew each time, so each worker of a
+    fan-out reads the file's lines and decodes only those of its own runs."""
+
+    __slots__ = ("path", "build", "fields", "on_error")
+
+    def __init__(self, path, build, fields: int = 0, on_error=None):
+        self.path, self.build, self.fields, self.on_error = path, build, fields, on_error
+
+    def __iter__(self):
+        for run in runs_of(_numbered_lines(self.path)):
+            yield _records(self.path, run, self.build, self.fields, self.on_error)
 
 
-def fan_out(path, build, work, fields: int = 0, on_error=None):
-    """Yield work(records) for each run of RUN_LENGTH records of path, in file order.
+def fan_out(runs, work):
+    """Yield work(run) for each run of `runs`, in order.
 
-    records iterates build(record) over the run's lines as read_records does,
-    so a bad line is a ParseError at path:line, raised or, given on_error,
-    passed to on_error(error) and the line skipped.  on_error is called in
-    the process that reads the run, so what it counts reaches the caller
-    only in work's result.  Given more than one run and more than one
-    usable CPU, the runs are dealt in turn to forked worker
-    processes, one per usable CPU up to the number of runs, which share the
-    caller's state copy-on-write: fork once that state is built, in a
-    process with no other thread.  Each worker reads the file, decodes only
-    its own runs and sends each result back pickled.  The first error in
-    file order is raised here as the worker raised it, after the results of
-    the runs before it; every worker is killed and reaped when the
-    generator ends, however it ends, so close it when it is not exhausted.
+    runs is iterable again and again, such as RecordRuns or a list.  Given
+    more than one run and more than one usable CPU, the runs are dealt in
+    turn to forked worker processes, one per usable CPU up to the number of
+    runs, which share the caller's state copy-on-write: fork once that state
+    is built, in a process with no other thread.  Each worker iterates runs
+    from the start, hands work only its own runs and sends each result back
+    pickled.  The first error in run order is raised here as the worker
+    raised it, after the results of the runs before it; every worker is
+    killed and reaped when the generator ends, however it ends, so close it
+    when it is not exhausted.  Whatever work does in a worker (a count kept
+    by a RecordRuns on_error, say) reaches the caller only in its result.
     """
     workers = usable_cpus() if hasattr(os, "fork") else 1
     if workers > 1:  # no more workers than runs
-        workers = sum(1 for _ in itertools.islice(_runs(path), workers))
+        workers = sum(1 for _ in itertools.islice(runs, workers))
     if workers < 2:
-        for run in _runs(path):
-            yield work(_records(path, run, build, fields, on_error))
+        for run in runs:
+            yield work(run)
         return
     import pickle  # only a process that forks loads these
     import signal
@@ -599,14 +619,14 @@ def fan_out(path, build, work, fields: int = 0, on_error=None):
             if pid == 0:
                 for reader in readers:
                     reader.close()
-                _serve(path, build, work, fields, on_error, index, workers, write_end)
+                _serve(runs, work, index, workers, write_end)
             os.close(write_end)
             pids.append(pid)
         for index in itertools.count():
             try:
                 kind, value = pickle.load(readers[index % workers])
             except (EOFError, pickle.UnpicklingError):
-                raise ChildProcessError(f"{path}: worker process {pids[index % workers]} "
+                raise ChildProcessError(f"worker process {pids[index % workers]} "
                                         f"ended before sending run {index + 1}") from None
             if kind == "error":
                 raise value
@@ -622,17 +642,17 @@ def fan_out(path, build, work, fields: int = 0, on_error=None):
             os.waitpid(pid, 0)
 
 
-def _serve(path, build, work, fields, on_error, index, workers, fd) -> None:
+def _serve(runs, work, index, workers, fd) -> None:
     """A worker's life: run every workers-th run from index, send each result, exit."""
     code = 1
     try:
         with open(fd, "wb") as out:
-            for number, run in enumerate(_runs(path)):
+            for number, run in enumerate(runs):
                 if number % workers != index:
                     continue
                 try:
-                    _send(out, ("run", work(_records(path, run, build, fields, on_error))))
-                except Exception as exc:  # raised in the parent, in file order
+                    _send(out, ("run", work(run)))
+                except Exception as exc:  # raised in the parent, in run order
                     _send(out, ("error", exc))
                     break
             else:
@@ -654,6 +674,61 @@ def _send(out, message) -> None:
         data = pickle.dumps(("error", RuntimeError(f"{type(error).__name__}: {error}")))
     out.write(data)
     out.flush()
+
+
+def positional_reader(file):
+    """read(length, offset) of an open binary file: os.pread, which leaves the file
+    position alone, so processes forked with the file open read it side by side; where
+    the platform has no os.pread (nor os.fork, as on Windows), a seek and a read."""
+    if hasattr(os, "pread"):
+        return functools.partial(os.pread, file.fileno())
+
+    def read(length: int, offset: int) -> bytes:
+        file.seek(offset)
+        return file.read(length)
+
+    return read
+
+
+class Spool:
+    """Bytes a command sets aside and reads back by offset, in an unlinked temporary file
+    (tempfile.TemporaryFile, so in TMPDIR), not in its memory.
+
+    append returns the offset of what it wrote; read(length, offset) is
+    positional_reader's, so fan_out workers forked after the appends read the
+    spool through the descriptor they inherit.  The file is closed by close,
+    at the end of a with block, or when the spool is freed.
+    """
+
+    __slots__ = ("_file", "size", "read")
+
+    def __init__(self):
+        import tempfile
+
+        self._file = tempfile.TemporaryFile()
+        self.size = 0
+        self.read = positional_reader(self._file)
+
+    def append(self, data: bytes) -> int:
+        offset = self.size
+        self._file.seek(offset)  # a read without os.pread moves the position
+        self._file.write(data)
+        self._file.flush()
+        self.size += len(data)
+        return offset
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __del__(self):
+        if hasattr(self, "_file"):  # unset when TemporaryFile failed
+            self.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
 
 def string(name: str, value) -> str:

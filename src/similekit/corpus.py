@@ -4,9 +4,9 @@ For each simile: look up the vehicle's top-k HasProperty properties, append
 each to the prefix to form literal candidates, keep the candidate the scorer
 finds most fluent (minimum perplexity, ties by property rank), run it through
 the grammar-correction hook, and emit the pair.  Similes are converted a run
-at a time, with one lookup and one scoring call per run.  The simile prefix
-is kept verbatim, so a comma before the comparator survives into the literal
-("... calm and quiet, very relaxed.").
+at a time, with one lookup (prepare_run) and one scoring call (convert_run)
+per run.  The simile prefix is kept verbatim, so a comma before the
+comparator survives into the literal ("... calm and quiet, very relaxed.").
 """
 
 from __future__ import annotations
@@ -106,12 +106,29 @@ class BuildStats(Slots):
         self.failures += other.failures
 
 
-def select_best_literals(similes: list[SimileInstance],
-                         properties_each: list[list[PropertyCandidate]], scorer) -> list:
-    """For each simile and its properties, the literal candidate the scorer finds
-    most fluent (minimum perplexity, ties keep the earlier, higher-ranked
-    property), or the ValueError its candidates raise: NoProperties when it
-    has none, EmptyText when one has no tokens.
+def prepare(simile: SimileInstance, concept: str, properties: list[PropertyCandidate]) -> tuple:
+    """A simile as the scoring half of a conversion reads it: the tuple of strings (text,
+    prefix, terminal punctuation, concept, source id, property texts), the property texts
+    those of its vehicle's top-k properties, in rank order (none when it has none)."""
+    return (simile.raw_text, simile.prefix, terminal_punctuation(simile.raw_text), concept,
+            simile.source_id, tuple(p.text for p in properties))
+
+
+def prepare_run(similes, knowledge_backend, k: int = 5) -> list[tuple]:
+    """The first half of converting a run of similes: one lookup of all their vehicles
+    (knowledge.properties_of_each), and each simile prepared.  The result holds only
+    tuples of strings, so marshal can set it aside for the second half, convert_run."""
+    run = list(similes)
+    concepts = [simile.vehicle_phrase() for simile in run]
+    found = properties_of_each(concepts, k, knowledge_backend)
+    return list(map(prepare, run, concepts, found))
+
+
+def select_best_literals(similes: list[tuple], scorer) -> list:
+    """For each prepared simile, the literal candidate the scorer finds most fluent
+    (minimum perplexity, ties keep the earlier, higher-ranked property), or the
+    ValueError its candidates raise: NoProperties when it has none, EmptyText when
+    one has no tokens.
 
     A candidate is prefix + property + the simile's terminal punctuation.
     Every candidate of the batch is scored in one call, those of a simile
@@ -122,24 +139,22 @@ def select_best_literals(similes: list[SimileInstance],
     is built.  Any other scorer is handed every candidate's text.
     """
     by_tokens = hasattr(scorer, "token_perplexities")
-    batch, starts, puncts, scored = [], [], [], 0
-    for simile, properties in zip(similes, properties_each):
-        punct = terminal_punctuation(simile.raw_text)
-        puncts.append(punct)
+    batch, starts, scored = [], [], 0
+    for text, prefix, punct, _, _, properties in similes:
         if not properties:
-            starts.append(NoProperties(f"no properties for vehicle of {simile.raw_text!r}"))
+            starts.append(NoProperties(f"no properties for vehicle of {text!r}"))
             continue
         # A candidate is empty or whitespace exactly when its prefix and property are
         # and the simile ends in a word (terminal punctuation holds no whitespace).
-        if not punct and not simile.prefix.strip() and not all(p.text.strip() for p in properties):
+        if not punct and not prefix.strip() and not all(p.strip() for p in properties):
             starts.append(EmptyText("cannot score an empty text"))
             continue
         starts.append(scored)
         scored += len(properties)
         if by_tokens:
-            batch.append((tokenize(simile.prefix), [tokenize(p.text + punct) for p in properties]))
+            batch.append((tokenize(prefix), [tokenize(p + punct) for p in properties]))
         else:
-            batch += (_candidate_text(simile.prefix, p.text, punct) for p in properties)
+            batch += (_candidate_text(prefix, p, punct) for p in properties)
     if not batch:
         ppls = []
     elif by_tokens:
@@ -147,13 +162,13 @@ def select_best_literals(similes: list[SimileInstance],
     else:
         ppls = perplexities(batch, scorer)
     best = []
-    for simile, properties, start, punct in zip(similes, properties_each, starts, puncts):
+    for (_, prefix, punct, _, _, properties), start in zip(similes, starts):
         if isinstance(start, ValueError):
             best.append(start)
             continue
         i = min(range(start, start + len(properties)), key=ppls.__getitem__)
-        prop = properties[i - start].text
-        best.append(LiteralCandidate(_candidate_text(simile.prefix, prop, punct), prop, ppls[i]))
+        prop = properties[i - start]
+        best.append(LiteralCandidate(_candidate_text(prefix, prop, punct), prop, ppls[i]))
     return best
 
 
@@ -176,6 +191,30 @@ def correct_grammar(text: str, corrector=None) -> str:
         return text
 
 
+def convert_run(similes: list[tuple], scorer, corrector=None, stats: BuildStats | None = None):
+    """The second half of converting a run: yield the pair of each prepared simile
+    (prepare_run) that converts, choosing its literal with select_best_literals;
+    count a skipped simile and record a failed one in stats, as iter_parallel_corpus
+    describes."""
+    stats = BuildStats() if stats is None else stats
+    for (text, _, _, concept, source_id, _), best in zip(similes,
+                                                         select_best_literals(similes, scorer)):
+        if isinstance(best, NoProperties):
+            stats.skipped_no_properties += 1
+            continue
+        try:
+            if isinstance(best, ValueError):
+                raise best
+            pair = ParallelPair(source=correct_grammar(best.text, corrector), target=text,
+                                property_used=best.property, vehicle=concept,
+                                provenance=source_id)
+        except ValueError as exc:
+            stats.failures.append((source_id or text, str(exc)))
+            continue
+        stats.built += 1
+        yield pair
+
+
 def iter_parallel_corpus(
     similes,
     knowledge_backend,
@@ -186,42 +225,24 @@ def iter_parallel_corpus(
 ):
     """Yield one pair per convertible simile; a simile that fails with a ValueError is recorded.
 
-    Similes are converted a run (core.RUN_LENGTH of them) at a time: one
-    lookup of the run's vehicles (knowledge.properties_of_each) and one
-    scoring call over all the run's candidates (select_best_literals).
-    Similes whose vehicle yields no properties are skipped and counted.  A
-    ValueError on one simile (an empty candidate text, or a pair that
-    breaks the source/target contract) is recorded in stats.failures and
-    the simile is dropped.  An error of the lookup or of the scoring call,
-    such as BackendUnavailable from a remote scorer or knowledge table, or
-    a k below 1, propagates and ends the build.  Output order follows input
-    order, and a run is read from `similes` only when the pairs of the run
-    before it have been taken, so a stream of similes is converted holding
-    one run at a time.
+    Similes are converted a run (core.RUN_LENGTH of them) at a time, in two
+    halves: prepare_run looks up the run's vehicles in one call
+    (knowledge.properties_of_each), and convert_run scores all the run's
+    candidates in one call (select_best_literals) and builds the pairs.
+    build-corpus runs the same halves, in two fan-outs.  Similes whose
+    vehicle yields no properties are skipped and counted.  A ValueError on
+    one simile (an empty candidate text, or a pair that breaks the
+    source/target contract) is recorded in stats.failures and the simile is
+    dropped.  An error of the lookup or of the scoring call, such as
+    BackendUnavailable from a remote scorer or knowledge table, or a k below
+    1, propagates and ends the build.  Output order follows input order, and
+    a run is read from `similes` only when the pairs of the run before it
+    have been taken, so a stream of similes is converted holding one run at
+    a time.
     """
     stats = BuildStats() if stats is None else stats
     for run in runs_of(similes):
-        concepts = [simile.vehicle_phrase() for simile in run]
-        found = properties_of_each(concepts, k, knowledge_backend)
-        for simile, concept, best in zip(run, concepts, select_best_literals(run, found, scorer)):
-            if isinstance(best, NoProperties):
-                stats.skipped_no_properties += 1
-                continue
-            try:
-                if isinstance(best, ValueError):
-                    raise best
-                pair = ParallelPair(
-                    source=correct_grammar(best.text, corrector),
-                    target=simile.raw_text,
-                    property_used=best.property,
-                    vehicle=concept,
-                    provenance=simile.source_id,
-                )
-            except ValueError as exc:
-                stats.failures.append((simile.source_id or simile.raw_text, str(exc)))
-                continue
-            stats.built += 1
-            yield pair
+        yield from convert_run(prepare_run(run, knowledge_backend, k), scorer, corrector, stats)
 
 
 def build_parallel_corpus(

@@ -25,6 +25,7 @@ from .core import (
     ParseError,
     Slots,
     extract_generated_vehicle,
+    float_sum,
     is_word,
     read_records,
     rstrip_punct,
@@ -138,7 +139,7 @@ class CharNgramEmbedder:
 
 
 def _unit(vec: dict[str, float]) -> dict[str, float]:
-    norm = math.sqrt(sum(v * v for v in vec.values()))
+    norm = math.sqrt(float_sum(v * v for v in vec.values()))
     if norm == 0:
         return {}
     return {k: v / norm for k, v in vec.items()}
@@ -147,7 +148,7 @@ def _unit(vec: dict[str, float]) -> dict[str, float]:
 def _cosine(a: dict[str, float], b: dict[str, float]) -> float:
     if len(b) < len(a):
         a, b = b, a
-    return sum(v * b.get(k, 0.0) for k, v in a.items())
+    return float_sum(v * b.get(k, 0.0) for k, v in a.items())
 
 
 def embedding_f1(candidate: str, references: list[str], embedder) -> float:
@@ -165,8 +166,9 @@ def embedding_f1(candidate: str, references: list[str], embedder) -> float:
         if not ref_tokens:
             continue
         ref_vecs = [_unit(embedder.embed(t)) for t in ref_tokens]
-        recall = sum(max(_cosine(r, c) for c in cand_vecs) for r in ref_vecs) / len(ref_vecs)
-        precision = sum(max(_cosine(c, r) for r in ref_vecs) for c in cand_vecs) / len(cand_vecs)
+        recall = float_sum(max(_cosine(r, c) for c in cand_vecs) for r in ref_vecs) / len(ref_vecs)
+        precision = (float_sum(max(_cosine(c, r) for r in ref_vecs) for c in cand_vecs)
+                     / len(cand_vecs))
         f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
         if f1 > best:
             best = f1
@@ -306,7 +308,7 @@ def krippendorff_alpha(sheet: ScoreSheet, criterion: str | None = None) -> float
     if not pairable:
         raise ValueError("alpha needs at least one unit with two ratings")
     n = sum(len(vals) for vals in pairable)
-    observed = sum(_squared_differences(vals) / (len(vals) - 1) for vals in pairable) / n
+    observed = float_sum(_squared_differences(vals) / (len(vals) - 1) for vals in pairable) / n
     flat = [v for vals in pairable for v in vals]
     expected = _squared_differences(flat) / (n * (n - 1))
     if expected == 0:
@@ -414,7 +416,7 @@ def evaluate_generation(
     return SystemMetrics(
         bleu1=vehicle_bleu(candidates, reference_sets, n=1, smoothing=smoothing),
         bleu2=vehicle_bleu(candidates, reference_sets, n=2, smoothing=smoothing),
-        embedding_f1=sum(f1_values) / len(f1_values) if f1_values else 0.0,
+        embedding_f1=float_sum(f1_values) / len(f1_values) if f1_values else 0.0,
         novelty=nov,
         scored=len(records),
         blank=blank,

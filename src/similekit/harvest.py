@@ -27,13 +27,16 @@ from .core import (
     TEXT_ENCODING,
     Checked,
     LiteralSentence,
+    RecordRuns,
     SimileInstance,
     Slots,
+    Spool,
     TriggerConfig,
     atomic_open,
     fan_out,
     json_line,
     parse_simile,
+    positional_reader,
     read_records,
     split_sentences,
     strip_terminal_modifier,
@@ -150,6 +153,9 @@ class HarvestedSimile(NamedTuple):
         return SimileInstance(self.raw_text, self.prefix, comparator, self.vehicle, self.source_id)
 
 
+# Bytes write_similes_jsonl reads to copy one line of the file it wrote.
+LINE_READ = 512
+
 # Packed sort keys per block in _Columns.ranked: a block is int objects while it is
 # sorted, then 8 bytes a key until the blocks are merged.
 RANK_BLOCK = 4096
@@ -189,49 +195,48 @@ class _Run(NamedTuple):
 
 
 class _Columns:
-    """The similes harvest_similes holds, in arrival order: each run's text, and one
-    array per field with a row for each simile, kept or dropped since the last keep()."""
+    """The similes harvest_similes holds, in arrival order: each run's text in a spool
+    (core.Spool), not in memory, and one array per field with a row for each simile,
+    kept or dropped since the last keep().  A row's id and sentence are read back from
+    the spool when a row is built."""
 
-    __slots__ = ("texts", "first", "start", "stop", "created", "prefix_end", "vehicle_start",
-                 "hashes")
-    _ROW_FIELDS = ("created", "prefix_end", "vehicle_start", "hashes")  # all but the offsets
+    __slots__ = ("spool", "bases", "first", "id_start", "start", "stop", "created",
+                 "prefix_end", "vehicle_start", "hashes")
+    # A row's id runs from id_start to start and its sentence on to stop, in bytes from
+    # the spool offset of its run's text.
+    _ROW_FIELDS = ("id_start", "start", "stop", "created", "prefix_end", "vehicle_start",
+                   "hashes")
 
     def __init__(self):
-        self.texts = []  # a run's text, for each run with a simile
+        self.spool = Spool()
+        self.bases = []  # the spool offset of the text of each run with a row
         self.first = []  # the row of each of those runs' first simile
-        self.start, self.stop = array("i"), array("i")
+        self.id_start, self.start, self.stop = array("i"), array("i"), array("i")
         self.created = array("q")
         self.prefix_end, self.vehicle_start, self.hashes = array("i"), array("i"), array("i")
 
     def add(self, run: _Run) -> None:
         if not run.stop:
             return
-        self.texts.append(run.text)
+        self.bases.append(self.spool.append(run.text))
         self.first.append(len(self.stop))
         if isinstance(run.created, list) and not isinstance(self.created, list):
             self.created = list(self.created)  # a created_utc beyond 64 bits
-        for name in ("start", "stop", *self._ROW_FIELDS):
+        self.id_start.append(0)
+        self.id_start.extend(run.stop[:-1])
+        for name in self._ROW_FIELDS[1:]:
             getattr(self, name).extend(getattr(run, name))
 
     def keep(self, alive: bytearray) -> None:
-        """Drop each row whose byte in alive is 0, and its text; the rest keep their order
-        and are numbered from 0 again."""
-        texts, first, start, stop = [], [], array("i"), array("i")
-        ends = [*self.first[1:], len(self.stop)]
-        for run, (lo, hi) in enumerate(zip(self.first, ends)):
-            text, self.texts[run] = self.texts[run], None  # freed run by run
-            parts, end = [], 0
-            for row in compress(range(lo, hi), alive[lo:hi]):
-                begin = self.stop[row - 1] if row > lo else 0
-                parts.append(text[begin : self.stop[row]])
-                end += self.start[row] - begin
-                start.append(end)
-                end += self.stop[row] - self.start[row]
-                stop.append(end)
-            if parts:
-                first.append(len(stop) - len(parts))
-                texts.append(b"".join(parts))
-        self.texts, self.first, self.start, self.stop = texts, first, start, stop
+        """Drop each row whose byte in alive is 0; the rest keep their order and are
+        numbered from 0 again.  The spool is left as it is."""
+        bases, first, rows = [], [], 0
+        for base, lo, hi in zip(self.bases, self.first, [*self.first[1:], len(self.stop)]):
+            if kept := alive.count(1, lo, hi):
+                bases.append(base)
+                first.append(rows)
+                rows += kept
+        self.bases, self.first = bases, first
         for name in self._ROW_FIELDS:
             column = getattr(self, name)
             kept = compress(column, alive)
@@ -239,17 +244,19 @@ class _Columns:
                     else array(column.typecode, kept))
 
     def rows(self, order):
-        """A HarvestedSimile for each row of order, built as it is taken."""
-        texts, first, start, stop = self.texts, self.first, self.start, self.stop
+        """A HarvestedSimile for each row of order, built as it is taken: its id and
+        sentence are one read from the spool."""
+        read, bases, first = self.spool.read, self.bases, self.first
+        id_start, start, stop = self.id_start, self.start, self.stop
         created, prefix_end, vehicle_start = self.created, self.prefix_end, self.vehicle_start
         new = tuple.__new__
         for row in order:
-            run = bisect_right(first, row) - 1
-            text, begin = texts[run], start[row]
-            source_id = text[stop[row - 1] if row > first[run] else 0 : begin]
-            yield new(HarvestedSimile, (created[row], source_id.decode(*_UTF8),
-                                        text[begin : stop[row]].decode(*_UTF8),
-                                        prefix_end[row], vehicle_start[row]))
+            begin = id_start[row]
+            data = read(stop[row] - begin, bases[bisect_right(first, row) - 1] + begin)
+            cut = start[row] - begin
+            yield new(HarvestedSimile, (created[row], data[:cut].decode(*_UTF8),
+                                        data[cut:].decode(*_UTF8), prefix_end[row],
+                                        vehicle_start[row]))
 
     def row(self, row: int) -> HarvestedSimile:
         return next(self.rows((row,)))
@@ -347,17 +354,19 @@ def harvest_similes(
     regardless of file order, so repeated harvests over the same records
     agree byte for byte.  Worker processes decode the comments, split and
     parse them, and hash each simile's dedup key; each sends its run back
-    as columns (_Run).  This process appends every run to its own columns
-    and applies the dedup rule run by run, in file order, through an
-    open-addressing table of row numbers: a simile's slot comes from its
+    as columns (_Run).  This process appends every run's text to a spool
+    (core.Spool, a temporary file) and its offsets and fields to its own
+    columns, and applies the dedup rule run by run, in file order, through
+    an open-addressing table of row numbers: a simile's slot comes from its
     key's hash (cut to 30 bits), a held simile of the same hash is checked
-    against the keys of the texts, and a different key there moves on to
-    the next slot, so a collision drops no simile.  An earlier-ranked
-    duplicate takes the slot of the row it replaces.  When a run leaves more
-    dropped rows than held ones, the dropped rows and their text are cut
-    from the columns, so memory follows the similes kept, not the
-    duplicates read.  The result is a HarvestRows;
-    `[row.instance() for row in rows]` gives the similes.  Malformed lines and duplicates are counted in stats.
+    against the keys of the texts, read back from the spool, and a
+    different key there moves on to the next slot, so a collision drops no
+    simile.  An earlier-ranked duplicate takes the slot of the row it
+    replaces.  When a run leaves more dropped rows than held ones, the
+    dropped rows are cut from the columns, so memory follows the similes
+    kept, not the duplicates read.  The result is a HarvestRows, which reads
+    its rows from the spool; `[row.instance() for row in rows]` gives the
+    similes.  Malformed lines and duplicates are counted in stats.
     """
     if stats is None:
         stats = HarvestStats()
@@ -393,7 +402,7 @@ def harvest_similes(
     columns = _Columns()
     slots = array("i", [-1]) * 8  # a row number, or -1; at most half of them held
     held_count = 0
-    for run in fan_out(path, _comment_record, parse, on_error=skip):
+    for run in fan_out(RecordRuns(path, _comment_record, on_error=skip), parse):
         stats.malformed += run.malformed
         first = len(columns.hashes)
         columns.add(run)
@@ -509,14 +518,18 @@ def write_similes_jsonl(instances, path, parts=()) -> None:
                 offsets[row] = end
             end += len(line)
             out.write(line)
-    # Each line is read after a seek, anywhere in the file: a buffer of a few lines
-    # copies less per line than the default of 8 KiB.
-    with open(path, "rb", buffering=512) as written:
+    # Each line is read where it starts, anywhere in the file, in one read of a few
+    # lines' bytes, cut at its newline; a longer line takes more reads.
+    with open(path, "rb", buffering=0) as written:
+        read = positional_reader(written)
         for rows, part_path in parts:
             with atomic_open(part_path, binary=True) as out:
                 for row in rows._order:
-                    written.seek(offsets[row])
-                    out.write(written.readline())
+                    offset = offsets[row]
+                    line = read(LINE_READ, offset)
+                    while not (end := line.find(b"\n") + 1):  # the file ends in one
+                        line += read(len(line), offset + len(line)) or b"\n"
+                    out.write(line[:end])
 
 
 def _simile_json(inst) -> dict:

@@ -40,6 +40,7 @@ from .core import (
     append_token,
     common_prefix_len,
     derive_seed,
+    float_sum,
     is_word,
     rstrip_punct,
     tokenize,
@@ -148,13 +149,16 @@ class BigramScorer:
         # Plain dicts, their lookups hoisted: a Counter's += costs more per token.
         unigram: dict[str, int] = {}
         bigram: dict[str, dict[str, int]] = {}
+        # A context's bigram total is its unigram count less the texts it ends: every
+        # other time it is followed.  The start of text is never counted and starts
+        # each text, so it ends minus one a text.  No table of totals is held.
+        ends: dict[str, int] = {self.BOS: 0}
         count_of, row_of, intern = unigram.get, bigram.get, sys.intern
-        trained = False
         for text in texts:
             tokens = tokenize(text)
             if not tokens:
                 continue
-            trained = True
+            ends[self.BOS] -= 1
             prev = self.BOS
             # One str per distinct token: each row keeps the tokens it counts,
             # which would otherwise be each text's own copies.
@@ -165,18 +169,19 @@ class BigramScorer:
                     row = bigram[prev] = {}
                 row[tok] = row.get(tok, 0) + 1
                 prev = tok
-        if not trained:
+            ends[prev] = ends.get(prev, 0) + 1
+        if not ends[self.BOS]:
             raise EmptyText("scorer needs at least one non-empty training text")
         self.unigram = unigram
         self.bigram = bigram
-        self.context_total = {prev: sum(row.values()) for prev, row in bigram.items()}
+        self.ends = ends
         self.vocab_size = len(unigram) + 1  # and UNK, which tokenize never gives
         self.total = sum(unigram.values())
         # What _logprobs reads, hoisted once: the invariants of the formula, each
         # computed by the expression it has there, and the lookups.
         alpha_v = alpha * self.vocab_size
         self._terms = (alpha, interpolation, alpha_v, self.total + alpha_v, 1 - interpolation,
-                       bigram.get, self.context_total.get, unigram.get)
+                       bigram.get, ends.get, unigram.get)
 
     def perplexities(self, texts: list[str]) -> list[float]:
         """Each text is tokenized once; see token_perplexities."""
@@ -185,29 +190,28 @@ class BigramScorer:
     def token_perplexities(self, groups) -> list[float]:
         """The perplexity of head + tail for each (head, tails) of groups and each
         tail of its tails, in order.  A token's log-prob depends only on it and
-        the token before it, so a head's log-probs are computed once and each
-        tail's are added to a copy of them (the literal candidates of one simile
-        share its prefix and differ only after it)."""
+        the token before it, so a head's log-probs are computed and summed once,
+        and each tail's are added to that sum (the literal candidates of one
+        simile share its prefix and differ only after it).  core.float_sum adds
+        from the left, so the head's sum plus the tail's is the sum of the whole
+        list, on every interpreter."""
         out, logprobs, exp = [], self._logprobs, math.exp
         for head, tails in groups:
-            head_logps = logprobs(head)
+            head_sum = float_sum(logprobs(head))
             for tail in tails:
                 if not head and not tail:
                     raise EmptyText("cannot score an empty text")
-                logps = logprobs(tail, head, head_logps)
-                # The sum runs over the whole list: from Python 3.12 sum() of floats is
-                # compensated, so the head's sum plus the tail's would round differently.
-                out.append(exp(-sum(logps) / len(logps)))
+                total = float_sum(logprobs(tail, head), head_sum)
+                out.append(exp(-total / (len(head) + len(tail))))
         return out
 
-    def _logprobs(self, tokens: list[str], head: list[str] = (),
-                  head_logps: list[float] = ()) -> list[float]:
-        """The log-probs of head + tokens, given head's own as head_logps.  The
-        float expressions keep the operation order of the formula above (tests
-        compare the log-probs bit for bit); the invariants and lookups are read
-        from _terms.  A token never counted is UNK, counted 0."""
-        alpha, lam, alpha_v, uni_den, rest, row_of, context_total, count_of = self._terms
-        out = list(head_logps)
+    def _logprobs(self, tokens: list[str], head: list[str] = ()) -> list[float]:
+        """The log-probs of tokens, read after head.  The float expressions keep
+        the operation order of the formula above (tests compare the log-probs bit
+        for bit); the invariants and lookups are read from _terms.  A token
+        never counted is UNK, counted 0."""
+        alpha, lam, alpha_v, uni_den, rest, row_of, ends_of, count_of = self._terms
+        out = []
         log, append, unk = math.log, out.append, self.UNK
         prev = self.BOS
         if head:
@@ -216,7 +220,8 @@ class BigramScorer:
             count = count_of(tok)
             if count is None:
                 tok, count = unk, 0
-            p_bi = (row_of(prev, _NO_ROW).get(tok, 0) + alpha) / (context_total(prev, 0) + alpha_v)
+            p_bi = ((row_of(prev, _NO_ROW).get(tok, 0) + alpha)
+                    / (count_of(prev, 0) - ends_of(prev, 0) + alpha_v))
             p_uni = (count + alpha) / uni_den
             append(log(lam * p_bi + rest * p_uni))
             prev = tok
@@ -239,7 +244,7 @@ def _sample(ranked, top_k: int, temperature: float, rng) -> str:
     # Rescale by the max before exponentiating so tiny temperatures stay finite.
     pmax = items[0][1]
     weights = [(p / pmax) ** (1.0 / temperature) for _, p in items]
-    total = sum(weights)
+    total = float_sum(weights)
     r = rng.random() * total
     acc = 0.0
     for (tok, _), w in zip(items, weights):

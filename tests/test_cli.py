@@ -1,5 +1,6 @@
 """End-to-end command-line runs over a small on-disk world."""
 
+import collections
 import hashlib
 import json
 import math
@@ -7,12 +8,13 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from similekit import cli
+from similekit import cli, core
 from similekit.backends import BackendUnavailable
 from similekit.cli import (
     COMMANDS,
@@ -584,7 +586,7 @@ class TestBuildCorpus:
          "comparator ' as a ' is not one of ('like a', 'like an')"),
     ], ids=["int-text", "bad-comparator"])
     def test_bad_last_line_is_located(self, world, tmp_path, capsys, scorer, bad_line, reason):
-        """The scorer pass reads only `text`; the conversion pass checks the whole record."""
+        """Each record is checked whole as it is decoded, whatever the scorer."""
         similes = tmp_path / "in" / "similes.jsonl"
         similes.parent.mkdir()
         similes.write_bytes(world["train_similes"].read_bytes() + bad_line.encode() + b"\n")
@@ -599,6 +601,65 @@ class TestBuildCorpus:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {similes}:{line}: {reason}\n"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("scorer", ["reference", "scorer-train", "uniform"])
+    def test_the_first_bad_line_in_file_order_is_reported(self, world, tmp_path, capsys,
+                                                          scorer):
+        """--in is decoded once, in file order: a bad comparator is reported before a later
+        record without a string `text`, which a separate pass for the reference scorer's
+        texts once reported first."""
+        similes = tmp_path / "in" / "similes.jsonl"
+        similes.parent.mkdir()
+        similes.write_bytes(world["train_similes"].read_bytes()
+                            + b'{"text": "He ran as a deer.", "prefix": "He ran", '
+                              b'"vehicle": "deer."}\n{"text": 7}\n')
+        line = len(list(read_lines(similes))) - 1
+        flags = {"reference": [], "uniform": ["--scorer", "uniform"],
+                 "scorer-train": ["--scorer-train", str(world["sentences"])]}[scorer]
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["build-corpus", "--in", str(similes), "--knowledge", world["edges"],
+                   "--out", str(out / "pairs.tsv")] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {similes}:{line}: comparator ' as a ' "
+                                           "is not one of ('like a', 'like an')\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("scorer", ["reference", "scorer-train", "uniform"])
+    def test_the_edge_table_is_freed_before_the_scorer_is_built(self, world, tmp_path,
+                                                                 monkeypatch, scorer):
+        """The scorer reuses the memory the table took: nothing holds the table once the
+        lookups are spooled."""
+        tables, alive = [], []
+        load = cli.load_edge_table
+        monkeypatch.setattr(cli, "load_edge_table", lambda path: (
+            tables.append(weakref.ref(table := load(path))), table)[1])
+        for name in ("BigramScorer", "UniformScorer"):
+            monkeypatch.setattr(cli, name, lambda *args, real=getattr(cli, name): (
+                alive.append(tables[0]() is not None), real(*args))[1])
+        flags = {"reference": [], "uniform": ["--scorer", "uniform"],
+                 "scorer-train": ["--scorer-train", str(world["sentences"])]}[scorer]
+        assert main(["build-corpus", "--in", str(world["train_similes"]), "--knowledge",
+                     world["edges"], "--out", str(tmp_path / "p.tsv")] + flags) == 0
+        assert alive == [False]
+
+    @pytest.mark.parametrize("scorer", ["reference", "uniform"])
+    def test_each_line_of_in_is_decoded_once(self, world, tmp_path, monkeypatch, scorer):
+        """In one process, the scorer trains on the spooled texts and the conversion reads
+        the spooled lookups: json.loads reads each line of --in once."""
+        decoded = collections.Counter()
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text, **kw: (decoded.update([text]),
+                                                               loads(text, **kw))[1])
+        monkeypatch.setattr(core, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(core, "RUN_LENGTH", 8)  # several runs
+        flags = ["--scorer", "uniform"] if scorer == "uniform" else []
+        assert main(["build-corpus", "--in", str(world["train_similes"]), "--knowledge",
+                     world["edges"], "--out", str(tmp_path / "p.tsv")] + flags) == 0
+        lines = collections.Counter(world["train_similes"].read_text(encoding="utf-8")
+                                    .splitlines(keepends=True))
+        assert sum(lines.values()) > 2 * core.RUN_LENGTH
+        assert {line: decoded[line] for line in lines} == lines
 
     @pytest.mark.parametrize("scorer", ["reference", "scorer-train", "uniform"])
     def test_edge_table_is_loaded_before_the_scorer(self, world, tmp_path, monkeypatch, scorer):

@@ -4,8 +4,11 @@ import functools
 import hashlib
 import importlib.util
 import json
+import math
+import os
 import re
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,12 +20,14 @@ from similekit.core import (
     NotModifierFinal,
     ParseError,
     SimileInstance,
+    Spool,
     TriggerConfig,
     append_token,
     common_prefix_len,
     derive_seed,
     drop_dangling_comma,
     extract_generated_vehicle,
+    float_sum,
     fold,
     is_comparator,
     is_simile,
@@ -662,6 +667,55 @@ class TestWriteJson:
             fh.write("\n")
         assert path.read_bytes() == oracle.read_bytes()
         assert json.loads(path.read_text(encoding="utf-8")) == obj
+
+
+class TestFloatSum:
+    def test_adds_from_the_left_where_a_compensated_sum_does_not(self):
+        """1e16 + 1.0 rounds back to 1e16, so adding from the left gives 0.0; the exact sum,
+        which a compensated sum (sum() from Python 3.12) keeps, is 1.0."""
+        values = [1e16, 1.0, -1e16]
+        assert float_sum(values) == 0.0
+        assert math.fsum(values) == 1.0
+        assert float_sum([0.1] * 10) == 0.9999999999999999 != math.fsum([0.1] * 10)
+
+    @given(st.lists(st.floats(-1e300, 1e300)), st.lists(st.floats(-1e300, 1e300)))
+    @settings(max_examples=200, deadline=None)
+    def test_a_sum_goes_on_from_its_start(self, head, tail):
+        """Summing a head once and each tail after it gives the sum of head + tail, bit for bit."""
+        total = 0.0
+        for value in head + tail:
+            total += value
+        assert float_sum(tail, float_sum(head)) == float_sum(head + tail) == total
+        assert float_sum([]) == 0.0 and type(float_sum([])) is float
+
+
+class TestSpool:
+    @pytest.mark.parametrize("pread", [True, False], ids=["pread", "no-pread"])
+    def test_reads_back_what_it_appended_by_offset(self, tmp_path, monkeypatch, pread):
+        """Its file is in TMPDIR and already unlinked: nothing is left there, even open.
+        Without os.pread, reads and appends interleave through the file position."""
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # gettempdir reads TMPDIR again
+        if not pread:
+            monkeypatch.delattr(os, "pread")
+        with Spool() as spool:
+            offsets = [spool.append(data) for data in (b"abc", b"", "é\n".encode())]
+            assert spool.read(2, 1) == b"bc"
+            offsets.append(spool.append(b"xyz"))
+            assert offsets == [0, 3, 3, 6]
+            assert (spool.read(3, 6), spool.read(2, 1), spool.read(3, 3)) == (
+                b"xyz", b"bc", "é\n".encode())
+            assert list(tmp_path.iterdir()) == []
+            if os.path.isdir("/proc/self/fd"):
+                target = os.readlink(f"/proc/self/fd/{spool._file.fileno()}")
+                assert target.startswith(str(tmp_path)) and target.endswith("(deleted)")
+        assert spool._file.closed
+
+    def test_a_freed_spool_closes_its_file(self):
+        spool = Spool()
+        file = spool._file
+        del spool
+        assert file.closed
 
 
 class TestTagging:

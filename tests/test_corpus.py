@@ -20,6 +20,7 @@ from similekit.corpus import (
     correct_grammar,
     format_pairs,
     iter_parallel_corpus,
+    prepare,
     read_pairs_audit_jsonl,
     select_best_literals,
     write_pair_files,
@@ -44,7 +45,7 @@ def props(*texts):
 
 def select_best_literal(simile, properties, scorer):
     """The one-simile batch of select_best_literals: its candidate, or the error it holds."""
-    [best] = select_best_literals([simile], [properties], scorer)
+    [best] = select_best_literals([prepare(simile, simile.vehicle_phrase(), properties)], scorer)
     if isinstance(best, ValueError):
         raise best
     return best
@@ -445,7 +446,8 @@ def test_scoring_each_prefix_once_equals_the_oracle(batch, train):
                for prefix, punct, _ in batch]
     properties = [[PropertyCandidate(text, 1.0) for text in texts] for _, _, texts in batch]
     scorer, oracle = BigramScorer(train), OracleBigramScorer(train)
-    best = select_best_literals(similes, properties, scorer)
+    best = select_best_literals(list(map(prepare, similes, ["rock"] * len(similes), properties)),
+                                scorer)
     assert [tuple(b) for b in best] == [oracle_best(simile, [p.text for p in props], oracle)
                                        for simile, props in zip(similes, properties)]
 
@@ -488,7 +490,8 @@ def test_the_pair_contract_equals_the_oracle(tmp_path):
     pairs = build_parallel_corpus(similes, backend, scorer, stats=stats)
     want_pairs, want_failures = [], []
     for simile, best in zip(similes, select_best_literals(
-            similes, [backend.properties_of(s.vehicle_phrase(), 5) for s in similes], scorer)):
+            [prepare(s, "", backend.properties_of(s.vehicle_phrase(), 5)) for s in similes],
+            scorer)):
         reason = oracle_contract(best.text, simile.raw_text)
         if reason is None:
             want_pairs.append((best.text, simile.raw_text))

@@ -12,6 +12,7 @@ import os
 import pickle
 import re
 import signal
+import tempfile
 import time
 from array import array
 from fractions import Fraction
@@ -19,10 +20,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from similekit import core, corpus, harvest
+from similekit import cli, core, corpus, harvest
 from similekit.backends import BackendUnavailable
 from similekit.cli import main
-from similekit.core import ParseError, fan_out, read_records
+from similekit.core import ParseError, RecordRuns, fan_out, read_records
 from similekit.harvest import HarvestStats, RawComment, harvest_similes
 from similekit.lm import TemplateNgramModel, TrainConfig
 from similekit.systems import masked_pairs
@@ -81,7 +82,7 @@ def test_runs_come_back_in_file_order(tmp_path, split, workers, count):
     path = tmp_path / "records.jsonl"
     write_records(path, count, blank_every=3)
     split(4, workers)
-    results = list(fan_out(path, lambda rec: rec, numbers))
+    results = list(fan_out(RecordRuns(path, lambda rec: rec), numbers))
     assert [ids for ids, _ in results] == [list(range(i, min(i + 4, count)))
                                            for i in range(0, count, 4)]
     forked = workers > 1 and count > 4
@@ -100,7 +101,7 @@ def test_a_bad_line_in_a_later_run_is_the_error_read_records_raises(tmp_path, sp
     split(3, workers)
     taken = []
     with pytest.raises(ParseError) as raised:
-        for ids in fan_out(path, lambda rec: rec["i"], list):
+        for ids in fan_out(RecordRuns(path, lambda rec: rec["i"]), list):
             taken.append(ids)
     assert str(raised.value) == str(expected.value) == f"{path}:14: missing field 'i'"
     assert raised.value.line_number == 14
@@ -125,7 +126,7 @@ def test_the_first_error_in_file_order_is_raised(tmp_path, split, workers):
 
     split(2, workers)
     with pytest.raises(RuntimeError, match="^run 1 failed$") as raised:
-        list(fan_out(path, lambda rec: rec, work))
+        list(fan_out(RecordRuns(path, lambda rec: rec), work))
     assert type(raised.value) is RuntimeError
     assert_no_child_left()
 
@@ -143,7 +144,7 @@ def test_a_killed_worker_is_an_error_not_a_hang(tmp_path, split):
     split(3, 2)
     began = time.monotonic()
     with pytest.raises(ChildProcessError, match="ended before sending run 2"):
-        list(fan_out(path, lambda rec: rec, work))
+        list(fan_out(RecordRuns(path, lambda rec: rec), work))
     assert time.monotonic() - began < 10
     assert_no_child_left()
 
@@ -162,7 +163,7 @@ def test_a_failed_fork_reaps_the_workers_already_started(tmp_path, split, monkey
     monkeypatch.setattr(os, "fork", fork_once)
     split(2, 3)
     with pytest.raises(BlockingIOError):
-        list(fan_out(path, lambda rec: rec, numbers))
+        list(fan_out(RecordRuns(path, lambda rec: rec), numbers))
     assert forked == [True]
     assert_no_child_left()
 
@@ -171,7 +172,7 @@ def test_closing_early_reaps_every_worker(tmp_path, split):
     path = tmp_path / "records.jsonl"
     write_records(path, 40)
     split(2, 3)
-    results = fan_out(path, lambda rec: rec, lambda records: time.sleep(0.01))
+    results = fan_out(RecordRuns(path, lambda rec: rec), lambda records: time.sleep(0.01))
     next(results)
     results.close()
     assert_no_child_left()
@@ -182,7 +183,7 @@ def test_a_result_that_cannot_be_pickled_is_an_error(tmp_path, split):
     write_records(path, 6)
     split(2, 2)
     with pytest.raises(RuntimeError, match="PicklingError|AttributeError|TypeError"):
-        list(fan_out(path, lambda rec: rec, lambda records: lambda: None))
+        list(fan_out(RecordRuns(path, lambda rec: rec), lambda records: lambda: None))
     assert_no_child_left()
 
 
@@ -207,7 +208,7 @@ def test_no_fork_without_os_fork(tmp_path, split, monkeypatch):
     write_records(path, 9)
     split(2, 4)
     monkeypatch.delattr(os, "fork")
-    results = list(fan_out(path, lambda rec: rec, numbers))
+    results = list(fan_out(RecordRuns(path, lambda rec: rec), numbers))
     assert [ids for ids, _ in results] == [[0, 1], [2, 3], [4, 5], [6, 7], [8]]
     assert {pid for _, pid in results} == {os.getpid()}
 
@@ -228,7 +229,8 @@ def test_on_error_skips_a_bad_line_in_the_process_that_reads_it(tmp_path, split,
         return ids, bad
 
     split(3, workers)
-    assert list(fan_out(path, lambda rec: rec["i"], work, on_error=errors.append)) == [
+    runs = RecordRuns(path, lambda rec: rec["i"], on_error=errors.append)
+    assert list(fan_out(runs, work)) == [
         ([0, 1, 2], []), ([3, 4, 5], []), ([6, 7], [7]), ([8], [])]
     assert errors == []
     assert_no_child_left()
@@ -264,13 +266,37 @@ def few_hashes(monkeypatch, buckets):
         monkeypatch.delattr(harvest, "hash", raising=False)
 
 
-@given(entries=dump_entries, run_length=st.integers(1, 4), buckets=st.sampled_from([0, 1, 3]))
+def assert_no_run_text(rows):
+    """Harvest's columns hold offsets and fields, each in an array or a list of ints, and
+    the spool that holds the runs' text."""
+    columns = rows._columns
+    for name in columns.__slots__:
+        value = getattr(columns, name)
+        assert isinstance(value, (array, core.Spool)) or (
+            isinstance(value, list) and all(type(item) is int for item in value)), name
+
+
+@pytest.fixture()
+def keeps(monkeypatch):
+    """The number of times harvest's columns have cut their dropped rows."""
+    calls, keep = [], harvest._Columns.keep
+    monkeypatch.setattr(harvest._Columns, "keep",
+                        lambda columns, alive: (calls.append(1), keep(columns, alive))[1])
+    return calls
+
+
+@given(entries=dump_entries, run_length=st.integers(1, 4), buckets=st.sampled_from([0, 1, 3]),
+       copies=st.sampled_from([1, 3]))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_harvest_equals_the_oracle_for_every_worker_count(tmp_path_factory, split, monkeypatch,
-                                                          entries, run_length, buckets):
+                                                          keeps, entries, run_length, buckets,
+                                                          copies):
     """Malformed and blank lines, and duplicates on both sides of a run boundary, with
-    earlier ranks in later runs and equal ranks; with buckets, keys collide as well."""
+    earlier ranks in later runs and equal ranks; with buckets, keys collide as well.
+    Three copies of each comment make the dropped rows outnumber the held ones, so the
+    columns cut them."""
+    entries = [e for e in entries for _ in range(copies)]
     path = write_dump(tmp_path_factory.mktemp("dump") / "c.ndjson", entries)
     want_stats = HarvestStats(malformed=sum(isinstance(e, str) and bool(e.strip())
                                             for e in entries))
@@ -279,9 +305,12 @@ def test_harvest_equals_the_oracle_for_every_worker_count(tmp_path_factory, spli
     few_hashes(monkeypatch, buckets)
     for workers in WORKERS:
         split(run_length, workers)
-        stats = HarvestStats()
-        assert [row.instance() for row in harvest_similes(path, stats=stats)] == want
+        stats, keeps[:] = HarvestStats(), []
+        rows = harvest_similes(path, stats=stats)
+        assert [row.instance() for row in rows] == want
         assert stats == want_stats
+        assert keeps or not (copies == 3 and want)
+        assert_no_run_text(rows)
         assert_no_child_left()
 
 
@@ -300,14 +329,16 @@ wide_dump_entries = st.lists(st.one_of(wide_comments, st.sampled_from(BAD_LINES)
 
 
 @given(entries=wide_dump_entries, run_length=st.integers(1, 4),
-       buckets=st.sampled_from([0, 1, 3]))
+       buckets=st.sampled_from([0, 1, 3]), copies=st.sampled_from([1, 3]))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_harvest_of_wide_text_equals_the_oracle(tmp_path_factory, split, monkeypatch, entries,
-                                                 run_length, buckets):
-    """Each run's texts and ids are held joined, with offsets into them: mixed widths,
+def test_harvest_of_wide_text_equals_the_oracle(tmp_path_factory, split, monkeypatch, keeps,
+                                                 entries, run_length, buckets, copies):
+    """Each run's texts and ids are spooled joined, with offsets into them: mixed widths,
     ids of several lengths, and negative created_utc and one past 64 bits, come back as
-    they were read."""
+    they were read, also after the columns have cut the rows that three copies of each
+    comment drop."""
+    entries = [e for e in entries for _ in range(copies)]
     path = write_dump(tmp_path_factory.mktemp("dump") / "c.ndjson", entries)
     want_stats = HarvestStats(malformed=sum(isinstance(e, str) for e in entries))
     comments = [e for e in entries if isinstance(e, RawComment)]
@@ -315,12 +346,14 @@ def test_harvest_of_wide_text_equals_the_oracle(tmp_path_factory, split, monkeyp
     few_hashes(monkeypatch, buckets)
     for workers in WORKERS:
         split(run_length, workers)
-        stats = HarvestStats()
+        stats, keeps[:] = HarvestStats(), []
         rows = harvest_similes(path, stats=stats)
         assert [row.instance() for row in rows] == want
         assert stats == want_stats
+        assert keeps or not (copies == 3 and want)
         ranks = {(c.id, c.created_utc) for c in comments}
         assert all((row.source_id, row.created_utc) in ranks for row in rows)
+        assert_no_run_text(rows)
         assert_no_child_left()
 
 
@@ -332,7 +365,8 @@ def test_copied_split_lines_are_the_bytes_written_alone(tmp_path_factory, split,
                                                         run_length, data):
     """write_similes_jsonl copies the split's lines from the file it wrote: three copies
     of each comment make the dropped rows outnumber the held ones, so the columns are
-    cut, and the split may leave one validation row."""
+    cut, and the split may leave one validation row.  A line longer than one read of
+    LINE_READ bytes takes several."""
     out = tmp_path_factory.mktemp("out")
     path = write_dump(out / "c.ndjson", [e for e in entries for _ in range(3)])
     split(run_length, data.draw(st.sampled_from(WORKERS)))
@@ -341,9 +375,14 @@ def test_copied_split_lines_are_the_bytes_written_alone(tmp_path_factory, split,
         return
     ratio = data.draw(st.sampled_from([Fraction(len(rows) - 1, len(rows)), Fraction(1, 2)]))
     result = harvest.split_corpus(rows, ratio, data.draw(st.integers(0, 9)))
-    harvest.write_similes_jsonl(rows, out / "similes.jsonl",
-                                [(result.train, out / "train.jsonl"),
-                                 (result.validation, out / "val.jsonl")])
+    saved = harvest.LINE_READ  # a function-scoped monkeypatch spans examples
+    harvest.LINE_READ = data.draw(st.sampled_from([1, 7, 512]))
+    try:
+        harvest.write_similes_jsonl(rows, out / "similes.jsonl",
+                                    [(result.train, out / "train.jsonl"),
+                                     (result.validation, out / "val.jsonl")])
+    finally:
+        harvest.LINE_READ = saved
     for name, alone in (("similes", rows), ("train", result.train), ("val", result.validation)):
         harvest.write_similes_jsonl(alone, out / f"{name}.alone.jsonl")
         assert (out / f"{name}.jsonl").read_bytes() == (out / f"{name}.alone.jsonl").read_bytes()
@@ -583,3 +622,144 @@ def test_every_simile_read_is_built_skipped_or_failed(toy_world, edges, tmp_path
     assert (built, skipped, failed) == tuple(kinds.count(k) for k in ("built", "skipped",
                                                                       "failed"))
     assert pairs.read_text(encoding="utf-8").count("\n") == built
+
+
+@pytest.fixture()
+def tmpdir_env(tmp_path, monkeypatch):
+    """TMPDIR, where a spool's file goes, an empty directory of its own."""
+    tmp = tmp_path / "tmpdir"
+    tmp.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmp))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # gettempdir reads TMPDIR again
+    return tmp
+
+
+def open_fds() -> int:
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count open descriptors in")
+    return len(os.listdir("/proc/self/fd"))
+
+
+def fail_on_the_last(name, last):
+    """A stand-in for corpus.<name> that raises on the run holding the simile `last`."""
+    real = getattr(corpus, name)
+
+    def fail(similes, *args):
+        if last in str(similes):
+            raise BackendUnavailable(f"{name} failed")
+        return real(similes, *args)
+    return fail
+
+
+def write_then_fail(real):
+    """A stand-in for write_pair_files whose stream fails after its first run, as a full
+    disk would."""
+    def write(texts, *paths):
+        def first_then_fail():
+            yield next(texts)
+            raise OSError(28, "No space left on device")
+        return real(first_then_fail(), *paths)
+    return write
+
+
+def test_harvest_bytes_do_not_depend_on_os_fork_or_os_pread(tmp_path, split, monkeypatch):
+    """On a platform with neither (Windows), the spool and the similes file are read after
+    a seek, in one process; three copies of each comment make the columns cut rows."""
+    comments = [RawComment(str(i % 7), sentence, created_utc=i % 3)
+                for i, sentence in enumerate(WIDE_SENTENCES * 3)]
+    path = write_dump(tmp_path / "c.ndjson", comments)
+    split(2, 2)
+    seen = []
+    for name in ("forked", "alone"):
+        if name == "alone":
+            monkeypatch.delattr(os, "fork")
+            monkeypatch.delattr(os, "pread")
+        out = tmp_path / name
+        out.mkdir()
+        assert main(["harvest", "--comments", str(path), "--similes-out", str(out / "s.jsonl"),
+                     "--split", "0.5", "--train-out", str(out / "t.jsonl"),
+                     "--val-out", str(out / "v.jsonl"), "--seed", "3"]) == 0
+        seen.append({f: (out / f).read_bytes() for f in ("s.jsonl", "t.jsonl", "v.jsonl")})
+    assert seen[0] == seen[1]
+    assert harvest.read_similes_jsonl(tmp_path / "alone" / "s.jsonl") == oracle_harvest_similes(
+        comments)
+
+
+@pytest.mark.parametrize("scorer", ["reference", "uniform"])
+def test_build_corpus_bytes_do_not_depend_on_os_fork_or_os_pread(toy_world, edges, tmp_path,
+                                                                  split, capsys, monkeypatch,
+                                                                  scorer):
+    """On a platform with neither (Windows), the spool is read after a seek, in one process."""
+    similes = tmp_path / "similes.jsonl"
+    similes_file(similes, toy_world["simile_texts"][:19] + [SKIPPED, FAILED])
+    extra = ["--scorer", scorer] if scorer == "uniform" else []
+    split(4, 2)
+    seen = [build(tmp_path, edges, similes, "forked", extra)]
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.delattr(os, "pread")
+    seen.append(build(tmp_path, edges, similes, "alone", extra))
+    assert [rc for rc, _ in seen] == [0, 0]
+    assert outputs(seen[0][1]) == outputs(seen[1][1])
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == printed[1] == "built 19 pairs (1 skipped, 1 failed)"
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "no-fork"])
+@pytest.mark.parametrize("failure", ["first fan-out", "second fan-out", "scorer", "writing"])
+def test_a_failed_build_leaves_no_file_descriptor_or_worker(toy_world, edges, tmp_path, split,
+                                                             capsys, monkeypatch, tmpdir_env,
+                                                             failure, fork):
+    """Wherever build-corpus fails, it writes nothing to its output directory, leaves
+    nothing in TMPDIR and no descriptor open (the spool is closed), and reaps every
+    worker."""
+    similes = tmp_path / "similes.jsonl"
+    similes_file(similes, toy_world["simile_texts"][:12])
+    last = toy_world["simile_texts"][11]
+    if failure == "first fan-out":
+        monkeypatch.setattr(corpus, "properties_of_each",
+                            fail_on_the_last("properties_of_each",
+                                             toy_world["similes"][11].vehicle_phrase()))
+    elif failure == "second fan-out":
+        monkeypatch.setattr(corpus, "select_best_literals",
+                            fail_on_the_last("select_best_literals", last))
+    elif failure == "scorer":
+        def no_scorer(texts):
+            raise MemoryError("no room for the scorer")
+        monkeypatch.setattr(cli, "BigramScorer", no_scorer)
+    else:
+        monkeypatch.setattr(cli, "write_pair_files", write_then_fail(cli.write_pair_files))
+    split(4, 2)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    before = open_fds()
+    rc, out = build(tmp_path, edges, similes, "out")
+    assert rc == 1
+    assert capsys.readouterr().err == "error: " + {
+        "first fan-out": "properties_of_each failed",
+        "second fan-out": "select_best_literals failed",
+        "scorer": "no room for the scorer",
+        "writing": "[Errno 28] No space left on device"}[failure] + "\n"
+    assert list(out.iterdir()) == []
+    assert list(tmpdir_env.iterdir()) == []
+    assert open_fds() == before
+    assert_no_child_left()
+
+
+def test_a_failed_harvest_closes_its_spool(tmp_path, split, capsys, monkeypatch, tmpdir_env):
+    path = write_dump(tmp_path / "c.ndjson", [RawComment(str(i), f"Thing {i} ran like a deer.")
+                                              for i in range(9)])
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def no_room(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_similes_jsonl", no_room)
+    split(2, 2)
+    before = open_fds()
+    assert main(["harvest", "--comments", str(path), "--similes-out",
+                 str(out / "similes.jsonl")]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert list(out.iterdir()) == list(tmpdir_env.iterdir()) == []
+    assert open_fds() == before
+    assert_no_child_left()

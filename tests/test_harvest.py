@@ -211,19 +211,20 @@ class TestHarvestRows:
         assert split == split_corpus(items, ratio, seed)
 
     @pytest.mark.parametrize("copies, step, extra, bound", [
-        (1, 0, "", 236 / 2),
-        (1, 0, " 🌟", 236 / 2),  # a four-byte character in every comment
-        (4, 1, "", 236),  # three later-ranked copies of each comment, each one dropped
-        (4, -1, "", 236),  # three earlier-ranked copies, each replacing the one held
+        (1, 0, "", 48),
+        (1, 0, " 🌟", 48),  # a four-byte character in every comment
+        (4, 1, "", 84),  # three later-ranked copies of each comment, each one dropped
+        (4, -1, "", 84),  # three earlier-ranked copies, each replacing the one held
     ])
     def test_it_holds_fewer_bytes_than_a_tuple_per_simile_took(self, tmp_path, monkeypatch,
                                                                 copies, step, extra, bound):
         """tracemalloc's count of what the result holds, per kept simile, in one process.
         When each kept simile was a HarvestedSimile with its own id and text strings, the
         result held 236 bytes per simile of this dump (330 with the emoji; Python 3.11).
-        The columns hold 87; 90 with the emoji, where one str per run would hold 249, as
-        a str stores every character at its widest character's width; 162 with the
-        copies, as at most as many dropped rows as held ones are left in the columns."""
+        Columns holding each run's UTF-8 text held 87 (90 with the emoji, where one str
+        per run would hold 249); with the text in a spool, a file, they hold 39 whatever
+        the text; 68 with the copies, as at most as many dropped rows as held ones are
+        left in the columns."""
         monkeypatch.setattr(core, "usable_cpus", lambda: 1)
         path = generated_dump(tmp_path / "c.ndjson", 3000, copies, step, extra)
         harvest_similes(path)  # the first call fills the caches it leaves behind

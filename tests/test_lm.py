@@ -304,10 +304,14 @@ class TestKernelsEqualOracles:
             train = train + ["a"]
         scorer = BigramScorer(train, alpha=alpha, interpolation=lam)
         oracle = OracleBigramScorer(train, alpha=alpha, interpolation=lam)
-        assert scorer.context_total == oracle.context_total
+        # A context's bigram total, the unigram count less the texts it ends, is the oracle's.
+        contexts = {*scorer.bigram, *scorer.unigram, *oracle.context_total, BigramScorer.UNK}
+        assert {prev: scorer.unigram.get(prev, 0) - scorer.ends.get(prev, 0)
+                for prev in contexts} == {prev: oracle.context_total.get(prev, 0)
+                                          for prev in contexts}
         for text in queries:
             tokens = tokenize(text)
-            assert scorer._logprobs(tokens, [], []) == oracle.token_logprobs(tokens)
+            assert scorer._logprobs(tokens) == oracle.token_logprobs(tokens)
             assert perplexity(text, scorer) == oracle_perplexity(text, oracle)
 
     @given(texts_of(TRAIN_WORDS, 1))
@@ -320,7 +324,7 @@ class TestKernelsEqualOracles:
             assert context == BigramScorer.BOS or context is held[context]
             assert all(token is held[token] for token in row)
         assert all(context == BigramScorer.BOS or context is held[context]
-                   for context in scorer.context_total)
+                   for context in scorer.ends)
 
     @given(st.dictionaries(st.text("abcdefgh", min_size=1, max_size=3),
                            st.sampled_from([0.05, 0.1, 0.1, 0.2, 0.25, 0.25, 0.5, 1e-9]),
@@ -355,12 +359,12 @@ class TestKernelsEqualOracles:
         for index, tail in data.draw(st.permutations(calls)):
             head, head_logps = heads[index]
             tail = list(tail)
-            got = scorer._logprobs(tail, head, head_logps)
-            assert got == oracle.token_logprobs(head + tail)
+            got = scorer._logprobs(tail, head)
+            assert head_logps + got == oracle.token_logprobs(head + tail)
             got.append(0.0)
             got[0] = 1.0
             tail[-1] = "mutated"
-            assert scorer._logprobs(tail, [], []) == oracle.token_logprobs(tail)
+            assert scorer._logprobs(tail) == oracle.token_logprobs(tail)
         assert [logps for _, logps in heads] == [oracle.token_logprobs(p) for p, _ in families]
 
 
@@ -392,7 +396,7 @@ class TestBatchScoring:
         perplexities(first, scorer)
         assert perplexities(second, scorer) == perplexities(second, BigramScorer(train))
         tokens = tokenize(second[0])
-        assert scorer._logprobs(tokens, [], []) == OracleBigramScorer(train).token_logprobs(tokens)
+        assert scorer._logprobs(tokens) == OracleBigramScorer(train).token_logprobs(tokens)
 
     @given(texts_of(TRAIN_WORDS, 1), st.data())
     @settings(max_examples=100, deadline=None)
@@ -1013,10 +1017,11 @@ class TestRemoteReplyTypes:
         """select_best_literals would take a NaN perplexity as the best; the build stops
         instead."""
         from similekit.core import parse_simile
-        from similekit.corpus import select_best_literals
+        from similekit.corpus import prepare, select_best_literals
         from similekit.knowledge import PropertyCandidate
 
         scorer = RemoteScorer(reply_command(tmp_path, '{"perplexity": NaN}'))
         simile = parse_simile("It ran like a deer.")
         with pytest.raises(BackendUnavailable):
-            select_best_literals([simile], [[PropertyCandidate("fast", 1.0)]], scorer)
+            select_best_literals([prepare(simile, "deer", [PropertyCandidate("fast", 1.0)])],
+                                 scorer)

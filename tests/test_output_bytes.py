@@ -9,10 +9,22 @@ here.  The scorer is trained on lines in which some properties follow
 "was" and others do not, so the literal chosen for a simile depends on the
 word before its property.  Run manifests are left out: they record argv,
 which holds the temporary paths.
+
+Python 3.12 made sum() of floats compensated, so a float sum that reaches an
+output is added from the left by core.float_sum; the pipeline is run again
+under each other interpreter pyenv has installed, through the command line
+(those have no pytest), and must write the same bytes.
 """
 
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from similekit.cli import main
 from similekit.core import write_jsonl
@@ -40,8 +52,10 @@ EXPECTED = {
 
 
 
-def run_desk_pipeline(root, toy_world) -> dict:
-    """Run every command once under root; return {output name: path}."""
+def run_desk_pipeline(root, toy_world, main=main) -> dict:
+    """Run every command once under root through main(argv), which returns the exit
+    code (the CLI's own by default); return {output name: path}."""
+    root.mkdir(exist_ok=True)
     out = {name: root / name for name in (
         "similes.jsonl", "train.jsonl", "val.jsonl", "literals.jsonl", "pairs.tsv",
         "audit.jsonl", "report.json", "embellished.jsonl")}
@@ -104,3 +118,37 @@ def test_desk_pipeline_output_bytes_are_pinned(tmp_path, toy_world):
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in sorted(out.items())}
     assert digests == EXPECTED
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# The interpreters compared, by version, where pyenv has installed them.
+INTERPRETERS = ["3.10.13", "3.11.7", "3.12.1", "3.13.0"]
+
+
+def pyenv_python(version: str) -> Path | None:
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    python = root / "versions" / version / "bin" / "python3"
+    return python if python.is_file() else None
+
+
+@pytest.mark.parametrize("version", INTERPRETERS)
+def test_every_interpreter_writes_the_same_bytes(tmp_path, toy_world, version):
+    """Every output of the desk pipeline, byte for byte, run here and run under another
+    interpreter."""
+    if version == platform.python_version():
+        pytest.skip(f"Python {version} runs the other half")
+    python = pyenv_python(version)
+    if python is None:
+        pytest.skip(f"Python {version} is not installed under pyenv")
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def main_there(argv) -> int:
+        done = subprocess.run([str(python), "-m", "similekit.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        sys.stderr.write(done.stderr)
+        return done.returncode
+
+    here = run_desk_pipeline(tmp_path / "here", toy_world)
+    there = run_desk_pipeline(tmp_path / "there", toy_world, main_there)
+    assert {name: path.read_bytes() for name, path in there.items()} == {
+        name: path.read_bytes() for name, path in here.items()}
