@@ -187,6 +187,9 @@ def rows_and_items(tmp_path_factory):
     return rows, list(rows)
 
 
+SPOOLED_BYTES_PER_SIMILE = {1: 48, 4: 84}  # by copies of each comment in the dump
+
+
 class TestHarvestRows:
     def test_is_a_read_only_sequence(self, rows_and_items):
         rows, items = rows_and_items
@@ -211,10 +214,10 @@ class TestHarvestRows:
         assert split == split_corpus(items, ratio, seed)
 
     @pytest.mark.parametrize("copies, step, extra, bound", [
-        (1, 0, "", 48),
-        (1, 0, " 🌟", 48),  # a four-byte character in every comment
-        (4, 1, "", 84),  # three later-ranked copies of each comment, each one dropped
-        (4, -1, "", 84),  # three earlier-ranked copies, each replacing the one held
+        (1, 0, "", 236 / 2),
+        (1, 0, " 🌟", 236 / 2),  # a four-byte character in every comment
+        (4, 1, "", 236),  # three later-ranked copies of each comment, each one dropped
+        (4, -1, "", 236),  # three earlier-ranked copies, each replacing the one held
     ])
     def test_it_holds_fewer_bytes_than_a_tuple_per_simile_took(self, tmp_path, monkeypatch,
                                                                 copies, step, extra, bound):
@@ -224,7 +227,8 @@ class TestHarvestRows:
         Columns holding each run's UTF-8 text held 87 (90 with the emoji, where one str
         per run would hold 249); with the text in a spool, a file, they hold 39 whatever
         the text; 68 with the copies, as at most as many dropped rows as held ones are
-        left in the columns."""
+        left in the columns. `bound` is what the columns were held to with the text in
+        memory; with it spooled they are held to SPOOLED_BYTES_PER_SIMILE."""
         monkeypatch.setattr(core, "usable_cpus", lambda: 1)
         path = generated_dump(tmp_path / "c.ndjson", 3000, copies, step, extra)
         harvest_similes(path)  # the first call fills the caches it leaves behind
@@ -237,6 +241,7 @@ class TestHarvestRows:
             tracemalloc.stop()
         assert len(rows) == 6000
         assert held / len(rows) < bound
+        assert held / len(rows) < SPOOLED_BYTES_PER_SIMILE[copies]
 
 
 def columns_of(entries, runs: int = 2) -> harvest_module._Columns:
