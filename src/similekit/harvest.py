@@ -10,7 +10,9 @@ stricter contract: no comparator token at all and a modifier-final ending.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
+import json
 import math
 import operator
 import random
@@ -36,7 +38,6 @@ from .core import (
     fan_out,
     json_line,
     parse_simile,
-    positional_reader,
     read_records,
     split_sentences,
     strip_terminal_modifier,
@@ -128,10 +129,10 @@ def dedup_key(text: str) -> str:
 class HarvestedSimile(NamedTuple):
     """A kept simile as harvest_similes gives it: its rank, its text and the split offsets.
 
-    harvest_similes holds no HarvestedSimile: its sequence builds one each
-    time an item is read.  `prefix`, `vehicle`, `raw_text` and `source_id`
-    are what write_similes_jsonl reads, so rows are written as they are;
-    instance() rebuilds the SimileInstance.
+    harvest_similes holds no HarvestedSimile: its sequence builds one from a
+    simile's line each time an item is read.  `prefix`, `vehicle`, `raw_text`
+    and `source_id` are what write_similes_jsonl writes of any other simile,
+    so rows are written as they are; instance() rebuilds the SimileInstance.
     """
 
     created_utc: int
@@ -153,18 +154,18 @@ class HarvestedSimile(NamedTuple):
         return SimileInstance(self.raw_text, self.prefix, comparator, self.vehicle, self.source_id)
 
 
-# Bytes write_similes_jsonl reads to copy one line of the file it wrote.
-LINE_READ = 512
-
 # Packed sort keys per block in _Columns.ranked: a block is int objects while it is
 # sorted, then 8 bytes a key until the blocks are merged.
 RANK_BLOCK = 4096
 
 # A simile's slot is its key's hash cut to 30 bits, so that it fits an array("i").
 _SLOT_MASK = (1 << 30) - 1
-# Held text is UTF-8, where a character takes its own width, not the widest of its
-# run's; "surrogatepass" carries the lone surrogates a JSON escape can put in a str.
-_UTF8 = ("utf-8", "surrogatepass")
+
+
+def _simile_line(text: str, prefix: str, vehicle: str, source_id: str) -> bytes:
+    """A simile's line of similes.jsonl, as write_similes_jsonl writes it."""
+    return json_line({"text": text, "prefix": prefix, "vehicle": vehicle,
+                      "source_id": source_id}).encode(*TEXT_ENCODING)
 
 
 def _int_column(values: list):
@@ -178,9 +179,8 @@ def _int_column(values: list):
 class _Run(NamedTuple):
     """One run's similes as a fan-out worker sends them, in file order.
 
-    `text` joins each simile's comment id and sentence, UTF-8 encoded; a
-    simile's sentence is text[start:stop], and its id runs from the stop
-    before it (0 for the first).  The offsets count bytes in array("i"), so a
+    `text` joins each simile's similes.jsonl line (_simile_line); a simile's
+    line is text[start:stop].  The offsets count bytes in array("i"), so a
     run whose text reaches 2**31 bytes raises OverflowError.
     """
 
@@ -188,32 +188,26 @@ class _Run(NamedTuple):
     start: array
     stop: array
     created: array | list
-    prefix_end: array
-    vehicle_start: array
     hashes: array
     malformed: int
 
 
 class _Columns:
-    """The similes harvest_similes holds, in arrival order: each run's text in a spool
+    """The similes harvest_similes holds, in arrival order: each run's lines in a spool
     (core.Spool), not in memory, and one array per field with a row for each simile,
-    kept or dropped since the last keep().  A row's id and sentence are read back from
-    the spool when a row is built."""
+    kept or dropped since the last keep().  A row's line is read back from the spool
+    when it is written or a row is built from it."""
 
-    __slots__ = ("spool", "bases", "first", "id_start", "start", "stop", "created",
-                 "prefix_end", "vehicle_start", "hashes")
-    # A row's id runs from id_start to start and its sentence on to stop, in bytes from
-    # the spool offset of its run's text.
-    _ROW_FIELDS = ("id_start", "start", "stop", "created", "prefix_end", "vehicle_start",
-                   "hashes")
+    __slots__ = ("spool", "bases", "first", "start", "stop", "created", "hashes")
+    # A row's line runs from start to stop, in bytes from the spool offset of its run's text.
+    _ROW_FIELDS = ("start", "stop", "created", "hashes")
 
     def __init__(self):
         self.spool = Spool()
         self.bases = []  # the spool offset of the text of each run with a row
         self.first = []  # the row of each of those runs' first simile
-        self.id_start, self.start, self.stop = array("i"), array("i"), array("i")
+        self.start, self.stop, self.hashes = array("i"), array("i"), array("i")
         self.created = array("q")
-        self.prefix_end, self.vehicle_start, self.hashes = array("i"), array("i"), array("i")
 
     def add(self, run: _Run) -> None:
         if not run.stop:
@@ -222,9 +216,7 @@ class _Columns:
         self.first.append(len(self.stop))
         if isinstance(run.created, list) and not isinstance(self.created, list):
             self.created = list(self.created)  # a created_utc beyond 64 bits
-        self.id_start.append(0)
-        self.id_start.extend(run.stop[:-1])
-        for name in self._ROW_FIELDS[1:]:
+        for name in self._ROW_FIELDS:
             getattr(self, name).extend(getattr(run, name))
 
     def keep(self, alive: bytearray) -> None:
@@ -243,23 +235,17 @@ class _Columns:
             setattr(self, name, list(kept) if isinstance(column, list)
                     else array(column.typecode, kept))
 
-    def rows(self, order):
-        """A HarvestedSimile for each row of order, built as it is taken: its id and
-        sentence are one read from the spool."""
-        read, bases, first = self.spool.read, self.bases, self.first
-        id_start, start, stop = self.id_start, self.start, self.stop
-        created, prefix_end, vehicle_start = self.created, self.prefix_end, self.vehicle_start
-        new = tuple.__new__
-        for row in order:
-            begin = id_start[row]
-            data = read(stop[row] - begin, bases[bisect_right(first, row) - 1] + begin)
-            cut = start[row] - begin
-            yield new(HarvestedSimile, (created[row], data[:cut].decode(*_UTF8),
-                                        data[cut:].decode(*_UTF8), prefix_end[row],
-                                        vehicle_start[row]))
+    def line(self, row: int) -> bytes:
+        """The row's similes.jsonl line, one exact-length read from the spool."""
+        start = self.start[row]
+        return self.spool.read(self.stop[row] - start,
+                               self.bases[bisect_right(self.first, row) - 1] + start)
 
     def row(self, row: int) -> HarvestedSimile:
-        return next(self.rows((row,)))
+        rec = json.loads(self.line(row))
+        text = rec["text"]
+        return HarvestedSimile(self.created[row], rec["source_id"], text, len(rec["prefix"]),
+                               len(text) - len(rec["vehicle"]))
 
     def ranked(self, rows) -> array:
         """rows in (created_utc, source_id, row) order, as an array("i")."""
@@ -313,7 +299,7 @@ class HarvestRows(Sequence):
         return self._columns.row(self._order[index])
 
     def __iter__(self):
-        return self._columns.rows(self._order)
+        return map(self._columns.row, self._order)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, str):
@@ -353,20 +339,21 @@ def harvest_similes(
     returned in that order.  Output is thus fixed by (created_utc, id)
     regardless of file order, so repeated harvests over the same records
     agree byte for byte.  Worker processes decode the comments, split and
-    parse them, and hash each simile's dedup key; each sends its run back
-    as columns (_Run).  This process appends every run's text to a spool
-    (core.Spool, a temporary file) and its offsets and fields to its own
-    columns, and applies the dedup rule run by run, in file order, through
-    an open-addressing table of row numbers: a simile's slot comes from its
-    key's hash (cut to 30 bits), a held simile of the same hash is checked
-    against the keys of the texts, read back from the spool, and a
-    different key there moves on to the next slot, so a collision drops no
-    simile.  An earlier-ranked duplicate takes the slot of the row it
-    replaces.  When a run leaves more dropped rows than held ones, the
-    dropped rows are cut from the columns, so memory follows the similes
-    kept, not the duplicates read.  The result is a HarvestRows, which reads
-    its rows from the spool; `[row.instance() for row in rows]` gives the
-    similes.  Malformed lines and duplicates are counted in stats.
+    parse them, hash each simile's dedup key and encode its line of
+    similes.jsonl; each sends its run back as columns (_Run).  This process
+    appends every run's lines to a spool (core.Spool, a temporary file) and
+    its offsets and fields to its own columns, and applies the dedup rule
+    run by run, in file order, through an open-addressing table of row
+    numbers: a simile's slot comes from its key's hash (cut to 30 bits), a
+    held simile of the same hash is checked against the keys of the texts,
+    read back from the spool, and a different key there moves on to the
+    next slot, so a collision drops no simile.  An earlier-ranked duplicate
+    takes the slot of the row it replaces.  When a run leaves more dropped
+    rows than held ones, the dropped rows are cut from the columns, so
+    memory follows the similes kept, not the duplicates read.  The result
+    is a HarvestRows, which reads its rows' lines from the spool;
+    `[row.instance() for row in rows]` gives the similes.  Malformed lines
+    and duplicates are counted in stats.
     """
     if stats is None:
         stats = HarvestStats()
@@ -379,25 +366,21 @@ def harvest_similes(
     def parse(comments) -> _Run:
         nonlocal malformed
         malformed = 0
-        parts, created = [], []
-        hashes, start, stop, prefix_end, vehicle_start = (array("i") for _ in range(5))
+        lines, created = [], []
+        hashes, start, stop = array("i"), array("i"), array("i")
         end = 0
         for comment in comments:
             for sentence in split_sentences(comment.body):
                 inst = parse_simile(sentence, cfg)
                 if inst is not None:
                     hashes.append(hash(dedup_key(sentence)) & _SLOT_MASK)
-                    source_id, text = comment.id.encode(*_UTF8), sentence.encode(*_UTF8)
-                    parts += (source_id, text)
-                    end += len(source_id)
+                    line = _simile_line(sentence, inst.prefix, inst.vehicle, comment.id)
+                    lines.append(line)
                     start.append(end)
-                    end += len(text)
+                    end += len(line)
                     stop.append(end)
                     created.append(comment.created_utc)
-                    prefix_end.append(len(inst.prefix))
-                    vehicle_start.append(len(sentence) - len(inst.vehicle))
-        return _Run(b"".join(parts), start, stop, _int_column(created), prefix_end,
-                    vehicle_start, hashes, malformed)
+        return _Run(b"".join(lines), start, stop, _int_column(created), hashes, malformed)
 
     columns = _Columns()
     slots = array("i", [-1]) * 8  # a row number, or -1; at most half of them held
@@ -493,48 +476,23 @@ def write_similes_jsonl(instances, path, parts=()) -> None:
     """Write SimileInstances or HarvestedSimile rows, one JSON record each.
 
     Each (rows, part_path) of parts, rows taken from instances, a HarvestRows,
-    by split_corpus or HarvestRows.take, is then written as rows alone would
-    be, in the same bytes: its lines are copied from the file at path, each
-    found by the byte offset at which its row's line was written there (an
-    array of one offset per row of the columns), so each simile is encoded
-    once.
+    by split_corpus or HarvestRows.take, is written as rows alone would be.
+    A HarvestRows's lines are copied from harvest's spool, each in one read of
+    its length, so each simile it holds was encoded once, by the worker that
+    parsed it.  No file is replaced until all of them are written.
     """
-    records = map(_simile_json, instances)
-    if not parts:
-        write_jsonl(records, path)
-        return
-    columns = instances._columns
-    if any(rows._columns is not columns for rows, _ in parts):
+    columns = instances._columns if isinstance(instances, HarvestRows) else None
+    if any(not isinstance(rows, HarvestRows) or rows._columns is not columns
+           for rows, _ in parts):
         raise ValueError("parts must be taken from the similes written")
-    offsets = array("i", [0]) * len(columns.stop)  # 4 bytes a row while the file is under 2 GiB
-    end = 0
-    with atomic_open(path, binary=True) as out:
-        for row, record in zip(instances._order, records):
-            line = json_line(record).encode(*TEXT_ENCODING)
-            try:
-                offsets[row] = end
-            except OverflowError:
-                offsets = array("q", offsets)
-                offsets[row] = end
-            end += len(line)
-            out.write(line)
-    # Each line is read where it starts, anywhere in the file, in one read of a few
-    # lines' bytes, cut at its newline; a longer line takes more reads.
-    with open(path, "rb", buffering=0) as written:
-        read = positional_reader(written)
-        for rows, part_path in parts:
-            with atomic_open(part_path, binary=True) as out:
-                for row in rows._order:
-                    offset = offsets[row]
-                    line = read(LINE_READ, offset)
-                    while not (end := line.find(b"\n") + 1):  # the file ends in one
-                        line += read(len(line), offset + len(line)) or b"\n"
-                    out.write(line[:end])
-
-
-def _simile_json(inst) -> dict:
-    return {"text": inst.raw_text, "prefix": inst.prefix, "vehicle": inst.vehicle,
-            "source_id": inst.source_id}
+    with contextlib.ExitStack() as files:
+        for rows, out_path in ((instances, path), *parts):
+            out = files.enter_context(atomic_open(out_path, binary=True))
+            if isinstance(rows, HarvestRows):
+                out.writelines(map(rows._columns.line, rows._order))
+            else:
+                out.writelines(_simile_line(inst.raw_text, inst.prefix, inst.vehicle,
+                                            inst.source_id) for inst in rows)
 
 
 def write_literals_jsonl(literals: list[LiteralSentence], path) -> None:

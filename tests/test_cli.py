@@ -1,6 +1,8 @@
 """End-to-end command-line runs over a small on-disk world."""
 
 import collections
+import contextlib
+import errno
 import hashlib
 import json
 import math
@@ -328,6 +330,43 @@ class TestHarvest:
         assert capsys.readouterr().err == "error: no similes to split\n"
         assert similes.read_bytes() == b"old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ndjson", "s.jsonl"]
+
+    @pytest.mark.parametrize("full", ["s.jsonl", "tr.jsonl", "va.jsonl"])
+    def test_a_failed_simile_file_write_replaces_none_of_them(self, world, tmp_path, capsys,
+                                                              monkeypatch, full):
+        """A disk that fills while any of the three simile files is written leaves all
+        three and the manifest as the last run wrote them, and no temporary file, so a
+        train and a validation file of two runs never stand side by side."""
+        from similekit import harvest
+
+        def argv(comments, seed):
+            return ["harvest", "--comments", str(comments),
+                    "--similes-out", str(tmp_path / "s.jsonl"), "--split", "0.5",
+                    "--train-out", str(tmp_path / "tr.jsonl"),
+                    "--val-out", str(tmp_path / "va.jsonl"), "--seed", str(seed)]
+
+        lines = world["comments"].read_bytes().splitlines(keepends=True)
+        (tmp_path / "half.ndjson").write_bytes(b"".join(lines[: len(lines) // 2]))
+        assert main(argv(tmp_path / "half.ndjson", 1)) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert len(before) == 5  # the dump, the three files and the manifest
+        real = harvest.atomic_open
+
+        class Full:
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            writelines = write
+
+        @contextlib.contextmanager
+        def fills(path, **kwargs):
+            with real(path, **kwargs) as fh:
+                yield Full() if Path(path).name == full else fh
+
+        monkeypatch.setattr(harvest, "atomic_open", fills)
+        assert main(argv(world["comments"], 2)) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("sample", ["0", "-1"])
     def test_sample_below_one_exits_two(self, world, tmp_path, capsys, sample):

@@ -268,7 +268,7 @@ def few_hashes(monkeypatch, buckets):
 
 def assert_no_run_text(rows):
     """Harvest's columns hold offsets and fields, each in an array or a list of ints, and
-    the spool that holds the runs' text."""
+    the spool that holds the runs' lines."""
     columns = rows._columns
     for name in columns.__slots__:
         value = getattr(columns, name)
@@ -334,7 +334,7 @@ wide_dump_entries = st.lists(st.one_of(wide_comments, st.sampled_from(BAD_LINES)
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_harvest_of_wide_text_equals_the_oracle(tmp_path_factory, split, monkeypatch, keeps,
                                                  entries, run_length, buckets, copies):
-    """Each run's texts and ids are spooled joined, with offsets into them: mixed widths,
+    """Each run's lines are spooled joined, with offsets into them: mixed widths,
     ids of several lengths, and negative created_utc and one past 64 bits, come back as
     they were read, also after the columns have cut the rows that three copies of each
     comment drop."""
@@ -363,10 +363,10 @@ def test_harvest_of_wide_text_equals_the_oracle(tmp_path_factory, split, monkeyp
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_copied_split_lines_are_the_bytes_written_alone(tmp_path_factory, split, entries,
                                                         run_length, data):
-    """write_similes_jsonl copies the split's lines from the file it wrote: three copies
-    of each comment make the dropped rows outnumber the held ones, so the columns are
-    cut, and the split may leave one validation row.  A line longer than one read of
-    LINE_READ bytes takes several."""
+    """write_similes_jsonl copies the lines of a HarvestRows and its split from harvest's
+    spool; each file is the one its rows give as a list of HarvestedSimile, each encoded
+    there.  Three copies of each comment make the dropped rows outnumber the held ones,
+    so the columns are cut, and the split may leave one validation row."""
     out = tmp_path_factory.mktemp("out")
     path = write_dump(out / "c.ndjson", [e for e in entries for _ in range(3)])
     split(run_length, data.draw(st.sampled_from(WORKERS)))
@@ -375,32 +375,36 @@ def test_copied_split_lines_are_the_bytes_written_alone(tmp_path_factory, split,
         return
     ratio = data.draw(st.sampled_from([Fraction(len(rows) - 1, len(rows)), Fraction(1, 2)]))
     result = harvest.split_corpus(rows, ratio, data.draw(st.integers(0, 9)))
-    saved = harvest.LINE_READ  # a function-scoped monkeypatch spans examples
-    harvest.LINE_READ = data.draw(st.sampled_from([1, 7, 512]))
-    try:
-        harvest.write_similes_jsonl(rows, out / "similes.jsonl",
-                                    [(result.train, out / "train.jsonl"),
-                                     (result.validation, out / "val.jsonl")])
-    finally:
-        harvest.LINE_READ = saved
+    harvest.write_similes_jsonl(rows, out / "similes.jsonl",
+                                [(result.train, out / "train.jsonl"),
+                                 (result.validation, out / "val.jsonl")])
     for name, alone in (("similes", rows), ("train", result.train), ("val", result.validation)):
-        harvest.write_similes_jsonl(alone, out / f"{name}.alone.jsonl")
+        harvest.write_similes_jsonl(list(alone), out / f"{name}.alone.jsonl")
         assert (out / f"{name}.jsonl").read_bytes() == (out / f"{name}.alone.jsonl").read_bytes()
     assert harvest.read_similes_jsonl(out / "val.jsonl") == [r.instance() for r in result.validation]
 
 
-def test_offsets_past_the_4_byte_range_are_held_in_8(tmp_path, monkeypatch):
-    """The offsets start 4 bytes wide; here they start 1 byte wide, so a file of more
-    than 127 bytes moves them to 8 bytes mid-write, as one of 2 GiB would."""
+@pytest.mark.parametrize("workers", [1, 2])
+def test_writing_harvest_rows_encodes_no_simile(tmp_path, split, monkeypatch, workers):
+    """Each simile's line is encoded once, by the worker that parsed it (in-process on
+    one CPU): writing the three files only copies lines from the spool."""
     comments = [RawComment(str(i), sentence) for i, sentence in enumerate(WIDE_SENTENCES)]
+    split(2, workers)
     rows = harvest_similes(write_dump(tmp_path / "c.ndjson", comments))
     result = harvest.split_corpus(rows, Fraction(1, 2), 3)
-    monkeypatch.setattr(harvest, "array", lambda code, *init: array(code.replace("i", "b"), *init))
-    harvest.write_similes_jsonl(rows, tmp_path / "s.jsonl",
-                                [(result.validation, tmp_path / "v.jsonl")])
-    assert (tmp_path / "s.jsonl").stat().st_size > 2 * 127
-    harvest.write_similes_jsonl(result.validation, tmp_path / "alone.jsonl")
-    assert (tmp_path / "v.jsonl").read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
+    files = [(rows, tmp_path / "s.jsonl"), (result.train, tmp_path / "t.jsonl"),
+             (result.validation, tmp_path / "v.jsonl")]
+    encode = harvest._simile_line
+
+    def refuse(*args):
+        raise AssertionError("a simile was encoded again")
+
+    monkeypatch.setattr(harvest, "_simile_line", refuse)
+    harvest.write_similes_jsonl(*files[0], files[1:])
+    monkeypatch.setattr(harvest, "_simile_line", encode)
+    for part, path in files:
+        harvest.write_similes_jsonl(list(part), tmp_path / "alone.jsonl")
+        assert path.read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
 
 
 def test_copied_lines_need_parts_of_the_similes_written(tmp_path):
@@ -663,8 +667,8 @@ def write_then_fail(real):
 
 
 def test_harvest_bytes_do_not_depend_on_os_fork_or_os_pread(tmp_path, split, monkeypatch):
-    """On a platform with neither (Windows), the spool and the similes file are read after
-    a seek, in one process; three copies of each comment make the columns cut rows."""
+    """On a platform with neither (Windows), the spool is read after a seek, in one
+    process; three copies of each comment make the columns cut rows."""
     comments = [RawComment(str(i % 7), sentence, created_utc=i % 3)
                 for i, sentence in enumerate(WIDE_SENTENCES * 3)]
     path = write_dump(tmp_path / "c.ndjson", comments)

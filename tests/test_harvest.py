@@ -187,7 +187,7 @@ def rows_and_items(tmp_path_factory):
     return rows, list(rows)
 
 
-SPOOLED_BYTES_PER_SIMILE = {1: 48, 4: 84}  # by copies of each comment in the dump
+SPOOLED_BYTES_PER_SIMILE = {1: 32, 4: 54}  # by copies of each comment in the dump
 
 
 class TestHarvestRows:
@@ -225,10 +225,11 @@ class TestHarvestRows:
         When each kept simile was a HarvestedSimile with its own id and text strings, the
         result held 236 bytes per simile of this dump (330 with the emoji; Python 3.11).
         Columns holding each run's UTF-8 text held 87 (90 with the emoji, where one str
-        per run would hold 249); with the text in a spool, a file, they hold 39 whatever
-        the text; 68 with the copies, as at most as many dropped rows as held ones are
-        left in the columns. `bound` is what the columns were held to with the text in
-        memory; with it spooled they are held to SPOOLED_BYTES_PER_SIMILE."""
+        per run would hold 249); with the ids and text in a spool, a file, they held 39
+        whatever the text; 68 with the copies, as at most as many dropped rows as held ones
+        are left in the columns.  With each simile's line in the spool and four columns
+        a row, they hold 27 (45 with the copies). `bound` is what the columns were held to
+        with the text in memory; with it spooled they are held to SPOOLED_BYTES_PER_SIMILE."""
         monkeypatch.setattr(core, "usable_cpus", lambda: 1)
         path = generated_dump(tmp_path / "c.ndjson", 3000, copies, step, extra)
         harvest_similes(path)  # the first call fills the caches it leaves behind
@@ -250,14 +251,13 @@ def columns_of(entries, runs: int = 2) -> harvest_module._Columns:
     for first in range(0, len(entries), step):
         text, start, stop = bytearray(), array("i"), array("i")
         for _, source_id in entries[first : first + step]:
-            text += source_id.encode()
             start.append(len(text))
-            text += b"It ran like a deer."
+            text += harvest_module._simile_line("It ran like a deer.", "It ran", "deer.",
+                                                source_id)
             stop.append(len(text))
-        n = len(start)
         created = harvest_module._int_column([c for c, _ in entries[first : first + step]])
-        columns.add(harvest_module._Run(bytes(text), start, stop, created, array("i", [6] * n),
-                                        array("i", [14] * n), array("i", [0] * n), 0))
+        columns.add(harvest_module._Run(bytes(text), start, stop, created,
+                                        array("i", [0] * len(start)), 0))
     return columns
 
 
