@@ -662,13 +662,17 @@ def cmd_evaluate(s: Settings) -> int:
             train_seen = set(read_records(s["train-audit"], lambda rec: normalize_pair(
                 (rec["property_used"], rec["vehicle"]))))
         embedder = OneHotEmbedder() if s["embedder"] == "onehot" else CharNgramEmbedder()
-        report = MetricReport()
+        report, scored_from = MetricReport(), {}
         for path in generated:
             records = read_batch_jsonl(path, refs_by_literal)
             if not records:
                 print(f"warning: {path} has no rows; not scored", file=sys.stderr)
                 continue
             system = records[0].get("system", os.path.basename(path))
+            if system in scored_from:
+                raise ValueError(f"{path}: system {system!r} was already scored from "
+                                 f"{scored_from[system]}")
+            scored_from[system] = path
             report.systems[system] = evaluate_generation(
                 records, refs_by_literal, embedder, train_seen=train_seen,
                 tagger=DEFAULT_TAGGER, smoothing=s["smoothing"],

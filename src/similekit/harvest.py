@@ -18,9 +18,8 @@ import operator
 import random
 import re
 from array import array
-from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import compress, count, islice, repeat
+from itertools import accumulate, compress, count, islice
 from typing import NamedTuple
 
 from . import core
@@ -95,12 +94,15 @@ def _comment_record(rec) -> RawComment:
         raise TypeError(f"'id' is {type(comment_id).__name__}, not a string or an integer")
     if isinstance(created, bool):  # int(True) would read as 1
         raise TypeError("'created_utc' is bool, not a number or a numeric string")
+    # "1600000000.0" reads like the JSON number 1600000000.0.
+    created = int(float(created) if isinstance(created, str) else created)
+    if not -1 << 63 <= created < 1 << 63:  # harvest holds it in an array("q")
+        raise OverflowError("'created_utc' does not fit 64 bits")
     return RawComment(
         id=str(comment_id),
         body=body,
         subreddit=str(rec.get("subreddit", "")),
-        # "1600000000.0" reads like the JSON number 1600000000.0.
-        created_utc=int(float(created) if isinstance(created, str) else created),
+        created_utc=created,
     )
 
 
@@ -154,8 +156,8 @@ class HarvestedSimile(NamedTuple):
         return SimileInstance(self.raw_text, self.prefix, comparator, self.vehicle, self.source_id)
 
 
-# Packed sort keys per block in _Columns.ranked: a block is int objects while it is
-# sorted, then 8 bytes a key until the blocks are merged.
+# Rows per block in _Columns.ranked: a block is int objects while it is sorted,
+# then 4 bytes a row until the blocks are merged.
 RANK_BLOCK = 4096
 
 # A simile's slot is its key's hash cut to 30 bits, so that it fits an array("i").
@@ -168,78 +170,53 @@ def _simile_line(text: str, prefix: str, vehicle: str, source_id: str) -> bytes:
                       "source_id": source_id}).encode(*TEXT_ENCODING)
 
 
-def _int_column(values: list):
-    """values as an array("q"), or the list itself when one of them needs more than 64 bits."""
-    try:
-        return array("q", values)
-    except OverflowError:
-        return values
-
-
 class _Run(NamedTuple):
     """One run's similes as a fan-out worker sends them, in file order.
 
-    `text` joins each simile's similes.jsonl line (_simile_line); a simile's
-    line is text[start:stop].  The offsets count bytes in array("i"), so a
-    run whose text reaches 2**31 bytes raises OverflowError.
+    `text` joins each simile's similes.jsonl line (_simile_line).  `length`
+    counts each line's bytes in an array("i"), so a line of 2**31 bytes
+    raises OverflowError; `created` is an array("q") (see _comment_record).
     """
 
     text: bytes
-    start: array
-    stop: array
-    created: array | list
+    length: array
+    created: array
     hashes: array
     malformed: int
 
 
 class _Columns:
-    """The similes harvest_similes holds, in arrival order: each run's lines in a spool
-    (core.Spool), not in memory, and one array per field with a row for each simile,
-    kept or dropped since the last keep().  A row's line is read back from the spool
-    when it is written or a row is built from it."""
+    """The similes harvest_similes holds, in arrival order: their lines in a spool
+    (core.Spool), not in memory, and one fixed-width row for each simile, kept or
+    dropped since the last keep(), in an array per field.  A row's line is read back
+    from the spool when it is written or a row is built from it."""
 
-    __slots__ = ("spool", "bases", "first", "start", "stop", "created", "hashes")
-    # A row's line runs from start to stop, in bytes from the spool offset of its run's text.
-    _ROW_FIELDS = ("start", "stop", "created", "hashes")
+    __slots__ = ("spool", "offset", "length", "created", "hashes")
+    # A row's line is the length bytes at its offset in the spool.
+    _ROW_FIELDS = ("offset", "length", "created", "hashes")
 
     def __init__(self):
         self.spool = Spool()
-        self.bases = []  # the spool offset of the text of each run with a row
-        self.first = []  # the row of each of those runs' first simile
-        self.start, self.stop, self.hashes = array("i"), array("i"), array("i")
-        self.created = array("q")
+        self.offset, self.created = array("q"), array("q")
+        self.length, self.hashes = array("i"), array("i")
 
     def add(self, run: _Run) -> None:
-        if not run.stop:
+        if not run.length:
             return
-        self.bases.append(self.spool.append(run.text))
-        self.first.append(len(self.stop))
-        if isinstance(run.created, list) and not isinstance(self.created, list):
-            self.created = list(self.created)  # a created_utc beyond 64 bits
-        for name in self._ROW_FIELDS:
+        self.offset.extend(accumulate(run.length[:-1], initial=self.spool.append(run.text)))
+        for name in self._ROW_FIELDS[1:]:  # the fields a run sends as they are
             getattr(self, name).extend(getattr(run, name))
 
     def keep(self, alive: bytearray) -> None:
         """Drop each row whose byte in alive is 0; the rest keep their order and are
         numbered from 0 again.  The spool is left as it is."""
-        bases, first, rows = [], [], 0
-        for base, lo, hi in zip(self.bases, self.first, [*self.first[1:], len(self.stop)]):
-            if kept := alive.count(1, lo, hi):
-                bases.append(base)
-                first.append(rows)
-                rows += kept
-        self.bases, self.first = bases, first
         for name in self._ROW_FIELDS:
             column = getattr(self, name)
-            kept = compress(column, alive)
-            setattr(self, name, list(kept) if isinstance(column, list)
-                    else array(column.typecode, kept))
+            setattr(self, name, array(column.typecode, compress(column, alive)))
 
     def line(self, row: int) -> bytes:
         """The row's similes.jsonl line, one exact-length read from the spool."""
-        start = self.start[row]
-        return self.spool.read(self.stop[row] - start,
-                               self.bases[bisect_right(self.first, row) - 1] + start)
+        return self.spool.read(self.length[row], self.offset[row])
 
     def row(self, row: int) -> HarvestedSimile:
         rec = json.loads(self.line(row))
@@ -247,23 +224,16 @@ class _Columns:
         return HarvestedSimile(self.created[row], rec["source_id"], text, len(rec["prefix"]),
                                len(text) - len(rec["vehicle"]))
 
-    def ranked(self, rows) -> array:
-        """rows in (created_utc, source_id, row) order, as an array("i")."""
-        # One int packs (created_utc, row), so a sort needs no key list.  The ints are
-        # sorted RANK_BLOCK at a time, each block kept as an array("q"), and the blocks
-        # merged: not an int object per row at once, unless a packed int needs more
-        # than 64 bits.  Then only the rare rows of one created_utc are sorted by id.
-        shift = len(self.stop).bit_length()
-        keys = (self.created[row] << shift | row for row in rows)
-        bound = 1 << (63 - shift)  # of a packed int an array("q") holds
-        if -bound <= min(self.created, default=0) and max(self.created, default=0) < bound:
-            packed = heapq.merge(*[array("q", block) for block in
-                                   iter(lambda: sorted(islice(keys, RANK_BLOCK)), [])])
-        else:
-            packed = sorted(keys)
-        order = array("i", map(operator.and_, packed, repeat((1 << shift) - 1)))
-        del packed
+    def ranked(self, alive: bytearray) -> array:
+        """The rows whose byte in alive is 1, by (created_utc, source_id, row), in an array("i")."""
+        # The rows are sorted by created_utc RANK_BLOCK at a time, each block kept as an
+        # array("i"), and the blocks merged: not an int object per row at once.  Both
+        # steps are stable, so rows of one created_utc stay in arrival order, and only
+        # those rare rows are sorted by id.
         created = self.created.__getitem__
+        rows = compress(count(), alive)
+        order = array("i", heapq.merge(*[array("i", block) for block in iter(
+            lambda: sorted(islice(rows, RANK_BLOCK), key=created), [])], key=created))
         ties = list(compress(count(1), map(operator.eq, map(created, islice(order, 1, None)),
                                            map(created, order))))
         end = 0
@@ -326,6 +296,15 @@ def _table(rows, hashes: array, size: int) -> array:
     return table
 
 
+def _alive(slots: array, rows: int) -> bytearray:
+    """A byte per row of rows rows: 1 for each row a slot holds, 0 for the rest."""
+    alive = bytearray(rows)
+    for row in slots:
+        if row >= 0:
+            alive[row] = 1
+    return alive
+
+
 def harvest_similes(
     path,
     cfg: TriggerConfig = DEFAULT_TRIGGERS,
@@ -342,18 +321,20 @@ def harvest_similes(
     parse them, hash each simile's dedup key and encode its line of
     similes.jsonl; each sends its run back as columns (_Run).  This process
     appends every run's lines to a spool (core.Spool, a temporary file) and
-    its offsets and fields to its own columns, and applies the dedup rule
-    run by run, in file order, through an open-addressing table of row
-    numbers: a simile's slot comes from its key's hash (cut to 30 bits), a
-    held simile of the same hash is checked against the keys of the texts,
-    read back from the spool, and a different key there moves on to the
-    next slot, so a collision drops no simile.  An earlier-ranked duplicate
-    takes the slot of the row it replaces.  When a run leaves more dropped
-    rows than held ones, the dropped rows are cut from the columns, so
-    memory follows the similes kept, not the duplicates read.  The result
-    is a HarvestRows, which reads its rows' lines from the spool;
-    `[row.instance() for row in rows]` gives the similes.  Malformed lines
-    and duplicates are counted in stats.
+    a fixed-width row per simile to its own columns: the spool offset and
+    length of its line, its created_utc and its key's hash, 24 bytes in
+    all.  It applies the dedup rule run by run, in file order, through an
+    open-addressing table of row numbers: a simile's slot comes from its
+    key's hash (cut to 30 bits), a held simile of the same hash is checked
+    against the keys of the texts, read back from the spool, and a
+    different key there moves on to the next slot, so a collision drops no
+    simile.  An earlier-ranked duplicate takes the slot of the row it
+    replaces.  When a run leaves more dropped rows than held ones, the
+    dropped rows are cut from the columns, so memory follows the similes
+    kept, not the duplicates read.  The result is a HarvestRows, which
+    reads its rows' lines from the spool; `[row.instance() for row in
+    rows]` gives the similes.  Malformed lines (a created_utc outside the
+    signed 64-bit range among them) and duplicates are counted in stats.
     """
     if stats is None:
         stats = HarvestStats()
@@ -366,9 +347,7 @@ def harvest_similes(
     def parse(comments) -> _Run:
         nonlocal malformed
         malformed = 0
-        lines, created = [], []
-        hashes, start, stop = array("i"), array("i"), array("i")
-        end = 0
+        lines, length, created, hashes = [], array("i"), array("q"), array("i")
         for comment in comments:
             for sentence in split_sentences(comment.body):
                 inst = parse_simile(sentence, cfg)
@@ -376,11 +355,9 @@ def harvest_similes(
                     hashes.append(hash(dedup_key(sentence)) & _SLOT_MASK)
                     line = _simile_line(sentence, inst.prefix, inst.vehicle, comment.id)
                     lines.append(line)
-                    start.append(end)
-                    end += len(line)
-                    stop.append(end)
+                    length.append(len(line))
                     created.append(comment.created_utc)
-        return _Run(b"".join(lines), start, stop, _int_column(created), hashes, malformed)
+        return _Run(b"".join(lines), length, created, hashes, malformed)
 
     columns = _Columns()
     slots = array("i", [-1]) * 8  # a row number, or -1; at most half of them held
@@ -412,13 +389,9 @@ def harvest_similes(
             if simile[:2] < kept[:2]:  # (created_utc, source_id); a tie keeps the earlier
                 slots[slot] = row
         if len(hashes) > 2 * held_count:  # more dropped rows than held ones
-            alive = bytearray(len(hashes))
-            for row in slots:
-                if row >= 0:
-                    alive[row] = 1
-            columns.keep(alive)
+            columns.keep(_alive(slots, len(hashes)))
             slots = _table(range(held_count), columns.hashes, len(slots))
-    return HarvestRows(columns, columns.ranked(row for row in slots if row >= 0))
+    return HarvestRows(columns, columns.ranked(_alive(slots, len(columns.hashes))))
 
 
 def harvest_literals(sentences, tagger, stats: HarvestStats | None = None) -> list[LiteralSentence]:

@@ -1165,6 +1165,19 @@ class TestEvaluate:
                      "--train-audit", str(world["audit"]), "--report", str(alone)]) == 0
         assert report.read_bytes() == alone.read_bytes()
 
+    def test_two_batches_of_one_system_are_refused(self, world, refs, tmp_path, capsys):
+        """Only one of them could be scored, so neither is: no report, no manifest."""
+        scope, again = world["batches"]["scope"], tmp_path / "again.jsonl"
+        again.write_bytes(scope.read_bytes())
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--generated", str(scope), str(again), "--refs", str(refs),
+                     "--report", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {again}: system 'scope' was already scored from {scope}\n")
+        assert captured.out == ""
+        assert not report.exists() and not Path(f"{report}.manifest.json").exists()
+
     def test_batch_row_without_literal_is_located(self, refs, tmp_path, capsys):
         batch = tmp_path / "b.jsonl"
         batch.write_text('{"output": "It was like a glacier.", "system": "scope"}\n',

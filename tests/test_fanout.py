@@ -241,7 +241,8 @@ def test_on_error_skips_a_bad_line_in_the_process_that_reads_it(tmp_path, split,
 
 
 BAD_LINES = ["{not json", "[1, 2]", '{"id": "1"}', '{"id": true, "body": "It ran like a dog."}',
-             '{"id": "x", "body": "It ran like a dog.", "created_utc": true}']
+             '{"id": "x", "body": "It ran like a dog.", "created_utc": true}',
+             '{"id": "y", "body": "It ran like a dog.", "created_utc": 18446744073709551616}']
 dump_entries = st.lists(st.one_of(
     st.builds(RawComment, id=st.sampled_from(["a", "b", "c"]),
               body=st.lists(st.sampled_from(SENTENCES), min_size=1, max_size=3).map("\n".join),
@@ -267,13 +268,11 @@ def few_hashes(monkeypatch, buckets):
 
 
 def assert_no_run_text(rows):
-    """Harvest's columns hold offsets and fields, each in an array or a list of ints, and
-    the spool that holds the runs' lines."""
+    """Harvest's columns hold offsets and fields, each in an array, and the spool that
+    holds the runs' lines."""
     columns = rows._columns
     for name in columns.__slots__:
-        value = getattr(columns, name)
-        assert isinstance(value, (array, core.Spool)) or (
-            isinstance(value, list) and all(type(item) is int for item in value)), name
+        assert isinstance(getattr(columns, name), (array, core.Spool)), name
 
 
 @pytest.fixture()
@@ -324,7 +323,7 @@ WIDE_SENTENCES = [
 wide_comments = st.builds(
     RawComment, id=st.sampled_from(["a", "bb", "123", "猫"]),
     body=st.lists(st.sampled_from(WIDE_SENTENCES), min_size=1, max_size=3).map(" ".join),
-    created_utc=st.sampled_from([-3, 0, 1, 2, 2**64]))  # 2**64 needs 65 bits
+    created_utc=st.sampled_from([-3, 0, 1, 2, 2**63 - 1, -2**63]))  # the widest that fit
 wide_dump_entries = st.lists(st.one_of(wide_comments, st.sampled_from(BAD_LINES)), max_size=16)
 
 
@@ -334,10 +333,10 @@ wide_dump_entries = st.lists(st.one_of(wide_comments, st.sampled_from(BAD_LINES)
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_harvest_of_wide_text_equals_the_oracle(tmp_path_factory, split, monkeypatch, keeps,
                                                  entries, run_length, buckets, copies):
-    """Each run's lines are spooled joined, with offsets into them: mixed widths,
-    ids of several lengths, and negative created_utc and one past 64 bits, come back as
-    they were read, also after the columns have cut the rows that three copies of each
-    comment drop."""
+    """Each run's lines are spooled joined, each row at its offset: mixed widths, ids of
+    several lengths, and created_utc from -2**63 to 2**63 - 1, come back as they were
+    read, also after the columns have cut the rows that three copies of each comment
+    drop; a created_utc of 65 bits is a malformed line."""
     entries = [e for e in entries for _ in range(copies)]
     path = write_dump(tmp_path_factory.mktemp("dump") / "c.ndjson", entries)
     want_stats = HarvestStats(malformed=sum(isinstance(e, str) for e in entries))

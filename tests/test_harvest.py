@@ -228,8 +228,10 @@ class TestHarvestRows:
         per run would hold 249); with the ids and text in a spool, a file, they held 39
         whatever the text; 68 with the copies, as at most as many dropped rows as held ones
         are left in the columns.  With each simile's line in the spool and four columns
-        a row, they hold 27 (45 with the copies). `bound` is what the columns were held to
-        with the text in memory; with it spooled they are held to SPOOLED_BYTES_PER_SIMILE."""
+        a row, they held 27 (45 with the copies); with the row's spool offset in 8 bytes
+        in place of two 4-byte offsets into its run's text, they hold 31 (53). `bound` is
+        what the columns were held to with the text in memory; with it spooled they are
+        held to SPOOLED_BYTES_PER_SIMILE."""
         monkeypatch.setattr(core, "usable_cpus", lambda: 1)
         path = generated_dump(tmp_path / "c.ndjson", 3000, copies, step, extra)
         harvest_similes(path)  # the first call fills the caches it leaves behind
@@ -241,29 +243,26 @@ class TestHarvestRows:
         finally:
             tracemalloc.stop()
         assert len(rows) == 6000
-        assert held / len(rows) < bound
-        assert held / len(rows) < SPOOLED_BYTES_PER_SIMILE[copies]
+        per_simile = f"{held / len(rows):.1f} bytes per kept simile"
+        assert held / len(rows) < bound, per_simile
+        assert held / len(rows) < SPOOLED_BYTES_PER_SIMILE[copies], per_simile
 
 
 def columns_of(entries, runs: int = 2) -> harvest_module._Columns:
     """Harvest's columns over one row per (created_utc, source_id) entry, in runs."""
     columns, step = harvest_module._Columns(), -(-len(entries) // runs) or 1
     for first in range(0, len(entries), step):
-        text, start, stop = bytearray(), array("i"), array("i")
-        for _, source_id in entries[first : first + step]:
-            start.append(len(text))
-            text += harvest_module._simile_line("It ran like a deer.", "It ran", "deer.",
-                                                source_id)
-            stop.append(len(text))
-        created = harvest_module._int_column([c for c, _ in entries[first : first + step]])
-        columns.add(harvest_module._Run(bytes(text), start, stop, created,
-                                        array("i", [0] * len(start)), 0))
+        lines = [harvest_module._simile_line("It ran like a deer.", "It ran", "deer.", source_id)
+                 for _, source_id in entries[first : first + step]]
+        created = array("q", [c for c, _ in entries[first : first + step]])
+        columns.add(harvest_module._Run(b"".join(lines), array("i", map(len, lines)), created,
+                                        array("i", [0] * len(lines)), 0))
     return columns
 
 
 def oracle_ranked(columns, rows):
     """_Columns.ranked as it was: one sorted list of every row's packed int."""
-    shift = len(columns.stop).bit_length()
+    shift = len(columns.created).bit_length()
     packed = sorted(columns.created[row] << shift | row for row in rows)
     order = array("i", map(operator.and_, packed, repeat((1 << shift) - 1)))
     del packed
@@ -284,8 +283,7 @@ def oracle_ranked(columns, rows):
 created_utcs = st.one_of(
     st.integers(-3, 3),  # ties
     st.integers(-2**63, 2**63 - 1),
-    st.sampled_from([2**62, -2**62, 2**63 - 1, -2**63]),  # fit 64 bits, packed do not
-    st.integers(2**64, 2**70) | st.integers(-2**70, -2**64),  # a list column
+    st.sampled_from([2**62, -2**62, 2**63 - 1, -2**63]),  # the widest a created_utc gets
 )
 
 
@@ -301,7 +299,7 @@ class TestRanked:
         saved = harvest_module.RANK_BLOCK  # a function-scoped monkeypatch spans examples
         harvest_module.RANK_BLOCK = block
         try:
-            order = columns.ranked(iter(rows))
+            order = columns.ranked(harvest_module._alive(rows, len(entries)))
         finally:
             harvest_module.RANK_BLOCK = saved
         assert order == oracle_ranked(columns, iter(rows))
@@ -309,32 +307,33 @@ class TestRanked:
 
     def test_ranking_holds_under_a_third_of_the_one_sorted_list(self):
         """tracemalloc's peak above what the result holds, ranking 87,843 rows (the
-        paper's similes) in slot order: an int object per row (32 bytes) and the list
-        (8) took about 3.5 MB; a block at a time and 8 bytes a row after it."""
+        paper's similes): an int object per row (32 bytes) and the list (8) took about
+        3.5 MB; a block at a time and 4 bytes a row after it."""
         n = 87_843
         entries = [(1_500_000_000 + i * 7919 % 100_000, f"t1_{i:07d}") for i in range(n)]
         columns = columns_of(entries, runs=172)
-        rows = list(range(0, n, 2)) + list(range(1, n, 2))
+        rows, alive = range(n), bytearray([1]) * n
 
-        def transient(rank):
+        def transient(rank, *args):
             tracemalloc.start()
             try:
-                order = rank(columns, iter(rows))
+                order = rank(columns, *args)
                 held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert order == oracle_ranked(columns, iter(rows))
             return peak - held
 
-        old = transient(oracle_ranked)
+        old = transient(oracle_ranked, iter(rows))
         assert old > 3_000_000
-        assert transient(harvest_module._Columns.ranked) < old / 3
+        new = transient(harvest_module._Columns.ranked, alive)
+        assert new < old / 3, f"ranking took {new} bytes, the one sorted list {old}"
 
 
 def oracle_iter_comments(path, stats=None):
     """The comment reader's own file loop, as it was before it read through read_records,
     with the type rules since added: `body` a string, `id` a string or an integer, and
-    `created_utc` not a boolean."""
+    `created_utc` not a boolean and in the signed 64-bit range."""
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
@@ -346,11 +345,14 @@ def oracle_iter_comments(path, stats=None):
                     raise TypeError("not a comment")
                 if type(created) is bool:
                     raise TypeError("not a timestamp")
+                created = int(float(created) if isinstance(created, str) else created)
+                if not -2**63 <= created <= 2**63 - 1:
+                    raise OverflowError("not a 64-bit timestamp")
                 comment = RawComment(
                     id=str(rec["id"]),
                     body=rec["body"],
                     subreddit=str(rec.get("subreddit", "")),
-                    created_utc=int(float(created) if isinstance(created, str) else created),
+                    created_utc=created,
                 )
             except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
                 if stats is not None:
@@ -369,7 +371,9 @@ created_texts = st.one_of(
     st.integers(-10**12, 10**12).map(str),
     st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
     st.sampled_from(['"1600000000.0"', '" 42 "', '"soon"', '"nan"', '"inf"', '"-inf"',
-                     "1e400", "-1e400", "NaN", "Infinity", "null", "[1]", "true"]),
+                     "1e400", "-1e400", "NaN", "Infinity", "null", "[1]", "true",
+                     "1e19", str(2**63), str(-2**63 - 1), '"9.3e18"',
+                     str(2**63 - 1), str(-2**63)]),
 )
 record_lines = st.fixed_dictionaries({}, optional={
     "id": st.one_of(json_text, st.integers().map(str),
