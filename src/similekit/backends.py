@@ -4,22 +4,24 @@ Heavy models (commonsense knowledge, neural scorers and generators) attach
 over a subprocess boundary speaking JSON: every request is answered by one
 process of the backend's command, which reads one JSON request on stdin and
 writes one JSON reply on stdout.  `call_many` runs the requests of a batch
-side by side, at most core.usable_cpus() processes at once, and returns the
-replies in request order.  When a request takes its process and the backend
-has fewer than usable_cpus() processes alive, one more is started, idle on
-stdin, so the next request does not wait for an interpreter to start; close()
-and garbage collection or exit kill and reap it.  If a request fails, the
-error raised is the first failure in request order, and every process of the
-backend, the idle one too, is killed and reaped.  `call` is the one-request
-case.  The core pipeline never links a backend directly; every in-repo
-reference implementation satisfies the same call contracts in-process.
+side by side, at most core.usable_cpus() processes at once, and reads their
+replies one by one in request order, each through Popen.communicate.  When a
+request takes its process and the backend has fewer than usable_cpus()
+processes alive, one more is started, idle on stdin, so the next request does
+not wait for an interpreter to start; close() and garbage collection or exit
+kill and reap it.  If a request fails, the error raised is the first failure
+in request order, and every process of the backend, the idle one too, is
+killed and reaped.  `call` is the one-request case.  The core pipeline never
+links a backend directly; every in-repo reference implementation satisfies
+the same call contracts in-process.
 """
 
 from __future__ import annotations
 
+import collections
 import json
+import math
 import os
-import time
 import weakref
 
 from .core import usable_cpus
@@ -44,7 +46,7 @@ def reply_field(reply, name: str, kind: type):
 
 def _start(command: list[str]):
     """A process of command, its stdin, stdout and stderr pipes to this process."""
-    import subprocess  # with selectors, loaded only by a process that sends a request
+    import subprocess  # loaded only by a process that sends a request
 
     return subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
@@ -56,80 +58,10 @@ def _kill(owner: int, proc) -> None:
     if os.getpid() != owner:
         return
     for pipe in (proc.stdin, proc.stdout, proc.stderr):
-        pipe.close()
+        if pipe is not None:  # a request's stdin is None once it is written and closed
+            pipe.close()
     proc.kill()
     proc.wait()
-
-
-class _Exchange:
-    """One request's process: its request is written and its output read without blocking."""
-
-    def __init__(self, proc, payload: bytes, timeout: float, selector):
-        import selectors
-
-        self.proc = proc
-        self.deadline = time.monotonic() + timeout
-        self.selector = selector
-        self.unsent = memoryview(payload)
-        self.received = {self.proc.stdout: bytearray(), self.proc.stderr: bytearray()}
-        os.set_blocking(self.proc.stdin.fileno(), False)
-        selector.register(self.proc.stdin, selectors.EVENT_WRITE, self)
-        for pipe in self.received:
-            selector.register(pipe, selectors.EVENT_READ, self)
-
-    @property
-    def done(self) -> bool:
-        """The request is written and both outputs are closed by the process."""
-        return all(pipe.closed for pipe in (self.proc.stdin, *self.received))
-
-    def step(self, pipe) -> None:
-        """Move the bytes a ready pipe allows; close the pipe once it is finished."""
-        if pipe is self.proc.stdin:
-            try:
-                self.unsent = self.unsent[os.write(pipe.fileno(), self.unsent):]
-            except BrokenPipeError:  # the process exited without reading it all
-                self.unsent = self.unsent[:0]
-            if self.unsent:
-                return
-        else:
-            chunk = os.read(pipe.fileno(), 65536)
-            if chunk:
-                self.received[pipe] += chunk
-                return
-        self.selector.unregister(pipe)
-        pipe.close()
-
-    def reply(self, name: str, timeout: float, read):
-        """read(reply) once done; a timeout, a non-zero exit or a bad reply is BackendUnavailable."""
-        import subprocess
-
-        code = None
-        if self.done:
-            try:
-                code = self.proc.wait(max(self.deadline - time.monotonic(), 0))
-            except subprocess.TimeoutExpired:
-                pass
-        if code is None:
-            raise BackendUnavailable(f"backend {name!r}: timed out after {timeout} seconds")
-        if code != 0:
-            stderr = self.received[self.proc.stderr].decode("utf-8", "replace")
-            raise BackendUnavailable(f"backend {name!r} exited {code}: {stderr.strip()[:200]}")
-        stdout = self.received[self.proc.stdout]
-        try:
-            return read(json.loads(stdout.decode("utf-8")))
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            shown = stdout.decode("utf-8", "replace")[:200]
-            raise BackendUnavailable(f"backend {name!r} sent a bad reply ({exc!r}): {shown!r}") \
-                from exc
-
-    def close(self) -> None:
-        """Close the pipes, then kill the process if it still runs and reap it."""
-        for pipe in (self.proc.stdin, *self.received):
-            if not pipe.closed:
-                self.selector.unregister(pipe)
-                pipe.close()
-        self.proc.kill()
-        self.proc.wait()
 
 
 class JsonSubprocessBackend:
@@ -138,6 +70,8 @@ class JsonSubprocessBackend:
     def __init__(self, command: list[str], timeout: float = 60.0):
         if not command:
             raise ValueError("command must be non-empty")
+        if not 0 < timeout < math.inf:  # NaN too
+            raise ValueError(f"timeout must be finite and > 0, not {timeout!r}")
         self.command = list(command)
         self.timeout = timeout
         # The idle process started ahead of the next request, held by the
@@ -177,59 +111,68 @@ class JsonSubprocessBackend:
         At most usable_cpus() processes of this backend are alive at once,
         the idle one included.  A request takes the idle process if there is
         one; if fewer than usable_cpus() are then alive, one more is started
-        and waits on stdin for the next request.  A request has `timeout`
-        seconds from the moment its bytes start to be written.  A process
-        that cannot start, times out or exits non-zero, a reply that is not
-        JSON, and one that read rejects with KeyError, OverflowError,
+        and waits on stdin for the next request.  A request of at most
+        select.PIPE_BUF bytes is written as its process is handed it, a longer
+        one once the requests before it have answered.  Replies are read in
+        request order, and a slot is refilled once the oldest request has
+        answered.  A request has `timeout` seconds from when the one before it
+        answered, or from when its bytes start to be written if that is later.
+        A process that cannot start, times out or exits non-zero, a reply that
+        is not JSON, and one that read rejects with KeyError, OverflowError,
         TypeError or ValueError are BackendUnavailable; the first of them in
         request order is raised, after every process is reaped.
         """
-        import selectors
+        import select
+        import subprocess
 
         name = self.command[0]
         payloads = [json.dumps(request).encode("utf-8") for request in requests]
-        replies: list = [None] * len(payloads)
-        failures: dict[int, BackendUnavailable] = {}
-        running: dict[int, _Exchange] = {}
-        started, slots = 0, usable_cpus()
-        with selectors.DefaultSelector() as selector:
-            try:
-                while True:
-                    while (not failures and started < len(payloads)
-                           and len(running) < slots):
-                        try:
-                            running[started] = _Exchange(self._process(), payloads[started],
-                                                         self.timeout, selector)
-                        except OSError as exc:
-                            failures[started] = BackendUnavailable(f"backend {name!r}: {exc}")
-                        else:
-                            if len(running) < slots:
-                                self._start_spare()
-                        started += 1
-                    if failures:  # requests start in order: no later one can fail first
-                        for index in [i for i in running if i > min(failures)]:
-                            running.pop(index).close()
-                    if not running:
+        replies: list = []
+        running = collections.deque()  # (process, request still to send or None), in order
+        unstarted, slots = None, usable_cpus()
+        try:
+            while True:
+                while (unstarted is None and len(running) < slots
+                       and len(replies) + len(running) < len(payloads)):
+                    unsent = payloads[len(replies) + len(running)]
+                    try:
+                        proc = self._process()
+                    except OSError as exc:  # raised once the requests before it have answered
+                        unstarted = BackendUnavailable(f"backend {name!r}: {exc}")
                         break
-                    wait = min(ex.deadline for ex in running.values()) - time.monotonic()
-                    for key, _ in selector.select(max(wait, 0)):
-                        key.data.step(key.fileobj)
-                    now = time.monotonic()
-                    for index, ex in list(running.items()):
-                        if ex.done or now >= ex.deadline:
-                            del running[index]
-                            try:
-                                replies[index] = ex.reply(name, self.timeout, read)
-                            except BackendUnavailable as exc:
-                                failures[index] = exc
-                            finally:
-                                ex.close()
-                if failures:
-                    raise failures[min(failures)]
-            except BaseException:
-                self.close()
-                raise
-            finally:
-                for ex in running.values():
-                    ex.close()
+                    if len(unsent) <= select.PIPE_BUF:  # an empty pipe takes it at once
+                        try:
+                            os.write(proc.stdin.fileno(), unsent)
+                        except BrokenPipeError:  # the process died; its exit code says how
+                            pass
+                        proc.stdin.close()
+                        proc.stdin = unsent = None  # so that communicate flushes no closed pipe
+                    running.append((proc, unsent))
+                    if len(running) < slots:
+                        self._start_spare()
+                if not running:
+                    break
+                proc, unsent = running[0]
+                try:
+                    stdout, stderr = proc.communicate(unsent, timeout=self.timeout)
+                except subprocess.TimeoutExpired:
+                    raise BackendUnavailable(
+                        f"backend {name!r}: timed out after {self.timeout} seconds") from None
+                running.popleft()
+                if proc.returncode != 0:
+                    shown = stderr.decode("utf-8", "replace").strip()[:200]
+                    raise BackendUnavailable(f"backend {name!r} exited {proc.returncode}: {shown}")
+                try:
+                    replies.append(read(json.loads(stdout.decode("utf-8"))))
+                except (KeyError, OverflowError, TypeError, ValueError) as exc:
+                    shown = stdout.decode("utf-8", "replace")[:200]
+                    raise BackendUnavailable(
+                        f"backend {name!r} sent a bad reply ({exc!r}): {shown!r}") from exc
+            if unstarted is not None:
+                raise unstarted
+        except BaseException:
+            self.close()
+            for proc, _ in running:
+                _kill(os.getpid(), proc)
+            raise
         return replies

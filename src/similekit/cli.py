@@ -87,14 +87,10 @@ def __getattr__(name: str):
 FORK_HASHING_BYTES = 2 << 20
 
 
-def _sha256_files(paths, new=None) -> list[str]:
-    """The hex SHA-256 of each file, by `new` or else hashlib's.  hashlib hashes with
-    OpenSSL, six times as fast as the built-in sha256, but maps its 3.6 MB libcrypto, so
-    a command's own process imports it only where it cannot fork (_hash_inputs)."""
-    if new is None:
-        import hashlib
-
-        new = hashlib.sha256
+def _sha256_files(paths, new=sha256) -> list[str]:
+    """The hex SHA-256 of each file, by `new` or else the built-in sha256.  hashlib's
+    hashes with OpenSSL, six times as fast, but maps its 3.6 MB libcrypto, so only the
+    child _hash_inputs forks imports it."""
     digests = []
     for path in paths:
         h = new()
@@ -129,7 +125,7 @@ def _hash_inputs(s: Settings) -> None:
     paths = sorted(set(s.inputs))
     try:
         if sum(map(os.path.getsize, paths)) <= FORK_HASHING_BYTES:
-            s.digests = dict(zip(paths, _sha256_files(paths, sha256)))
+            s.digests = dict(zip(paths, _sha256_files(paths)))
             return
     except (OSError, ValueError):  # the command reports it; the manifest hashes again
         return
@@ -146,8 +142,10 @@ def _hash_inputs(s: Settings) -> None:
         code = 1
         try:
             os.close(read_end)
+            import hashlib
+
             with open(write_end, "w", encoding="ascii") as out:
-                out.write(" ".join(_sha256_files(paths)))
+                out.write(" ".join(_sha256_files(paths, hashlib.sha256)))
             code = 0
         finally:
             # No atexit handler runs and no buffer inherited from the parent is flushed twice.
@@ -163,8 +161,8 @@ def _hash_inputs(s: Settings) -> None:
 
 
 def _input_digests(s: Settings) -> dict[str, str]:
-    """Each input file's digest, as _hash_inputs took it; hashed here where it took
-    none, so that a file it could not read raises its error here."""
+    """Each input file's digest, as _hash_inputs took it; hashed here by the built-in
+    sha256 where it took none, so that a file it could not read raises its error here."""
     if s.digests is not None:
         return s.digests
     paths = sorted(set(s.inputs))

@@ -5,10 +5,12 @@ Reads one JSON request on stdin; if stdin closes with no request (the backend
 that started it went away without killing it), it sleeps 30 seconds, so a
 test can see it was left behind.  Optional fields, applied in this order:
 `sleep` (seconds), `log` (a file the request's `i` is appended to),
-`kill` (the process SIGKILLs itself), `exit` (exit with that code after a
-line on stderr) and `raw` (printed instead of the reply).  The reply is
-{"i": i, "length": the number of bytes of stdin}, and `pid`, the process's
-pid, when the request has a true `pid`.
+`kill` (the process SIGKILLs itself), `stderr_bytes` (that many bytes
+written to stderr), `exit` (exit with that code after a line on stderr) and
+`raw` (printed instead of the reply).  The reply is {"i": i, "length": the
+number of bytes of stdin}, with `pid`, the process's pid, when the request
+has a true `pid`, and `pad`, a string of `reply_pad` x's, when it has
+`reply_pad`.
 
     python3 fake_worker.py [PID_LOG] < request
 """
@@ -33,10 +35,13 @@ if "log" in request:
         fh.write(f"{request['i']}\n")
 if request.get("kill"):
     os.kill(os.getpid(), signal.SIGKILL)
+sys.stderr.write("x" * request.get("stderr_bytes", 0))
 if "exit" in request:
     print(f"request {request['i']} failed on purpose", file=sys.stderr)
     sys.exit(request["exit"])
 reply = {"i": request["i"], "length": len(data)}
 if request.get("pid"):
     reply["pid"] = os.getpid()
+if "reply_pad" in request:
+    reply["pad"] = "x" * request["reply_pad"]
 print(request["raw"] if "raw" in request else json.dumps(reply))

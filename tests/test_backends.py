@@ -104,6 +104,49 @@ def test_a_request_larger_than_a_pipe_is_sent_whole(started):
     assert_all_reaped(started)
 
 
+def test_a_long_request_to_a_process_that_never_reads_times_out(started):
+    """A request longer than a pipe's buffer is written under the request's timeout."""
+    backend = JsonSubprocessBackend([sys.executable, "-c", "import time; time.sleep(30)"],
+                                    timeout=1.0)
+    began = time.monotonic()
+    with pytest.raises(BackendUnavailable, match="timed out after 1.0 seconds"):
+        backend.call({"i": 0, "pad": "x" * 1_000_000})
+    assert time.monotonic() - began < 5
+    assert_all_reaped(started)
+
+
+def test_outputs_larger_than_a_pipe_come_back_whole(started, monkeypatch):
+    """A 300 KB reply, behind an earlier request, and 300 KB on stderr before an exit."""
+    monkeypatch.setattr(backends, "usable_cpus", lambda: 2)
+    backend = JsonSubprocessBackend(WORKER, timeout=1.5)
+    replies = backend.call_many([{"i": 0, "sleep": 1.0}, {"i": 1, "reply_pad": 300_000}])
+    assert [reply["i"] for reply in replies] == [0, 1]
+    assert replies[1]["pad"] == "x" * 300_000
+    with pytest.raises(BackendUnavailable, match="exited 3: x"):
+        backend.call({"i": 2, "stderr_bytes": 300_000, "exit": 3})
+    assert_all_reaped(started)
+
+
+def test_a_requests_timeout_starts_once_the_one_before_it_answered(started, monkeypatch):
+    """Replies are read in request order: request 1 has 1.5 s from request 0's answer,
+    so it answers after 1.8 s although its process ran from the start."""
+    monkeypatch.setattr(backends, "usable_cpus", lambda: 2)
+    backend = JsonSubprocessBackend(WORKER, timeout=1.5)
+    began = time.monotonic()
+    replies = backend.call_many([{"i": 0, "sleep": 1.0}, {"i": 1, "sleep": 1.8}],
+                                lambda reply: reply["i"])
+    assert replies == [0, 1]
+    assert 1.8 < time.monotonic() - began < 3.0
+    backend.close()
+    assert_all_reaped(started)
+
+
+@pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf")])
+def test_a_timeout_not_finite_and_above_zero_is_refused(timeout):
+    with pytest.raises(ValueError, match=r"timeout must be finite and > 0, not"):
+        JsonSubprocessBackend(WORKER, timeout=timeout)
+
+
 def alive(started) -> int:
     return sum(map(_exists, started["pids"]))
 

@@ -1467,10 +1467,10 @@ def test_a_failed_hashing_child_is_replaced_by_hashing_in_process(world, tmp_pat
                                                                   monkeypatch):
     parent, hash_files = os.getpid(), cli._sha256_files
 
-    def failing_in_the_child(paths):
+    def failing_in_the_child(paths, *new):
         if os.getpid() != parent:
             raise OSError("cannot read")
-        return hash_files(paths)
+        return hash_files(paths, *new)
 
     monkeypatch.setattr(cli, "_sha256_files", failing_in_the_child)
     forks = counted_forks(monkeypatch)

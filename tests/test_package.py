@@ -127,20 +127,35 @@ def test_build_corpus_and_train_load_no_pool(tmp_path):
     assert pairs.read_text(encoding="utf-8").count("\n") == 5
 
 
+# How a run hashes its inputs: statements run before cli.main.  A large input goes
+# to a forked child; without os.fork, or where the fork fails (the first one here,
+# so a fan-out's later forks work), the manifest hashes it in the command's process.
+HASHING = {
+    "forked": "cli.FORK_HASHING_BYTES = 0\n",
+    "in-process": "",
+    "no-fork": "cli.FORK_HASHING_BYTES = 0\nimport os\ndel os.fork\n",
+    "fork-fails": ("cli.FORK_HASHING_BYTES = 0\nimport os\nfork = os.fork\n"
+                   "def fail_once():\n"
+                   "    os.fork = fork\n"
+                   "    raise OSError(11, 'Resource temporarily unavailable')\n"
+                   "os.fork = fail_once\n"),
+}
+
+
 @pytest.mark.parametrize("run", ["harvest-comments", "build-corpus-reference", "train",
                                  "generate-scope", "generate-rtrvl", "evaluate-generated",
                                  "embellish-stories"])
-@pytest.mark.parametrize("fork_bytes", [0, None], ids=["forked", "in-process"])
-def test_a_command_never_loads_libcrypto(run, fork_bytes, world, fresh_inputs, tmp_path):
+@pytest.mark.parametrize("hashing", list(HASHING))
+def test_a_command_never_loads_libcrypto(run, hashing, world, fresh_inputs, tmp_path):
     """hashlib's _hashlib maps OpenSSL's libcrypto, 3.6 MB of a command's peak: the
-    built-in sha256 hashes small inputs and a child forked at the start large ones, and
-    seeds come from the built-in sha256.  The manifest still holds each input's SHA-256,
-    a model directory's through its model.json."""
+    built-in sha256 hashes small inputs, a child forked at the start large ones and the
+    manifest those a child did not hash, and seeds come from the built-in sha256.  The
+    manifest still holds each input's SHA-256, a model directory's through its
+    model.json."""
     out = tmp_path / "out"
     out.mkdir()
     argv = [str(arg) for arg in FRESH_RUNS[run](world, fresh_inputs, out)]
-    patch = "" if fork_bytes is None else f"cli.FORK_HASHING_BYTES = {fork_bytes}\n"
-    run_it = f"from similekit import cli\n{patch}assert cli.main({argv!r}) == 0"
+    run_it = f"from similekit import cli\n{HASHING[hashing]}assert cli.main({argv!r}) == 0"
     assert loaded_after(run_it, prefix="_hashlib") == []
     (manifest,) = out.glob("*.manifest.json")
     inputs = json.loads(manifest.read_text(encoding="utf-8"))["inputs"]
