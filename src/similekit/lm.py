@@ -14,7 +14,8 @@ out of process, plus deterministic in-process reference implementations:
   samples from the first top_k.  Reference: a template n-gram model that
   learns how many terminal words a source drops and what suffixes replace
   them, conditioned on the dropped cue word.  Its model file holds just
-  those two tables.
+  those two tables, and decoding reads the suffixes through the same
+  strings, sorted, one bisect range per context.
 * trainer: `TemplateNgramModel.train(pairs, cfg)` counts (source, target)
   pairs into a model, reading each once; `fine_tune(pairs, cfg, backend)`
   hands them to any `backend.fine_tune(pairs, cfg)`.
@@ -31,6 +32,7 @@ import math
 import os
 import random
 import sys
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .backends import BackendUnavailable, JsonSubprocessBackend, reply_field
@@ -315,65 +317,56 @@ def _last_word(tokens: list[str]) -> str:
     return words[-1].lower() if words else ""
 
 
-def _rank(children: dict) -> tuple[tuple[str, float], ...]:
-    """(token, count / total) pairs of a trie node's children by falling count, ties
-    by token; a child is its count (a leaf) or a [count, children, ranked] node.
+def _rank(counts: dict[str, int]) -> tuple[tuple[str, float], ...]:
+    """(token, count / total) pairs by falling count, ties by token.
 
     Distinct integer counts over one total give distinct quotients, so this
     is also the order by falling probability.
     """
-    counts = [(tok, child if type(child) is int else child[0])
-              for tok, child in children.items()]
-    total = sum(c for _, c in counts)
-    return tuple((tok, c / total) for tok, c in sorted(counts, key=lambda kv: (-kv[1], kv[0])))
+    total = sum(counts.values())
+    return tuple((tok, c / total) for tok, c in sorted(counts.items(),
+                                                       key=lambda kv: (-kv[1], kv[0])))
 
 
-class _Trie:
-    """Counted token trie over target suffixes, walked by longest context match.
+class _SuffixTable:
+    """{suffix: count} tables merged and sorted, matched by longest context.
 
-    Built from one or more {suffix: count} tables; a node counts the
-    suffixes of every table that pass through it.  A node that suffixes
-    pass through is [count, children, ranked]: ranked is the children's
-    _rank, computed on first use.  A node where they all end is its bare
-    count: every suffix ends in </s>, so most nodes are such leaves, and a
-    leaf becomes a list if a later suffix passes through it.  The root is a
-    list whose count is unused.
+    Holds the suffix strings themselves, sorted, and their summed counts.
+    No token holds a space, so the suffixes that continue a context are one
+    range of the sorted strings: from the context joined plus " " up to the
+    context plus "!", the character after " ".  The root's range is the
+    whole table.  A context's ranked next tokens are computed on first use
+    and kept by the range's lower bound, "" for the root.
     """
 
-    __slots__ = ("root",)
+    __slots__ = ("suffixes", "counts", "ranked")
 
     def __init__(self, *suffix_tables: dict[str, int]):
-        self.root: list = [0, {}, None]
+        merged: dict[str, int] = {}
         for suffix_counts in suffix_tables:
-            for joined, count in suffix_counts.items():
-                *path, last = joined.split(" ")
-                node = self.root
-                for tok in path:
-                    child = node[1].get(tok, 0)
-                    if type(child) is int:  # a new node, or a leaf a suffix now passes
-                        child = node[1][tok] = [child + count, {}, None]
-                    else:
-                        child[0] += count
-                    node = child
-                leaf = node[1].get(last, 0)
-                if type(leaf) is int:
-                    node[1][last] = leaf + count
-                else:
-                    leaf[0] += count
+            _add_counts(merged, suffix_counts)
+        self.suffixes = sorted(merged)
+        self.counts = [merged[suffix] for suffix in self.suffixes]
+        self.ranked: dict[str, tuple] = {}
 
     def next_ranked(self, context: list[str]) -> tuple | None:
-        """Ranked next tokens at the deepest node whose root path is a suffix of context."""
+        """Ranked next tokens after the longest suffix of context that a suffix continues."""
+        suffixes = self.suffixes
         for depth in range(len(context), -1, -1):
-            node = self.root
-            for tok in context[len(context) - depth :]:
-                node = node[1].get(tok, 0)
-                if type(node) is int:  # no such node, or a leaf, which nothing follows
-                    break
-            else:
-                if node[1]:
-                    if node[2] is None:
-                        node[2] = _rank(node[1])
-                    return node[2]
+            low = " ".join(context[len(context) - depth :]) + " " if depth else ""
+            ranked = self.ranked.get(low)
+            if ranked is not None:
+                return ranked
+            start, end = 0, len(suffixes)
+            if depth:
+                start = bisect_left(suffixes, low)
+                end = bisect_left(suffixes, low[:-1] + "!", start)
+            if start < end:
+                counts: dict[str, int] = {}
+                for suffix, count in zip(suffixes[start:end], self.counts[start:end]):
+                    tok = suffix[len(low) :].partition(" ")[0]
+                    counts[tok] = counts.get(tok, 0) + count
+                return self.ranked.setdefault(low, _rank(counts))
         return None
 
 
@@ -430,11 +423,12 @@ class TemplateNgramModel:
     (the mode over pairs), and (b) which target suffixes replace them, keyed
     by the dropped cue word.  Decoding copies the source minus its dropped
     words deterministically, then samples the continuation from the cue's
-    suffix trie, backing off to a global trie built from every cue's
+    suffix table, backing off to a global table that merges every cue's
     suffixes.  An output that a forced prefix took away from the copy
-    region walks the same tries with the whole output as context.  Purely
-    count-based, so training is deterministic; the TrainConfig is recorded
-    for the model manifest.
+    region is matched against the same tables with the whole output as
+    context.  The tables hold the strings of cue_suffixes, sorted, not a
+    copy of them.  Purely count-based, so training is deterministic; the
+    TrainConfig is recorded for the model manifest.
     """
 
     def __init__(self, drop_words: int, cue_suffixes: dict[str, dict[str, int]],
@@ -442,11 +436,11 @@ class TemplateNgramModel:
         self.drop_words = drop_words
         self.cue_suffixes = cue_suffixes
         self.train_config = train_config
-        # Tries are built on first lookup, so training and saving build none
+        # Tables are built on first lookup, so training and saving build none
         # and decoding builds only the cues its sources end in.
-        self._cue_tries: dict[str, _Trie] = {}
-        self._global_trie: _Trie | None = None
-        # The last source seen, its copy region and its cue's trie: decoding
+        self._cue_tables: dict[str, _SuffixTable] = {}
+        self._global_table: _SuffixTable | None = None
+        # The last source seen, its copy region and its cue's table: decoding
         # asks about one source on every step.
         self._source: tuple = (None, [], None)
 
@@ -470,20 +464,20 @@ class TemplateNgramModel:
     def copy_region(self, src_tokens: list[str]) -> list[str]:
         """Source tokens minus trailing punctuation and drop_words final words."""
         toks = rstrip_punct(list(src_tokens))
-        for _ in range(self.drop_words):
+        for _ in range(min(self.drop_words, len(toks))):  # each pass drops a word
             toks = rstrip_punct(toks[:-1])
         return toks
 
     def next_token_distribution(self, src_tokens: list[str], out_tokens: list[str]) -> tuple:
-        """Ranked (token, prob) pairs; each node's tuple is built once and shared."""
-        source, copy, cue_trie = self._source
+        """Ranked (token, prob) pairs; each context's tuple is built once and shared."""
+        source, copy, cue_table = self._source
         if src_tokens != source:
             copy = self.copy_region(src_tokens)
             cue = _last_word(src_tokens)
-            cue_trie = self._cue_tries.get(cue)
-            if cue_trie is None and cue in self.cue_suffixes:
-                cue_trie = self._cue_tries[cue] = _Trie(self.cue_suffixes[cue])
-            self._source = (list(src_tokens), copy, cue_trie)
+            cue_table = self._cue_tables.get(cue)
+            if cue_table is None and cue in self.cue_suffixes:
+                cue_table = self._cue_tables[cue] = _SuffixTable(self.cue_suffixes[cue])
+            self._source = (list(src_tokens), copy, cue_table)
         n = len(out_tokens)
         if n < len(copy) and out_tokens == copy[:n]:
             return ((copy[n], 1.0),)
@@ -491,12 +485,12 @@ class TemplateNgramModel:
         # took away from it is matched whole.
         context = out_tokens[len(copy) :] if out_tokens[: len(copy)] == copy else out_tokens
         ranked = None
-        if cue_trie is not None:
-            ranked = cue_trie.next_ranked(context)
+        if cue_table is not None:
+            ranked = cue_table.next_ranked(context)
         if ranked is None:
-            if self._global_trie is None:
-                self._global_trie = _Trie(*self.cue_suffixes.values())
-            ranked = self._global_trie.next_ranked(context)
+            if self._global_table is None:
+                self._global_table = _SuffixTable(*self.cue_suffixes.values())
+            ranked = self._global_table.next_ranked(context)
         return ranked or _END
 
     # Persistence: a directory with a manifest (config + seed) and the counts.

@@ -3,6 +3,7 @@
 import heapq
 import json
 import math
+import os
 import random
 import re
 import subprocess
@@ -29,7 +30,7 @@ from similekit.lm import (
     TemplateNgramModel,
     TrainConfig,
     UniformScorer,
-    _Trie,
+    _SuffixTable,
     _derive_rng,
     _last_word,
     _sample,
@@ -434,6 +435,7 @@ class TestBatchScoring:
         assert perplexities(["a", "b c", "d"], scorer) == [42.0, 42.0, 42.0]
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 SRC_WORDS = ["x", "y", "sky", "is", "was", "red", "cold", "very", ",", "."]
 TGT_WORDS = SRC_WORDS + ["like", "a", "rose", "fire", "sea"]
 
@@ -509,7 +511,11 @@ class ListTrie:
         return None
 
 
-TRIE_WORDS = ["a", "b", "c", EOS_TOKEN]
+# Besides a b c </s>, tokens a hand-written model.json may hold that sit at the
+# bounds of a context's range of sorted suffixes: an empty token (from a leading,
+# trailing or doubled space), "!" (the character after " "), characters before
+# " ", and a non-ASCII one.
+TRIE_WORDS = ["a", "b", "c", EOS_TOKEN, "", "!", "a!", "\t", "a\tb", "é"]
 trie_suffixes = st.lists(st.sampled_from(TRIE_WORDS), min_size=1, max_size=4).map(" ".join)
 
 
@@ -536,22 +542,23 @@ class TestTrie:
     @given(suffix_tables(), trie_contexts)
     @settings(max_examples=300, deadline=None)
     def test_next_ranked_equals_the_trie_of_lists(self, tables, contexts):
-        trie, oracle = _Trie(*tables), ListTrie(*tables)
-        # Asked twice, so a node's ranked tuple is read back from the node too.
+        table, oracle = _SuffixTable(*tables), ListTrie(*tables)
+        # Asked twice, so a context's ranked tuple is read back from the cache too.
         for context in contexts + contexts:
-            assert trie.next_ranked(context) == oracle.next_ranked(context)
+            assert table.next_ranked(context) == oracle.next_ranked(context)
 
-    def test_a_leaf_is_its_count(self):
-        trie = _Trie({"a </s>": 2, "a b </s>": 1}, {"a </s>": 3})
-        assert trie.root[1] == {"a": [6, {EOS_TOKEN: 5, "b": [1, {EOS_TOKEN: 1}, None]}, None]}
+    def test_equal_suffixes_of_two_tables_add_up(self):
+        table = _SuffixTable({"a </s>": 2, "a b </s>": 1}, {"a </s>": 3})
+        assert table.next_ranked([]) == (("a", 1.0),)
+        assert table.next_ranked(["a"]) == ((EOS_TOKEN, 5 / 6), ("b", 1 / 6))
+        assert table.next_ranked(["a", "b"]) == ((EOS_TOKEN, 1.0),)
 
     @pytest.mark.parametrize("tables", [({"a": 2, "a b": 1},), ({"a b": 1}, {"a": 2})],
-                             ids=["leaf-first", "node-first"])
-    def test_a_suffix_through_a_leaf_makes_it_a_node(self, tables):
-        trie = _Trie(*tables)
-        assert trie.root[1] == {"a": [3, {"b": 1}, None]}
-        assert trie.next_ranked(["a"]) == (("b", 1.0),)
-        assert trie.next_ranked(["b"]) == trie.next_ranked([]) == (("a", 1.0),)
+                             ids=["shorter-first", "longer-first"])
+    def test_a_suffix_that_ends_where_another_goes_on(self, tables):
+        table = _SuffixTable(*tables)
+        assert table.next_ranked(["a"]) == (("b", 1.0),)
+        assert table.next_ranked(["b"]) == table.next_ranked([]) == (("a", 1.0),)
 
 
 class TestGenerationConfig:
@@ -728,12 +735,56 @@ class TestTemplateNgramModel:
         assert saved_bytes(merged) == saved_bytes(TemplateNgramModel.train(pairs,
                                                                            TrainConfig(seed=1)))
 
-    def test_training_and_saving_build_no_trie(self, tmp_path, toy_pairs, toy_world):
+    def test_training_and_saving_build_no_table(self, tmp_path, toy_pairs, toy_world):
         model = fine_tune(iter(toy_pairs), TrainConfig(seed=11), BACKEND)
         model.save(tmp_path)
-        assert model._cue_tries == {} and model._global_trie is None
-        generate(toy_world["holdout"][0], cfg(seed=7), model)
-        assert len(model._cue_tries) == 1
+        assert model._cue_tables == {} and model._global_table is None
+        source = toy_world["holdout"][0]
+        generate(source, cfg(seed=7), model)
+        [(cue, table)] = model._cue_tables.items()
+        assert cue == _last_word(tokenize(source))
+        first = Counter()
+        for suffix, count in model.cue_suffixes[cue].items():
+            first[suffix.split(" ")[0]] += count
+        assert dict(table.next_ranked([])) == {tok: c / sum(first.values())
+                                               for tok, c in first.items()}
+
+    def test_decoding_holds_no_copy_of_a_suffix_string(self, tmp_path, toy_pairs, toy_world):
+        """Every suffix a cue's table or the global table holds is a key of
+        cue_suffixes itself, in a trained model and in one loaded from disk."""
+        trained = fine_tune(iter(toy_pairs), TrainConfig(seed=11), BACKEND)
+        trained.save(tmp_path)
+        for model in (trained, TemplateNgramModel.load(tmp_path)):
+            for seed, text in enumerate(toy_world["holdout"] + ["The zyx was qqq."]):
+                prefix = "The river was like a" if seed % 3 == 0 else None
+                generate(text, cfg(seed=seed, forced_prefix=prefix), model)
+            assert model._cue_tables and model._global_table is not None
+            held = {cue: {id(suffix) for suffix in bucket}
+                    for cue, bucket in model.cue_suffixes.items()}
+            for cue, table in model._cue_tables.items():
+                assert all(id(suffix) in held[cue] for suffix in table.suffixes)
+            every = set().union(*held.values())
+            assert all(id(suffix) in every for suffix in model._global_table.suffixes)
+
+    def test_a_huge_drop_words_decodes_within_seconds(self, tmp_path):
+        """copy_region stops once nothing is left to drop, so a hand-written
+        drop_words of 10**12 decodes at once, as one of the source's length does."""
+        model = TemplateNgramModel.train(V1_PAIRS, TrainConfig(seed=4))
+        model.drop_words = 10**12
+        model.save(tmp_path / "model")
+        sources = ["The sky was blue.", "He ran fast!", "It was hard , very ."]
+        code = ("import json, sys\n"
+                "from similekit.lm import GenerationConfig, TemplateNgramModel, generate\n"
+                "model = TemplateNgramModel.load(sys.argv[1])\n"
+                "print(json.dumps([generate(source, GenerationConfig(8, 3), model).text\n"
+                "                  for source in sys.argv[2:]]))")
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "model"), *sources],
+                              capture_output=True, text=True, timeout=20,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert done.returncode == 0, done.stderr
+        model.drop_words = 8  # more than any source above has tokens
+        assert json.loads(done.stdout) == [generate(source, cfg(max_new_tokens=8, seed=3),
+                                                    model).text for source in sources]
 
     def test_failed_model_write_leaves_no_new_manifest(self, tmp_path, monkeypatch, toy_model):
         import similekit.lm as lm
