@@ -29,6 +29,7 @@ from .core import (
     RecordRuns,
     Spool,
     TriggerConfig,
+    commit_outputs,
     derive_seed,
     fan_out,
     read_lines,
@@ -169,16 +170,16 @@ def _input_digests(s: Settings) -> dict[str, str]:
     return dict(zip(paths, _sha256_files(paths)))
 
 
-def _write_manifest(s: Settings, seeds: dict) -> None:
-    """Record the run's input and output options; the first output names the manifest."""
+def _write_manifest(s: Settings) -> None:
+    """Record the run's input and output options and its seeds."""
     write_json({
         "command": s.command,
         "argv": list(s.argv),
         "config_sha256": sha256(s.config_text.encode("utf-8")).hexdigest(),
         "inputs": _input_digests(s),
-        "seeds": seeds,
+        "seeds": s.seeds,
         "outputs": sorted(s.outputs),
-    }, s.outputs[0].rstrip("/") + ".manifest.json")
+    }, s.manifest)
 
 
 def _parse_ratio(text: str):
@@ -267,9 +268,10 @@ class Settings(dict):
     Every problem is collected in `errors` rather than stopping at the first.
     A value that fails a check is kept as given; the errors end the run
     before it is used.  `inputs` holds the file each given input path is
-    hashed through and `outputs` each given output path, in table order; an
-    output may name neither an input's file nor another output's.  `digests`
-    maps each input to its digest, once _hash_inputs has taken them.
+    hashed through and `outputs` each given output path, in table order, in a
+    directory that exists; no output, nor the run `manifest` next to the first,
+    may name an input's file or another output's.  `digests` maps each input to
+    its digest, once _hash_inputs has taken them, and `seeds` each seed used.
     """
 
     def __init__(self, args: argparse.Namespace, argv: list[str], unknown: list[str]):
@@ -279,8 +281,8 @@ class Settings(dict):
         self.errors: list[str] = []
         self.inputs: list[str] = []
         self.outputs: list[str] = []
-        self.config_text = ""
-        self.digests = None
+        self.config_text, self.seeds = "", {}
+        self.digests = self.manifest = None
         if unknown:
             self.error(f"unrecognized arguments: {' '.join(unknown)}")
         config: dict[str, str] = {}
@@ -318,16 +320,18 @@ class Settings(dict):
         # twice, an output would hold only what was written last.  realpath also matches
         # outputs that do not exist yet.
         inputs = {_file_id(path) for path in self.inputs} - {None}
+        named = [(opt.name, self[opt.name]) for opt in command.options
+                 if opt.output and isinstance(self[opt.name], str)]
+        if named:
+            self.manifest = named[0][1].rstrip("/") + ".manifest.json"
+            named.append(("manifest", self.manifest))
         outputs: dict[str, str] = {}
-        for opt in command.options:
-            path = self[opt.name]
-            if not (opt.output and isinstance(path, str)):
-                continue
+        for name, path in named:
             if _file_id(_hashed(path)) in inputs:
-                self.error(f"'{opt.name}' names an input file: {path}")
-            first = outputs.setdefault(os.path.realpath(path), opt.name)
-            if first != opt.name:
-                self.error(f"'{opt.name}' names the file of '{first}': {path}")
+                self.error(f"'{name}' names an input file: {path}")
+            first = outputs.setdefault(os.path.realpath(path), name)
+            if first != name:
+                self.error(f"'{name}' names the file of '{first}': {path}")
 
     def _resolve(self, opt: Option, value, config: dict[str, str]):
         if value == []:
@@ -346,6 +350,8 @@ class Settings(dict):
             self.error(f"'{opt.name}' must be one of {', '.join(opt.choices)}, got {value!r}")
         if opt.output:
             self.outputs.append(value)
+            if not os.path.isdir(os.path.dirname(os.path.abspath(value))):
+                self.error(f"'{opt.name}' is in a directory that does not exist: {value}")
         if opt.path:
             for path in value if isinstance(value, list) else [value]:
                 self.inputs.append(_hashed(path))
@@ -428,30 +434,25 @@ def cmd_harvest(s: Settings) -> int:
     if s.fail_if_errors():
         return 2
     stats = HarvestStats()
-    seeds = {}
-    files = []  # (writer, *args): nothing is written until every output is computed
     if comments is not None:
         similes = harvest_similes(comments, s["triggers"] or DEFAULT_TRIGGERS, stats)
         print(f"harvested {len(similes)} similes "
               f"({stats.duplicates} duplicates, {stats.malformed} malformed records)")
-        parts = []
+        write_similes_jsonl(similes, s["similes-out"])
         if split is not None:
             result = split_corpus(similes, split, seed)
-            parts = [(result.train, s["train-out"]), (result.validation, s["val-out"])]
-            seeds["split_seed"] = seed
+            write_similes_jsonl(result.train, s["train-out"])
+            write_similes_jsonl(result.validation, s["val-out"])
+            s.seeds["split_seed"] = seed
             print(f"split {len(result.train)} train / {len(result.validation)} validation")
-        files.append((write_similes_jsonl, similes, s["similes-out"], parts))
     if sentences is not None:
         # A list, because perfbench/tracer.py counts the crawl lines with len().
         literals = harvest_literals(list(read_lines(sentences)), DEFAULT_TAGGER, stats)
         if s["sample"] is not None:
             literals = sample_literals(literals, s["sample"], seed)
-            seeds["sample_seed"] = seed
-        files.append((write_literals_jsonl, literals, s["literals-out"]))
+            s.seeds["sample_seed"] = seed
+        write_literals_jsonl(literals, s["literals-out"])
         print(f"kept {len(literals)} literals ({stats.rejected} rejected)")
-    for write, *args in files:
-        write(*args)
-    _write_manifest(s, seeds)
     return 0
 
 
@@ -503,7 +504,6 @@ def cmd_build_corpus(s: Settings) -> int:
 
         with contextlib.closing(fan_out(runs, convert)) as results:
             write_pair_files(texts(results), s["out"], s["audit-out"])
-    _write_manifest(s, {})
     print(f"built {stats.built} pairs "
           f"({stats.skipped_no_properties} skipped, {len(stats.failures)} failed)")
     return 0
@@ -544,6 +544,7 @@ def cmd_train(s: Settings) -> int:
     _load("lm", "systems", "tagging")
     if s.fail_if_errors():
         return 2
+    s.seeds["seed"] = s["seed"]
     mask = s["mask"]
 
     def count(records):
@@ -570,7 +571,6 @@ def cmd_train(s: Settings) -> int:
     if mask:
         print(f"masked training: {skipped} pairs skipped")
     model.save(s["model-out"])
-    _write_manifest(s, {"seed": s["seed"]})
     print(f"trained on {read} pairs -> {s['model-out']}")
     return 0
 
@@ -598,6 +598,7 @@ def cmd_generate(s: Settings) -> int:
     cfg = _generation_config(s)
     if s.fail_if_errors():
         return 2
+    s.seeds["seed"] = s["seed"]
     literals = [rec["text"] for rec in read_literals_jsonl(s["literals"])]
     if system == "rtrvl":
         backend = load_edge_table(s["knowledge"])
@@ -623,7 +624,6 @@ def cmd_generate(s: Settings) -> int:
             return None
 
     run_batch(literals, system, guarded, s["seed"], s["out"])
-    _write_manifest(s, {"seed": s["seed"]})
     note = f" ({skipped} inputs failed)" if skipped else ""
     print(f"{system}: generated {len(literals)} outputs -> {s['out']}{note}")
     return 0
@@ -696,7 +696,6 @@ def cmd_evaluate(s: Settings) -> int:
                   f"win {win:.1f} / lose {lose:.1f} / tie {tie:.1f}")
     if s["report"] is not None:
         write_json(payload, s["report"])
-        _write_manifest(s, {})
     return 0
 
 
@@ -719,6 +718,7 @@ def cmd_embellish(s: Settings) -> int:
     cfg = _generation_config(s)
     if s.fail_if_errors():
         return 2
+    s.seeds["seed"] = s["seed"]
     if s["stories"] is not None:
         stories = read_stories_jsonl(s["stories"])
     else:
@@ -744,7 +744,6 @@ def cmd_embellish(s: Settings) -> int:
             "original_sentence": None if replaced is None else story.sentences[replaced],
         })
     write_jsonl(records, s["out"])
-    _write_manifest(s, {"seed": s["seed"]})
     print(f"embellished {replaced_count}/{len(stories)} stories -> {s['out']}")
     return 0
 
@@ -787,7 +786,11 @@ def main(argv=None) -> int:
     try:
         s = Settings(args, argv, unknown)
         _hash_inputs(s)
-        return COMMANDS[args.command].run(s)
+        with commit_outputs():  # every output, then the manifest, or none of them
+            code = COMMANDS[args.command].run(s)
+            if code == 0 and s.outputs:
+                _write_manifest(s)
+        return code
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -396,12 +396,33 @@ def extract_generated_vehicle(generated: str, reference: str) -> list[str]:
 # as is, but a lone surrogate, which UTF-8 cannot encode, written as its JSON
 # escape; a JSON document has its keys sorted and ends in a newline.  Every
 # output is written through atomic_open, so a run that fails part-way leaves
-# the previous file in place.
+# the previous file in place; within commit_outputs, every file it wrote.
 
 # The encoding of an output's text: a lone surrogate becomes its escape \udXXX,
 # which JSON reads back as the same str.  Only JSON can hold one: a pair of the
 # corpus, the one text written as TSV, refuses it.
 TEXT_ENCODING = ("utf-8", "backslashreplace")
+
+_held = None  # in commit_outputs, the (temporary file, path) of each output written
+
+
+@contextlib.contextmanager
+def commit_outputs():
+    """Move each file atomic_open writes in the block into place, in the order written,
+    when the block completes; if it raises, move none and remove every temporary file."""
+    global _held
+    _held = []
+    try:
+        yield
+        for tmp, path in _held:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in _held:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+    finally:
+        _held = None
 
 
 @contextlib.contextmanager
@@ -410,8 +431,8 @@ def atomic_open(path, newline=None, binary=False):
     replaces `path` only when the block completes.
 
     The text goes to a temporary file next to `path`, moved into place with
-    os.replace; if the block raises, the temporary file is removed and
-    `path` is left as it was.
+    os.replace, or within commit_outputs when that block completes; if the
+    block raises, the temporary file is removed and `path` is left as it was.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     encoding, errors = TEXT_ENCODING
@@ -419,7 +440,10 @@ def atomic_open(path, newline=None, binary=False):
         with (open(tmp, "wb") if binary else
               open(tmp, "w", encoding=encoding, errors=errors, newline=newline)) as fh:
             yield fh
-        os.replace(tmp, path)
+        if _held is None:
+            os.replace(tmp, path)
+        else:
+            _held.append((tmp, path))
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)

@@ -10,7 +10,6 @@ stricter contract: no comparator token at all and a modifier-final ending.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import json
 import math
@@ -445,27 +444,16 @@ def split_corpus(similes: Sequence, ratio, seed: int) -> CorpusSplit:
 # File formats
 
 
-def write_similes_jsonl(instances, path, parts=()) -> None:
-    """Write SimileInstances or HarvestedSimile rows, one JSON record each.
-
-    Each (rows, part_path) of parts, rows taken from instances, a HarvestRows,
-    by split_corpus or HarvestRows.take, is written as rows alone would be.
-    A HarvestRows's lines are copied from harvest's spool, each in one read of
-    its length, so each simile it holds was encoded once, by the worker that
-    parsed it.  No file is replaced until all of them are written.
-    """
-    columns = instances._columns if isinstance(instances, HarvestRows) else None
-    if any(not isinstance(rows, HarvestRows) or rows._columns is not columns
-           for rows, _ in parts):
-        raise ValueError("parts must be taken from the similes written")
-    with contextlib.ExitStack() as files:
-        for rows, out_path in ((instances, path), *parts):
-            out = files.enter_context(atomic_open(out_path, binary=True))
-            if isinstance(rows, HarvestRows):
-                out.writelines(map(rows._columns.line, rows._order))
-            else:
-                out.writelines(_simile_line(inst.raw_text, inst.prefix, inst.vehicle,
-                                            inst.source_id) for inst in rows)
+def write_similes_jsonl(instances, path) -> None:
+    """Write SimileInstances or HarvestedSimile rows, one JSON record each.  A
+    HarvestRows's lines are copied from harvest's spool, each in one read of its
+    length, so each simile it holds was encoded once, by the worker that parsed it."""
+    with atomic_open(path, binary=True) as out:
+        if isinstance(instances, HarvestRows):
+            out.writelines(map(instances._columns.line, instances._order))
+        else:
+            out.writelines(_simile_line(inst.raw_text, inst.prefix, inst.vehicle,
+                                        inst.source_id) for inst in instances)
 
 
 def write_literals_jsonl(literals: list[LiteralSentence], path) -> None:

@@ -35,6 +35,15 @@ def no_child_left():
     assert_no_child_left()
 
 
+@pytest.fixture(autouse=True)
+def no_temporary_file_left(request):
+    """After each test that uses tmp_path, no temporary output file is left under it."""
+    tmp_path = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
+    yield
+    if tmp_path is not None:
+        assert sorted(tmp_path.rglob("*.tmp")) == []
+
+
 TABLE2 = [
     {
         "simile": "Love is like a unicorn.",

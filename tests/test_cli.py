@@ -1393,6 +1393,152 @@ def test_every_output_of_a_run_is_its_own_file(world, tmp_path, capsys):
     assert manifest["outputs"] == sorted([str(out), str(audit)])
 
 
+@pytest.mark.parametrize("case", ["output", "input"])
+def test_a_path_naming_the_run_manifest_exits_two(world, tmp_path, capsys, case):
+    """The manifest is written next to the first output, last: an output there would be
+    written over by it, and an input there is the last run's manifest, written over too."""
+    if case == "output":
+        argv = ["harvest", "--comments", str(world["comments"]), "--similes-out",
+                str(tmp_path / "s.jsonl"), "--split", "0.5",
+                "--train-out", str(tmp_path / "s.jsonl.manifest.json"),
+                "--val-out", str(tmp_path / "v.jsonl"), "--seed", "1"]
+        error = (f"[harvest] 'manifest' names the file of 'train-out': "
+                 f"{tmp_path}/s.jsonl.manifest.json")
+    else:
+        literals = tmp_path / "h.jsonl"
+        assert main(["harvest", "--sentences", str(world["sentences"]),
+                     "--literals-out", str(literals)]) == 0
+        argv = ["harvest", "--sentences", f"{literals}.manifest.json",
+                "--literals-out", str(literals)]
+        error = f"[harvest] 'manifest' names an input file: {literals}.manifest.json"
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv + ["--sample", "0"]) == 2  # another error, reported with it
+    err = capsys.readouterr().err
+    assert error in err
+    assert "bad value for 'sample': '0'" in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["harvest", "train"])
+def test_an_output_in_a_missing_directory_exits_two_before_reading(world, tmp_path, capsys,
+                                                                   monkeypatch, command):
+    """Refused up front, naming the option and its path, not a temporary file after the
+    work is done; no input is hashed or read."""
+    out = tmp_path / "nodir" / "out"
+    argv, name = {
+        "harvest": (["harvest", "--sentences", str(world["sentences"]),
+                     "--literals-out", str(out)], "literals-out"),
+        "train": (["train", "--pairs", str(world["pairs"]), "--model-out", str(out),
+                   "--seed", "1"], "model-out"),
+    }[command]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli, "_sha256_files", refuse)
+    monkeypatch.setattr(cli, "read_lines", refuse)
+    monkeypatch.setattr(cli, "RecordRuns", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: [{command}] '{name}' is in a directory that does not "
+                            f"exist: {out}\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+class FullDisk:
+    """A file whose buffered bytes fail to reach the disk when it is closed."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, *exc):
+        self.fh.close()
+        if kind is None:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# Each command run twice, on other inputs the second time, so that every output the
+# second run writes differs from the first's, and the outputs of a run, the manifest
+# included, relative to the run's directory.
+COMMIT_RUNS = {
+    "harvest": (lambda world, d, n: [
+        "harvest", "--comments", d / f"c{n}.ndjson", "--similes-out", d / "s.jsonl",
+        "--split", "0.5", "--train-out", d / "tr.jsonl", "--val-out", d / "va.jsonl",
+        "--sentences", d / f"l{n}.txt", "--literals-out", d / "h.jsonl", "--seed", n],
+        ["s.jsonl", "tr.jsonl", "va.jsonl", "h.jsonl", "s.jsonl.manifest.json"]),
+    "build-corpus": (lambda world, d, n: [
+        "build-corpus", "--in", world["train_similes" if n == 1 else "similes"],
+        "--knowledge", world["edges"], "--scorer", "uniform", "--out", d / "p.tsv",
+        "--audit-out", d / "a.jsonl"],
+        ["p.tsv", "a.jsonl", "p.tsv.manifest.json"]),
+    "train": (lambda world, d, n: [
+        "train", "--pairs", world["pairs" if n == 1 else "pretrain_pairs"],
+        "--model-out", d / "m", "--seed", n],
+        ["m/model.json", "m/manifest.json", "m.manifest.json"]),
+    "generate": (lambda world, d, n: [
+        "generate", "--literals", world["literals"], "--system", "scope",
+        "--model", world["model" if n == 1 else "pretrain_model"], "--seed", n,
+        "--out", d / "g.jsonl"],
+        ["g.jsonl", "g.jsonl.manifest.json"]),
+    "evaluate": (lambda world, d, n: [
+        "evaluate", "--generated", world["batches"]["scope" if n == 1 else "meta_m"],
+        "--refs", d / "refs.jsonl", "--report", d / "r.json"],
+        ["r.json", "r.json.manifest.json"]),
+    "embellish": (lambda world, d, n: [
+        "embellish", "--stories", d / "stories.jsonl",
+        "--model", world["model" if n == 1 else "pretrain_model"], "--seed", n,
+        "--out", d / "e.jsonl"],
+        ["e.jsonl", "e.jsonl.manifest.json"]),
+}
+
+
+def files_under(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("command, full", [(command, output)
+                                           for command, (_, outputs) in COMMIT_RUNS.items()
+                                           for output in outputs])
+def test_a_failed_write_of_any_output_replaces_none(world, refs, stories, tmp_path, capsys,
+                                                    monkeypatch, command, full):
+    """A disk that fills while any output of a run is written, its manifest included,
+    leaves every output as the last run wrote it and no temporary file."""
+    for name, source in (("c{}.ndjson", "comments"), ("l{}.txt", "sentences")):
+        lines = world[source].read_bytes().splitlines(keepends=True)
+        (tmp_path / name.format(1)).write_bytes(b"".join(lines[: len(lines) // 2]))
+        (tmp_path / name.format(2)).write_bytes(b"".join(lines))
+    run, outputs = COMMIT_RUNS[command]
+
+    def argv(n):
+        return [str(arg) for arg in run(world, tmp_path, n)]
+
+    assert main(argv(1)) == 0
+    before = files_under(tmp_path)
+    assert set(outputs) <= before.keys()
+    target, real_open = str(tmp_path / full), open
+
+    def fills(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return FullDisk(fh) if path == f"{target}.{os.getpid()}.tmp" else fh
+
+    monkeypatch.setattr(core, "open", fills, raising=False)
+    assert main(argv(2)) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert files_under(tmp_path) == before
+    monkeypatch.undo()
+    assert main(argv(2)) == 0  # and written whole, every output is new
+    after = files_under(tmp_path)
+    assert [name for name in outputs if after[name] == before[name]] == []
+
+
 def counted_forks(monkeypatch) -> list[int]:
     """The pid of each child os.fork starts from here on, with every run's inputs
     hashed in a forked child however small they are."""

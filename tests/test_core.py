@@ -1,5 +1,6 @@
 """Tokenizer, trigger parsing, modifier stripping, vehicle extraction, file reading."""
 
+import errno
 import functools
 import hashlib
 import importlib.util
@@ -23,6 +24,8 @@ from similekit.core import (
     Spool,
     TriggerConfig,
     append_token,
+    atomic_open,
+    commit_outputs,
     common_prefix_len,
     derive_seed,
     drop_dangling_comma,
@@ -593,6 +596,65 @@ class TestAtomicWrites:
         write_jsonl([{"b": "é", "a": 1}], path)
         assert path.read_bytes() == '{"a": 1, "b": "é"}\n'.encode("utf-8")
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    def test_outside_a_commit_each_file_is_replaced_when_its_block_ends(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"previous run\n")
+        with atomic_open(path) as fh:
+            fh.write("new\n")
+            fh.flush()
+            assert path.read_bytes() == b"previous run\n"
+        assert path.read_bytes() == b"new\n"
+
+    def test_a_commit_replaces_every_file_when_its_block_ends(self, tmp_path, monkeypatch):
+        paths = [tmp_path / "b", tmp_path / "a"]
+        replaced = []
+        replace = os.replace
+
+        def records(tmp, path):
+            replaced.append(path)
+            replace(tmp, path)
+
+        monkeypatch.setattr(os, "replace", records)
+        with commit_outputs():
+            for path in paths:
+                write_lines(["new\n"], path)
+            assert replaced == []
+            assert not any(path.exists() for path in paths)
+        assert replaced == paths  # in the order written
+        assert [path.read_bytes() for path in paths] == [b"new\n"] * 2
+        write_lines(["after\n"], paths[0])  # outside the block again
+        assert paths[0].read_bytes() == b"after\n"
+
+    def test_a_failed_commit_replaces_nothing(self, tmp_path):
+        done, path = tmp_path / "done", tmp_path / "out"
+        for old in (done, path):
+            old.write_bytes(b"previous run\n")
+        with pytest.raises(RuntimeError), commit_outputs():
+            write_lines(["new\n"], done)
+            self.WRITERS["jsonl"](path)
+        assert [old.read_bytes() for old in (done, path)] == [b"previous run\n"] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["done", "out"]
+
+    def test_a_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        """Renames happen one at a time and are not undone: the files renamed before a
+        failed one are new, those after it old, and no temporary file is left."""
+        paths = [tmp_path / name for name in ("a", "b", "c")]
+        for old in paths:
+            old.write_bytes(b"previous run\n")
+        replace = os.replace
+
+        def fails_on_b(tmp, path):
+            if path == paths[1]:
+                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+            replace(tmp, path)
+
+        monkeypatch.setattr(os, "replace", fails_on_b)
+        with pytest.raises(OSError), commit_outputs():
+            for path in paths:
+                write_lines(["new\n"], path)
+        assert [path.read_bytes() for path in paths] == [b"new\n"] + [b"previous run\n"] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "c"]
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()

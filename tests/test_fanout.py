@@ -362,9 +362,9 @@ def test_harvest_of_wide_text_equals_the_oracle(tmp_path_factory, split, monkeyp
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_copied_split_lines_are_the_bytes_written_alone(tmp_path_factory, split, entries,
                                                         run_length, data):
-    """write_similes_jsonl copies the lines of a HarvestRows and its split from harvest's
-    spool; each file is the one its rows give as a list of HarvestedSimile, each encoded
-    there.  Three copies of each comment make the dropped rows outnumber the held ones,
+    """write_similes_jsonl copies the lines of a HarvestRows and of each part of its split
+    from harvest's spool; each file is the one its rows give as a list of HarvestedSimile,
+    each encoded there.  Three copies of each comment make the dropped rows outnumber the held ones,
     so the columns are cut, and the split may leave one validation row."""
     out = tmp_path_factory.mktemp("out")
     path = write_dump(out / "c.ndjson", [e for e in entries for _ in range(3)])
@@ -374,9 +374,9 @@ def test_copied_split_lines_are_the_bytes_written_alone(tmp_path_factory, split,
         return
     ratio = data.draw(st.sampled_from([Fraction(len(rows) - 1, len(rows)), Fraction(1, 2)]))
     result = harvest.split_corpus(rows, ratio, data.draw(st.integers(0, 9)))
-    harvest.write_similes_jsonl(rows, out / "similes.jsonl",
-                                [(result.train, out / "train.jsonl"),
-                                 (result.validation, out / "val.jsonl")])
+    harvest.write_similes_jsonl(rows, out / "similes.jsonl")
+    harvest.write_similes_jsonl(result.train, out / "train.jsonl")
+    harvest.write_similes_jsonl(result.validation, out / "val.jsonl")
     for name, alone in (("similes", rows), ("train", result.train), ("val", result.validation)):
         harvest.write_similes_jsonl(list(alone), out / f"{name}.alone.jsonl")
         assert (out / f"{name}.jsonl").read_bytes() == (out / f"{name}.alone.jsonl").read_bytes()
@@ -399,19 +399,12 @@ def test_writing_harvest_rows_encodes_no_simile(tmp_path, split, monkeypatch, wo
         raise AssertionError("a simile was encoded again")
 
     monkeypatch.setattr(harvest, "_simile_line", refuse)
-    harvest.write_similes_jsonl(*files[0], files[1:])
+    for part, path in files:
+        harvest.write_similes_jsonl(part, path)
     monkeypatch.setattr(harvest, "_simile_line", encode)
     for part, path in files:
         harvest.write_similes_jsonl(list(part), tmp_path / "alone.jsonl")
         assert path.read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
-
-
-def test_copied_lines_need_parts_of_the_similes_written(tmp_path):
-    rows = harvest_similes(write_dump(tmp_path / "c.ndjson", [RawComment("a", WIDE_SENTENCES[0])]))
-    other = harvest_similes(write_dump(tmp_path / "d.ndjson", [RawComment("b", WIDE_SENTENCES[3])]))
-    with pytest.raises(ValueError, match="parts must be taken from the similes written"):
-        harvest.write_similes_jsonl(rows, tmp_path / "s.jsonl", [(other, tmp_path / "t.jsonl")])
-    assert not (tmp_path / "s.jsonl").exists()
 
 
 @pytest.mark.parametrize("workers", WORKERS)
