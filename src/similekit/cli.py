@@ -468,9 +468,9 @@ def cmd_harvest(s: Settings) -> int:
 )
 def cmd_build_corpus(s: Settings) -> int:
     """Convert --in in two fan-outs (core.fan_out) through a spool (core.Spool): the first
-    decodes each record once and looks its vehicle up in the --knowledge table; with the
-    table freed, the scorer is built; the second scores the spooled runs, and their pairs
-    are written in file order."""
+    decodes each record once and looks its vehicle up in the --knowledge table, and the
+    reference scorer reads the texts of its runs as they come; the second scores the
+    spooled runs, and their pairs are written in file order."""
     _load("corpus", "knowledge", "lm")
     if s["scorer"] == "uniform":
         # Every candidate ties, so the top-ranked property wins whatever k or V is.
@@ -483,52 +483,60 @@ def cmd_build_corpus(s: Settings) -> int:
     audit = s["audit-out"] is not None
     stats = BuildStats()
     with Spool() as spool:
-        runs = _prepare_runs(s, spool)
-        if s["scorer"] == "uniform":
-            scorer = UniformScorer(1000)
-        elif s["scorer-train"]:
-            scorer = BigramScorer(read_lines(s["scorer-train"]))
+        runs: list[tuple[int, int]] = []
+        texts = _prepared_texts(s, spool, runs)
+        if s["scorer"] == "reference" and s["scorer-train"] is None:
+            scorer = BigramScorer(texts)
         else:
-            scorer = BigramScorer(text for texts, _ in runs for text in _unspool(spool, texts))
+            for _ in texts:
+                pass
+            scorer = (UniformScorer(1000) if s["scorer"] == "uniform"
+                      else BigramScorer(read_lines(s["scorer-train"])))
 
         def convert(run):
             """A run's TSV text, audit text and counts."""
             run_stats = BuildStats()
-            pairs = convert_run(_unspool(spool, run[1]), scorer, stats=run_stats)
+            pairs = convert_run(marshal.loads(spool.read(*run)), scorer, stats=run_stats)
             return format_pairs(pairs, audit), run_stats
 
-        def texts(results):
+        def formatted(results):
             for text, run_stats in results:
                 stats.add(run_stats)
                 yield text
 
         with contextlib.closing(fan_out(runs, convert)) as results:
-            write_pair_files(texts(results), s["out"], s["audit-out"])
+            write_pair_files(formatted(results), s["out"], s["audit-out"])
     print(f"built {stats.built} pairs "
           f"({stats.skipped_no_properties} skipped, {len(stats.failures)} failed)")
     return 0
 
 
-def _prepare_runs(s: Settings, spool) -> list[list[tuple[int, int]]]:
-    """Load the --knowledge table, then decode --in and look up its runs in worker
-    processes (corpus.prepare_run), each record decoded once.  Spool each run's texts
-    and its prepared similes, each marshalled, and return for each run where they lie,
-    (length, offset) each: the scorer reads the texts alone, run by run, which leaves
-    it less to interleave with its counts.  Nothing holds the table once this returns,
-    so the memory it took is free for the scorer."""
-    backend = load_edge_table(s["knowledge"])
+def _prepared_texts(s: Settings, spool, runs: list):
+    """Yield the text of each simile of --in, in file order, as the runs are prepared.
+
+    Worker processes decode --in and look its runs up (corpus.prepare_run), each
+    record decoded once, and each worker loads the --knowledge table before its
+    first run, so a bad line in the table is reported before one in --in and,
+    with more than one run and usable CPU, the parent never holds the table.
+    Each run's prepared similes are spooled, marshalled, and where they lie,
+    (length, offset), appended to runs.  In one process, the table is freed when
+    the last text has been read; with no run, it is loaded only to be checked."""
+    table = None
 
     def prepare(similes) -> tuple[bytes, bytes]:
-        prepared = prepare_run(similes, backend, s["k"])
+        nonlocal table
+        if table is None:
+            table = load_edge_table(s["knowledge"])
+        prepared = prepare_run(similes, table, s["k"])
         return marshal.dumps([simile[0] for simile in prepared]), marshal.dumps(prepared)
 
-    with contextlib.closing(fan_out(RecordRuns(s["in"], simile_record), prepare)) as runs:
-        return [[(len(data), spool.append(data)) for data in run] for run in runs]
-
-
-def _unspool(spool, extent: tuple[int, int]):
-    """What _prepare_runs spooled at (length, offset)."""
-    return marshal.loads(spool.read(*extent))
+    with contextlib.closing(fan_out(RecordRuns(s["in"], simile_record), prepare)) as results:
+        for texts, prepared in results:
+            runs.append((len(prepared), spool.append(prepared)))
+            yield from marshal.loads(texts)
+    table = None
+    if not runs:
+        load_edge_table(s["knowledge"])
 
 
 @_command(

@@ -9,6 +9,7 @@ that token-level metrics and model vocabularies agree.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import copyreg
 import functools
@@ -20,7 +21,8 @@ from typing import NamedTuple
 
 # Word tokens keep internal apostrophes ("Francis's" is one token); every
 # other non-space character is its own token.
-_TOKEN_RE = re.compile(r"\w+(?:'\w+)*|[^\w\s]")
+_WORD_RE = re.compile(r"\w+(?:'\w+)*")
+_TOKEN_RE = re.compile(_WORD_RE.pattern + r"|[^\w\s]")
 
 # A word character: a token is a word when it starts with one.
 WORD_CHAR = re.compile(r"\w")
@@ -358,10 +360,12 @@ def strip_terminal_modifier(text: str, tagger) -> StrippedLiteral:
     Raises NotModifierFinal otherwise (including sentences with no word
     tokens at all).
     """
-    words = [m for m in _TOKEN_RE.finditer(text) if is_word(m.group())]
+    # The tokenizer tries a word first wherever a word can start, so the word tokens
+    # of a text are the matches of _WORD_RE alone; the last one is kept.
+    words = collections.deque(_WORD_RE.finditer(text), maxlen=1)
     if not words:
         raise NotModifierFinal(f"no content token in {text!r}")
-    last = words[-1]
+    last = words[0]
     tag = tagger.tag(last.group())
     if tag not in ("ADJ", "ADV"):
         raise NotModifierFinal(f"final token {last.group()!r} tagged {tag}, not ADJ/ADV")
@@ -403,26 +407,45 @@ def extract_generated_vehicle(generated: str, reference: str) -> list[str]:
 # corpus, the one text written as TSV, refuses it.
 TEXT_ENCODING = ("utf-8", "backslashreplace")
 
-_held = None  # in commit_outputs, the (temporary file, path) of each output written
+# In commit_outputs, the (temporary file, path) of each output written and the
+# (None, path) of each directory make_dirs made, in order.
+_held = None
 
 
 @contextlib.contextmanager
 def commit_outputs():
     """Move each file atomic_open writes in the block into place, in the order written,
-    when the block completes; if it raises, move none and remove every temporary file."""
+    when the block completes; if it raises, move none, remove every temporary file and
+    every directory make_dirs made.  A block within another one joins it."""
     global _held
+    if _held is not None:
+        yield
+        return
     _held = []
     try:
         yield
         for tmp, path in _held:
-            os.replace(tmp, path)
+            if tmp is not None:
+                os.replace(tmp, path)
     except BaseException:
-        for tmp, _ in _held:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
+        for tmp, path in reversed(_held):
+            with contextlib.suppress(OSError):  # a directory is removed only when empty
+                if tmp is None:
+                    os.rmdir(path)
+                else:
+                    os.remove(tmp)
         raise
     finally:
         _held = None
+
+
+def make_dirs(path) -> None:
+    """os.makedirs(path, exist_ok=True); within commit_outputs, the directory `path`,
+    when this made it, is removed if the block raises."""
+    made = not os.path.isdir(path)
+    os.makedirs(path, exist_ok=True)
+    if made and _held is not None:
+        _held.append((None, path))
 
 
 @contextlib.contextmanager

@@ -23,6 +23,7 @@ from .core import (
     Slots,
     TriggerConfig,
     atomic_open,
+    commit_outputs,
     is_simile,
     json_line,
     read_records,
@@ -295,8 +296,9 @@ def format_pairs(pairs, audit: bool = True) -> tuple[str, str]:
 
 def write_pair_files(texts, tsv_path, audit_path=None) -> None:
     """Write each (TSV text, audit text) of a stream, in order, to the TSV and,
-    when given, the audit JSONL; if the stream raises, neither file is replaced."""
-    with atomic_open(tsv_path) as tsv, \
+    when given, the audit JSONL, in one commit (core.commit_outputs): if the stream
+    or a write raises, neither file is replaced."""
+    with commit_outputs(), atomic_open(tsv_path) as tsv, \
             (atomic_open(audit_path) if audit_path else contextlib.nullcontext()) as audit:
         for tsv_text, audit_text in texts:
             tsv.write(tsv_text)

@@ -29,22 +29,27 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 import random
-import sys
+from array import array
 from bisect import bisect_left
+from collections import Counter, defaultdict
 from typing import NamedTuple
 
 from .backends import BackendUnavailable, JsonSubprocessBackend, reply_field
 from .core import (
     EOS_TOKEN,
     Checked,
+    Spool,
     append_token,
     common_prefix_len,
     derive_seed,
     float_sum,
     is_word,
+    make_dirs,
     rstrip_punct,
+    runs_of,
     tokenize,
     write_json,
 )
@@ -126,8 +131,33 @@ class UniformScorer:
         return [float(self.vocab_size)] * len(texts)
 
 
-# The bigram row of a context never seen in training; never written to.
-_NO_ROW: dict[str, int] = {}
+# While the scorer counts, a bigram is one int, its key: context id << shift | token id.
+# The shift is at least _MIN_SHIFT, so that the keys of a vocabulary below 2**15 ids
+# stay below 2**30, ints that sort fastest, and grows with the vocabulary beyond it.
+# The keys are counted one range at a time, the ranges cut at every
+# _SAMPLES_PER_RANGE-th of the sampled keys (every _SAMPLE_STEP-th bigram of each run),
+# so one Counter holds at most about 4k distinct keys.
+_MIN_SHIFT = 15
+_SAMPLE_STEP = 64
+_SAMPLES_PER_RANGE = 64
+
+
+def _keys(contexts, tokens, shift: int):
+    """The key of each (context, token) id pair."""
+    return map(operator.or_, map(operator.lshift, contexts, itertools.repeat(shift)), tokens)
+
+
+def _bigram_keys(ids: array, shift: int):
+    """The keys of a run's bigrams, its ids BOS, a text, BOS, ... BOS: each pair of ids
+    but those whose token is BOS, 0, which ends a text."""
+    tokens = ids[1:]
+    return itertools.compress(_keys(ids[:-1], tokens, shift), tokens)
+
+
+def _rekeyed(keys: array, shift: int, wider: int):
+    """Keys of one shift under a wider one, in the same order."""
+    return _keys(map(operator.rshift, keys, itertools.repeat(shift)),
+                 map(operator.and_, keys, itertools.repeat((1 << shift) - 1)), wider)
 
 
 class BigramScorer:
@@ -136,6 +166,26 @@ class BigramScorer:
     p(t|c) = lam * p_bigram(t|c) + (1-lam) * p_unigram(t), both add-alpha
     smoothed over a vocabulary that includes <unk>; out-of-vocabulary tokens
     map to <unk> so every text gets a finite score.
+
+    The model is held in flat arrays keyed by token id.  `ids` maps each
+    distinct token of the training texts (one str each) to its id, 1 up, in
+    order of first use; id 0 is the start of text and the id after the last
+    token is UNK.  Context i's successors are
+    `successors[starts[i]:starts[i + 1]]`, sorted, each counted in the same
+    place of `counts`, so p_bigram's numerator is one bisect of that slice.
+    The terms that do not depend on the next token are computed once per id,
+    each by the expression of the formula: `unigram_terms[i]` is p_unigram,
+    (count + alpha) / (total + alpha*V), and `denominators[i]` is p_bigram's
+    denominator, the context's count less the texts it ends, plus alpha*V.
+    No table of either count is held: a context's bigram row adds up to the
+    first, and a token's column to its count.
+
+    Counting holds no dict over all bigrams.  Each run of core.RUN_LENGTH
+    texts is encoded as token ids as it is read (texts may be a stream still
+    being produced), and its bigram keys sorted and set aside in a
+    core.Spool; once every text is read, the keys are counted one range at a
+    time, in key order, and the arrays are made at their final size.  An
+    input of one run is counted in memory, with no temporary file.
     """
 
     BOS = "<s>"
@@ -148,42 +198,110 @@ class BigramScorer:
             raise ValueError("interpolation must be in [0, 1]")
         self.alpha = alpha
         self.lam = interpolation
-        # Plain dicts, their lookups hoisted: a Counter's += costs more per token.
-        unigram: dict[str, int] = {}
-        bigram: dict[str, dict[str, int]] = {}
-        # A context's bigram total is its unigram count less the texts it ends: every
-        # other time it is followed.  The start of text is never counted and starts
-        # each text, so it ends minus one a text.  No table of totals is held.
-        ends: dict[str, int] = {self.BOS: 0}
-        count_of, row_of, intern = unigram.get, bigram.get, sys.intern
-        for text in texts:
-            tokens = tokenize(text)
-            if not tokens:
-                continue
-            ends[self.BOS] -= 1
-            prev = self.BOS
-            # One str per distinct token: each row keeps the tokens it counts,
-            # which would otherwise be each text's own copies.
-            for tok in map(intern, tokens):
-                unigram[tok] = count_of(tok, 0) + 1
-                row = row_of(prev)
-                if row is None:
-                    row = bigram[prev] = {}
-                row[tok] = row.get(tok, 0) + 1
-                prev = tok
-            ends[prev] = ends.get(prev, 0) + 1
-        if not ends[self.BOS]:
+        # Each token gets the next id on first use; BOS also ends each text of a run.
+        index = defaultdict(itertools.count(1).__next__, {self.BOS: 0})
+        end_of_text = [self.BOS]
+        sampled = array("i"), array("i")
+
+        def encode(run) -> tuple[int, array]:
+            """The shift of a run's keys, and its keys, sorted."""
+            ids = array("i", [0])
+            ids.extend(map(index.__getitem__, itertools.chain.from_iterable(
+                map(operator.add, map(tokenize, run), itertools.repeat(end_of_text)))))
+            sampled[0].extend(ids[:-1:_SAMPLE_STEP])
+            sampled[1].extend(ids[1::_SAMPLE_STEP])
+            shift = max(_MIN_SHIFT, len(index).bit_length())
+            return shift, array("q", sorted(_bigram_keys(ids, shift)))
+
+        runs = map(encode, runs_of(texts))
+        first, second = next(runs, (_MIN_SHIFT, array("q"))), next(runs, None)
+        if second is None:
+            self._tabulate(index, first[0], [Counter(first[1])])
+            return
+        with Spool() as spool:
+            extents = [(shift, len(keys), spool.append(keys.tobytes()))
+                       for shift, keys in itertools.chain((first, second), runs)]
+            del first, second
+            shift = extents[-1][0]  # the widest
+            cuts = sorted(_keys(*sampled, shift))[_SAMPLES_PER_RANGE::_SAMPLES_PER_RANGE]
+            del sampled
+            # Where each run's keys reach each cut, then their end: width positions a run.
+            width, reach = len(cuts) + 1, array("q")
+            for run, (run_shift, length, offset) in enumerate(extents):
+                keys = array("q")
+                keys.frombytes(spool.read(8 * length, offset))
+                if run_shift != shift:
+                    keys = array("q", _rekeyed(keys, run_shift, shift))
+                    offset = spool.append(keys.tobytes())
+                extents[run] = offset
+                reach.extend(map(bisect_left, itertools.repeat(keys), cuts))
+                reach.append(len(keys))
+            del keys
+
+            def counted_ranges():
+                read, begins = spool.read, array("q", bytes(8 * len(extents)))
+                for part in range(width):
+                    keys = array("q")
+                    for run, offset in enumerate(extents):
+                        begin, end = begins[run], reach[run * width + part]
+                        keys.frombytes(read(8 * (end - begin), offset + 8 * begin))
+                        begins[run] = end
+                    yield Counter(keys)
+
+            self._tabulate(index, shift, counted_ranges(), spool)
+
+    def _tabulate(self, index, shift: int, counters, spool=None) -> None:
+        """Fill the arrays from Counters of bigram keys, each range's keys above the
+        last's.  Given a spool, each range's part of successors and counts is set aside
+        there, and copied into arrays made at their final size once every range is
+        counted: arrays grown range by range leave each outgrown copy's memory behind.
+        Without one, the Counter is the only one."""
+        index.default_factory = None
+        del index[self.BOS]
+        self.ids = index
+        unk = len(index) + 1
+        token_of = (1 << shift) - 1
+        sizes, totals, columns = (array("q", bytes(8 * (unk + 1))) for _ in range(3))
+        kind = "H" if unk < 1 << 16 else "i"
+        parts = []
+        for counter in counters:
+            keys = sorted(counter)
+            tokens = array(kind, map(operator.and_, keys, itertools.repeat(token_of)))
+            counts = array("I", map(counter.__getitem__, keys))
+            for token, count in zip(tokens, counts):
+                columns[token] += count
+            begin = 0
+            for context in dict.fromkeys(map(operator.rshift, keys, itertools.repeat(shift))):
+                end = bisect_left(keys, (context + 1) << shift, begin)
+                sizes[context] += end - begin
+                totals[context] += sum(counts[begin:end])
+                begin = end
+            parts.append((tokens, counts) if spool is None else
+                         (len(keys), spool.append(tokens.tobytes() + counts.tobytes())))
+        if not totals[0]:
             raise EmptyText("scorer needs at least one non-empty training text")
-        self.unigram = unigram
-        self.bigram = bigram
-        self.ends = ends
-        self.vocab_size = len(unigram) + 1  # and UNK, which tokenize never gives
-        self.total = sum(unigram.values())
-        # What _logprobs reads, hoisted once: the invariants of the formula, each
-        # computed by the expression it has there, and the lookups.
-        alpha_v = alpha * self.vocab_size
-        self._terms = (alpha, interpolation, alpha_v, self.total + alpha_v, 1 - interpolation,
-                       bigram.get, ends.get, unigram.get)
+        self.starts = array("q", itertools.accumulate(sizes, initial=0))
+        if spool is None:
+            [(successors, counts)] = parts
+        else:
+            successors = array(kind, [0]) * self.starts[-1]
+            counts = array("I", [0]) * self.starts[-1]
+            at, width = 0, successors.itemsize
+            for length, offset in parts:
+                data = spool.read(length * (width + counts.itemsize), offset)
+                successors[at : at + length] = array(kind, data[: length * width])
+                counts[at : at + length] = array("I", data[length * width :])
+                at += length
+        self.successors, self.counts = successors, counts
+        self.vocab_size = unk  # the tokens and UNK, which tokenize never gives
+        self.total = sum(columns)
+        alpha, alpha_v = self.alpha, self.alpha * self.vocab_size
+        uni_den = self.total + alpha_v
+        self.unigram_terms = array("d", ((count + alpha) / uni_den for count in columns))
+        self.denominators = array("d", (total + alpha_v for total in totals))
+        # What _logprobs reads, hoisted once.
+        self._terms = (alpha, self.lam, 1 - self.lam, index.get, unk, self.starts, successors,
+                       counts, self.unigram_terms, self.denominators)
 
     def perplexities(self, texts: list[str]) -> list[float]:
         """Each text is tokenized once; see token_perplexities."""
@@ -210,22 +328,20 @@ class BigramScorer:
     def _logprobs(self, tokens: list[str], head: list[str] = ()) -> list[float]:
         """The log-probs of tokens, read after head.  The float expressions keep
         the operation order of the formula above (tests compare the log-probs bit
-        for bit); the invariants and lookups are read from _terms.  A token
-        never counted is UNK, counted 0."""
-        alpha, lam, alpha_v, uni_den, rest, row_of, ends_of, count_of = self._terms
+        for bit); the per-id terms and lookups are read from _terms.  A token
+        never counted is UNK, whose count and row are empty."""
+        (alpha, lam, rest, id_of, unk, starts, successors, counts, unigram_terms,
+         denominators) = self._terms
         out = []
-        log, append, unk = math.log, out.append, self.UNK
-        prev = self.BOS
-        if head:
-            prev = head[-1] if count_of(head[-1]) is not None else unk
+        log, append = math.log, out.append
+        prev = id_of(head[-1], unk) if head else 0
         for tok in tokens:
-            count = count_of(tok)
-            if count is None:
-                tok, count = unk, 0
-            p_bi = ((row_of(prev, _NO_ROW).get(tok, 0) + alpha)
-                    / (count_of(prev, 0) - ends_of(prev, 0) + alpha_v))
-            p_uni = (count + alpha) / uni_den
-            append(log(lam * p_bi + rest * p_uni))
+            tok = id_of(tok, unk)
+            end = starts[prev + 1]
+            at = bisect_left(successors, tok, starts[prev], end)
+            count = counts[at] if at < end and successors[at] == tok else 0
+            p_bi = (count + alpha) / denominators[prev]
+            append(log(lam * p_bi + rest * unigram_terms[tok]))
             prev = tok
         return out
 
@@ -498,7 +614,7 @@ class TemplateNgramModel:
     def save(self, model_dir: str) -> None:
         """Write model.json, then manifest.json: a failed save leaves no new
         manifest beside an old or missing model.json."""
-        os.makedirs(model_dir, exist_ok=True)
+        make_dirs(model_dir)
         state = {name: getattr(self, name) for name in self.STATE}
         write_json(state, os.path.join(model_dir, "model.json"), indent=None)
         manifest = {

@@ -667,19 +667,24 @@ class TestBuildCorpus:
     @pytest.mark.parametrize("scorer", ["reference", "scorer-train", "uniform"])
     def test_the_edge_table_is_freed_before_the_scorer_is_built(self, world, tmp_path,
                                                                  monkeypatch, scorer):
-        """The scorer reuses the memory the table took: nothing holds the table once the
-        lookups are spooled."""
+        """The scorer's counts reuse the memory the table took: in one process, nothing
+        holds the table once the lookups are spooled, when the bigram scorer counts its
+        texts (BigramScorer._tabulate) or the uniform one is built."""
+        monkeypatch.setattr(core, "usable_cpus", lambda: 1)
         tables, alive = [], []
         load = cli.load_edge_table
         monkeypatch.setattr(cli, "load_edge_table", lambda path: (
             tables.append(weakref.ref(table := load(path))), table)[1])
-        for name in ("BigramScorer", "UniformScorer"):
-            monkeypatch.setattr(cli, name, lambda *args, real=getattr(cli, name): (
-                alive.append(tables[0]() is not None), real(*args))[1])
+        tabulate = BigramScorer._tabulate
+        monkeypatch.setattr(BigramScorer, "_tabulate", lambda *args: (
+            alive.append(tables[0]() is not None), tabulate(*args))[1])
+        monkeypatch.setattr(cli, "UniformScorer", lambda *args, real=UniformScorer: (
+            alive.append(tables[0]() is not None), real(*args))[1])
         flags = {"reference": [], "uniform": ["--scorer", "uniform"],
                  "scorer-train": ["--scorer-train", str(world["sentences"])]}[scorer]
         assert main(["build-corpus", "--in", str(world["train_similes"]), "--knowledge",
                      world["edges"], "--out", str(tmp_path / "p.tsv")] + flags) == 0
+        assert len(tables) == 1
         assert alive == [False]
 
     @pytest.mark.parametrize("scorer", ["reference", "uniform"])
@@ -702,19 +707,58 @@ class TestBuildCorpus:
 
     @pytest.mark.parametrize("scorer", ["reference", "scorer-train", "uniform"])
     def test_edge_table_is_loaded_before_the_scorer(self, world, tmp_path, monkeypatch, scorer):
-        """The temporary objects of the table's load are freed before the scorer is
-        built, not while it is held."""
+        """In one process, the table is loaded, and the temporary objects of its load
+        freed, before the scorer reads its first text (or, uniform, is built), so none
+        of them lies among the scorer's."""
+        monkeypatch.setattr(core, "usable_cpus", lambda: 1)
         calls = []
-        for name in ("load_edge_table", "BigramScorer", "UniformScorer"):
-            real = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda *args, real=real, name=name: (
-                calls.append(name), real(*args))[1])
+        load = cli.load_edge_table
+        monkeypatch.setattr(cli, "load_edge_table", lambda path: (
+            calls.append("load_edge_table"), load(path))[1])
+
+        def read(texts):
+            for number, text in enumerate(texts):
+                if not number:
+                    calls.append("BigramScorer reads")
+                yield text
+
+        monkeypatch.setattr(cli, "BigramScorer", lambda texts: BigramScorer(read(texts)))
+        monkeypatch.setattr(cli, "UniformScorer", lambda *args: (
+            calls.append("UniformScorer"), UniformScorer(*args))[1])
         flags = {"reference": [], "uniform": ["--scorer", "uniform"],
                  "scorer-train": ["--scorer-train", str(world["sentences"])]}[scorer]
         assert main(["build-corpus", "--in", str(world["train_similes"]), "--knowledge",
                      world["edges"], "--out", str(tmp_path / "p.tsv")] + flags) == 0
-        scorer_class = "UniformScorer" if scorer == "uniform" else "BigramScorer"
-        assert calls == ["load_edge_table", scorer_class]
+        scorer_call = "UniformScorer" if scorer == "uniform" else "BigramScorer reads"
+        assert calls == ["load_edge_table", scorer_call]
+
+    @pytest.mark.parametrize("scorer", ["reference", "uniform"])
+    def test_with_two_cpus_the_parent_never_loads_the_table(self, world, tmp_path, capsys,
+                                                             monkeypatch, scorer):
+        """With several runs and two usable CPUs, each worker of the first fan-out loads
+        the table before its first run: the parent never calls load_edge_table, and a
+        bad line in the table is still reported before one in --in."""
+        monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(core, "RUN_LENGTH", 8)  # several runs
+        pids = []
+        load = cli.load_edge_table
+        monkeypatch.setattr(cli, "load_edge_table", lambda path: (
+            pids.append(os.getpid()), load(path))[1])
+        flags = ["--scorer", scorer]
+        assert main(["build-corpus", "--in", str(world["train_similes"]), "--knowledge",
+                     world["edges"], "--out", str(tmp_path / "p.tsv")] + flags) == 0
+        assert len(list(read_lines(world["train_similes"]))) > 2 * core.RUN_LENGTH
+        similes, edges = tmp_path / "similes.jsonl", tmp_path / "edges.tsv"
+        similes.write_bytes(b"not json\n" + world["train_similes"].read_bytes())
+        table = Path(world["edges"]).read_bytes()
+        edges.write_bytes(table + b"deer\tfast\n")
+        line = table.count(b"\n") + 1
+        capsys.readouterr()
+        rc = main(["build-corpus", "--in", str(similes), "--knowledge", str(edges),
+                   "--out", str(tmp_path / "q.tsv")] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {edges}:{line}: ")
+        assert pids == []
 
     @pytest.mark.parametrize("scorer", ["reference", "uniform"])
     def test_a_bad_table_line_is_reported_before_a_bad_simile(self, world, tmp_path, capsys,
@@ -732,6 +776,21 @@ class TestBuildCorpus:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {edges}:{line}: ")
         assert str(similes) not in err
+        assert not (tmp_path / "p.tsv").exists()
+
+    def test_the_table_is_checked_when_in_holds_no_simile(self, world, tmp_path, capsys):
+        """An --in of blank lines gives no run to look up; the table is loaded all the
+        same, so a bad line in it is an error, where the uniform scorer would otherwise
+        write empty outputs."""
+        similes, edges = tmp_path / "similes.jsonl", tmp_path / "edges.tsv"
+        similes.write_text("\n\n", encoding="utf-8")
+        table = Path(world["edges"]).read_bytes()
+        edges.write_bytes(table + b"deer\tfast\n")
+        line = table.count(b"\n") + 1
+        rc = main(["build-corpus", "--in", str(similes), "--knowledge", str(edges),
+                   "--scorer", "uniform", "--out", str(tmp_path / "p.tsv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {edges}:{line}: ")
         assert not (tmp_path / "p.tsv").exists()
 
     def test_backend_error_exits_one_and_writes_nothing(self, world, tmp_path, capsys,
@@ -1533,6 +1592,13 @@ def test_a_failed_write_of_any_output_replaces_none(world, refs, stories, tmp_pa
     assert main(argv(2)) == 1
     assert "No space left on device" in capsys.readouterr().err
     assert files_under(tmp_path) == before
+    if command == "train":  # a failed run removes the model directory it made
+        target = str(tmp_path / ("n" + full[1:]))  # n/model.json, n/manifest.json, n.manifest.json
+        assert main([str(tmp_path / "n") if arg == str(tmp_path / "m") else arg
+                     for arg in argv(2)]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert not (tmp_path / "n").exists()
+        assert files_under(tmp_path) == before
     monkeypatch.undo()
     assert main(argv(2)) == 0  # and written whole, every output is new
     after = files_under(tmp_path)

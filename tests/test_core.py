@@ -22,6 +22,7 @@ from similekit.core import (
     ParseError,
     SimileInstance,
     Spool,
+    StrippedLiteral,
     TriggerConfig,
     append_token,
     atomic_open,
@@ -67,6 +68,26 @@ class WordTagger:
 
     def tag(self, token):
         return "ADJ" if token in self.adjectives else "X"
+
+
+class OddTagger:
+    """ADJ for a token of odd length, X for any other."""
+
+    def tag(self, token):
+        return "ADJ" if len(token) % 2 else "X"
+
+
+def strip_terminal_modifier_oracle(text, tagger):
+    """strip_terminal_modifier as it was: every token matched, and the word tokens kept."""
+    words = [m for m in core._TOKEN_RE.finditer(text) if core.is_word(m.group())]
+    if not words:
+        raise NotModifierFinal(f"no content token in {text!r}")
+    last = words[-1]
+    tag = tagger.tag(last.group())
+    if tag not in ("ADJ", "ADV"):
+        raise NotModifierFinal(f"final token {last.group()!r} tagged {tag}, not ADJ/ADV")
+    return StrippedLiteral(text[: last.start()].rstrip(), last.group(),
+                           text[last.end() :].strip())
 
 
 # Token alphabet with no vowels: can never collide with "like", "a", or "an".
@@ -299,6 +320,21 @@ class TestStripTerminalModifier:
         s = strip_terminal_modifier(text, tagger)
         assert s.prefix
         assert s.property == "fgbd"
+
+    @given(st.text(alphabet="ab'’_ .,!?-é٣\t\n", max_size=30))
+    @settings(max_examples=500)
+    def test_the_last_word_is_the_last_word_token(self, text):
+        """The last word is found without tokenizing the whole text: the result, or the
+        error and its message, is the old definition's, which kept every word token."""
+        tagger = OddTagger()
+
+        def outcome(strip):
+            try:
+                return strip(text, tagger)
+            except NotModifierFinal as exc:
+                return str(exc)
+
+        assert outcome(strip_terminal_modifier) == outcome(strip_terminal_modifier_oracle)
 
     def test_drop_dangling_comma(self):
         assert drop_dangling_comma("It was obscene, but she was drawn to it,") == \
@@ -635,6 +671,38 @@ class TestAtomicWrites:
             self.WRITERS["jsonl"](path)
         assert [old.read_bytes() for old in (done, path)] == [b"previous run\n"] * 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["done", "out"]
+
+    def test_a_commit_within_a_commit_joins_it(self, tmp_path):
+        """The inner block's files are replaced when the outer block completes, and not
+        at all when it fails after the inner block has ended."""
+        inner, outer = tmp_path / "inner", tmp_path / "outer"
+        for old in (inner, outer):
+            old.write_bytes(b"previous run\n")
+        with pytest.raises(RuntimeError), commit_outputs():
+            with commit_outputs():
+                write_lines(["new\n"], inner)
+            assert inner.read_bytes() == b"previous run\n"
+            write_lines(["new\n"], outer)
+            raise RuntimeError("after both writes")
+        assert [old.read_bytes() for old in (inner, outer)] == [b"previous run\n"] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inner", "outer"]
+        with commit_outputs():
+            with commit_outputs():
+                write_lines(["new\n"], inner)
+            assert inner.read_bytes() == b"previous run\n"
+        assert inner.read_bytes() == b"new\n"
+
+    def test_a_failed_commit_removes_the_directory_it_made(self, tmp_path):
+        """make_dirs within a commit: a directory the block made is removed when it fails,
+        one that was there is kept."""
+        made, kept = tmp_path / "made", tmp_path / "kept"
+        kept.mkdir()
+        with pytest.raises(RuntimeError), commit_outputs():
+            for directory in (made, kept):
+                core.make_dirs(directory)
+                write_lines(["new\n"], directory / "file")
+            raise RuntimeError("after the writes")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept"]
 
     def test_a_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         """Renames happen one at a time and are not undone: the files renamed before a

@@ -1,5 +1,7 @@
 """Corpus construction: candidates, perplexity selection, pair contracts."""
 
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +33,7 @@ from similekit.harvest import simile_record
 from similekit.knowledge import PropertyCandidate, load_edge_table, properties_of
 from similekit.lm import BigramScorer, EmptyText, UniformScorer, perplexities
 
+from test_cli import FullDisk
 from test_lm import OracleBigramScorer, oracle_perplexity
 
 # Word pieces, apostrophes, punctuation and whitespace of several kinds, or any character.
@@ -616,6 +619,26 @@ class TestPairFiles:
             assert (tsv.read_bytes(), audit.read_bytes()) == (b"old tsv\n", b"old audit\n")
             assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.audit.jsonl",
                                                                   "pairs.tsv"]
+
+    def test_a_tsv_that_fails_to_close_replaces_neither_file(self, tmp_path, monkeypatch,
+                                                             pairs):
+        """Called outside a commit, write_pair_files commits its two files together: a
+        full disk when pairs.tsv is closed leaves both old files and no temporary file,
+        where the audit, closed first, was replaced on its own."""
+        tsv, audit = tmp_path / "pairs.tsv", tmp_path / "pairs.audit.jsonl"
+        tsv.write_bytes(b"old tsv\n")
+        audit.write_bytes(b"old audit\n")
+        real_open = open
+
+        def fills(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            return FullDisk(fh) if path == f"{tsv}.{os.getpid()}.tmp" else fh
+
+        monkeypatch.setattr(core, "open", fills, raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            write_pair_files(iter([format_pairs(pairs)]), tsv, audit)
+        assert (tsv.read_bytes(), audit.read_bytes()) == (b"old tsv\n", b"old audit\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.audit.jsonl", "pairs.tsv"]
 
     def test_tab_in_a_later_pair_writes_nothing(self, tmp_path, pairs):
         bad = ParallelPair("a\tb fast.", "a b like a c.", "fast", "c")

@@ -1,6 +1,7 @@
 """Scoring, seeded decoding, and the reference template n-gram trainer."""
 
 import heapq
+import itertools
 import json
 import math
 import os
@@ -9,6 +10,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+from array import array
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -16,6 +19,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from similekit import core, lm
 from similekit.backends import BackendUnavailable
 from similekit.core import EOS_TOKEN, append_token, tokenize
 from similekit.lm import (
@@ -169,6 +173,34 @@ def oracle_perplexity(text, scorer):
     return math.exp(-sum(logps) / len(logps))
 
 
+def scorer_tables(scorer):
+    """A BigramScorer's bigram rows {context: {token: count}}, those not empty, and its
+    unigram counts, read from its arrays: ids number the tokens 1 up in their order, 0
+    is BOS, and the id after the last, UNK, has an empty row."""
+    names = [BigramScorer.BOS, *scorer.ids]
+    assert list(scorer.ids.values()) == list(range(1, len(names)))
+    assert len(scorer.starts) == len(names) + 2 and scorer.starts[-1] == scorer.starts[-2]
+    rows, unigram = {}, Counter()
+    for context, (begin, end) in enumerate(itertools.pairwise(scorer.starts)):
+        row = {names[token]: count for token, count in zip(scorer.successors[begin:end],
+                                                           scorer.counts[begin:end])}
+        if row:
+            assert list(scorer.successors[begin:end]) == sorted(scorer.successors[begin:end])
+            rows[names[context]] = row
+            unigram.update(row)
+    return rows, unigram
+
+
+def generated_texts(count: int, seed: int = 3) -> list[str]:
+    """count texts of 4 to 16 words and a period, the words drawn from 3,000 by
+    falling frequency (the word of rank r weighs 1/r)."""
+    rng = random.Random(seed)
+    words = [f"w{rank}" for rank in range(3000)]
+    weights = [1 / rank for rank in range(1, 3001)]
+    return [" ".join(rng.choices(words, weights, k=rng.randint(4, 16))) + "."
+            for _ in range(count)]
+
+
 def oracle_sample(dist, top_k, temperature, rng):
     """Top-k sampling over the fully sorted distribution."""
     items = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
@@ -305,27 +337,83 @@ class TestKernelsEqualOracles:
             train = train + ["a"]
         scorer = BigramScorer(train, alpha=alpha, interpolation=lam)
         oracle = OracleBigramScorer(train, alpha=alpha, interpolation=lam)
-        # A context's bigram total, the unigram count less the texts it ends, is the oracle's.
-        contexts = {*scorer.bigram, *scorer.unigram, *oracle.context_total, BigramScorer.UNK}
-        assert {prev: scorer.unigram.get(prev, 0) - scorer.ends.get(prev, 0)
-                for prev in contexts} == {prev: oracle.context_total.get(prev, 0)
-                                          for prev in contexts}
+        # Each context's row, so its bigram total, and each token's count are the oracle's.
+        rows, unigram = scorer_tables(scorer)
+        assert rows == {prev: dict(row) for prev, row in oracle.bigram.items()}
+        assert {prev: sum(row.values()) for prev, row in rows.items()} == oracle.context_total
+        assert unigram == oracle.unigram
         for text in queries:
             tokens = tokenize(text)
             assert scorer._logprobs(tokens) == oracle.token_logprobs(tokens)
             assert perplexity(text, scorer) == oracle_perplexity(text, oracle)
 
+    @given(st.lists(st.lists(st.sampled_from(TRAIN_WORDS), max_size=12).map(" ".join),
+                    min_size=1, max_size=40), texts_of(QUERY_WORDS, 1))
+    @settings(max_examples=100, deadline=None)
+    def test_a_scorer_counted_in_runs_and_ranges_is_the_oracle(self, train, queries):
+        """Runs of 3 texts, spooled, their keys counted in ranges of about 2 keys, and
+        keyed with the fewest bits their ids need, so that a run keyed before the
+        vocabulary outgrew its shift is keyed anew."""
+        train = train + ["a"]
+        with mock.patch.object(core, "RUN_LENGTH", 3), \
+                mock.patch.multiple(lm, _MIN_SHIFT=1, _SAMPLE_STEP=2, _SAMPLES_PER_RANGE=1):
+            scorer = BigramScorer(train)
+        oracle = OracleBigramScorer(train)
+        rows, unigram = scorer_tables(scorer)
+        assert rows == {prev: dict(row) for prev, row in oracle.bigram.items()}
+        assert unigram == oracle.unigram
+        for text in queries:
+            tokens = tokenize(text)
+            assert scorer._logprobs(tokens) == oracle.token_logprobs(tokens)
+
     @given(texts_of(TRAIN_WORDS, 1))
     @settings(max_examples=100, deadline=None)
     def test_the_scorer_holds_one_string_per_token(self, train):
-        """Each context and each row key is the unigram key of its token, not a copy."""
+        """The keys of ids, one per distinct token, are the only strs the scorer holds:
+        every other field is a number or an array of numbers, and _terms holds those
+        and ids.get."""
         scorer = BigramScorer(train)
-        held = {token: token for token in scorer.unigram}
-        for context, row in scorer.bigram.items():
-            assert context == BigramScorer.BOS or context is held[context]
-            assert all(token is held[token] for token in row)
-        assert all(context == BigramScorer.BOS or context is held[context]
-                   for context in scorer.ends)
+        assert set(scorer.ids) == {token for text in train for token in tokenize(text)}
+        numbers = (int, float, array)
+        assert all(isinstance(value, numbers) for name, value in vars(scorer).items()
+                   if name not in ("ids", "_terms"))
+        assert all(isinstance(value, numbers) or value == scorer.ids.get
+                   for value in scorer._terms)
+
+    def test_it_holds_fewer_bytes_than_its_dicts_did(self):
+        """tracemalloc's count of what a scorer holds, and of its build's peak, per
+        distinct bigram, over 6,000 generated texts (65,602 tokens, 36,242 bigrams; 12
+        runs, so its keys are spooled and counted in ranges).  The dict of dicts held
+        44.7 bytes a bigram and peaked at 45.1 (Python 3.11); the arrays hold 17.4 and
+        the build peaks at 30.0: the ids, the samples and one range's Counter."""
+        texts = generated_texts(6000)
+        BigramScorer(texts[:10])  # the first call fills the caches it leaves behind
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scorer = BigramScorer(texts)
+            held, peak = (size - before for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        bigrams = len(scorer.successors)
+        assert bigrams == 36242
+        assert held / bigrams < 44.7 / 2, f"{held / bigrams:.1f} bytes held per bigram"
+        assert peak / bigrams < 45.1, f"{peak / bigrams:.1f} bytes per bigram at the peak"
+
+    def test_a_scorer_of_one_run_loads_no_module(self):
+        """A scorer of a few texts, as the remote worker builds on each perplexity
+        request, is counted in memory: it loads no module that similekit.lm does not
+        (tempfile, which core.Spool loads, in particular)."""
+        code = ("import sys\n"
+                "import similekit.lm as lm\n"
+                "before = set(sys.modules)\n"
+                "scorer = lm.BigramScorer(['The wall was hard.', 'He ran like a deer.'] * 3)\n"
+                "lm.perplexity('The deer was hard.', scorer)\n"
+                "print(sorted(set(sys.modules) - before), 'tempfile' in sys.modules)")
+        done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, timeout=30, env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["[]", "False"]
 
     @given(st.dictionaries(st.text("abcdefgh", min_size=1, max_size=3),
                            st.sampled_from([0.05, 0.1, 0.1, 0.2, 0.25, 0.25, 0.5, 1e-9]),
